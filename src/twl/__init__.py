@@ -35,7 +35,7 @@ from .geometry import (
     steering,
     wavenumber,
 )
-from .kernels import default_backend, steering_forms
+from .kernels import steering_forms
 from .pose import (
     ChannelGeometry,
     LocationJacobian,

@@ -1,44 +1,29 @@
-"""Hot per-position kernels: steering bundles projected into beam space.
+"""Beam-space steering forms: the per-position kernel of every bound.
 
-For every evaluated position the bound pipeline needs, per device, the 3x3
-quadratic-form tables of the steering bundle (response and its two angle
-partials) through the device's transmit matrix and receive-space basis, plus
-the raw receive combining gain. That is the dominant numeric loop of a
-scenario run. numba is an optional dependency (`pip install -e .[numba]`):
-when it is importable the loop is compiled with it by default, otherwise a
-pure-numpy vectorized path computes the same tables. TWL_BACKEND=numpy
-selects the numpy path; TWL_BACKEND=numba selects the compiled path and
-raises if numba is missing.
+For each evaluated direction the bound pipeline needs, per device, the 3x3
+quadratic-form tables of the steering bundle (the response a and its two
+angle partials) through the device's transmit matrix F and receive-space
+basis U, plus the raw receive combining gain |W^H a|^2.
 
-Both backends return identical values up to floating-point summation order.
+Both partials rescale the response elementwise: da/dtheta = -j (E^T dk/dtheta) * a
+and da/dphi = -j (E^T dk/dphi) * a, with E the element coordinates. So every
+projection the forms need is a row block of B @ a, with the stacked matrix
+
+    B = [F^T; F^T diag(e_x); F^T diag(e_y); F^T diag(e_z);
+         U^H; U^H diag(e_x); U^H diag(e_y); U^H diag(e_z); W^H]
+
+built once per device. Directions are processed in chunks, one complex
+matrix multiply each; the angle projections are then 3-term contractions
+with the wavenumber partials, and each Hermitian form is filled from its 6
+unique entries.
+
+`fim.quadratic_forms` over `geometry.steering` computes the same tables one
+direction at a time and serves as the independent reference.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # numba is optional; the numpy path is used instead
-    HAVE_NUMBA = False
-
-BACKENDS = ("numba", "numpy")
-
-_CHUNK = 4096  # numpy-path chunk length, keeps temporaries ~30 MB
-
-
-def default_backend() -> str:
-    """Backend selected by the TWL_BACKEND environment variable."""
-    env = os.environ.get("TWL_BACKEND", "").strip().lower()
-    if env:
-        if env not in BACKENDS:
-            raise ValueError(f"TWL_BACKEND must be one of {BACKENDS}, got {env!r}")
-        if env == "numba" and not HAVE_NUMBA:
-            raise RuntimeError("TWL_BACKEND=numba but numba is not importable")
-        return env
-    return "numba" if HAVE_NUMBA else "numpy"
+_CHUNK = 4096  # directions per matrix multiply, keeps temporaries ~30 MB
 
 
 def steering_forms(
@@ -49,7 +34,6 @@ def steering_forms(
     rx_matrix_h: np.ndarray,
     theta: np.ndarray,
     phi: np.ndarray,
-    backend: str | None = None,
 ):
     """Beam-space quadratic forms of one device over a batch of directions.
 
@@ -60,43 +44,23 @@ def steering_forms(
         rx_basis_h: U^H with U an orthonormal receive-space basis, (n_beams, N).
         rx_matrix_h: W^H, raw receive matrix, (n_beams, N).
         theta, phi: link angles at this device, shape (n,).
-        backend: "numba" | "numpy" | None for the environment default.
 
     Returns:
         t_forms: (n, 3, 3) complex, t[x, y] = x^T F F^H y* per position.
         r_forms: (n, 3, 3) complex, r[x, y] = x^H U U^H y per position.
         rx_gain_sq: (n,) float, |W^H a|^2 per position.
     """
-    if backend is None:
-        backend = default_backend()
-    elements = np.ascontiguousarray(elements, dtype=np.float64)
-    tx_matrix_t = np.ascontiguousarray(tx_matrix_t, dtype=np.complex128)
-    rx_basis_h = np.ascontiguousarray(rx_basis_h, dtype=np.complex128)
-    rx_matrix_h = np.ascontiguousarray(rx_matrix_h, dtype=np.complex128)
-    theta = np.ascontiguousarray(theta, dtype=np.float64)
-    phi = np.ascontiguousarray(phi, dtype=np.float64)
+    elements = np.asarray(elements, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.float64)
+    phi = np.asarray(phi, dtype=np.float64)
+    tx_rows = 4 * tx_matrix_t.shape[0]
+    rx_rows = tx_rows + 4 * rx_basis_h.shape[0]
+    stacked = np.concatenate([
+        block
+        for m in (tx_matrix_t, rx_basis_h)
+        for block in (m, m * elements[0], m * elements[1], m * elements[2])
+    ] + [rx_matrix_h])
 
-    if backend == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        n = theta.shape[0]
-        t_forms = np.empty((n, 3, 3), dtype=np.complex128)
-        r_forms = np.empty((n, 3, 3), dtype=np.complex128)
-        rx_gain_sq = np.empty(n, dtype=np.float64)
-        _forms_njit(
-            elements, 2.0 * np.pi / wavelength,
-            tx_matrix_t, rx_basis_h, rx_matrix_h,
-            theta, phi, t_forms, r_forms, rx_gain_sq,
-        )
-        return t_forms, r_forms, rx_gain_sq
-    if backend == "numpy":
-        return _forms_numpy(
-            elements, wavelength, tx_matrix_t, rx_basis_h, rx_matrix_h, theta, phi
-        )
-    raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-
-
-def _forms_numpy(elements, wavelength, ft, uh, wh, theta, phi):
     n = theta.shape[0]
     t_forms = np.empty((n, 3, 3), dtype=np.complex128)
     r_forms = np.empty((n, 3, 3), dtype=np.complex128)
@@ -111,79 +75,38 @@ def _forms_numpy(elements, wavelength, ft, uh, wh, theta, phi):
         dkt = k0 * np.stack([cp * ct, sp * ct, -st])
         dkp = k0 * np.stack([-sp * st, cp * st, np.zeros_like(st)])
         a = np.exp(-1j * (elements.T @ kvec)) * inv_sqrt_n  # (N, m)
-        bundles = np.stack(
-            [a, -1j * (elements.T @ dkt) * a, -1j * (elements.T @ dkp) * a]
-        )  # (3, N, m)
-        u = np.einsum("bN,xNm->xbm", ft, bundles)
-        v = np.einsum("bN,xNm->xbm", uh, bundles)
-        t_forms[lo:hi] = np.einsum("xbm,ybm->mxy", u, u.conj())
-        r_forms[lo:hi] = np.einsum("xbm,ybm->mxy", v.conj(), v)
-        wa = wh @ a
-        rx_gain_sq[lo:hi] = np.sum(np.abs(wa) ** 2, axis=0)
+        proj = stacked @ a
+        t_forms[lo:hi] = _gram(proj[:tx_rows], dkt, dkp).conj()
+        r_forms[lo:hi] = _gram(proj[tx_rows:rx_rows], dkt, dkp)
+        rx_gain_sq[lo:hi] = _sq_norms(proj[rx_rows:])
     return t_forms, r_forms, rx_gain_sq
 
 
-if HAVE_NUMBA:
+def _gram(proj, dkt, dkp):
+    """(m, 3, 3) g[x, y] = v_x^H v_y over v = M (a, da/dtheta, da/dphi).
 
-    @njit(cache=True)
-    def _forms_njit(elements, k0, ft, uh, wh, theta, phi, t_forms, r_forms, rx_gain_sq):
-        n_pos = theta.shape[0]
-        n_el = elements.shape[1]
-        nb_t = ft.shape[0]
-        nb_r = uh.shape[0]
-        nb_w = wh.shape[0]
-        inv_sqrt_n = 1.0 / np.sqrt(n_el)
-        x = np.empty((3, n_el), np.complex128)
-        u = np.empty((3, nb_t), np.complex128)
-        v = np.empty((3, nb_r), np.complex128)
-        for i in range(n_pos):
-            st = np.sin(theta[i])
-            ct = np.cos(theta[i])
-            sp = np.sin(phi[i])
-            cp = np.cos(phi[i])
-            kx = k0 * cp * st
-            ky = k0 * sp * st
-            kz = k0 * ct
-            dtx = k0 * cp * ct
-            dty = k0 * sp * ct
-            dtz = -k0 * st
-            dpx = -k0 * sp * st
-            dpy = k0 * cp * st
-            for e in range(n_el):
-                ex = elements[0, e]
-                ey = elements[1, e]
-                ez = elements[2, e]
-                ae = np.exp(-1j * (ex * kx + ey * ky + ez * kz)) * inv_sqrt_n
-                x[0, e] = ae
-                x[1, e] = -1j * (ex * dtx + ey * dty + ez * dtz) * ae
-                x[2, e] = -1j * (ex * dpx + ey * dpy) * ae
-            for d in range(3):
-                for b in range(nb_t):
-                    acc = 0.0 + 0.0j
-                    for e in range(n_el):
-                        acc += ft[b, e] * x[d, e]
-                    u[d, b] = acc
-                for b in range(nb_r):
-                    acc = 0.0 + 0.0j
-                    for e in range(n_el):
-                        acc += uh[b, e] * x[d, e]
-                    v[d, b] = acc
-            for d1 in range(3):
-                for d2 in range(d1, 3):
-                    acc_t = 0.0 + 0.0j
-                    acc_r = 0.0 + 0.0j
-                    for b in range(nb_t):
-                        acc_t += u[d1, b] * np.conj(u[d2, b])
-                    for b in range(nb_r):
-                        acc_r += np.conj(v[d1, b]) * v[d2, b]
-                    t_forms[i, d1, d2] = acc_t
-                    t_forms[i, d2, d1] = np.conj(acc_t)
-                    r_forms[i, d1, d2] = acc_r
-                    r_forms[i, d2, d1] = np.conj(acc_r)
-            g = 0.0
-            for b in range(nb_w):
-                acc = 0.0 + 0.0j
-                for e in range(n_el):
-                    acc += wh[b, e] * x[0, e]
-                g += acc.real * acc.real + acc.imag * acc.imag
-            rx_gain_sq[i] = g
+    ``proj`` stacks M a over M (e_c * a) for c = x, y, z, so
+    M da/dtheta = -j v[1] and M da/dphi = -j v[2] with the contractions below;
+    the -j factors cancel on the (1, 2) block and give -j on row 0.
+    """
+    n_beams = proj.shape[0] // 4
+    parts = proj[n_beams:].reshape(3, n_beams, -1)
+    v = (
+        proj[:n_beams],
+        np.einsum("cm,cbm->bm", dkt, parts),
+        np.einsum("cm,cbm->bm", dkp, parts),
+    )
+    g = np.empty((proj.shape[1], 3, 3), dtype=np.complex128)
+    for x in range(3):
+        g[:, x, x] = _sq_norms(v[x])
+        for y in range(x + 1, 3):
+            g[:, x, y] = np.einsum("bm,bm->m", v[x].conj(), v[y])
+            if x == 0:
+                g[:, x, y] *= -1j
+            g[:, y, x] = g[:, x, y].conj()
+    return g
+
+
+def _sq_norms(v):
+    """Squared 2-norm of each column of a complex (n_beams, m) block."""
+    return np.einsum("bm,bm->m", v.real, v.real) + np.einsum("bm,bm->m", v.imag, v.imag)

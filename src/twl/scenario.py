@@ -6,9 +6,11 @@ sampled uniformly over a planar convex region, every position is evaluated
 independently (position/orientation error bounds per protocol and initiator,
 plus link SNR), and results are summarized as empirical quantiles.
 
-The per-position steering products run on the kernel backend selected by
-TWL_BACKEND (numba when it is installed, numpy otherwise; see twl.kernels);
-everything downstream is batched numpy shared by both backends.
+`position_tables` builds each device's codebooks once, takes the
+per-position steering forms of each device from one chunked matrix
+multiply (`twl.kernels`), and evaluates everything downstream (channel FIM,
+angle Schur complement, protocol EFIMs and their inversion) as batched
+numpy over the positions.
 """
 
 import math
@@ -263,7 +265,7 @@ def _device_tables(geom: ArrayGeometry, directions) -> DeviceTables:
 
 
 def position_tables(
-    scenario: Scenario, positions: np.ndarray | None = None, backend: str | None = None
+    scenario: Scenario, positions: np.ndarray | None = None
 ) -> PositionTables:
     """Evaluate the per-position FIM ingredients of a scenario."""
     if positions is None:
@@ -283,11 +285,11 @@ def position_tables(
 
     t_bs, r_bs, gain_bs = steering_forms(
         bs_tab.elements, lam, bs_tab.tx_matrix_t, bs_tab.rx_basis_h,
-        bs_tab.rx_matrix_h, geo["theta1"], geo["phi1"], backend,
+        bs_tab.rx_matrix_h, geo["theta1"], geo["phi1"],
     )
     t_ue, r_ue, gain_ue = steering_forms(
         ue_tab.elements, lam, ue_tab.tx_matrix_t, ue_tab.rx_basis_h,
-        ue_tab.rx_matrix_h, geo["theta2"], geo["phi2"], backend,
+        ue_tab.rx_matrix_h, geo["theta2"], geo["phi2"],
     )
 
     beta = lam / (4.0 * np.pi * geo["r"])
@@ -361,9 +363,9 @@ def protocol_bounds(
     return BoundSamples(peb=peb, oeb=oeb, identifiable=ok)
 
 
-def run_cdf(scenario: Scenario, backend: str | None = None) -> CdfResult:
+def run_cdf(scenario: Scenario) -> CdfResult:
     """Sample the region and evaluate every requested protocol/initiator."""
-    tables = position_tables(scenario, backend=backend)
+    tables = position_tables(scenario)
     snr_p10 = percentile(tables.snr_db, 0.1)
     bounds = {}
     rows = []
@@ -388,9 +390,7 @@ def run_cdf(scenario: Scenario, backend: str | None = None) -> CdfResult:
     )
 
 
-def sweep_bandwidth(
-    scenario: Scenario, bandwidths, backend: str | None = None
-) -> list:
+def sweep_bandwidth(scenario: Scenario, bandwidths) -> list:
     """PEB at the 0.9 quantile versus bandwidth, fixed positions and energy.
 
     Only the effective-bandwidth factor of the delay information varies
@@ -399,7 +399,7 @@ def sweep_bandwidth(
     bandwidths = [float(w) for w in bandwidths]
     if any(w <= 0 for w in bandwidths) or bandwidths != sorted(bandwidths):
         raise ValueError("bandwidths must be positive and ascending")
-    tables = position_tables(scenario, backend=backend)
+    tables = position_tables(scenario)
     rows = []
     for w in bandwidths:
         scale = (w / scenario.signal.bandwidth) ** 2
@@ -415,9 +415,7 @@ def sweep_bandwidth(
     return rows
 
 
-def sweep_antennas(
-    scenario: Scenario, counts, side: str, backend: str | None = None
-) -> list:
+def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
     """PEB at the 0.9 quantile versus one side's antenna count.
 
     Each count must be a perfect square (square arrays); the other side keeps
@@ -434,7 +432,7 @@ def sweep_antennas(
         arr = make_ura(edge, edge, scenario.signal.wavelength,
                        spacing=scenario.element_spacing)
         swept = replace(scenario, **{f"{side}_array": arr})
-        tables = position_tables(swept, backend=backend)
+        tables = position_tables(swept)
         for protocol in scenario.protocols:
             for initiator in scenario.initiators:
                 samples = protocol_bounds(tables, protocol, initiator)

@@ -1,14 +1,16 @@
-"""Backend equivalence: the compiled kernel and the numpy fallback agree."""
+"""The batched steering-form kernel against the per-pose construction."""
 
 import numpy as np
 import pytest
 
 import twl.kernels as kernels
-from twl.fim import channel_fim
+from twl.beamforming import orthonormal_basis
+from twl.fim import channel_fim, quadratic_forms
+from twl.geometry import make_ura, steering
 from twl.pose import channel_geometry, Pose
 from twl.scenario import Scenario, position_tables, sample_positions
 
-requires_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba is not installed")
+LAMBDA = 299792458.0 / 38e9
 
 
 @pytest.fixture(scope="module")
@@ -16,56 +18,62 @@ def small_scenario():
     return Scenario.reference_defaults(n_samples=200, seed=5)
 
 
-def test_default_backend_env(monkeypatch):
-    # default_backend() only reads the flag, so the parsing is checked with or
-    # without numba installed.
-    monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
-    monkeypatch.setenv("TWL_BACKEND", "numpy")
-    assert kernels.default_backend() == "numpy"
-    monkeypatch.setenv("TWL_BACKEND", "numba")
-    assert kernels.default_backend() == "numba"
-    monkeypatch.setenv("TWL_BACKEND", "cuda")
-    with pytest.raises(ValueError):
-        kernels.default_backend()
-    monkeypatch.delenv("TWL_BACKEND")
-    assert kernels.default_backend() in kernels.BACKENDS
+def _random_beams(rng, n_elements, n_beams):
+    return rng.standard_normal((n_elements, n_beams)) + 1j * rng.standard_normal(
+        (n_elements, n_beams)
+    )
 
 
-def test_numpy_fallback_when_numba_missing(monkeypatch):
-    monkeypatch.delenv("TWL_BACKEND", raising=False)
-    monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
-    assert kernels.default_backend() == "numpy"
-    monkeypatch.setenv("TWL_BACKEND", "numba")
-    with pytest.raises(RuntimeError):
-        kernels.default_backend()
+@pytest.mark.parametrize(
+    "geom,n_f,n_u,n_w",
+    [
+        (make_ura(6, 6, LAMBDA), 5, 7, 9),
+        (make_ura(12, 12, LAMBDA, plane="yz", center=(0.01, -0.02, 0.03)), 5, 7, 9),
+        (make_ura(1, 1, LAMBDA), 2, 1, 3),  # one element at the origin: zero partials
+    ],
+    ids=["6x6-xz", "12x12-offset", "1x1"],
+)
+def test_steering_forms_match_per_pose_reference(geom, n_f, n_u, n_w):
+    """Chunked kernel == geometry.steering + fim.quadratic_forms per direction.
+
+    n crosses two chunk boundaries, and F, U and W have different beam counts
+    so a misaligned row block of the stacked matrix cannot go unnoticed.
+    Tolerance: 1e-12 relative to the largest entry of each form.
+    """
+    rng = np.random.default_rng(3)
+    n = 2 * kernels._CHUNK + 37
+    theta = rng.uniform(0.0, np.pi, n)
+    phi = rng.uniform(-np.pi, np.pi, n)
+    f = _random_beams(rng, geom.n_elements, n_f)
+    f /= np.linalg.norm(f)
+    w = _random_beams(rng, geom.n_elements, n_w)
+    u = orthonormal_basis(w[:, :n_u])
+    t, r, g = kernels.steering_forms(
+        geom.elements, geom.wavelength, f.T, u.conj().T, w.conj().T, theta, phi
+    )
+    assert t.shape == r.shape == (n, 3, 3) and g.shape == (n,)
+    np.testing.assert_array_equal(t, t.conj().transpose(0, 2, 1))
+    np.testing.assert_array_equal(r, r.conj().transpose(0, 2, 1))
+
+    for i in range(n):
+        bundle = steering(geom, theta[i], phi[i])
+        t_ref, r_ref = quadratic_forms(f, u, (bundle, bundle))
+        g_ref = np.sum(np.abs(w.conj().T @ bundle.a) ** 2)
+        assert np.abs(t[i] - t_ref).max() <= 1e-12 * np.abs(t_ref).max(), i
+        assert np.abs(r[i] - r_ref).max() <= 1e-12 * np.abs(r_ref).max(), i
+        assert abs(g[i] - g_ref) <= 1e-12 * g_ref, i
 
 
-@requires_numba
-def test_backends_agree_on_tables(small_scenario):
-    positions = sample_positions(small_scenario.region, 200, 5)
-    a = position_tables(small_scenario, positions, backend="numba")
-    b = position_tables(small_scenario, positions, backend="numpy")
-    np.testing.assert_allclose(a.snr_db, b.snr_db, rtol=1e-12)
-    for link in ("bs_to_ue", "ue_to_bs"):
-        scale = np.abs(b.angle_efim[link]).max()
-        np.testing.assert_allclose(
-            a.angle_efim[link], b.angle_efim[link], atol=1e-12 * scale
-        )
-        np.testing.assert_allclose(a.delay_info[link], b.delay_info[link], rtol=1e-12)
-
-
-@pytest.mark.parametrize("backend", [pytest.param("numba", marks=requires_numba), "numpy"])
-def test_backend_is_deterministic(small_scenario, backend):
+def test_backend_is_deterministic(small_scenario):
     positions = sample_positions(small_scenario.region, 64, 9)
-    a = position_tables(small_scenario, positions, backend=backend)
-    b = position_tables(small_scenario, positions, backend=backend)
+    a = position_tables(small_scenario, positions)
+    b = position_tables(small_scenario, positions)
     np.testing.assert_array_equal(a.snr_db, b.snr_db)
     for link in ("bs_to_ue", "ue_to_bs"):
         np.testing.assert_array_equal(a.angle_efim[link], b.angle_efim[link])
 
 
-@pytest.mark.parametrize("backend", [pytest.param("numba", marks=requires_numba), "numpy"])
-def test_batched_tables_match_single_pose_path(small_scenario, backend):
+def test_batched_tables_match_single_pose_path(small_scenario):
     """The kernel pipeline reproduces the reference per-pose construction."""
     from twl.beamforming import directional_beams, reverse_direction
     from twl.fim import angle_efim, delay_info
@@ -73,7 +81,7 @@ def test_batched_tables_match_single_pose_path(small_scenario, backend):
 
     scn = small_scenario
     positions = sample_positions(scn.region, 8, 11)
-    tables = position_tables(scn, positions, backend=backend)
+    tables = position_tables(scn, positions)
 
     bs_dirs = scn.anchor_beam_directions()
     ue_dirs = [reverse_direction(th, ph) for th, ph in bs_dirs]
