@@ -11,11 +11,9 @@ from .beamforming import (
     Beamformer,
     SignalConfig,
     directional_beams,
-    projection,
     region_spot_grid,
     reverse_direction,
     sector_beam_grid,
-    snr_db,
 )
 from .fim import (
     ChannelFim,
@@ -25,7 +23,6 @@ from .fim import (
     delay_info,
     efim,
     efim_additivity,
-    transform_fim,
 )
 from .geometry import (
     SPEED_OF_LIGHT,
@@ -48,7 +45,6 @@ from .protocols import (
     LocalizationBound,
     assemble,
     combined_delay_info,
-    rlp_beats_owl,
 )
 from .scenario import (
     CdfResult,

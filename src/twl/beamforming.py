@@ -1,4 +1,4 @@
-"""Beam matrices, the beam-space projection operator, and link SNR.
+"""Beam matrices, codebooks, the receive-space basis, and the signal constants.
 
 Directional codebooks hold one steering column per pointing direction,
 scaled by 1/sqrt(n_beams) so a transmit matrix satisfies the unit trace
@@ -198,15 +198,6 @@ def region_spot_grid(vertices: np.ndarray, n_beams: int) -> list[tuple[float, fl
     return dirs
 
 
-def projection(beams: Beamformer | np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the column space of a beam matrix."""
-    w = beams.matrix if isinstance(beams, Beamformer) else np.asarray(beams)
-    if w.ndim == 1:
-        w = w[:, None]
-    u = orthonormal_basis(w)
-    return u @ u.conj().T
-
-
 def orthonormal_basis(w: np.ndarray) -> np.ndarray:
     """Orthonormal basis U of the column space of w, via the Gram eigenbasis.
 
@@ -221,23 +212,3 @@ def orthonormal_basis(w: np.ndarray) -> np.ndarray:
             f"({len(bad)} dependent combinations); drop redundant beams"
         )
     return w @ (evecs * evals**-0.5) @ evecs.conj().T
-
-
-def snr_db(
-    sig: SignalConfig,
-    beta: float,
-    tx_gain: float,
-    rx_gain: float,
-    n_tx: int,
-    n_rx: int,
-) -> float:
-    """Post-beamforming link SNR in dB.
-
-    ``tx_gain`` is the norm of the steering row through the transmit matrix,
-    ``rx_gain`` the norm of the combined receive response.
-    """
-    if beta <= 0 or tx_gain <= 0 or rx_gain <= 0:
-        raise ValueError("beta and beamforming gains must be positive")
-    return 10.0 * np.log10(sig.gamma(n_tx, n_rx)) + 20.0 * np.log10(
-        beta * tx_gain * rx_gain
-    )

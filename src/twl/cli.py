@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .beamforming import SignalConfig
-from .geometry import SPEED_OF_LIGHT, make_ura
+from .beamforming import SingularBeamsError
 from .scenario import (
-    Region,
+    REFERENCE_CONFIG,
     Scenario,
     position_tables,
     protocol_bounds,
@@ -58,61 +57,58 @@ def _vec3(x) -> bool:
     )
 
 
-_DIAMOND = [
-    [0.0, 0.0, -10.0],
-    [25.0 * math.sqrt(3.0), 25.0, -10.0],
-    [0.0, 50.0, -10.0],
-    [-25.0 * math.sqrt(3.0), 25.0, -10.0],
-]
-
-# key -> (default, validator, description)
+# key -> (validator, description)
 _CONFIG_SPEC = {
-    "carrier_hz": (38e9, _positive, "carrier frequency"),
-    "bandwidth_hz": (125e6, _positive, "occupied bandwidth"),
-    "n_symbols": (64, _count, "pilot symbols per beam"),
-    "power_dbm": (0.0, lambda x: isinstance(x, (int, float)), "transmit power"),
-    "noise_dbm_hz": (-170.0, lambda x: isinstance(x, (int, float)), "noise PSD"),
-    "weff2_over_w2": (1.0 / 3.0, _positive, "squared effective bandwidth factor"),
-    "c_m_s": (SPEED_OF_LIGHT, _positive, "propagation speed"),
-    "bs_rows": (12, _count, "anchor array rows"),
-    "bs_cols": (12, _count, "anchor array columns"),
-    "ue_rows": (12, _count, "terminal array rows"),
-    "ue_cols": (12, _count, "terminal array columns"),
-    "spacing_wavelengths": (0.5, _positive, "element pitch in wavelengths"),
-    "n_beams": (25, _count, "beams per device (perfect square)"),
-    "beam_grid": ("region", lambda x: x in ("region", "sector"), "codebook layout"),
-    "sector_azimuth_deg": ([30.0, 150.0], _pair, "served azimuth sector"),
-    "sector_polar_deg": ([100.0, 170.0], _pair, "served polar sector"),
-    "orientation_deg": ([0.0, 0.0], _pair, "terminal orientation angles"),
+    "carrier_hz": (_positive, "carrier frequency"),
+    "bandwidth_hz": (_positive, "occupied bandwidth"),
+    "n_symbols": (_count, "pilot symbols per beam"),
+    "power_dbm": (lambda x: isinstance(x, (int, float)), "transmit power"),
+    "noise_dbm_hz": (lambda x: isinstance(x, (int, float)), "noise PSD"),
+    "weff2_over_w2": (_positive, "squared effective bandwidth factor"),
+    "c_m_s": (_positive, "propagation speed"),
+    "bs_rows": (_count, "anchor array rows"),
+    "bs_cols": (_count, "anchor array columns"),
+    "ue_rows": (_count, "terminal array rows"),
+    "ue_cols": (_count, "terminal array columns"),
+    "spacing_wavelengths": (_positive, "element pitch in wavelengths"),
+    "n_beams": (_count, "beams per device (perfect square)"),
+    "beam_grid": (lambda x: x in ("region", "sector"), "codebook layout"),
+    "sector_azimuth_deg": (_pair, "served azimuth sector"),
+    "sector_polar_deg": (_pair, "served polar sector"),
+    "orientation_deg": (_pair, "terminal orientation angles"),
     "region_vertices_m": (
-        _DIAMOND,
         lambda x: isinstance(x, (list, tuple)) and len(x) == 4 and all(_vec3(v) for v in x),
         "region quadrilateral",
     ),
-    "n_positions": (10000, _count, "sampled positions"),
-    "seed": (123456789, lambda x: isinstance(x, int) and 0 <= x < 2**64, "RNG seed"),
+    "n_positions": (_count, "sampled positions"),
+    "seed": (lambda x: isinstance(x, int) and 0 <= x < 2**64, "RNG seed"),
     "protocols": (
-        ["owl", "rlp", "clp"],
         lambda x: isinstance(x, (list, tuple)) and x and set(x) <= {"owl", "rlp", "clp"},
         "protocols to evaluate",
     ),
     "initiators": (
-        ["bs", "ue"],
         lambda x: isinstance(x, (list, tuple)) and x and set(x) <= {"bs", "ue"},
         "exchange initiators",
     ),
-    "point_m": ([0.0, 25.0, -10.0], _vec3, "single evaluation position"),
+    "point_m": (_vec3, "single evaluation position"),
     "bandwidths_hz": (
-        [10e6, 20e6, 40e6, 60e6, 80e6, 100e6, 125e6, 250e6, 500e6, 1e9],
         lambda x: isinstance(x, (list, tuple)) and x and all(_positive(v) for v in x),
         "bandwidth sweep values",
     ),
     "antenna_counts": (
-        [36, 64, 100, 144, 196],
         lambda x: isinstance(x, (list, tuple)) and x and all(_count(v) for v in x),
         "antenna sweep values",
     ),
-    "sweep_side": ("bs", lambda x: x in ("bs", "ue"), "swept device side"),
+    "sweep_side": (lambda x: x in ("bs", "ue"), "swept device side"),
+}
+
+# The scenario keys default to the reference setup; the rest are run keys.
+_DEFAULTS = {
+    **REFERENCE_CONFIG,
+    "point_m": [0.0, 25.0, -10.0],
+    "bandwidths_hz": [10e6, 20e6, 40e6, 60e6, 80e6, 100e6, 125e6, 250e6, 500e6, 1e9],
+    "antenna_counts": [36, 64, 100, 144, 196],
+    "sweep_side": "bs",
 }
 
 _SCHEMAS = {
@@ -135,42 +131,15 @@ class RunConfig:
         return self.values[key]
 
     def scenario(self) -> Scenario:
-        v = self.values
-        signal = SignalConfig.from_link_budget(
-            power_w=10.0 ** (v["power_dbm"] / 10.0) * 1e-3,
-            bandwidth=float(v["bandwidth_hz"]),
-            ns=v["n_symbols"],
-            n0=10.0 ** (v["noise_dbm_hz"] / 10.0) * 1e-3,
-            carrier=float(v["carrier_hz"]),
-            weff_factor=float(v["weff2_over_w2"]),
-            c=float(v["c_m_s"]),
-        )
-        lam = signal.wavelength
-        spacing = v["spacing_wavelengths"] * lam
         try:
-            return Scenario(
-                region=Region(np.asarray(v["region_vertices_m"], dtype=float)),
-                bs_array=make_ura(v["bs_rows"], v["bs_cols"], lam, spacing=spacing),
-                ue_array=make_ura(v["ue_rows"], v["ue_cols"], lam, spacing=spacing),
-                signal=signal,
-                n_beams=v["n_beams"],
-                beam_grid=v["beam_grid"],
-                sector_azimuth=tuple(math.radians(a) for a in v["sector_azimuth_deg"]),
-                sector_polar=tuple(math.radians(a) for a in v["sector_polar_deg"]),
-                orientation=tuple(math.radians(a) for a in v["orientation_deg"]),
-                protocols=tuple(v["protocols"]),
-                initiators=tuple(v["initiators"]),
-                n_samples=v["n_positions"],
-                seed=v["seed"],
-                element_spacing=spacing,
-            )
-        except ValueError as exc:
+            return Scenario.from_config(self.values)
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
 
 
 def parse_config(path: str | None) -> RunConfig:
     """Read, validate, and default-fill a key-value config file."""
-    values = {key: default for key, (default, _, _) in _CONFIG_SPEC.items()}
+    values = {key: _DEFAULTS[key] for key in _CONFIG_SPEC}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -205,28 +174,20 @@ def _parse_lines(text: str):
 
 
 def _validate(values: dict):
-    for key, (_, check, description) in _CONFIG_SPEC.items():
+    for key, (check, description) in _CONFIG_SPEC.items():
         if not check(values[key]):
             raise ConfigError(
                 f"invalid value for {key} ({description}): {values[key]!r}"
             )
-    n_beams = values["n_beams"]
-    edge = round(math.sqrt(n_beams))
-    if edge * edge != n_beams:
-        raise ConfigError(f"invalid value for n_beams: {n_beams!r} is not a square")
-    for key in ("antenna_counts",):
-        for count in values[key]:
-            edge = round(math.sqrt(count))
-            if edge * edge != count:
-                raise ConfigError(
-                    f"invalid value for {key}: {count!r} is not a square"
-                )
-    lo, hi = values["sector_azimuth_deg"]
-    if hi < lo:
-        raise ConfigError("invalid value for sector_azimuth_deg: bounds reversed")
-    lo, hi = values["sector_polar_deg"]
-    if hi < lo:
-        raise ConfigError("invalid value for sector_polar_deg: bounds reversed")
+    for key, counts in (("n_beams", [values["n_beams"]]),
+                        ("antenna_counts", values["antenna_counts"])):
+        for count in counts:
+            if round(math.sqrt(count)) ** 2 != count:
+                raise ConfigError(f"invalid value for {key}: {count!r} is not a square")
+    for key in ("sector_azimuth_deg", "sector_polar_deg"):
+        lo, hi = values[key]
+        if hi < lo:
+            raise ConfigError(f"invalid value for {key}: bounds reversed")
     bw = list(values["bandwidths_hz"])
     if bw != sorted(bw):
         raise ConfigError("invalid value for bandwidths_hz: must be ascending")
@@ -397,7 +358,7 @@ def main(argv=None) -> int:
             config = RunConfig(values=values)
             _validate(config.values)
         return run(args.subcommand, config, args.out, args.format)
-    except ConfigError as exc:
+    except (ConfigError, SingularBeamsError) as exc:
         print(f"twl: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,4 +1,4 @@
-"""Channel-parameter Fisher information, FIM transforms, and equivalent FIMs.
+"""Channel-parameter Fisher information and equivalent FIMs.
 
 The channel FIM is 7x7 over (theta1, phi1, theta2, phi2, beta, psi, tau).
 Every nonzero entry is the real part of a product of two beam-space
@@ -7,6 +7,11 @@ device, one through the projector onto the receive beam space of the
 receiving device. By construction the psi and tau rows carry no
 cross-coupling, so the delay information is the bare (tau, tau) entry and
 the angle block decouples from everything except the gain amplitude beta.
+
+`fim_from_forms` and `eliminate_gain` are batched over leading axes and are
+what the position pipeline runs; `channel_fim` and `angle_efim` call them
+for one link. `quadratic_forms` computes the beam-space forms of one
+direction from `geometry.steering`, the per-pose reference for the kernel.
 """
 
 from dataclasses import dataclass
@@ -160,19 +165,6 @@ def channel_fim(
     return ChannelFim(matrix=jm, direction=direction, gamma=gamma)
 
 
-def transform_fim(jm: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
-    """Congruence transform J -> Jac J Jac^T onto new parameters."""
-    jm = np.asarray(jm)
-    jacobian = np.asarray(jacobian)
-    if jm.ndim != 2 or jm.shape[0] != jm.shape[1]:
-        raise ValueError(f"FIM must be square, got shape {jm.shape}")
-    if jacobian.ndim != 2 or jacobian.shape[1] != jm.shape[0]:
-        raise ValueError(
-            f"Jacobian columns ({jacobian.shape}) must match FIM dimension {jm.shape[0]}"
-        )
-    return jacobian @ jm @ jacobian.T
-
-
 def efim(jm: np.ndarray, keep, labels=None) -> Efim:
     """Equivalent FIM of the kept parameters via the Schur complement."""
     jm = np.asarray(jm, dtype=np.float64)
@@ -197,19 +189,24 @@ def efim(jm: np.ndarray, keep, labels=None) -> Efim:
     return Efim(matrix=0.5 * (out + out.T), kept_parameters=labels)
 
 
-def angle_efim(cf: ChannelFim) -> Efim:
-    """4x4 EFIM of the link angles after eliminating the gain amplitude.
+def eliminate_gain(jm: np.ndarray) -> np.ndarray:
+    """Angle EFIMs after eliminating the gain amplitude, batched.
 
-    psi and tau are decoupled by construction, so the only Schur correction
-    is the rank-one beta term.
+    Maps channel FIMs (..., 7, 7) to (..., 4, 4). psi and tau are decoupled
+    by construction, so the only Schur correction is the rank-one beta term.
+    A zero beta entry yields non-finite rows instead of a warning.
     """
-    jm = cf.matrix
-    j_beta = jm[4, 4]
-    if j_beta <= 0.0:
+    coupling = jm[..., :4, 4]
+    outer = coupling[..., :, None] * coupling[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return jm[..., :4, :4] - outer / jm[..., 4:5, 4:5]
+
+
+def angle_efim(cf: ChannelFim) -> Efim:
+    """4x4 EFIM of the link angles after eliminating the gain amplitude."""
+    if cf.matrix[4, 4] <= 0.0:
         raise NuisanceSingularError("nuisance parameters unidentifiable")
-    coupling = jm[:4, 4]
-    out = jm[:4, :4] - np.outer(coupling, coupling) / j_beta
-    return Efim(matrix=out, kept_parameters=CHANNEL_PARAMS[:4])
+    return Efim(matrix=eliminate_gain(cf.matrix), kept_parameters=CHANNEL_PARAMS[:4])
 
 
 def delay_info(cf: ChannelFim) -> float:

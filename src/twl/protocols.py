@@ -13,6 +13,9 @@ temporal term weighted by the protocol's combined delay information:
     both received signals are used, so the spatial term gains the forward
     contribution while the delay weight (with the bias eliminated as a
     nuisance) equals the round-trip one.
+
+`localization_efim` builds these EFIMs batched over leading axes; the
+position pipeline calls it for many poses and `assemble` for one.
 """
 
 from dataclasses import dataclass
@@ -50,24 +53,41 @@ class LocalizationBound:
     condition: float
 
 
+def _delay_weight(kind: str, j_tau_f, j_tau_b) -> np.ndarray:
+    """Weight of the rank-one temporal term, batched; a zero gives inf or NaN."""
+    j_tau_f = np.asarray(j_tau_f, dtype=np.float64)
+    j_tau_b = np.asarray(j_tau_b, dtype=np.float64)
+    if kind == "owl":
+        return j_tau_b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 4.0 / (1.0 / j_tau_f + 1.0 / j_tau_b)
+
+
 def combined_delay_info(kind: str, j_tau_f: float, j_tau_b: float) -> float:
     """Delay information entering the temporal term of each protocol."""
     if kind not in PROTOCOLS:
         raise ValueError(f"kind must be one of {PROTOCOLS}, got {kind!r}")
     if j_tau_f < 0 or j_tau_b < 0:
         raise ValueError("delay information must be nonnegative")
-    if kind == "owl":
-        return j_tau_b
-    if j_tau_f == 0.0 or j_tau_b == 0.0:
+    if kind != "owl" and (j_tau_f == 0.0 or j_tau_b == 0.0):
         raise DelayUnobservableError(f"delay unobservable under {kind}")
-    return 4.0 / (1.0 / j_tau_f + 1.0 / j_tau_b)
+    return float(_delay_weight(kind, j_tau_f, j_tau_b))
 
 
-def rlp_beats_owl(j_tau_f: float, j_tau_b: float) -> bool:
-    """True when round-trip timing strictly beats synchronized one-way timing."""
-    if j_tau_f <= 0 or j_tau_b <= 0:
-        raise ValueError("delay information must be positive")
-    return j_tau_f > j_tau_b / 3.0
+def localization_efim(kind: str, jacobian, angle_fwd, angle_bwd, j_tau_f, j_tau_b):
+    """5x5 localization EFIMs, batched over leading axes.
+
+    ``jacobian`` is (..., 5, 5) with the four link-angle columns first and
+    the delay column last; ``angle_fwd``/``angle_bwd`` are the (..., 4, 4)
+    angle EFIMs and ``j_tau_f``/``j_tau_b`` the delay information of the
+    forward and backward links. Only clp reads ``angle_fwd``.
+    """
+    js = jacobian[..., :4]
+    jd = jacobian[..., 4]
+    angle = angle_bwd + angle_fwd if kind == "clp" else angle_bwd
+    spatial = np.einsum("...ia,...ab,...jb->...ij", js, angle, js)
+    j_tau = _delay_weight(kind, j_tau_f, j_tau_b)
+    return spatial + j_tau[..., None, None] * jd[..., :, None] * jd[..., None, :]
 
 
 def invert_efim(efim: np.ndarray):
@@ -113,19 +133,13 @@ def assemble(
     if bwd is None:
         raise ValueError("backward-direction FIM is required")
 
-    spatial_jac = jac.angles
-    je_b = angle_efim(bwd).matrix
-    spatial = spatial_jac @ je_b @ spatial_jac.T
-    if kind == "clp":
-        je_f = angle_efim(fwd).matrix
-        spatial = spatial + spatial_jac @ je_f @ spatial_jac.T
-
-    j_tau = combined_delay_info(
-        kind,
-        delay_info(fwd) if fwd is not None else 0.0,
-        delay_info(bwd),
+    j_tau_f = delay_info(fwd) if fwd is not None else 0.0
+    j_tau_b = delay_info(bwd)
+    combined_delay_info(kind, j_tau_f, j_tau_b)  # raises DelayUnobservableError
+    angle_fwd = angle_efim(fwd).matrix if kind == "clp" else None
+    efim5 = localization_efim(
+        kind, jac.full, angle_fwd, angle_efim(bwd).matrix, j_tau_f, j_tau_b
     )
-    efim5 = spatial + j_tau * np.outer(jac.delay, jac.delay)
     cov, peb, oeb, ok, rank, condition = invert_efim(efim5)
     return LocalizationBound(
         efim=efim5,

@@ -8,9 +8,14 @@ plus link SNR), and results are summarized as empirical quantiles.
 
 `position_tables` builds each device's codebooks once, takes the
 per-position steering forms of each device from one chunked matrix
-multiply (`twl.kernels`), and evaluates everything downstream (channel FIM,
-angle Schur complement, protocol EFIMs and their inversion) as batched
-numpy over the positions.
+multiply (`twl.kernels`), and evaluates everything downstream as batched
+numpy over the positions: the channel FIM and its gain elimination
+(`twl.fim`), then the protocol EFIMs and their inversion (`twl.protocols`).
+The single-pose functions of those modules call the same stage code.
+
+`REFERENCE_CONFIG` holds the reference setup once, in the CLI's config
+units; `Scenario.from_config` converts it, or any validated config, to a
+scenario.
 """
 
 import math
@@ -26,31 +31,56 @@ from .beamforming import (
     reverse_direction,
     sector_beam_grid,
 )
-from .fim import fim_from_forms
-from .geometry import ArrayGeometry, make_ura
+from .fim import eliminate_gain, fim_from_forms
+from .geometry import SPEED_OF_LIGHT, ArrayGeometry, make_ura
 from .kernels import steering_forms
 from .pose import _jacobian_batch, _link_angles_batch, rotation_matrix
-from .protocols import PROTOCOLS, invert_efim
+from .protocols import PROTOCOLS, invert_efim, localization_efim
 
 QUANTILES = (0.1, 0.5, 0.9)
 INITIATORS = ("bs", "ue")
 
-#: Transmission directions in the fixed anchor-first parameter ordering.
-_LINKS = ("bs_to_ue", "ue_to_bs")
 
-
-def _default_diamond() -> np.ndarray:
-    h = 25.0 * math.sqrt(3.0)
-    return np.array(
-        [[0.0, 0.0, -10.0], [h, 25.0, -10.0], [0.0, 50.0, -10.0], [-h, 25.0, -10.0]]
-    )
+#: The reference desk-scale setup in config units, keyed by config name.
+#: `Scenario.reference_defaults`, `Region()` and the CLI's defaults read it.
+REFERENCE_CONFIG = {
+    "carrier_hz": 38e9,
+    "bandwidth_hz": 125e6,
+    "n_symbols": 64,
+    "power_dbm": 0.0,
+    "noise_dbm_hz": -170.0,
+    "weff2_over_w2": 1.0 / 3.0,
+    "c_m_s": SPEED_OF_LIGHT,
+    "bs_rows": 12,
+    "bs_cols": 12,
+    "ue_rows": 12,
+    "ue_cols": 12,
+    "spacing_wavelengths": 0.5,
+    "n_beams": 25,
+    "beam_grid": "region",
+    "sector_azimuth_deg": [30.0, 150.0],
+    "sector_polar_deg": [100.0, 170.0],
+    "orientation_deg": [0.0, 0.0],
+    "region_vertices_m": [
+        [0.0, 0.0, -10.0],
+        [25.0 * math.sqrt(3.0), 25.0, -10.0],
+        [0.0, 50.0, -10.0],
+        [-25.0 * math.sqrt(3.0), 25.0, -10.0],
+    ],
+    "n_positions": 10000,
+    "seed": 123456789,
+    "protocols": list(PROTOCOLS),
+    "initiators": list(INITIATORS),
+}
 
 
 @dataclass(frozen=True)
 class Region:
     """Planar convex quadrilateral at constant height."""
 
-    vertices: np.ndarray = field(default_factory=_default_diamond)
+    vertices: np.ndarray = field(
+        default_factory=lambda: REFERENCE_CONFIG["region_vertices_m"]
+    )
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=np.float64)
@@ -101,16 +131,16 @@ class Scenario:
     bs_array: ArrayGeometry
     ue_array: ArrayGeometry
     signal: SignalConfig
-    n_beams: int = 25
-    beam_grid: str = "region"
-    sector_azimuth: tuple = (math.radians(30.0), math.radians(150.0))
-    sector_polar: tuple = (math.radians(100.0), math.radians(170.0))
-    orientation: tuple = (0.0, 0.0)
-    protocols: tuple = PROTOCOLS
-    initiators: tuple = INITIATORS
-    n_samples: int = 10000
-    seed: int = 123456789
-    element_spacing: float | None = None  # meters; None means half a wavelength
+    n_beams: int
+    beam_grid: str
+    sector_azimuth: tuple  # radians
+    sector_polar: tuple  # radians
+    orientation: tuple  # radians
+    protocols: tuple
+    initiators: tuple
+    n_samples: int
+    seed: int
+    element_spacing: float | None  # meters; None means half a wavelength
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -139,20 +169,45 @@ class Scenario:
         )
 
     @classmethod
-    def reference_defaults(cls, **overrides) -> "Scenario":
-        """38 GHz / 125 MHz / 12x12 arrays / 25-beam default configuration."""
-        signal = overrides.pop("signal", None) or SignalConfig.from_link_budget(
-            power_w=1e-3, bandwidth=125e6, ns=64, n0=1e-20, carrier=38e9
+    def from_config(cls, values: dict) -> "Scenario":
+        """Scenario from config values in config units (see REFERENCE_CONFIG)."""
+        v = values
+        signal = SignalConfig.from_link_budget(
+            power_w=10.0 ** (v["power_dbm"] / 10.0) * 1e-3,
+            bandwidth=float(v["bandwidth_hz"]),
+            ns=v["n_symbols"],
+            n0=10.0 ** (v["noise_dbm_hz"] / 10.0) * 1e-3,
+            carrier=float(v["carrier_hz"]),
+            weff_factor=float(v["weff2_over_w2"]),
+            c=float(v["c_m_s"]),
         )
         lam = signal.wavelength
-        defaults = dict(
-            region=Region(),
-            bs_array=make_ura(12, 12, lam),
-            ue_array=make_ura(12, 12, lam),
+        spacing = v["spacing_wavelengths"] * lam
+        return cls(
+            region=Region(np.asarray(v["region_vertices_m"], dtype=float)),
+            bs_array=make_ura(v["bs_rows"], v["bs_cols"], lam, spacing=spacing),
+            ue_array=make_ura(v["ue_rows"], v["ue_cols"], lam, spacing=spacing),
             signal=signal,
+            n_beams=v["n_beams"],
+            beam_grid=v["beam_grid"],
+            sector_azimuth=tuple(math.radians(a) for a in v["sector_azimuth_deg"]),
+            sector_polar=tuple(math.radians(a) for a in v["sector_polar_deg"]),
+            orientation=tuple(math.radians(a) for a in v["orientation_deg"]),
+            protocols=tuple(v["protocols"]),
+            initiators=tuple(v["initiators"]),
+            n_samples=v["n_positions"],
+            seed=v["seed"],
+            element_spacing=spacing,
         )
-        defaults.update(overrides)
-        return cls(**defaults)
+
+    @classmethod
+    def reference_defaults(cls, **overrides) -> "Scenario":
+        """38 GHz / 125 MHz / 12x12 arrays / 25-beam default configuration.
+
+        ``overrides`` replace fields of the reference scenario as given; a
+        replaced ``signal`` does not rebuild the arrays.
+        """
+        return replace(cls.from_config(REFERENCE_CONFIG), **overrides)
 
 
 def sample_positions(region: Region, n: int, seed: int) -> np.ndarray:
@@ -307,11 +362,7 @@ def position_tables(
         "ue_to_bs": (t_ue, r_bs, "backward"),
     }.items():
         jm = fim_from_forms(t_tx, r_rx, gamma, beta, scenario.signal.weff2, direction)
-        coupling = jm[:, :4, 4]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            angle_efim[link] = jm[:, :4, :4] - coupling[:, :, None] * coupling[
-                :, None, :
-            ] / jm[:, 4:5, 4:5]
+        angle_efim[link] = eliminate_gain(jm)
         delay[link] = jm[:, 6, 6]
 
     return PositionTables(
@@ -335,23 +386,10 @@ def protocol_bounds(
     bwd = "ue_to_bs" if initiator == "bs" else "bs_to_ue"
     fwd = "bs_to_ue" if initiator == "bs" else "ue_to_bs"
 
-    js = tables.jacobian[:, :, :4]
-    jd = tables.jacobian[:, :, 4]
-    spatial = np.einsum("nia,nab,njb->nij", js, tables.angle_efim[bwd], js)
-    if protocol == "clp":
-        spatial = spatial + np.einsum(
-            "nia,nab,njb->nij", js, tables.angle_efim[fwd], js
-        )
-
-    j_tau_b = tables.delay_info[bwd] * delay_scale
-    j_tau_f = tables.delay_info[fwd] * delay_scale
-    if protocol == "owl":
-        j_tau = j_tau_b
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            j_tau = 4.0 / (1.0 / j_tau_f + 1.0 / j_tau_b)
-
-    efim5 = spatial + j_tau[:, None, None] * jd[:, :, None] * jd[:, None, :]
+    efim5 = localization_efim(
+        protocol, tables.jacobian, tables.angle_efim[fwd], tables.angle_efim[bwd],
+        tables.delay_info[fwd] * delay_scale, tables.delay_info[bwd] * delay_scale,
+    )
     bad = ~np.isfinite(efim5).all(axis=(1, 2))
     if np.any(bad):
         efim5 = efim5.copy()

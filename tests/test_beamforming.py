@@ -6,11 +6,10 @@ from twl.beamforming import (
     SignalConfig,
     SingularBeamsError,
     directional_beams,
-    projection,
+    orthonormal_basis,
     region_spot_grid,
     reverse_direction,
     sector_beam_grid,
-    snr_db,
 )
 from twl.geometry import steering
 from twl.pose import Pose
@@ -106,21 +105,28 @@ def test_reverse_direction_wraps():
     assert -np.pi < ph <= np.pi
 
 
+def _projector(w):
+    """U U^H from the pipeline's receive-space basis, checking U^H U = I."""
+    u = orthonormal_basis(w)
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[1]), atol=1e-12)
+    return u @ u.conj().T
+
+
 def test_projection_orthonormal_columns(ura12):
     w = np.linalg.qr(np.random.default_rng(1).standard_normal((144, 6))
                      + 1j * np.random.default_rng(2).standard_normal((144, 6)))[0]
-    np.testing.assert_allclose(projection(w), w @ w.conj().T, atol=1e-12)
+    np.testing.assert_allclose(_projector(w), w @ w.conj().T, atol=1e-12)
 
 
 def test_projection_single_vector():
     w = np.array([1.0 + 1j, 2.0, -1j])
     expected = np.outer(w, w.conj()) / np.linalg.norm(w) ** 2
-    np.testing.assert_allclose(projection(w), expected, atol=1e-14)
+    np.testing.assert_allclose(_projector(w[:, None]), expected, atol=1e-14)
 
 
 def test_projection_idempotent_hermitian(ura12, rng):
     dirs = [(rng.uniform(1.7, 3.0), rng.uniform(-np.pi, np.pi)) for _ in range(12)]
-    p = projection(directional_beams(ura12, dirs, role="receive"))
+    p = _projector(directional_beams(ura12, dirs, role="receive").matrix)
     np.testing.assert_allclose(p, p.conj().T, atol=1e-12)
     assert np.linalg.norm(p @ p - p) <= 1e-10
 
@@ -128,7 +134,7 @@ def test_projection_idempotent_hermitian(ura12, rng):
 def test_projection_fixes_span_annihilates_complement(ura12, rng):
     dirs = [(rng.uniform(1.7, 3.0), rng.uniform(-np.pi, np.pi)) for _ in range(8)]
     w = directional_beams(ura12, dirs, role="receive")
-    p = projection(w)
+    p = _projector(w.matrix)
     coeffs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     inside = w.matrix @ coeffs
     np.testing.assert_allclose(p @ inside, inside, atol=1e-10 * np.linalg.norm(inside))
@@ -140,24 +146,7 @@ def test_projection_fixes_span_annihilates_complement(ura12, rng):
 def test_projection_singular_gram_names_beams(ura12):
     a = steering(ura12, 2.0, 1.0).a
     with pytest.raises(SingularBeamsError, match="beam set of 3"):
-        projection(np.column_stack([a, a, steering(ura12, 2.2, 0.5).a]))
-
-
-def test_snr_constant_matches_reference(default_signal):
-    # gamma in dB for 144x144 antennas, 64 pilots: 150.26 dB
-    val = snr_db(default_signal, beta=1.0, tx_gain=1.0, rx_gain=1.0, n_tx=144, n_rx=144)
-    assert abs(val - 150.26) < 5e-3
-
-
-def test_snr_beta_doubling_adds_6db(default_signal):
-    lo = snr_db(default_signal, 2e-5, 0.1, 0.2, 144, 144)
-    hi = snr_db(default_signal, 4e-5, 0.1, 0.2, 144, 144)
-    assert abs(hi - lo - 6.0206) < 1e-3
-
-
-def test_snr_rejects_nonpositive(default_signal):
-    with pytest.raises(ValueError):
-        snr_db(default_signal, 0.0, 1.0, 1.0, 144, 144)
+        orthonormal_basis(np.column_stack([a, a, steering(ura12, 2.2, 0.5).a]))
 
 
 def test_signal_config_defaults(default_signal):

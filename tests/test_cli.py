@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from twl.cli import ConfigError, main, parse_config
+from twl.scenario import Scenario
 
 QUICK = """
 # quick smoke configuration
@@ -43,6 +46,23 @@ def test_empty_config_gives_defaults(tmp_path):
     assert cfg["n_beams"] == 25
     assert cfg["bs_rows"] == cfg["ue_cols"] == 12
     assert cfg["n_positions"] == 10000
+
+
+def _same(a, b) -> bool:
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+def test_default_config_is_the_library_reference_scenario():
+    cli = parse_config(None).scenario()
+    ref = Scenario.reference_defaults()
+    for f in dataclasses.fields(Scenario):
+        assert _same(getattr(cli, f.name), getattr(ref, f.name)), f.name
 
 
 def test_unknown_key_is_an_error(tmp_path):
@@ -171,6 +191,29 @@ def test_validation_error_exit_code(tmp_path, capsys):
     bad = write_config(tmp_path, "bandwidth_hz = -5\n")
     assert main(["cdf", "--config", bad]) == 2
     assert "bandwidth_hz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, text", [
+    ("cdf", "n_positions = 20\nbs_rows = 2\nbs_cols = 2\n"),
+    ("sweep-ant", "n_positions = 20\nantenna_counts = [4, 144]\n"),
+], ids=["cdf", "sweep-ant"])
+def test_singular_beam_set_exits_2(tmp_path, capsys, subcommand, text):
+    # 25 beams on a 2x2 array span at most 4 dimensions
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "x.csv"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert "singular Gram matrix" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("noise_dbm_hz = -5000\n", "n0 must be positive"),  # underflows to 0 W/Hz
+    ("power_dbm = 5000\n", "out of range"),  # overflows the float range
+], ids=["noise", "power"])
+def test_link_budget_out_of_float_range_exits_2(tmp_path, capsys, text, message):
+    cfg = write_config(tmp_path, text)
+    assert main(["point", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_point_outside_region_is_validation_error(tmp_path, capsys):

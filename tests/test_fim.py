@@ -14,7 +14,6 @@ from twl.fim import (
     delay_info,
     efim,
     efim_additivity,
-    transform_fim,
 )
 from twl.geometry import make_ura
 from twl.pose import ChannelGeometry
@@ -119,27 +118,6 @@ def test_channel_fim_no_illumination(rng):
     direction, tx_geom, rx_geom, f, w, cg, sig = small_link(rng)
     with pytest.raises(NoIlluminationError):
         channel_fim(direction, tx_geom, rx_geom, _ZeroBeams(f.matrix), w, cg, sig)
-
-
-def test_transform_fim_identity_and_scaling(rng):
-    a = rng.standard_normal((5, 7))
-    jm = a @ a.T
-    np.testing.assert_array_equal(transform_fim(jm, np.eye(5)), jm)
-    np.testing.assert_allclose(transform_fim(jm, 2.0 * np.eye(5)), 4.0 * jm, rtol=1e-14)
-
-
-def test_transform_fim_preserves_psd(rng):
-    for _ in range(10):
-        a = rng.standard_normal((6, 8))
-        jm = a @ a.T
-        ups = rng.standard_normal((4, 6))
-        evals = np.linalg.eigvalsh(transform_fim(jm, ups))
-        assert evals[0] >= -1e-10 * max(evals[-1], 1.0)
-
-
-def test_transform_fim_dimension_mismatch():
-    with pytest.raises(ValueError):
-        transform_fim(np.eye(4), np.eye(5))
 
 
 def test_efim_block_diagonal_returns_kept_block(rng):

@@ -10,7 +10,6 @@ from twl.protocols import (
     combined_delay_info,
     assemble,
     invert_efim,
-    rlp_beats_owl,
 )
 
 LAM = SPEED_OF_LIGHT / 38e9
@@ -73,14 +72,6 @@ def test_combined_delay_unobservable():
         combined_delay_info("clp", 1.0, 0.0)
 
 
-def test_rlp_beats_owl_cases():
-    assert rlp_beats_owl(1.0, 1.0) is True
-    assert rlp_beats_owl(1.0, 3.0) is False  # boundary is strict
-    assert rlp_beats_owl(1.0, 4.0) is False
-    with pytest.raises(ValueError):
-        rlp_beats_owl(0.0, 1.0)
-
-
 def test_identity_efim_bounds():
     _, peb, oeb, ok, rank, cond = invert_efim(np.eye(5))
     assert ok and rank == 5 and cond == 1.0
@@ -135,7 +126,7 @@ def test_rlp_owl_share_spatial_part(reference_link):
 
 def test_rlp_beats_owl_iff_bound_improves(reference_link):
     fwd, bwd, jac = reference_link
-    better = rlp_beats_owl(delay_info(fwd), delay_info(bwd))
+    better = delay_info(fwd) > delay_info(bwd) / 3.0
     rlp = assemble("rlp", fwd, bwd, jac)
     owl = assemble("owl", fwd, bwd, jac)
     assert better == (rlp.peb < owl.peb)
