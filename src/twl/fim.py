@@ -98,8 +98,11 @@ def fim_from_forms(t_tx, r_rx, gamma, beta, weff2, direction):
     else:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
-    ab = gamma * beta**2  # angle/phase/delay prefactor
-    bb = gamma * beta  # beta-coupling prefactor
+    # A link budget beyond the float range gives inf prefactors here; the
+    # resulting non-finite EFIMs are flagged unidentifiable downstream.
+    with np.errstate(over="ignore"):
+        ab = gamma * beta**2  # angle/phase/delay prefactor
+        bb = gamma * beta  # beta-coupling prefactor
     jm = np.zeros(shape + (7, 7))
 
     def put(i, j, value):
@@ -194,11 +197,12 @@ def eliminate_gain(jm: np.ndarray) -> np.ndarray:
 
     Maps channel FIMs (..., 7, 7) to (..., 4, 4). psi and tau are decoupled
     by construction, so the only Schur correction is the rank-one beta term.
-    A zero beta entry yields non-finite rows instead of a warning.
+    A zero or non-finite beta entry yields non-finite rows instead of a
+    warning.
     """
     coupling = jm[..., :4, 4]
-    outer = coupling[..., :, None] * coupling[..., None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        outer = coupling[..., :, None] * coupling[..., None, :]
         return jm[..., :4, :4] - outer / jm[..., 4:5, 4:5]
 
 

@@ -10,8 +10,11 @@ plus link SNR), and results are summarized as empirical quantiles.
 per-position steering forms of each device from one chunked matrix
 multiply (`twl.kernels`), and evaluates everything downstream as batched
 numpy over the positions: the channel FIM and its gain elimination
-(`twl.fim`), then the protocol EFIMs and their inversion (`twl.protocols`).
-The single-pose functions of those modules call the same stage code.
+(`twl.fim`), and the factored form of each distinct protocol EFIM: one
+4x4 angle EFIM inverse per position for each link and for their sum
+(`twl.protocols.efim_factors`). `protocol_bounds` then needs only the
+protocol's delay weight (`twl.protocols.invert_efim`). The single-pose
+functions of those modules call the same stage code.
 
 `REFERENCE_CONFIG` holds the reference setup once, in the CLI's config
 units; `Scenario.from_config` converts it, or any validated config, to a
@@ -35,7 +38,7 @@ from .fim import eliminate_gain, fim_from_forms
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, make_ura
 from .kernels import steering_forms
 from .pose import _jacobian_batch, _link_angles_batch, rotation_matrix
-from .protocols import PROTOCOLS, invert_efim, localization_efim
+from .protocols import PROTOCOLS, efim_factors, invert_efim, protocol_information
 
 QUANTILES = (0.1, 0.5, 0.9)
 INITIATORS = ("bs", "ue")
@@ -278,6 +281,9 @@ class PositionTables:
 
     ``angle_efim``/``delay_info`` are keyed by transmission link
     ("bs_to_ue", "ue_to_bs") in the anchor-first parameter ordering.
+    ``factors`` holds the `EfimFactors` of each distinct protocol angle
+    EFIM: one link's, keyed by that link (owl and rlp), and the sum of
+    both, keyed "clp".
     """
 
     positions: np.ndarray
@@ -285,6 +291,7 @@ class PositionTables:
     jacobian: np.ndarray  # (n, 5, 5)
     angle_efim: dict
     delay_info: dict
+    factors: dict
 
 
 @dataclass(frozen=True)
@@ -327,12 +334,23 @@ def position_tables(
         positions = sample_positions(scenario.region, scenario.n_samples, scenario.seed)
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
     zeta0, chi0 = scenario.orientation
-    lam = scenario.signal.wavelength
-
-    rot = rotation_matrix(zeta0, chi0)
-    geo = _link_angles_batch(positions, rot)
+    geo = _link_angles_batch(positions, rotation_matrix(zeta0, chi0))
     jac = _jacobian_batch(positions, zeta0, chi0, scenario.signal.c)
+    snr, angle_efim, delay = _link_tables(scenario, geo)
+    # Built once the steering forms and channel FIMs above are freed, so
+    # they do not add to the peak memory.
+    keys = ("bs_to_ue", "ue_to_bs", "clp")
+    both = angle_efim["bs_to_ue"] + angle_efim["ue_to_bs"]
+    factors = dict(zip(keys, efim_factors(jac, *(angle_efim[k] for k in keys[:2]), both)))
+    return PositionTables(
+        positions=positions, snr_db=snr, jacobian=jac,
+        angle_efim=angle_efim, delay_info=delay, factors=factors,
+    )
 
+
+def _link_tables(scenario: Scenario, geo: dict):
+    """SNR, angle EFIMs and delay information of both links, per position."""
+    lam = scenario.signal.wavelength
     bs_dirs = scenario.anchor_beam_directions()
     ue_dirs = [reverse_direction(th, ph) for th, ph in bs_dirs]
     bs_tab = _device_tables(scenario.bs_array, bs_dirs)
@@ -352,8 +370,10 @@ def position_tables(
         scenario.bs_array.n_elements, scenario.ue_array.n_elements
     )
     # Uplink and downlink SNR coincide: the conjugated transmit codebook makes
-    # each device's transmit and receive gain patterns identical.
-    snr = 10.0 * np.log10(gamma * beta**2 * t_ue[:, 0, 0].real * gain_bs)
+    # each device's transmit and receive gain patterns identical. An SNR
+    # beyond the float range reads inf; its bounds are flagged downstream.
+    with np.errstate(over="ignore"):
+        snr = 10.0 * np.log10(gamma * beta**2 * t_ue[:, 0, 0].real * gain_bs)
 
     angle_efim = {}
     delay = {}
@@ -363,12 +383,9 @@ def position_tables(
     }.items():
         jm = fim_from_forms(t_tx, r_rx, gamma, beta, scenario.signal.weff2, direction)
         angle_efim[link] = eliminate_gain(jm)
-        delay[link] = jm[:, 6, 6]
-
-    return PositionTables(
-        positions=positions, snr_db=snr, jacobian=jac,
-        angle_efim=angle_efim, delay_info=delay,
-    )
+        # A copy, not a view: a view would keep the whole (n, 7, 7) FIM alive.
+        delay[link] = jm[:, 6, 6].copy()
+    return snr, angle_efim, delay
 
 
 def protocol_bounds(
@@ -386,18 +403,12 @@ def protocol_bounds(
     bwd = "ue_to_bs" if initiator == "bs" else "bs_to_ue"
     fwd = "bs_to_ue" if initiator == "bs" else "ue_to_bs"
 
-    efim5 = localization_efim(
-        protocol, tables.jacobian, tables.angle_efim[fwd], tables.angle_efim[bwd],
+    angle, weight = protocol_information(
+        protocol, tables.angle_efim[fwd], tables.angle_efim[bwd],
         tables.delay_info[fwd] * delay_scale, tables.delay_info[bwd] * delay_scale,
     )
-    bad = ~np.isfinite(efim5).all(axis=(1, 2))
-    if np.any(bad):
-        efim5 = efim5.copy()
-        efim5[bad] = np.eye(5)
-    _, peb, oeb, ok, _, _ = invert_efim(efim5)
-    ok &= ~bad
-    peb = np.where(ok, peb, np.inf)
-    oeb = np.where(ok, oeb, np.inf)
+    factors = tables.factors["clp" if protocol == "clp" else bwd]
+    peb, oeb, ok = invert_efim(tables.jacobian, angle, weight, factors)
     return BoundSamples(peb=peb, oeb=oeb, identifiable=ok)
 
 

@@ -1,10 +1,14 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import twl
 from twl.cli import ConfigError, main, parse_config
 from twl.scenario import Scenario
 
@@ -238,6 +242,58 @@ def test_unidentifiable_run_exits_3(tmp_path):
     assert main(["point", "--config", cfg, "--out", str(out)]) == 3
     rows = data_lines(out.read_text())[1:]
     assert all(row.split(",")[8] == "inf" for row in rows)
+
+
+@pytest.mark.parametrize("subcommand", ["cdf", "sweep-bw"])
+@pytest.mark.parametrize("text", [
+    "bs_rows = 1\nbs_cols = 1\n",
+    "ue_rows = 1\nue_cols = 12\n",
+], ids=["anchor-1x1", "terminal-1x12"])
+def test_exactly_singular_angle_efims_exit_3_with_inf_rows(tmp_path, subcommand, text):
+    # one beam on these arrays leaves every angle EFIM exactly singular
+    cfg = write_config(tmp_path, "n_positions = 20\nn_beams = 1\n" + text)
+    out = tmp_path / "x.csv"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 3
+    lines = data_lines(out.read_text())
+    rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+    assert rows
+    for row in rows:
+        if subcommand == "cdf":
+            assert row["peb_m"] == row["oeb_deg"] == "inf"
+            assert row["n_unidentifiable"] == "20"
+        else:
+            assert row["peb90_m"] == "inf"
+
+
+def test_exactly_singular_jacobian_exits_3(tmp_path):
+    # a horizontal link along the terminal's x axis: its location Jacobian
+    # has an all-zero chi0 row
+    cfg = write_config(
+        tmp_path,
+        "region_vertices_m = [[5, -5, 0], [20, -5, 0], [20, 5, 0], [5, 5, 0]]\n"
+        "point_m = [10, 0, 0]\nbeam_grid = \"sector\"\n",
+    )
+    out = tmp_path / "x.csv"
+    assert main(["point", "--config", cfg, "--out", str(out)]) == 3
+    rows = data_lines(out.read_text())[1:]
+    assert rows and all(row.split(",")[8] == "inf" for row in rows)
+
+
+@pytest.mark.parametrize("text", ["power_dbm = 3000\n", "c_m_s = 1e300\n"],
+                         ids=["power", "speed"])
+def test_extreme_link_budget_exits_3_without_numpy_warnings(tmp_path, text):
+    # the overflow makes every bound inf; stderr must not show numpy internals
+    cfg = write_config(tmp_path, "n_positions = 20\n" + text)
+    src = os.path.dirname(os.path.dirname(twl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twl.cli", "cdf", "--config", cfg,
+         "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_stdout_output(tmp_path, capsys):

@@ -3,6 +3,9 @@
 Each property draws a terminal orientation and a position seed and samples a
 few hundred positions of the reference scenario. The examples are derandomized,
 so every run checks the same cases.
+
+Per pose, PEB² = ⟨A⁻¹, G_pos⟩ + g_pos/w with w the protocol's delay weight, so
+the laws in the delay information hold exactly, not only to a tolerance.
 """
 
 import dataclasses
@@ -17,9 +20,13 @@ from twl.beamforming import directional_beams, reverse_direction
 from twl.fim import channel_fim
 from twl.pose import Pose, channel_geometry, location_jacobian
 from twl.protocols import PROTOCOLS, assemble
-from twl.scenario import Scenario, position_tables, protocol_bounds
+from twl.scenario import INITIATORS, Scenario, position_tables, protocol_bounds
 
 EPS = np.finfo(np.float64).eps
+REL_TOL = 1e-9  # slack of a bound inequality, as in the benchmark's checks
+#: delay-information scales of a 10 MHz to 1 GHz sweep around 125 MHz
+DELAY_SCALES = (0.0064, 0.04, 1.0, 16.0, 64.0)
+LINKS = {"bs": ("bs_to_ue", "ue_to_bs"), "ue": ("ue_to_bs", "bs_to_ue")}  # (fwd, bwd)
 
 property_check = settings(max_examples=12, deadline=None, derandomize=True)
 orientations = st.tuples(st.floats(-45.0, 45.0), st.floats(-45.0, 45.0))
@@ -108,3 +115,57 @@ def test_single_pose_api_agrees_with_the_batched_pipeline(orientation_deg, seed)
                 assert abs(b.peb[k] - single.peb) <= tol * single.peb
                 assert abs(b.oeb[k] - single.oeb) <= tol * single.oeb
 
+
+@property_check
+@given(orientations, seeds)
+def test_clp_never_exceeds_rlp(orientation_deg, seed):
+    tables = position_tables(_scenario(orientation_deg, seed))
+    for initiator in INITIATORS:
+        clp = protocol_bounds(tables, "clp", initiator)
+        rlp = protocol_bounds(tables, "rlp", initiator)
+        assert np.all(clp.peb <= rlp.peb * (1.0 + REL_TOL))
+        assert np.all(clp.oeb <= rlp.oeb * (1.0 + REL_TOL))
+
+
+@property_check
+@given(orientations, seeds)
+def test_rlp_beats_owl_exactly_where_forward_delay_info_exceeds_a_third(
+    orientation_deg, seed
+):
+    # rlp and owl share A; rlp's weight 4/(1/J_f + 1/J_b) exceeds owl's J_b
+    # exactly when J_f > J_b/3
+    tables = position_tables(_scenario(orientation_deg, seed))
+    for initiator, (fwd, bwd) in LINKS.items():
+        j_f, j_b = tables.delay_info[fwd], tables.delay_info[bwd]
+        rlp = protocol_bounds(tables, "rlp", initiator)
+        owl = protocol_bounds(tables, "owl", initiator)
+        clear = np.abs(j_f - j_b / 3.0) > 1e-12 * j_b
+        both = rlp.identifiable & owl.identifiable & clear
+        assert both.any()
+        np.testing.assert_array_equal((rlp.peb < owl.peb)[both], (j_f > j_b / 3.0)[both])
+
+
+@property_check
+@given(orientations, seeds)
+def test_peb_never_rises_with_delay_information(orientation_deg, seed):
+    tables = position_tables(_scenario(orientation_deg, seed))
+    for protocol in PROTOCOLS:
+        for initiator in INITIATORS:
+            pebs = [protocol_bounds(tables, protocol, initiator, delay_scale=s).peb
+                    for s in DELAY_SCALES]
+            for narrow, wide in zip(pebs, pebs[1:]):
+                assert np.all(wide <= narrow)
+
+
+@property_check
+@given(orientations, seeds)
+def test_oeb_ignores_delay_information(orientation_deg, seed):
+    # the range direction has no orientation component
+    tables = position_tables(_scenario(orientation_deg, seed))
+    for protocol in PROTOCOLS:
+        for initiator in INITIATORS:
+            base = protocol_bounds(tables, protocol, initiator)
+            for scale in DELAY_SCALES:
+                b = protocol_bounds(tables, protocol, initiator, delay_scale=scale)
+                ok = b.identifiable & base.identifiable
+                np.testing.assert_allclose(b.oeb[ok], base.oeb[ok], rtol=1e-12, atol=0.0)

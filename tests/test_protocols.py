@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,11 +9,15 @@ from twl.fim import angle_efim, channel_fim, delay_info
 from twl.geometry import SPEED_OF_LIGHT, make_ura
 from twl.pose import Pose, channel_geometry, location_jacobian
 from twl.protocols import (
+    PROTOCOLS,
     DelayUnobservableError,
     combined_delay_info,
     assemble,
     invert_efim,
+    protocol_information,
+    rank_and_condition,
 )
+from twl.scenario import Scenario, position_tables, protocol_bounds
 
 LAM = SPEED_OF_LIGHT / 38e9
 DIAMOND = np.array(
@@ -73,17 +80,60 @@ def test_combined_delay_unobservable():
 
 
 def test_identity_efim_bounds():
-    _, peb, oeb, ok, rank, cond = invert_efim(np.eye(5))
-    assert ok and rank == 5 and cond == 1.0
-    assert peb == pytest.approx(np.sqrt(3.0))
-    assert oeb == pytest.approx(np.sqrt(2.0))
+    # J = I, A = I4, w = 1 give the identity EFIM
+    peb, oeb, ok = invert_efim(np.eye(5)[None], np.eye(4)[None], np.ones(1))
+    assert ok[0]
+    assert peb[0] == pytest.approx(np.sqrt(3.0))
+    assert oeb[0] == pytest.approx(np.sqrt(2.0))
+    rank, cond = rank_and_condition(np.eye(5))
+    assert rank == 5 and cond == 1.0
 
 
 def test_singular_efim_reports_rank_not_crash():
-    efim5 = np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
-    cov, peb, oeb, ok, rank, cond = invert_efim(efim5)
-    assert not ok and rank == 4
-    assert np.isinf(peb) and np.isinf(oeb)
+    # an exactly singular angle EFIM gives inf bounds for its pose only
+    angle = np.stack([np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0])])
+    peb, oeb, ok = invert_efim(np.stack([np.eye(5)] * 2), angle, np.ones(2))
+    assert ok.tolist() == [True, False]
+    assert np.isfinite(peb[0]) and np.isinf(peb[1]) and np.isinf(oeb[1])
+    rank, _ = rank_and_condition(np.diag([1.0, 1.0, 1.0, 1.0, 0.0]))
+    assert rank == 4
+
+
+def _exact_bounds(jacobian, angle, weight):
+    """PEB and OEB of J·blkdiag(A, w)·Jᵀ in exact rational arithmetic."""
+    d = [[Fraction(0)] * 5 for _ in range(5)]
+    for a in range(4):
+        for b in range(4):
+            d[a][b] = Fraction(angle[a, b])
+    d[4][4] = Fraction(weight)
+    j = [[Fraction(x) for x in row] for row in jacobian]
+    jd = [[sum(j[i][k] * d[k][m] for k in range(5)) for m in range(5)] for i in range(5)]
+    aug = [[sum(jd[i][k] * j[m][k] for k in range(5)) for m in range(5)]
+           + [Fraction(int(i == m)) for m in range(5)] for i in range(5)]
+    for c in range(5):  # Gauss-Jordan; E is positive definite, no pivoting needed
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(5):
+            if r != c:
+                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
+    cov_diag = [aug[i][5 + i] for i in range(5)]
+    return math.sqrt(sum(cov_diag[2:])), math.sqrt(sum(cov_diag[:2]))
+
+
+def test_factored_bounds_match_exact_arithmetic():
+    # an ill-conditioned pose, where an eigendecomposition of the explicit
+    # EFIM errs by about 2e-8
+    scn = Scenario.reference_defaults(orientation=(math.radians(30.0), math.radians(30.0)))
+    tables = position_tables(scn, positions=np.array([[21.126, 12.198, -10.0]]))
+    for initiator, fwd, bwd in (("bs", "bs_to_ue", "ue_to_bs"), ("ue", "ue_to_bs", "bs_to_ue")):
+        for protocol in PROTOCOLS:
+            angle, weight = protocol_information(
+                protocol, tables.angle_efim[fwd], tables.angle_efim[bwd],
+                tables.delay_info[fwd], tables.delay_info[bwd],
+            )
+            peb, oeb = _exact_bounds(tables.jacobian[0], angle[0], weight[0])
+            bound = protocol_bounds(tables, protocol, initiator)
+            assert bound.peb[0] == pytest.approx(peb, rel=1e-13, abs=0.0)
+            assert bound.oeb[0] == pytest.approx(oeb, rel=1e-13, abs=0.0)
 
 
 def test_assemble_reference_ordering(reference_link):
@@ -97,10 +147,10 @@ def test_assemble_reference_ordering(reference_link):
 
 
 def test_assemble_bound_consistency(reference_link):
+    # the factored bounds against a dense inverse of the assembled EFIM
     fwd, bwd, jac = reference_link
     b = assemble("rlp", fwd, bwd, jac)
-    np.testing.assert_allclose(b.cov @ b.efim, np.eye(5), atol=1e-8)
-    diag = np.diag(b.cov)
+    diag = np.diag(np.linalg.inv(b.efim))
     assert b.peb == pytest.approx(np.sqrt(diag[2:].sum()), rel=1e-12)
     assert b.oeb == pytest.approx(np.sqrt(diag[:2].sum()), rel=1e-12)
 

@@ -151,6 +151,13 @@ def test_run_cdf_snr_symmetry(quick_scenario):
     assert np.all(np.isfinite(tables.snr_db))
 
 
+def test_delay_info_owns_its_data(quick_scenario):
+    # a view into the (n, 7, 7) channel FIM would keep that whole FIM alive
+    tables = position_tables(quick_scenario)
+    for link, delay in tables.delay_info.items():
+        assert delay.base is None, link
+
+
 def test_protocol_bounds_validation(quick_scenario):
     tables = position_tables(quick_scenario)
     with pytest.raises(ValueError):
