@@ -4,7 +4,12 @@ Directional codebooks hold one steering column per pointing direction,
 scaled by 1/sqrt(n_beams) so a transmit matrix satisfies the unit trace
 power constraint exactly. Transmit columns are conjugated so that a beam's
 named direction is the direction it radiates toward; receive columns are
-plain steering vectors, peaking for arrivals from the named direction.
+plain steering vectors, peaking for arrivals from the named direction. A
+device's transmit codebook over a pointing set is therefore the conjugate
+of its receive codebook, F = conj(W).
+
+The receive-space projector is U·Uᴴ = W·G⁻¹·Wᴴ with G = WᴴW; `gram_inv_sqrt`
+gives G^(-1/2) and `orthonormal_basis` the basis U = W·G^(-1/2).
 """
 
 from dataclasses import dataclass
@@ -198,8 +203,8 @@ def region_spot_grid(vertices: np.ndarray, n_beams: int) -> list[tuple[float, fl
     return dirs
 
 
-def orthonormal_basis(w: np.ndarray) -> np.ndarray:
-    """Orthonormal basis U of the column space of w, via the Gram eigenbasis.
+def gram_inv_sqrt(w: np.ndarray) -> np.ndarray:
+    """G^(-1/2) of the Gram matrix G = w^H w, via its eigenbasis.
 
     Raises SingularBeamsError when the Gram matrix is numerically singular.
     """
@@ -211,4 +216,9 @@ def orthonormal_basis(w: np.ndarray) -> np.ndarray:
             f"beam set of {w.shape[1]} beams has a singular Gram matrix "
             f"({len(bad)} dependent combinations); drop redundant beams"
         )
-    return w @ (evecs * evals**-0.5) @ evecs.conj().T
+    return (evecs * evals**-0.5) @ evecs.conj().T
+
+
+def orthonormal_basis(w: np.ndarray) -> np.ndarray:
+    """Orthonormal basis U = w·G^(-1/2) of the column space of w."""
+    return w @ gram_inv_sqrt(w)

@@ -5,10 +5,14 @@ terminal pose is a position plus two rotation angles: first about the global
 z-axis (zeta0), then about the rotated x-axis (chi0). The rotation matrix
 maps terminal-local coordinates to global coordinates.
 
-Channel parameters are ordered (theta1, phi1, theta2, phi2, tau) where pair 1
-belongs to the device initiating an exchange and pair 2 to the responder. By
-default the initiator is the anchor, so pair 1 holds the anchor-frame angles
-of the link and pair 2 the terminal-local angles.
+Channel parameters are ordered anchor first, (theta1, phi1, theta2, phi2,
+tau): pair 1 holds the anchor-frame angles of the link and pair 2 the
+terminal-local angles, whichever device initiates an exchange. The initiator
+only decides which link is the forward one (`twl.protocols`).
+
+`_link_angles_batch` computes the link geometry of a batch of positions and
+`_jacobian_batch` the Jacobians from it; `channel_geometry` and
+`location_jacobian` are their n = 1 views.
 """
 
 from dataclasses import dataclass
@@ -41,9 +45,9 @@ class Pose:
 
 @dataclass(frozen=True)
 class ChannelGeometry:
-    """Channel parameters of one link: angles, delay, gain, phase, clock bias.
+    """Channel parameters of one link: angles, delay, gain and phase.
 
-    Angles are in radians, tau and bias in seconds, beta is the dimensionless
+    Angles are in radians, tau in seconds, beta is the dimensionless
     path-gain amplitude. theta in [0, pi], phi in (-pi, pi].
     """
 
@@ -54,7 +58,6 @@ class ChannelGeometry:
     tau: float
     beta: float
     psi: float = 0.0
-    bias: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,7 @@ def _link_angles_batch(positions: np.ndarray, rot: np.ndarray):
 
     Returns:
         dict with r, u (unit anchor->terminal), q (unit terminal->anchor in
-        the local frame), theta1/phi1/sin1, theta2/phi2/sin2.
+        the local frame), rot, theta1/phi1/sin1, theta2/phi2/sin2.
     """
     r = np.linalg.norm(positions, axis=-1)
     if np.any(r == 0.0):
@@ -131,7 +134,7 @@ def _link_angles_batch(positions: np.ndarray, rot: np.ndarray):
     q = -(u @ rot)  # rows are rot^T @ (-u)
     theta2, phi2, sin2 = _spherical_batch(q)
     return {
-        "r": r, "u": u, "q": q,
+        "r": r, "u": u, "q": q, "rot": rot,
         "theta1": theta1, "phi1": phi1, "sin1": sin1,
         "theta2": theta2, "phi2": phi2, "sin2": sin2,
     }
@@ -141,45 +144,35 @@ def channel_geometry(
     ue: Pose,
     wavelength: float,
     c: float = SPEED_OF_LIGHT,
-    bias: float = 0.0,
     psi: float = 0.0,
-    initiator: str = "bs",
 ) -> ChannelGeometry:
     """Channel parameters implied by a terminal pose.
 
     Pair-1 angles are the anchor-frame direction of the terminal, pair-2 the
-    terminal-local direction back to the anchor; ``initiator="ue"`` swaps the
-    pairs. tau is range over c and beta the free-space amplitude
-    wavelength / (4 pi range).
+    terminal-local direction back to the anchor. tau is range over c and
+    beta the free-space amplitude wavelength / (4 pi range).
     """
-    if initiator not in ("bs", "ue"):
-        raise ValueError(f"initiator must be 'bs' or 'ue', got {initiator!r}")
-    rot = rotation_matrix(ue.zeta0, ue.chi0)
-    g = _link_angles_batch(ue.position[None, :], rot)
-    pairs = (g["theta1"][0], g["phi1"][0], g["theta2"][0], g["phi2"][0])
-    if initiator == "ue":
-        pairs = pairs[2:] + pairs[:2]
+    g = _link_angles_batch(ue.position[None, :], rotation_matrix(ue.zeta0, ue.chi0))
     r = g["r"][0]
     return ChannelGeometry(
-        theta1=pairs[0], phi1=pairs[1], theta2=pairs[2], phi2=pairs[3],
-        tau=r / c, beta=wavelength / (4.0 * np.pi * r), psi=psi, bias=bias,
+        theta1=g["theta1"][0], phi1=g["phi1"][0], theta2=g["theta2"][0], phi2=g["phi2"][0],
+        tau=r / c, beta=wavelength / (4.0 * np.pi * r), psi=psi,
     )
 
 
-def _jacobian_batch(positions: np.ndarray, zeta0: float, chi0: float,
+def _jacobian_batch(g: dict, zeta0: float, chi0: float,
                     c: float = SPEED_OF_LIGHT) -> np.ndarray:
     """Location-to-channel Jacobians for a batch of positions, shape (n, 5, 5).
 
-    Rows (zeta0, chi0, px, py, pz); columns (theta1, phi1, theta2, phi2, tau).
-    All partials are exact derivatives of the channel-geometry map.
+    ``g`` is the `_link_angles_batch` geometry of the positions at the
+    orientation (zeta0, chi0). Rows (zeta0, chi0, px, py, pz); columns
+    (theta1, phi1, theta2, phi2, tau). All partials are exact derivatives of
+    the channel-geometry map.
     """
-    positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    rot = rotation_matrix(zeta0, chi0)
     drot_dz, drot_dx = _rotation_partials(zeta0, chi0)
-    g = _link_angles_batch(positions, rot)
-    r, u, q = g["r"], g["u"], g["q"]
+    r, u, q, rot = g["r"], g["u"], g["q"], g["rot"]
     sin1, sin2 = g["sin1"], g["sin2"]
-    n = positions.shape[0]
+    n = r.shape[0]
 
     jac = np.zeros((n, 5, 5))
 
@@ -210,18 +203,8 @@ def _jacobian_batch(positions: np.ndarray, zeta0: float, chi0: float,
     return jac
 
 
-def location_jacobian(
-    ue: Pose, c: float = SPEED_OF_LIGHT, initiator: str = "bs"
-) -> LocationJacobian:
-    """Exact Jacobian of the channel-geometry map at a pose.
-
-    ``initiator="ue"`` reorders the angle columns so pair 1 is the
-    terminal-local pair; the delay column is role-independent.
-    """
-    if initiator not in ("bs", "ue"):
-        raise ValueError(f"initiator must be 'bs' or 'ue', got {initiator!r}")
-    jac = _jacobian_batch(ue.position[None, :], ue.zeta0, ue.chi0, c)[0]
-    angles = jac[:, :4]
-    if initiator == "ue":
-        angles = angles[:, [2, 3, 0, 1]]
-    return LocationJacobian(angles=angles, delay=jac[:, 4].copy())
+def location_jacobian(ue: Pose, c: float = SPEED_OF_LIGHT) -> LocationJacobian:
+    """Exact Jacobian of the channel-geometry map at a pose."""
+    g = _link_angles_batch(ue.position[None, :], rotation_matrix(ue.zeta0, ue.chi0))
+    jac = _jacobian_batch(g, ue.zeta0, ue.chi0, c)[0]
+    return LocationJacobian(angles=jac[:, :4], delay=jac[:, 4].copy())

@@ -21,9 +21,10 @@ M = J⁻¹ the covariance is E⁻¹ = Mᵀ·blkdiag(A⁻¹, 1/w)·M and
 
 an angle term and a delay term, where G = M₄ᵀM₄ and g = |M_τ|² over the
 position or orientation columns of M. `efim_factors` computes these terms
-once per pose and angle EFIM; the delay weight, which alone depends on the
-bandwidth, enters only in `invert_efim`. The position pipeline calls both
-for many poses and `assemble` for one.
+once per pose and angle EFIM and keeps A with them; the delay weight
+(`delay_weight`), which alone depends on the bandwidth, enters only in
+`invert_efim`. The position pipeline calls both for many poses and
+`assemble` for one.
 """
 
 from dataclasses import dataclass
@@ -67,18 +68,24 @@ class LocalizationBound:
 class EfimFactors:
     """Per-pose terms of E(w) = J·blkdiag(A, w)·Jᵀ for one angle EFIM A.
 
-    Each field is (..., 2): an angle term and a delay term, so that
-    PEB² = pos[..., 0] + pos[..., 1]/w, OEB² = ori[..., 0] + ori[..., 1]/w
-    and tr(E) = trace[..., 0] + w·trace[..., 1] for every delay weight w.
+    ``angle`` is A itself, (..., 4, 4). Each other field is (..., 2): an
+    angle term and a delay term, so that PEB² = pos[..., 0] + pos[..., 1]/w,
+    OEB² = ori[..., 0] + ori[..., 1]/w and tr(E) = trace[..., 0] +
+    w·trace[..., 1] for every delay weight w.
     """
 
+    angle: np.ndarray  # A
     pos: np.ndarray  # ⟨A⁻¹, G_pos⟩, g_pos
     ori: np.ndarray  # ⟨A⁻¹, G_ori⟩, g_ori
     trace: np.ndarray  # ⟨A, J₄ᵀJ₄⟩, |J_τ|²
 
 
-def _delay_weight(kind: str, j_tau_f, j_tau_b) -> np.ndarray:
-    """Weight of the rank-one temporal term, batched; a zero gives inf or NaN."""
+def delay_weight(kind: str, j_tau_f, j_tau_b) -> np.ndarray:
+    """Delay weight w of a protocol, batched; a zero gives inf or NaN.
+
+    ``j_tau_f``/``j_tau_b`` are the delay information of the forward and
+    backward links; owl reads only the backward one.
+    """
     j_tau_f = np.asarray(j_tau_f, dtype=np.float64)
     j_tau_b = np.asarray(j_tau_b, dtype=np.float64)
     if kind == "owl":
@@ -95,18 +102,7 @@ def combined_delay_info(kind: str, j_tau_f: float, j_tau_b: float) -> float:
         raise ValueError("delay information must be nonnegative")
     if kind != "owl" and (j_tau_f == 0.0 or j_tau_b == 0.0):
         raise DelayUnobservableError(f"delay unobservable under {kind}")
-    return float(_delay_weight(kind, j_tau_f, j_tau_b))
-
-
-def protocol_information(kind: str, angle_fwd, angle_bwd, j_tau_f, j_tau_b):
-    """(A, w) of a protocol, batched: its EFIM is J·blkdiag(A, w)·Jᵀ.
-
-    ``angle_fwd``/``angle_bwd`` are the (..., 4, 4) angle EFIMs and
-    ``j_tau_f``/``j_tau_b`` the delay information of the forward and
-    backward links. Only clp reads ``angle_fwd``.
-    """
-    angle = angle_bwd + angle_fwd if kind == "clp" else angle_bwd
-    return angle, _delay_weight(kind, j_tau_f, j_tau_b)
+    return float(delay_weight(kind, j_tau_f, j_tau_b))
 
 
 def localization_efim(jacobian, angle, weight):
@@ -169,7 +165,7 @@ def efim_factors(jacobian: np.ndarray, *angles) -> list:
     for angle in angles:
         angle_inv = _inverse(angle)
         factors.append(EfimFactors(
-            pos=terms(angle_inv, grams[1]), ori=terms(angle_inv, grams[2]),
+            angle=angle, pos=terms(angle_inv, grams[1]), ori=terms(angle_inv, grams[2]),
             trace=terms(angle, grams[0]),
         ))
     return factors
@@ -190,12 +186,11 @@ def rank_and_condition(efim: np.ndarray):
     return rank, condition
 
 
-def invert_efim(jacobian, angle, weight, factors: EfimFactors | None = None):
+def invert_efim(jacobian, factors: EfimFactors, weight):
     """PEB and OEB of the EFIMs J·blkdiag(A, w)·Jᵀ, from their factors.
 
-    Batched over the leading axes of ``jacobian`` (..., 5, 5), ``angle``
-    (..., 4, 4) and ``weight`` (...); ``factors`` are the `efim_factors` of
-    ``jacobian`` and ``angle``, computed here when not given.
+    Batched over the leading axes of ``jacobian`` (..., 5, 5) and ``weight``
+    (...); ``factors`` are the `efim_factors` of ``jacobian`` and A.
 
     Returns (peb, oeb, identifiable). A pose is identifiable when its EFIM
     has full rank and condition at most 1e12. The bound
@@ -204,8 +199,6 @@ def invert_efim(jacobian, angle, weight, factors: EfimFactors | None = None):
     poses, and any whose bound the factors do not give as a positive
     number, carry infinite bounds.
     """
-    if factors is None:
-        (factors,) = efim_factors(jacobian, angle)
     weight = np.asarray(weight, dtype=np.float64)
     # Non-finite factors give NaN or inf here; every such pose fails both
     # the certificate and the positivity test below.
@@ -217,7 +210,7 @@ def invert_efim(jacobian, angle, weight, factors: EfimFactors | None = None):
         ok = positive & (trace * (pos2 + ori2) <= _CERTIFIED_PRODUCT)
     doubt = ~ok
     if doubt.any():
-        efim = localization_efim(jacobian[doubt], angle[doubt], weight[doubt])
+        efim = localization_efim(jacobian[doubt], factors.angle[doubt], weight[doubt])
         rank, condition = rank_and_condition(efim)
         ok[doubt] = (rank == 5) & (condition <= _MAX_CONDITION) & positive[doubt]
     peb = np.sqrt(np.where(ok, pos2, np.inf))
@@ -245,12 +238,12 @@ def assemble(
 
     j_tau_f = delay_info(fwd) if fwd is not None else 0.0
     j_tau_b = delay_info(bwd)
-    combined_delay_info(kind, j_tau_f, j_tau_b)  # raises DelayUnobservableError
-    angle_fwd = angle_efim(fwd).matrix if kind == "clp" else None
-    angle, weight = protocol_information(
-        kind, angle_fwd, angle_efim(bwd).matrix, j_tau_f, j_tau_b
-    )
-    peb, oeb, ok = invert_efim(jac.full[None], angle[None], weight[None])
+    weight = combined_delay_info(kind, j_tau_f, j_tau_b)  # raises DelayUnobservableError
+    angle = angle_efim(bwd).matrix
+    if kind == "clp":
+        angle = angle + angle_efim(fwd).matrix
+    (factors,) = efim_factors(jac.full[None], angle[None])
+    peb, oeb, ok = invert_efim(jac.full[None], factors, np.array([weight]))
     efim5 = localization_efim(jac.full, angle, weight)
     rank, condition = rank_and_condition(efim5)
     return LocalizationBound(

@@ -6,13 +6,15 @@ sampled uniformly over a planar convex region, every position is evaluated
 independently (position/orientation error bounds per protocol and initiator,
 plus link SNR), and results are summarized as empirical quantiles.
 
-`position_tables` builds each device's codebooks once, takes the
-per-position steering forms of each device from one chunked matrix
-multiply (`twl.kernels`), and evaluates everything downstream as batched
-numpy over the positions: the channel FIM and its gain elimination
-(`twl.fim`), and the factored form of each distinct protocol EFIM: one
-4x4 angle EFIM inverse per position for each link and for their sum
-(`twl.protocols.efim_factors`). `protocol_bounds` then needs only the
+`position_tables` computes the link geometry and Jacobian of the positions
+once (`twl.pose`), projects each device's receive codebook W once per
+direction (`twl.kernels`; its transmit codebook is conj(W), so Wᴴ and
+G^(-1/2) of G = WᴴW are all the kernel needs), and evaluates everything
+downstream as batched numpy over the positions: the channel FIM and its
+gain elimination (`twl.fim`), and the factored form of each distinct
+protocol EFIM, which carries its angle EFIM: one 4x4 angle EFIM inverse per
+position for each link and for their sum (`twl.protocols.efim_factors`).
+`protocol_bounds` picks the factors by key and computes only the
 protocol's delay weight (`twl.protocols.invert_efim`). The single-pose
 functions of those modules call the same stage code.
 
@@ -29,7 +31,7 @@ import numpy as np
 from .beamforming import (
     SignalConfig,
     directional_beams,
-    orthonormal_basis,
+    gram_inv_sqrt,
     region_spot_grid,
     reverse_direction,
     sector_beam_grid,
@@ -38,7 +40,7 @@ from .fim import eliminate_gain, fim_from_forms
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, make_ura
 from .kernels import steering_forms
 from .pose import _jacobian_batch, _link_angles_batch, rotation_matrix
-from .protocols import PROTOCOLS, efim_factors, invert_efim, protocol_information
+from .protocols import PROTOCOLS, delay_weight, efim_factors, invert_efim
 
 QUANTILES = (0.1, 0.5, 0.9)
 INITIATORS = ("bs", "ue")
@@ -266,13 +268,14 @@ def percentile(values, q: float, unidentifiable=None) -> float:
 
 @dataclass(frozen=True)
 class DeviceTables:
-    """Precomputed beam-space matrices of one device."""
+    """A device's receive codebook W as the kernel takes it.
 
-    elements: np.ndarray
-    wavelength: float
-    tx_matrix_t: np.ndarray
-    rx_basis_h: np.ndarray
-    rx_matrix_h: np.ndarray
+    ``beams_h`` is Wᴴ, which is also the transposed transmit codebook, and
+    ``whitening`` is G^(-1/2) of its Gram matrix G = WᴴW.
+    """
+
+    beams_h: np.ndarray
+    whitening: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -281,9 +284,9 @@ class PositionTables:
 
     ``angle_efim``/``delay_info`` are keyed by transmission link
     ("bs_to_ue", "ue_to_bs") in the anchor-first parameter ordering.
-    ``factors`` holds the `EfimFactors` of each distinct protocol angle
-    EFIM: one link's, keyed by that link (owl and rlp), and the sum of
-    both, keyed "clp".
+    ``factors`` holds the `EfimFactors`, with its angle EFIM, of each
+    distinct protocol: one link's, keyed by that link (owl and rlp), and
+    the sum of both, keyed "clp".
     """
 
     positions: np.ndarray
@@ -314,16 +317,12 @@ class CdfResult:
 
 
 def _device_tables(geom: ArrayGeometry, directions) -> DeviceTables:
-    f = directional_beams(geom, directions, role="transmit")
-    w = directional_beams(geom, directions, role="receive")
-    basis = orthonormal_basis(w.matrix)
-    return DeviceTables(
-        elements=geom.elements,
-        wavelength=geom.wavelength,
-        tx_matrix_t=f.matrix.T.copy(),
-        rx_basis_h=basis.conj().T.copy(),
-        rx_matrix_h=w.matrix.conj().T.copy(),
-    )
+    # The transmit codebook is conj(W) and is not kept; building it checks
+    # the unit transmit power, and the receive build rejects a duplicate
+    # direction.
+    directional_beams(geom, directions, role="transmit")
+    w = directional_beams(geom, directions, role="receive").matrix
+    return DeviceTables(beams_h=w.conj().T, whitening=gram_inv_sqrt(w))
 
 
 def position_tables(
@@ -335,7 +334,7 @@ def position_tables(
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
     zeta0, chi0 = scenario.orientation
     geo = _link_angles_batch(positions, rotation_matrix(zeta0, chi0))
-    jac = _jacobian_batch(positions, zeta0, chi0, scenario.signal.c)
+    jac = _jacobian_batch(geo, zeta0, chi0, scenario.signal.c)
     snr, angle_efim, delay = _link_tables(scenario, geo)
     # Built once the steering forms and channel FIMs above are freed, so
     # they do not add to the peak memory.
@@ -356,13 +355,13 @@ def _link_tables(scenario: Scenario, geo: dict):
     bs_tab = _device_tables(scenario.bs_array, bs_dirs)
     ue_tab = _device_tables(scenario.ue_array, ue_dirs)
 
-    t_bs, r_bs, gain_bs = steering_forms(
-        bs_tab.elements, lam, bs_tab.tx_matrix_t, bs_tab.rx_basis_h,
-        bs_tab.rx_matrix_h, geo["theta1"], geo["phi1"],
+    t_bs, r_bs = steering_forms(
+        scenario.bs_array.elements, lam, bs_tab.beams_h, bs_tab.whitening,
+        geo["theta1"], geo["phi1"],
     )
-    t_ue, r_ue, gain_ue = steering_forms(
-        ue_tab.elements, lam, ue_tab.tx_matrix_t, ue_tab.rx_basis_h,
-        ue_tab.rx_matrix_h, geo["theta2"], geo["phi2"],
+    t_ue, r_ue = steering_forms(
+        scenario.ue_array.elements, lam, ue_tab.beams_h, ue_tab.whitening,
+        geo["theta2"], geo["phi2"],
     )
 
     beta = lam / (4.0 * np.pi * geo["r"])
@@ -370,10 +369,11 @@ def _link_tables(scenario: Scenario, geo: dict):
         scenario.bs_array.n_elements, scenario.ue_array.n_elements
     )
     # Uplink and downlink SNR coincide: the conjugated transmit codebook makes
-    # each device's transmit and receive gain patterns identical. An SNR
-    # beyond the float range reads inf; its bounds are flagged downstream.
+    # each device's transmit and receive gain patterns identical, so t[0, 0]
+    # is both. An SNR beyond the float range reads inf; its bounds are
+    # flagged downstream.
     with np.errstate(over="ignore"):
-        snr = 10.0 * np.log10(gamma * beta**2 * t_ue[:, 0, 0].real * gain_bs)
+        snr = 10.0 * np.log10(gamma * beta**2 * t_ue[:, 0, 0].real * t_bs[:, 0, 0].real)
 
     angle_efim = {}
     delay = {}
@@ -403,12 +403,11 @@ def protocol_bounds(
     bwd = "ue_to_bs" if initiator == "bs" else "bs_to_ue"
     fwd = "bs_to_ue" if initiator == "bs" else "ue_to_bs"
 
-    angle, weight = protocol_information(
-        protocol, tables.angle_efim[fwd], tables.angle_efim[bwd],
-        tables.delay_info[fwd] * delay_scale, tables.delay_info[bwd] * delay_scale,
+    weight = delay_weight(
+        protocol, tables.delay_info[fwd] * delay_scale, tables.delay_info[bwd] * delay_scale
     )
     factors = tables.factors["clp" if protocol == "clp" else bwd]
-    peb, oeb, ok = invert_efim(tables.jacobian, angle, weight, factors)
+    peb, oeb, ok = invert_efim(tables.jacobian, factors, weight)
     return BoundSamples(peb=peb, oeb=oeb, identifiable=ok)
 
 
@@ -468,11 +467,12 @@ def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
     """PEB at the 0.9 quantile versus one side's antenna count.
 
     Each count must be a perfect square (square arrays); the other side keeps
-    the scenario's array. Positions are resampled with the scenario seed, so
-    rows are directly comparable across counts.
+    the scenario's array. The positions are sampled once and shared by every
+    count, so rows are directly comparable across counts.
     """
     if side not in ("bs", "ue"):
         raise ValueError(f"side must be 'bs' or 'ue', got {side!r}")
+    positions = sample_positions(scenario.region, scenario.n_samples, scenario.seed)
     rows = []
     for count in counts:
         edge = round(math.sqrt(count))
@@ -481,7 +481,7 @@ def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
         arr = make_ura(edge, edge, scenario.signal.wavelength,
                        spacing=scenario.element_spacing)
         swept = replace(scenario, **{f"{side}_array": arr})
-        tables = position_tables(swept)
+        tables = position_tables(swept, positions)
         for protocol in scenario.protocols:
             for initiator in scenario.initiators:
                 samples = protocol_bounds(tables, protocol, initiator)

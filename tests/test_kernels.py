@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import twl.kernels as kernels
-from twl.beamforming import orthonormal_basis
+from twl.beamforming import gram_inv_sqrt, orthonormal_basis
 from twl.fim import channel_fim, quadratic_forms
 from twl.geometry import make_ura, steering
 from twl.pose import channel_geometry, Pose
@@ -25,43 +25,42 @@ def _random_beams(rng, n_elements, n_beams):
 
 
 @pytest.mark.parametrize(
-    "geom,n_f,n_u,n_w",
+    "geom,n_w",
     [
-        (make_ura(6, 6, LAMBDA), 5, 7, 9),
-        (make_ura(12, 12, LAMBDA, plane="yz", center=(0.01, -0.02, 0.03)), 5, 7, 9),
-        (make_ura(1, 1, LAMBDA), 2, 1, 3),  # one element at the origin: zero partials
+        (make_ura(6, 6, LAMBDA), 7),
+        (make_ura(12, 12, LAMBDA, plane="yz", center=(0.01, -0.02, 0.03)), 9),
+        (make_ura(1, 1, LAMBDA), 1),  # one element at the origin: zero partials
     ],
     ids=["6x6-xz", "12x12-offset", "1x1"],
 )
-def test_steering_forms_match_per_pose_reference(geom, n_f, n_u, n_w):
+def test_steering_forms_match_per_pose_reference(geom, n_w):
     """Chunked kernel == geometry.steering + fim.quadratic_forms per direction.
 
-    n crosses two chunk boundaries, and F, U and W have different beam counts
-    so a misaligned row block of the stacked matrix cannot go unnoticed.
-    Tolerance: 1e-12 relative to the largest entry of each form.
+    A random complex W per case, with F = conj(W) and U = orthonormal_basis(W)
+    in the reference, so G^(-1/2) applied without its conjugate, or a
+    misaligned row block of the stacked matrix, cannot go unnoticed. n
+    crosses two chunk boundaries. Tolerance: 1e-12 relative to the largest
+    entry of each form.
     """
     rng = np.random.default_rng(3)
     n = 2 * kernels._CHUNK + 37
     theta = rng.uniform(0.0, np.pi, n)
     phi = rng.uniform(-np.pi, np.pi, n)
-    f = _random_beams(rng, geom.n_elements, n_f)
-    f /= np.linalg.norm(f)
     w = _random_beams(rng, geom.n_elements, n_w)
-    u = orthonormal_basis(w[:, :n_u])
-    t, r, g = kernels.steering_forms(
-        geom.elements, geom.wavelength, f.T, u.conj().T, w.conj().T, theta, phi
+    f = w.conj()
+    u = orthonormal_basis(w)
+    t, r = kernels.steering_forms(
+        geom.elements, geom.wavelength, w.conj().T, gram_inv_sqrt(w), theta, phi
     )
-    assert t.shape == r.shape == (n, 3, 3) and g.shape == (n,)
+    assert t.shape == r.shape == (n, 3, 3)
     np.testing.assert_array_equal(t, t.conj().transpose(0, 2, 1))
     np.testing.assert_array_equal(r, r.conj().transpose(0, 2, 1))
 
     for i in range(n):
         bundle = steering(geom, theta[i], phi[i])
         t_ref, r_ref = quadratic_forms(f, u, (bundle, bundle))
-        g_ref = np.sum(np.abs(w.conj().T @ bundle.a) ** 2)
         assert np.abs(t[i] - t_ref).max() <= 1e-12 * np.abs(t_ref).max(), i
         assert np.abs(r[i] - r_ref).max() <= 1e-12 * np.abs(r_ref).max(), i
-        assert abs(g[i] - g_ref) <= 1e-12 * g_ref, i
 
 
 def test_backend_is_deterministic(small_scenario):
@@ -113,13 +112,11 @@ def test_steering_forms_shapes(small_scenario):
     scn = small_scenario
     theta = np.array([1.9, 2.1])
     phi = np.array([0.3, -0.5])
-    ft = np.ones((4, scn.bs_array.n_elements), complex) / 24.0
-    uh = np.ones((4, scn.bs_array.n_elements), complex) / 24.0
     wh = np.ones((4, scn.bs_array.n_elements), complex) / 24.0
-    t, r, g = kernels.steering_forms(
-        scn.bs_array.elements, scn.bs_array.wavelength, ft, uh, wh, theta, phi
+    t, r = kernels.steering_forms(
+        scn.bs_array.elements, scn.bs_array.wavelength, wh, np.eye(4), theta, phi
     )
-    assert t.shape == (2, 3, 3) and r.shape == (2, 3, 3) and g.shape == (2,)
+    assert t.shape == (2, 3, 3) and r.shape == (2, 3, 3)
     # Hermitian form tables
     np.testing.assert_allclose(t, t.conj().transpose(0, 2, 1), atol=1e-15)
     np.testing.assert_allclose(r, r.conj().transpose(0, 2, 1), atol=1e-15)

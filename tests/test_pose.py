@@ -92,15 +92,6 @@ def test_channel_geometry_zero_orientation_frames_coincide(rng):
         assert abs(cg.phi2 - np.arctan2(u[1], u[0])) < 1e-12
 
 
-def test_channel_geometry_initiator_swap():
-    pose = Pose(np.array([4.0, 20.0, -10.0]), 0.4, -0.2)
-    a = channel_geometry(pose, LAM38, initiator="bs")
-    b = channel_geometry(pose, LAM38, initiator="ue")
-    assert (a.theta1, a.phi1) == (b.theta2, b.phi2)
-    assert (a.theta2, a.phi2) == (b.theta1, b.phi1)
-    assert a.tau == b.tau and a.beta == b.beta
-
-
 def test_degenerate_geometry_raises():
     with pytest.raises(DegenerateGeometryError):
         channel_geometry(Pose(np.array([0.0, 0.0, -10.0])), LAM38)
@@ -128,16 +119,6 @@ def test_jacobian_matches_finite_differences(rng):
         reference = finite_difference_jacobian(pose, LAM38)
         scale = np.abs(reference).max()
         assert np.abs(analytic - reference).max() <= 1e-6 * scale
-
-
-def test_jacobian_role_swap(rng):
-    pose = random_region_pose(rng)
-    bs_first = location_jacobian(pose, initiator="bs")
-    ue_first = location_jacobian(pose, initiator="ue")
-    # delay column is role independent, the angle block is a column permutation
-    np.testing.assert_array_equal(bs_first.delay, ue_first.delay)
-    np.testing.assert_array_equal(bs_first.angles[:, [2, 3, 0, 1]], ue_first.angles)
-    assert not np.allclose(bs_first.angles, ue_first.angles)
 
 
 def test_jacobian_full_property(rng):

@@ -13,8 +13,8 @@ from twl.protocols import (
     DelayUnobservableError,
     combined_delay_info,
     assemble,
+    efim_factors,
     invert_efim,
-    protocol_information,
     rank_and_condition,
 )
 from twl.scenario import Scenario, position_tables, protocol_bounds
@@ -81,7 +81,9 @@ def test_combined_delay_unobservable():
 
 def test_identity_efim_bounds():
     # J = I, A = I4, w = 1 give the identity EFIM
-    peb, oeb, ok = invert_efim(np.eye(5)[None], np.eye(4)[None], np.ones(1))
+    (factors,) = efim_factors(np.eye(5)[None], np.eye(4)[None])
+    np.testing.assert_array_equal(factors.angle[0], np.eye(4))
+    peb, oeb, ok = invert_efim(np.eye(5)[None], factors, np.ones(1))
     assert ok[0]
     assert peb[0] == pytest.approx(np.sqrt(3.0))
     assert oeb[0] == pytest.approx(np.sqrt(2.0))
@@ -92,7 +94,9 @@ def test_identity_efim_bounds():
 def test_singular_efim_reports_rank_not_crash():
     # an exactly singular angle EFIM gives inf bounds for its pose only
     angle = np.stack([np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0])])
-    peb, oeb, ok = invert_efim(np.stack([np.eye(5)] * 2), angle, np.ones(2))
+    jacobian = np.stack([np.eye(5)] * 2)
+    (factors,) = efim_factors(jacobian, angle)
+    peb, oeb, ok = invert_efim(jacobian, factors, np.ones(2))
     assert ok.tolist() == [True, False]
     assert np.isfinite(peb[0]) and np.isinf(peb[1]) and np.isinf(oeb[1])
     rank, _ = rank_and_condition(np.diag([1.0, 1.0, 1.0, 1.0, 0.0]))
@@ -126,11 +130,13 @@ def test_factored_bounds_match_exact_arithmetic():
     tables = position_tables(scn, positions=np.array([[21.126, 12.198, -10.0]]))
     for initiator, fwd, bwd in (("bs", "bs_to_ue", "ue_to_bs"), ("ue", "ue_to_bs", "bs_to_ue")):
         for protocol in PROTOCOLS:
-            angle, weight = protocol_information(
-                protocol, tables.angle_efim[fwd], tables.angle_efim[bwd],
-                tables.delay_info[fwd], tables.delay_info[bwd],
+            angle = tables.angle_efim[bwd][0]
+            if protocol == "clp":
+                angle = angle + tables.angle_efim[fwd][0]
+            weight = combined_delay_info(
+                protocol, tables.delay_info[fwd][0], tables.delay_info[bwd][0]
             )
-            peb, oeb = _exact_bounds(tables.jacobian[0], angle[0], weight[0])
+            peb, oeb = _exact_bounds(tables.jacobian[0], angle, weight)
             bound = protocol_bounds(tables, protocol, initiator)
             assert bound.peb[0] == pytest.approx(peb, rel=1e-13, abs=0.0)
             assert bound.oeb[0] == pytest.approx(oeb, rel=1e-13, abs=0.0)

@@ -120,8 +120,10 @@ def test_run_cdf_protocol_ordering_per_position(quick_result):
 
 
 def test_run_cdf_snr_symmetry(quick_scenario):
-    # conjugate-matched codebooks make the two link directions share one SNR
-    from twl.beamforming import directional_beams, orthonormal_basis, reverse_direction
+    # conjugate-matched codebooks make the two link directions share one SNR:
+    # each device's transmit form t[0, 0] is its receive gain |W^H a|^2
+    from twl.beamforming import directional_beams, gram_inv_sqrt, reverse_direction
+    from twl.geometry import steering
     from twl.kernels import steering_forms
     from twl.pose import _link_angles_batch, rotation_matrix
     from twl.scenario import sample_positions
@@ -137,13 +139,13 @@ def test_run_cdf_snr_symmetry(quick_scenario):
         ("ue", scn.ue_array, [reverse_direction(t, p) for t, p in bs_dirs],
          geo["theta2"], geo["phi2"]),
     ):
-        f = directional_beams(geom, dirs, "transmit").matrix
         w = directional_beams(geom, dirs, "receive").matrix
-        u = orthonormal_basis(w)
-        t_forms, _, rx_gain_sq = steering_forms(
-            geom.elements, geom.wavelength, f.T.copy(), u.conj().T.copy(),
-            w.conj().T.copy(), th, ph,
+        t_forms, _ = steering_forms(
+            geom.elements, geom.wavelength, w.conj().T, gram_inv_sqrt(w), th, ph,
         )
+        rx_gain_sq = np.array([
+            np.sum(np.abs(w.conj().T @ steering(geom, t, p).a) ** 2) for t, p in zip(th, ph)
+        ])
         gains[name] = (t_forms[:, 0, 0].real, rx_gain_sq)
     downlink = gains["bs"][0] * gains["ue"][1]  # anchor transmits
     uplink = gains["ue"][0] * gains["bs"][1]  # terminal transmits
