@@ -28,6 +28,7 @@ from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
     SteeringBundle,
+    UraGrid,
     make_ura,
     steering,
     wavenumber,

@@ -17,16 +17,77 @@ _PLANE_AXES = {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}
 
 
 @dataclass(frozen=True)
+class UraGrid:
+    """Layout of a uniform rectangular array on a coordinate plane.
+
+    Element (i, j), i < rows along the plane's first axis and j < cols along
+    its second, sits at ``center`` plus the offsets ((i - (rows-1)/2)·spacing,
+    (j - (cols-1)/2)·spacing); element index i·cols + j. The steering vector
+    of such an array is a_row ⊗ a_col times one centre phase.
+
+    Attributes:
+        rows, cols: grid size along the first and second plane axis (>= 1).
+        plane: one of "xy", "xz", "yz".
+        spacing: element pitch in meters.
+        center: centroid (x, y, z) of the grid in meters.
+    """
+
+    rows: int
+    cols: int
+    plane: str
+    spacing: float
+    center: tuple
+
+    def __post_init__(self):
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError("rows and cols must be >= 1")
+        if not self.spacing > 0:
+            raise ValueError(f"element spacing must be positive, got {self.spacing!r}")
+        if self.plane not in _PLANE_AXES:
+            raise ValueError(f"plane must be one of {sorted(_PLANE_AXES)}, got {self.plane!r}")
+        center = tuple(float(c) for c in self.center)
+        if len(center) != 3:
+            raise ValueError(f"center needs 3 coordinates, got {self.center!r}")
+        object.__setattr__(self, "rows", int(self.rows))
+        object.__setattr__(self, "cols", int(self.cols))
+        object.__setattr__(self, "spacing", float(self.spacing))
+        object.__setattr__(self, "center", center)
+
+    @property
+    def axes(self) -> tuple[int, int]:
+        """Coordinate indices of the first and second plane axis."""
+        return _PLANE_AXES[self.plane]
+
+    def offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Element offsets from the centre along each plane axis, (rows,), (cols,)."""
+        return ((np.arange(self.rows) - (self.rows - 1) / 2.0) * self.spacing,
+                (np.arange(self.cols) - (self.cols - 1) / 2.0) * self.spacing)
+
+    def elements(self) -> np.ndarray:
+        """3 x (rows·cols) element coordinates."""
+        ax0, ax1 = self.axes
+        x, y = self.offsets()
+        elements = np.zeros((3, self.rows * self.cols))
+        elements[ax0] = np.repeat(x, self.cols)
+        elements[ax1] = np.tile(y, self.rows)
+        elements += np.asarray(self.center).reshape(3, 1)
+        return elements
+
+
+@dataclass(frozen=True)
 class ArrayGeometry:
     """Antenna array layout.
 
     Attributes:
         elements: 3xN element coordinates in meters (one column per element).
         wavelength: carrier wavelength in meters.
+        grid: the `UraGrid` the elements lie on, or None for any other
+            layout; when given, ``elements`` must be exactly its elements.
     """
 
     elements: np.ndarray
     wavelength: float
+    grid: UraGrid | None = None
 
     def __post_init__(self):
         elements = np.ascontiguousarray(self.elements, dtype=np.float64)
@@ -36,6 +97,8 @@ class ArrayGeometry:
             raise ValueError("element coordinates must be finite")
         if not self.wavelength > 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength!r}")
+        if self.grid is not None and not np.array_equal(elements, self.grid.elements()):
+            raise ValueError("elements do not match the array's grid")
         object.__setattr__(self, "elements", elements)
 
     @property
@@ -77,27 +140,13 @@ def make_ura(
         center: centroid of the grid.
 
     Returns:
-        ArrayGeometry with rows*cols elements, centroid at ``center``.
+        ArrayGeometry with rows*cols elements, centroid at ``center``, that
+        records its `UraGrid`.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be >= 1")
     if spacing is None:
         spacing = wavelength / 2.0
-    if not spacing > 0:
-        raise ValueError(f"element spacing must be positive, got {spacing!r}")
-    try:
-        ax0, ax1 = _PLANE_AXES[plane]
-    except KeyError:
-        raise ValueError(f"plane must be one of {sorted(_PLANE_AXES)}, got {plane!r}")
-
-    i = (np.arange(rows) - (rows - 1) / 2.0) * spacing
-    j = (np.arange(cols) - (cols - 1) / 2.0) * spacing
-    gi, gj = np.meshgrid(i, j, indexing="ij")
-    elements = np.zeros((3, rows * cols))
-    elements[ax0] = gi.ravel()
-    elements[ax1] = gj.ravel()
-    elements += np.asarray(center, dtype=float).reshape(3, 1)
-    return ArrayGeometry(elements=elements, wavelength=wavelength)
+    grid = UraGrid(rows, cols, plane, spacing, tuple(np.ravel(center)))
+    return ArrayGeometry(elements=grid.elements(), wavelength=wavelength, grid=grid)
 
 
 def wavenumber(theta: float, phi: float, wavelength: float) -> np.ndarray:

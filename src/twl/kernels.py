@@ -8,63 +8,115 @@ projector U·Uᴴ onto its receive beam space.
 A device's transmit codebook is the conjugate of its receive codebook W, so
 Fᵀ = Wᴴ, and U·Uᴴ = W·G⁻¹·Wᴴ with G = WᴴW. Both forms are therefore Gram
 matrices of the one projection Wᴴ·(a, da/dtheta, da/dphi): the transmit form
-as it stands, the receive form after the 25x25 (n_beams x n_beams) G^(-1/2).
+as it stands, the receive form after the n_beams x n_beams G^(-1/2).
 
-Both partials rescale the response elementwise: da/dtheta = -j (E^T dk/dtheta) * a
-and da/dphi = -j (E^T dk/dphi) * a, with E the element coordinates. So every
-projection is a row block of B @ a, with the stacked matrix
+Every array is a uniform rectangular array (`geometry.UraGrid`). Its
+response factors per plane axis, a = c(k)·(a_row ⊗ a_col)/sqrt(N) with a
+unit centre phase c(k), and so does every codebook column. The projection
+is then an elementwise product,
 
-    B = [W^H; W^H diag(e_x); W^H diag(e_y); W^H diag(e_z)]
+    Wᴴa = c(k)·P_row∘P_col,   P_row = R·a_row,  P_col = S·a_col,
 
-built once per device. Directions are processed in chunks, one complex
-matrix multiply each; the angle projections are then 3-term contractions
-with the wavenumber partials, and each Hermitian form is filled from its 6
-unique entries.
+with R (n_beams x rows) and S (n_beams x cols) the conjugated per-axis beam
+factors, the 1/(N·sqrt(n_beams)) scale and each beam's centre phase folded
+into R (`beam_factors`). Both angle partials rescale the response by the
+element coordinates along dk, e = centre + (row offset, col offset):
+
+    j Wᴴ da/dx = c(k)·[(centre·dk)·P_row∘P_col
+                      + dk_ax0·D_row∘P_col + dk_ax1·P_row∘D_col],
+
+where D_row and D_col project through the offset-weighted copies of R and
+S, stacked under them. So a chunk of directions costs rows + cols complex
+exponentials and two (2·n_beams x rows)·(rows x m) products per direction
+instead of N exponentials and an (4·n_beams x N)·(N x m) product. c(k)
+multiplies the whole bundle and cancels in every form; each Hermitian form
+is filled from its 6 unique entries.
 
 `fim.quadratic_forms` over `geometry.steering` computes the same tables one
-direction at a time and serves as the independent reference.
+direction at a time for any array layout and serves as the independent
+reference.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-_CHUNK = 4096  # directions per matrix multiply, keeps temporaries ~30 MB
+from .geometry import ArrayGeometry, UraGrid, wavenumber
+
+# Directions per step. One step's temporaries take ~6 MB, so they stay in
+# cache: at 10^5 directions on one thread, 1024 ran ~15% faster than 4096.
+_CHUNK = 1024
+
+
+@dataclass(frozen=True)
+class DeviceTables:
+    """A device's receive codebook W in the per-axis form the kernel takes.
+
+    Column b of W is c_b·(r_b ⊗ s_b)/sqrt(N·n_beams), with r_b and s_b the
+    steering factors of beam direction b along the array's two plane axes
+    and c_b its centre phase. ``rows`` stacks R, the rows
+    conj(c_b·r_b)/(N·sqrt(n_beams)), over R·diag(row offsets):
+    (2·n_beams, rows). ``cols`` stacks S, the rows conj(s_b), over
+    S·diag(col offsets): (2·n_beams, cols). ``whitening`` is G^(-1/2) of
+    G = WᴴW, (n_beams, n_beams).
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    whitening: np.ndarray
+
+
+def _grid(geometry: ArrayGeometry) -> UraGrid:
+    if geometry.grid is None:
+        raise ValueError("the steering-form kernel needs an array with a UraGrid (make_ura)")
+    return geometry.grid
+
+
+def beam_factors(geometry: ArrayGeometry, directions) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of `DeviceTables` for a receive codebook over ``directions``."""
+    grid = _grid(geometry)
+    theta, phi = np.asarray(directions, dtype=np.float64).reshape(-1, 2).T
+    k = wavenumber(theta, phi, geometry.wavelength)  # (3, n_beams)
+    x, y = grid.offsets()
+    ax0, ax1 = grid.axes
+    scale = np.exp(1j * (np.asarray(grid.center) @ k)) / (
+        geometry.n_elements * np.sqrt(theta.shape[0])
+    )
+    r = np.exp(1j * np.outer(k[ax0], x)) * scale[:, None]
+    s = np.exp(1j * np.outer(k[ax1], y))
+    return np.concatenate([r, r * x]), np.concatenate([s, s * y])
 
 
 def steering_forms(
-    elements: np.ndarray,
-    wavelength: float,
-    beams_h: np.ndarray,
-    whitening: np.ndarray,
-    theta: np.ndarray,
-    phi: np.ndarray,
+    geometry: ArrayGeometry, tables: DeviceTables, theta: np.ndarray, phi: np.ndarray
 ):
     """Beam-space quadratic forms of one device over a batch of directions.
 
     Args:
-        elements: 3xN element coordinates of the device.
-        wavelength: carrier wavelength.
-        beams_h: W^H, the receive codebook's conjugate transpose, which is
-            also the transposed transmit codebook F^T; (n_beams, N).
-        whitening: G^(-1/2) of G = W^H W, (n_beams, n_beams).
+        geometry: the device's array; it must carry a `UraGrid`.
+        tables: the device's codebook factors and G^(-1/2).
         theta, phi: link angles at this device, shape (n,).
 
     Returns:
         t_forms: (n, 3, 3) complex, t[x, y] = x^T F F^H y* per position;
             t[0, 0] is also the receive gain |W^H a|^2.
         r_forms: (n, 3, 3) complex, r[x, y] = x^H U U^H y per position.
+
+    Raises:
+        ValueError: the array has no grid.
     """
-    elements = np.asarray(elements, dtype=np.float64)
+    grid = _grid(geometry)
     theta = np.asarray(theta, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
-    stacked = np.concatenate(
-        [beams_h, beams_h * elements[0], beams_h * elements[1], beams_h * elements[2]]
-    )
+    x, y = grid.offsets()
+    ax0, ax1 = grid.axes
+    center = np.asarray(grid.center)
+    n_beams = tables.whitening.shape[0]
 
     n = theta.shape[0]
     t_forms = np.empty((n, 3, 3), dtype=np.complex128)
     r_forms = np.empty((n, 3, 3), dtype=np.complex128)
-    k0 = 2.0 * np.pi / wavelength
-    inv_sqrt_n = 1.0 / np.sqrt(elements.shape[1])
+    k0 = 2.0 * np.pi / geometry.wavelength
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         st, ct = np.sin(theta[lo:hi]), np.cos(theta[lo:hi])
@@ -72,33 +124,30 @@ def steering_forms(
         kvec = k0 * np.stack([cp * st, sp * st, ct])  # (3, m)
         dkt = k0 * np.stack([cp * ct, sp * ct, -st])
         dkp = k0 * np.stack([-sp * st, cp * st, np.zeros_like(st)])
-        a = np.exp(-1j * (elements.T @ kvec)) * inv_sqrt_n  # (N, m)
-        v = _bundle(stacked @ a, dkt, dkp)
+        p_row, d_row = (tables.rows @ np.exp(-1j * np.outer(x, kvec[ax0]))).reshape(
+            2, n_beams, -1
+        )
+        p_col, d_col = (tables.cols @ np.exp(-1j * np.outer(y, kvec[ax1]))).reshape(
+            2, n_beams, -1
+        )
+        v0 = p_row * p_col
+        along_row = d_row * p_col
+        along_col = p_row * d_col
+        v = np.stack([
+            v0,
+            (center @ dkt) * v0 + dkt[ax0] * along_row + dkt[ax1] * along_col,
+            (center @ dkp) * v0 + dkp[ax0] * along_row + dkp[ax1] * along_col,
+        ])
         t_forms[lo:hi] = _gram(v).conj()
-        r_forms[lo:hi] = _gram(whitening @ v)
+        r_forms[lo:hi] = _gram(tables.whitening @ v)
     return t_forms, r_forms
-
-
-def _bundle(proj, dkt, dkp):
-    """(3, n_beams, m) v = M (a, j da/dtheta, j da/dphi) from the stacked projection.
-
-    ``proj`` stacks M a over M (e_c * a) for c = x, y, z, so
-    M da/dtheta = -j v[1] and M da/dphi = -j v[2] with the contractions below.
-    """
-    n_beams = proj.shape[0] // 4
-    parts = proj[n_beams:].reshape(3, n_beams, -1)
-    return np.stack([
-        proj[:n_beams],
-        np.einsum("cm,cbm->bm", dkt, parts),
-        np.einsum("cm,cbm->bm", dkp, parts),
-    ])
 
 
 def _gram(v):
     """(m, 3, 3) g[x, y] = b_x^H b_y over b = M (a, da/dtheta, da/dphi).
 
-    ``v`` is `_bundle`'s (M a, j M da/dtheta, j M da/dphi): the j factors
-    cancel on the (1, 2) block and give -j on row 0.
+    ``v`` is (M a, j M da/dtheta, j M da/dphi), up to one unit phase per
+    direction: the j factors cancel on the (1, 2) block and give -j on row 0.
     """
     g = np.empty((v.shape[2], 3, 3), dtype=np.complex128)
     for x in range(3):

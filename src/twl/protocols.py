@@ -181,7 +181,8 @@ def rank_and_condition(efim: np.ndarray):
     evals = np.linalg.eigvalsh(efim)
     emax = np.maximum(evals[..., -1], 0.0)
     rank = np.count_nonzero(evals > emax[..., None] * 1e-13, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a subnormal smallest eigenvalue overflows the ratio to inf, as it should
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         condition = np.where(evals[..., 0] > 0, emax / evals[..., 0], np.inf)
     return rank, condition
 

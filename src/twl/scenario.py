@@ -8,15 +8,18 @@ plus link SNR), and results are summarized as empirical quantiles.
 
 `position_tables` computes the link geometry and Jacobian of the positions
 once (`twl.pose`), projects each device's receive codebook W once per
-direction (`twl.kernels`; its transmit codebook is conj(W), so Wᴴ and
-G^(-1/2) of G = WᴴW are all the kernel needs), and evaluates everything
-downstream as batched numpy over the positions: the channel FIM and its
-gain elimination (`twl.fim`), and the factored form of each distinct
-protocol EFIM, which carries its angle EFIM: one 4x4 angle EFIM inverse per
-position for each link and for their sum (`twl.protocols.efim_factors`).
+direction (`twl.kernels`; its transmit codebook is conj(W), so W's
+per-axis factors and G^(-1/2) of G = WᴴW are all the kernel needs), and
+evaluates everything downstream as batched numpy over the positions: the
+channel FIM and its gain elimination (`twl.fim`), and the factored form of
+each distinct protocol EFIM, which carries its angle EFIM: one 4x4 angle
+EFIM inverse per position for each link and for their sum
+(`twl.protocols.efim_factors`).
 `protocol_bounds` picks the factors by key and computes only the
 protocol's delay weight (`twl.protocols.invert_efim`). The single-pose
-functions of those modules call the same stage code.
+functions of those modules call the same stage code. `sweep_antennas`
+shares the geometry stage and the unswept device's forms across its
+antenna counts.
 
 `REFERENCE_CONFIG` holds the reference setup once, in the CLI's config
 units; `Scenario.from_config` converts it, or any validated config, to a
@@ -38,7 +41,7 @@ from .beamforming import (
 )
 from .fim import eliminate_gain, fim_from_forms
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, make_ura
-from .kernels import steering_forms
+from .kernels import DeviceTables, beam_factors, steering_forms
 from .pose import _jacobian_batch, _link_angles_batch, rotation_matrix
 from .protocols import PROTOCOLS, delay_weight, efim_factors, invert_efim
 
@@ -267,18 +270,6 @@ def percentile(values, q: float, unidentifiable=None) -> float:
 
 
 @dataclass(frozen=True)
-class DeviceTables:
-    """A device's receive codebook W as the kernel takes it.
-
-    ``beams_h`` is Wᴴ, which is also the transposed transmit codebook, and
-    ``whitening`` is G^(-1/2) of its Gram matrix G = WᴴW.
-    """
-
-    beams_h: np.ndarray
-    whitening: np.ndarray
-
-
-@dataclass(frozen=True)
 class PositionTables:
     """Per-position ingredients shared by all protocols and sweeps.
 
@@ -317,12 +308,35 @@ class CdfResult:
 
 
 def _device_tables(geom: ArrayGeometry, directions) -> DeviceTables:
-    # The transmit codebook is conj(W) and is not kept; building it checks
-    # the unit transmit power, and the receive build rejects a duplicate
-    # direction.
+    # The kernel takes W as per-axis factors; the full codebooks are built
+    # for their checks: the transmit one (conj(W)) for the unit transmit
+    # power, the receive one for a duplicate direction, and G^(-1/2).
     directional_beams(geom, directions, role="transmit")
     w = directional_beams(geom, directions, role="receive").matrix
-    return DeviceTables(beams_h=w.conj().T, whitening=gram_inv_sqrt(w))
+    return DeviceTables(*beam_factors(geom, directions), whitening=gram_inv_sqrt(w))
+
+
+def _beam_directions(scenario: Scenario) -> dict:
+    """Codebook pointing directions per device; the terminal's are reversed."""
+    bs_dirs = scenario.anchor_beam_directions()
+    return {"bs": bs_dirs, "ue": [reverse_direction(th, ph) for th, ph in bs_dirs]}
+
+
+def _device_forms(scenario: Scenario, device: str, directions: dict, geo: dict):
+    """(t_forms, r_forms) of one device ("bs" or "ue") at its link angles."""
+    geom = getattr(scenario, f"{device}_array")
+    end = "1" if device == "bs" else "2"
+    return steering_forms(
+        geom, _device_tables(geom, directions[device]),
+        theta=geo[f"theta{end}"], phi=geo[f"phi{end}"],
+    )
+
+
+def _pose_tables(scenario: Scenario, positions: np.ndarray):
+    """Link geometry and the (n, 5, 5) Jacobian of the positions."""
+    zeta0, chi0 = scenario.orientation
+    geo = _link_angles_batch(positions, rotation_matrix(zeta0, chi0))
+    return geo, _jacobian_batch(geo, zeta0, chi0, scenario.signal.c)
 
 
 def position_tables(
@@ -332,12 +346,17 @@ def position_tables(
     if positions is None:
         positions = sample_positions(scenario.region, scenario.n_samples, scenario.seed)
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    zeta0, chi0 = scenario.orientation
-    geo = _link_angles_batch(positions, rotation_matrix(zeta0, chi0))
-    jac = _jacobian_batch(geo, zeta0, chi0, scenario.signal.c)
-    snr, angle_efim, delay = _link_tables(scenario, geo)
-    # Built once the steering forms and channel FIMs above are freed, so
-    # they do not add to the peak memory.
+    geo, jac = _pose_tables(scenario, positions)
+    dirs = _beam_directions(scenario)
+    links = _link_tables(
+        scenario, geo, {d: _device_forms(scenario, d, dirs, geo) for d in ("bs", "ue")}
+    )
+    return _with_factors(positions, jac, *links)
+
+
+def _with_factors(positions, jac, snr, angle_efim, delay) -> PositionTables:
+    # Called once the steering forms and channel FIMs are freed, so the
+    # factors do not add to the peak memory.
     keys = ("bs_to_ue", "ue_to_bs", "clp")
     both = angle_efim["bs_to_ue"] + angle_efim["ue_to_bs"]
     factors = dict(zip(keys, efim_factors(jac, *(angle_efim[k] for k in keys[:2]), both)))
@@ -347,22 +366,14 @@ def position_tables(
     )
 
 
-def _link_tables(scenario: Scenario, geo: dict):
-    """SNR, angle EFIMs and delay information of both links, per position."""
-    lam = scenario.signal.wavelength
-    bs_dirs = scenario.anchor_beam_directions()
-    ue_dirs = [reverse_direction(th, ph) for th, ph in bs_dirs]
-    bs_tab = _device_tables(scenario.bs_array, bs_dirs)
-    ue_tab = _device_tables(scenario.ue_array, ue_dirs)
+def _link_tables(scenario: Scenario, geo: dict, forms: dict):
+    """SNR, angle EFIMs and delay information of both links, per position.
 
-    t_bs, r_bs = steering_forms(
-        scenario.bs_array.elements, lam, bs_tab.beams_h, bs_tab.whitening,
-        geo["theta1"], geo["phi1"],
-    )
-    t_ue, r_ue = steering_forms(
-        scenario.ue_array.elements, lam, ue_tab.beams_h, ue_tab.whitening,
-        geo["theta2"], geo["phi2"],
-    )
+    ``forms`` maps "bs" and "ue" to that device's `steering_forms`.
+    """
+    lam = scenario.signal.wavelength
+    t_bs, r_bs = forms["bs"]
+    t_ue, r_ue = forms["ue"]
 
     beta = lam / (4.0 * np.pi * geo["r"])
     gamma = scenario.signal.gamma(
@@ -467,21 +478,31 @@ def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
     """PEB at the 0.9 quantile versus one side's antenna count.
 
     Each count must be a perfect square (square arrays); the other side keeps
-    the scenario's array. The positions are sampled once and shared by every
-    count, so rows are directly comparable across counts.
+    the scenario's array. The positions, their link geometry and Jacobian,
+    and the other side's steering forms are computed once and shared by
+    every count, so rows are directly comparable across counts and only the
+    swept device goes through the kernel per count.
     """
     if side not in ("bs", "ue"):
         raise ValueError(f"side must be 'bs' or 'ue', got {side!r}")
-    positions = sample_positions(scenario.region, scenario.n_samples, scenario.seed)
-    rows = []
-    for count in counts:
-        edge = round(math.sqrt(count))
+    edges = [round(math.sqrt(count)) for count in counts]
+    for count, edge in zip(counts, edges):
         if edge * edge != count or count < 1:
             raise ValueError(f"antenna counts must be perfect squares, got {count!r}")
+    positions = sample_positions(scenario.region, scenario.n_samples, scenario.seed)
+    geo, jac = _pose_tables(scenario, positions)
+    dirs = _beam_directions(scenario)
+    other = "ue" if side == "bs" else "bs"
+    fixed = _device_forms(scenario, other, dirs, geo)
+    rows = []
+    for count, edge in zip(counts, edges):
         arr = make_ura(edge, edge, scenario.signal.wavelength,
                        spacing=scenario.element_spacing)
         swept = replace(scenario, **{f"{side}_array": arr})
-        tables = position_tables(swept, positions)
+        links = _link_tables(
+            swept, geo, {side: _device_forms(swept, side, dirs, geo), other: fixed}
+        )
+        tables = _with_factors(positions, jac, *links)
         for protocol in scenario.protocols:
             for initiator in scenario.initiators:
                 samples = protocol_bounds(tables, protocol, initiator)

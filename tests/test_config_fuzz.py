@@ -1,0 +1,117 @@
+"""Every config the CLI accepts ends in rows or a documented exit code.
+
+Configs are drawn key by key from `cli._CONFIG_SPEC` (any subset of keys
+overridden, the rest at their defaults) with at most 50 positions, and run
+through `cli.main` for the batch subcommands. A run must return 0 with rows
+(`inf` allowed), 2 with a `twl: error:` message, or 3 with `inf` rows; an
+exception, numpy's `RuntimeWarning`s included, fails the test. `point` is
+left out: its position at the anchor's nadir still ends in a traceback.
+"""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from twl.cli import _CONFIG_SPEC, main
+from twl.geometry import SPEED_OF_LIGHT
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _sorted_pair(lo, hi):
+    return st.lists(_floats(lo, hi), min_size=2, max_size=2).map(sorted)
+
+
+@st.composite
+def _regions(draw):
+    """The default diamond, scaled, rotated and moved, at some height."""
+    scale = draw(_floats(0.02, 3.0))
+    turn = draw(_floats(-math.pi, math.pi))
+    dx, dy = draw(_floats(-40.0, 40.0)), draw(_floats(-40.0, 40.0))
+    z = draw(st.one_of(st.just(0.0), _floats(-40.0, 10.0)))
+    diamond = [(0.0, 0.0), (25.0 * math.sqrt(3.0), 25.0), (0.0, 50.0),
+               (-25.0 * math.sqrt(3.0), 25.0)]
+    c, s = math.cos(turn), math.sin(turn)
+    return [[scale * (c * x - s * y) + dx, scale * (s * x + c * y) + dy, z]
+            for x, y in diamond]
+
+
+_squares = st.integers(1, 6).map(lambda k: k * k)
+_sides = st.integers(1, 16)
+
+#: a value strategy for every config key
+VALUES = {
+    "carrier_hz": st.one_of(st.just(38e9), _floats(1e8, 1e12)),
+    "bandwidth_hz": st.one_of(st.just(125e6), _floats(1e5, 1e10)),
+    "n_symbols": st.integers(1, 1024),
+    "power_dbm": _floats(-100.0, 100.0),
+    "noise_dbm_hz": _floats(-220.0, -120.0),
+    "weff2_over_w2": _floats(1e-3, 1.0),
+    "c_m_s": st.one_of(st.just(SPEED_OF_LIGHT), _floats(1e3, 1e9)),
+    "bs_rows": _sides,
+    "bs_cols": _sides,
+    "ue_rows": _sides,
+    "ue_cols": _sides,
+    "spacing_wavelengths": _floats(0.05, 4.0),
+    "n_beams": _squares,
+    "beam_grid": st.sampled_from(["region", "sector"]),
+    "sector_azimuth_deg": _sorted_pair(-360.0, 360.0),
+    "sector_polar_deg": _sorted_pair(0.0, 180.0),
+    "orientation_deg": st.lists(_floats(-180.0, 180.0), min_size=2, max_size=2),
+    "region_vertices_m": _regions(),
+    "n_positions": st.integers(1, 50),
+    "seed": st.integers(0, 2**64 - 1),
+    "protocols": st.lists(st.sampled_from(["owl", "rlp", "clp"]), min_size=1,
+                          max_size=3, unique=True),
+    "initiators": st.lists(st.sampled_from(["bs", "ue"]), min_size=1, max_size=2,
+                           unique=True),
+    "point_m": st.just([0.0, 25.0, -10.0]),
+    "bandwidths_hz": st.lists(_floats(1e5, 1e10), min_size=1, max_size=4).map(sorted),
+    "antenna_counts": st.lists(_sides.map(lambda k: k * k), min_size=1, max_size=3),
+    "sweep_side": st.sampled_from(["bs", "ue"]),
+}
+
+#: any subset of the keys, with at most 50 positions
+configs = st.fixed_dictionaries(
+    {"n_positions": st.integers(1, 50)},
+    optional={k: v for k, v in VALUES.items() if k != "n_positions"},
+)
+
+fuzz = settings(max_examples=20, deadline=None, derandomize=True)
+
+NON_SQUARE = [
+    {"n_positions": 30, "bs_rows": 1, "bs_cols": 12, "n_beams": 4},
+    {"n_positions": 30, "ue_rows": 3, "ue_cols": 7, "bs_rows": 5, "bs_cols": 9,
+     "n_beams": 9},
+]
+
+
+def test_every_key_has_a_strategy():
+    assert set(VALUES) == set(_CONFIG_SPEC)
+
+
+def _run(tmp_path, subcommand, config):
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in config.items()))
+    out = tmp_path / "fuzz.csv"
+    out.unlink(missing_ok=True)
+    code = main([subcommand, "--config", str(cfg), "--out", str(out)])
+    assert code in (0, 2, 3), code
+    if code == 2:
+        assert not out.exists()
+        return
+    rows = [ln for ln in out.read_text().splitlines() if ln and not ln.startswith("#")]
+    assert len(rows) > 1
+
+
+@pytest.mark.parametrize("subcommand", ["cdf", "sweep-bw", "sweep-ant"])
+@fuzz
+@given(config=configs)
+@example(config=NON_SQUARE[0])
+@example(config=NON_SQUARE[1])
+def test_batch_subcommands_end_in_rows_or_an_exit_code(tmp_path_factory, subcommand, config):
+    _run(tmp_path_factory.mktemp("fuzz"), subcommand, config)

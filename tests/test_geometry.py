@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twl.geometry import ArrayGeometry, make_ura, steering, wavenumber
+from twl.geometry import ArrayGeometry, UraGrid, make_ura, steering, wavenumber
 
 
 def test_make_ura_single_element_at_origin():
@@ -46,6 +46,7 @@ def test_make_ura_planes():
     assert np.all(yz.elements[0] == 0.0) and np.ptp(yz.elements[1]) > 0
     with pytest.raises(ValueError):
         make_ura(2, 2, wavelength=0.01, plane="xw")
+    assert yz.grid == UraGrid(2, 3, "yz", 0.005, (0.0, 0.0, 0.0))
 
 
 def test_wavenumber_rejects_bad_wavelength():
@@ -60,6 +61,9 @@ def test_array_geometry_validation():
         ArrayGeometry(elements=np.full((3, 2), np.nan), wavelength=0.01)
     with pytest.raises(ValueError):
         ArrayGeometry(elements=np.zeros((3, 2)), wavelength=-1.0)
+    ura = make_ura(2, 2, wavelength=0.01)
+    with pytest.raises(ValueError, match="grid"):
+        ArrayGeometry(elements=ura.elements + 1e-9, wavelength=0.01, grid=ura.grid)
 
 
 @pytest.mark.parametrize(

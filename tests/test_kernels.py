@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import twl.kernels as kernels
-from twl.beamforming import gram_inv_sqrt, orthonormal_basis
+from twl.beamforming import directional_beams, gram_inv_sqrt, orthonormal_basis
 from twl.fim import channel_fim, quadratic_forms
-from twl.geometry import make_ura, steering
+from twl.geometry import ArrayGeometry, make_ura, steering
 from twl.pose import channel_geometry, Pose
 from twl.scenario import Scenario, position_tables, sample_positions
 
@@ -18,10 +18,27 @@ def small_scenario():
     return Scenario.reference_defaults(n_samples=200, seed=5)
 
 
-def _random_beams(rng, n_elements, n_beams):
-    return rng.standard_normal((n_elements, n_beams)) + 1j * rng.standard_normal(
-        (n_elements, n_beams)
+def _random_separable_tables(rng, geom, n_beams):
+    """Random per-beam row and column factors, as `DeviceTables`, and their W.
+
+    Column b of W is sqrt(N)·conj(r_b ⊗ s_b): the kernel's factors carry the
+    1/sqrt(N) of the response. Random complex factors keep G = WᴴW complex.
+    """
+    grid = geom.grid
+    x, y = grid.offsets()
+
+    def draw(size):
+        return rng.standard_normal((n_beams, size)) + 1j * rng.standard_normal((n_beams, size))
+
+    r, s = draw(grid.rows), draw(grid.cols)
+    w = np.sqrt(geom.n_elements) * np.stack(
+        [np.kron(r[b], s[b]) for b in range(n_beams)], axis=1
+    ).conj()
+    tables = kernels.DeviceTables(
+        rows=np.concatenate([r, r * x]), cols=np.concatenate([s, s * y]),
+        whitening=gram_inv_sqrt(w),
     )
+    return tables, w
 
 
 @pytest.mark.parametrize(
@@ -29,29 +46,28 @@ def _random_beams(rng, n_elements, n_beams):
     [
         (make_ura(6, 6, LAMBDA), 7),
         (make_ura(12, 12, LAMBDA, plane="yz", center=(0.01, -0.02, 0.03)), 9),
+        (make_ura(3, 5, LAMBDA, plane="xy", center=(-0.02, 0.01, 0.005)), 4),
         (make_ura(1, 1, LAMBDA), 1),  # one element at the origin: zero partials
     ],
-    ids=["6x6-xz", "12x12-offset", "1x1"],
+    ids=["6x6-xz", "12x12-offset", "3x5-xy", "1x1"],
 )
 def test_steering_forms_match_per_pose_reference(geom, n_w):
     """Chunked kernel == geometry.steering + fim.quadratic_forms per direction.
 
-    A random complex W per case, with F = conj(W) and U = orthonormal_basis(W)
-    in the reference, so G^(-1/2) applied without its conjugate, or a
-    misaligned row block of the stacked matrix, cannot go unnoticed. n
-    crosses two chunk boundaries. Tolerance: 1e-12 relative to the largest
-    entry of each form.
+    A random complex separable codebook per case, with F = conj(W) and
+    U = orthonormal_basis(W) in the reference, so G^(-1/2) applied without
+    its conjugate, a swapped plane axis or offset, or a misaligned row block
+    of the stacked factors cannot go unnoticed. n crosses two chunk
+    boundaries. Tolerance: 1e-12 relative to the largest entry of each form.
     """
     rng = np.random.default_rng(3)
     n = 2 * kernels._CHUNK + 37
     theta = rng.uniform(0.0, np.pi, n)
     phi = rng.uniform(-np.pi, np.pi, n)
-    w = _random_beams(rng, geom.n_elements, n_w)
+    tables, w = _random_separable_tables(rng, geom, n_w)
     f = w.conj()
     u = orthonormal_basis(w)
-    t, r = kernels.steering_forms(
-        geom.elements, geom.wavelength, w.conj().T, gram_inv_sqrt(w), theta, phi
-    )
+    t, r = kernels.steering_forms(geom, tables, theta, phi)
     assert t.shape == r.shape == (n, 3, 3)
     np.testing.assert_array_equal(t, t.conj().transpose(0, 2, 1))
     np.testing.assert_array_equal(r, r.conj().transpose(0, 2, 1))
@@ -61,6 +77,43 @@ def test_steering_forms_match_per_pose_reference(geom, n_w):
         t_ref, r_ref = quadratic_forms(f, u, (bundle, bundle))
         assert np.abs(t[i] - t_ref).max() <= 1e-12 * np.abs(t_ref).max(), i
         assert np.abs(r[i] - r_ref).max() <= 1e-12 * np.abs(r_ref).max(), i
+
+
+@pytest.mark.parametrize("plane", ["xz", "xy", "yz"])
+def test_beam_factors_rebuild_the_receive_codebook(plane):
+    """The pipeline's factors give W as row ⊗ col, and Wᴴdiag(offsets) likewise.
+
+    This pins the element ravel order (row index slowest), the plane axes and
+    the folded centre phase and scale.
+    """
+    geom = make_ura(4, 3, LAMBDA, plane=plane, center=(0.013, -0.021, 0.034))
+    dirs = [(0.4, 0.2), (1.3, -2.0), (2.2, 1.1), (1.7, 2.9), (0.9, -0.6)]
+    w = directional_beams(geom, dirs, "receive").matrix
+    rows, cols = kernels.beam_factors(geom, dirs)
+    n_beams, n = len(dirs), geom.n_elements
+    ax0, ax1 = geom.grid.axes
+    center = np.asarray(geom.grid.center)
+    for half, weight in ((0, np.ones(n)), (1, geom.elements[ax0] - center[ax0])):
+        rebuilt = np.sqrt(n) * np.stack([
+            np.kron(rows[half * n_beams + b], cols[b]) for b in range(n_beams)
+        ], axis=1).conj()
+        expected = w * weight[:, None]
+        assert np.abs(rebuilt - expected).max() <= 1e-14 * np.abs(w).max()
+    rebuilt = np.sqrt(n) * np.stack([
+        np.kron(rows[b], cols[n_beams + b]) for b in range(n_beams)
+    ], axis=1).conj()
+    expected = w * (geom.elements[ax1] - center[ax1])[:, None]
+    assert np.abs(rebuilt - expected).max() <= 1e-14 * np.abs(w).max()
+
+
+def test_kernel_rejects_an_array_without_a_grid():
+    ura = make_ura(2, 2, LAMBDA)
+    loose = ArrayGeometry(ura.elements, ura.wavelength)
+    tables = kernels.DeviceTables(*kernels.beam_factors(ura, [(1.0, 0.5)]), np.eye(1))
+    with pytest.raises(ValueError, match="UraGrid"):
+        kernels.steering_forms(loose, tables, np.array([1.0]), np.array([0.3]))
+    with pytest.raises(ValueError, match="UraGrid"):
+        kernels.beam_factors(loose, [(1.0, 0.5)])
 
 
 def test_backend_is_deterministic(small_scenario):
@@ -112,10 +165,9 @@ def test_steering_forms_shapes(small_scenario):
     scn = small_scenario
     theta = np.array([1.9, 2.1])
     phi = np.array([0.3, -0.5])
-    wh = np.ones((4, scn.bs_array.n_elements), complex) / 24.0
-    t, r = kernels.steering_forms(
-        scn.bs_array.elements, scn.bs_array.wavelength, wh, np.eye(4), theta, phi
-    )
+    dirs = [(1.8, 0.2), (2.0, -0.4), (2.2, 0.1), (1.9, 0.6)]
+    tables = kernels.DeviceTables(*kernels.beam_factors(scn.bs_array, dirs), np.eye(4))
+    t, r = kernels.steering_forms(scn.bs_array, tables, theta, phi)
     assert t.shape == (2, 3, 3) and r.shape == (2, 3, 3)
     # Hermitian form tables
     np.testing.assert_allclose(t, t.conj().transpose(0, 2, 1), atol=1e-15)

@@ -169,3 +169,24 @@ def test_oeb_ignores_delay_information(orientation_deg, seed):
                 b = protocol_bounds(tables, protocol, initiator, delay_scale=scale)
                 ok = b.identifiable & base.identifiable
                 np.testing.assert_allclose(b.oeb[ok], base.oeb[ok], rtol=1e-12, atol=0.0)
+
+
+@property_check
+@given(orientations, seeds)
+def test_peb_tends_to_the_angle_limited_floor(orientation_deg, seed):
+    # PEB² = ⟨A⁻¹, G_pos⟩ + g_pos/w: the delay term falls as 1/delay_scale
+    # toward the floor and, with g_pos >= 0, never takes PEB below it
+    tables = position_tables(_scenario(orientation_deg, seed))
+    for protocol in PROTOCOLS:
+        for initiator in INITIATORS:
+            bwd = LINKS[initiator][1]
+            floor = tables.factors["clp" if protocol == "clp" else bwd].pos[:, 0]
+            base = protocol_bounds(tables, protocol, initiator)
+            excess = base.peb**2 / floor - 1.0
+            for scale in (1e6, 1e9):
+                b = protocol_bounds(tables, protocol, initiator, delay_scale=scale)
+                assert np.all(b.peb >= np.sqrt(floor))
+                ok = b.identifiable & base.identifiable
+                assert ok.any()
+                gap = b.peb[ok] ** 2 / floor[ok] - 1.0
+                assert np.all(gap <= excess[ok] / scale + 8.0 * EPS)

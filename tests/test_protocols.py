@@ -101,6 +101,9 @@ def test_singular_efim_reports_rank_not_crash():
     assert np.isfinite(peb[0]) and np.isinf(peb[1]) and np.isinf(oeb[1])
     rank, _ = rank_and_condition(np.diag([1.0, 1.0, 1.0, 1.0, 0.0]))
     assert rank == 4
+    # a subnormal smallest eigenvalue overflows the condition number to inf
+    rank, condition = rank_and_condition(np.diag([1.0, 1.0, 1.0, 1.0, 1e-310]))
+    assert rank == 4 and condition == np.inf
 
 
 def _exact_bounds(jacobian, angle, weight):

@@ -124,7 +124,7 @@ def test_run_cdf_snr_symmetry(quick_scenario):
     # each device's transmit form t[0, 0] is its receive gain |W^H a|^2
     from twl.beamforming import directional_beams, gram_inv_sqrt, reverse_direction
     from twl.geometry import steering
-    from twl.kernels import steering_forms
+    from twl.kernels import DeviceTables, beam_factors, steering_forms
     from twl.pose import _link_angles_batch, rotation_matrix
     from twl.scenario import sample_positions
 
@@ -140,9 +140,8 @@ def test_run_cdf_snr_symmetry(quick_scenario):
          geo["theta2"], geo["phi2"]),
     ):
         w = directional_beams(geom, dirs, "receive").matrix
-        t_forms, _ = steering_forms(
-            geom.elements, geom.wavelength, w.conj().T, gram_inv_sqrt(w), th, ph,
-        )
+        device = DeviceTables(*beam_factors(geom, dirs), whitening=gram_inv_sqrt(w))
+        t_forms, _ = steering_forms(geom, device, th, ph)
         rx_gain_sq = np.array([
             np.sum(np.abs(w.conj().T @ steering(geom, t, p).a) ** 2) for t, p in zip(th, ph)
         ])
