@@ -26,11 +26,12 @@ element coordinates along dk, e = centre + (row offset, col offset):
                       + dk_ax0·D_row∘P_col + dk_ax1·P_row∘D_col],
 
 where D_row and D_col project through the offset-weighted copies of R and
-S, stacked under them. So a chunk of directions costs rows + cols complex
-exponentials and two (2·n_beams x rows)·(rows x m) products per direction
-instead of N exponentials and an (4·n_beams x N)·(N x m) product. c(k)
-multiplies the whole bundle and cancels in every form; each Hermitian form
-is filled from its 6 unique entries.
+S, stacked under them. A chunk of m directions thus costs rows + cols
+exponentials per direction and the two products (2·n_beams x rows)·(rows x
+m) and (2·n_beams x cols)·(cols x m), where projecting through the full
+codebook would need N exponentials per direction and a (4·n_beams x N)·(N x
+m) product. c(k) multiplies the whole bundle and cancels in every form; each
+Hermitian form is filled from its 6 unique entries.
 
 `fim.quadratic_forms` over `geometry.steering` computes the same tables one
 direction at a time for any array layout and serves as the independent

@@ -93,17 +93,17 @@ def test_beam_factors_rebuild_the_receive_codebook(plane):
     n_beams, n = len(dirs), geom.n_elements
     ax0, ax1 = geom.grid.axes
     center = np.asarray(geom.grid.center)
-    for half, weight in ((0, np.ones(n)), (1, geom.elements[ax0] - center[ax0])):
+    blocks = (  # (row block, column block, weight on W's rows)
+        (0, 0, np.ones(n)),
+        (1, 0, geom.elements[ax0] - center[ax0]),
+        (0, 1, geom.elements[ax1] - center[ax1]),
+    )
+    for row_block, col_block, weight in blocks:
         rebuilt = np.sqrt(n) * np.stack([
-            np.kron(rows[half * n_beams + b], cols[b]) for b in range(n_beams)
+            np.kron(rows[row_block * n_beams + b], cols[col_block * n_beams + b])
+            for b in range(n_beams)
         ], axis=1).conj()
-        expected = w * weight[:, None]
-        assert np.abs(rebuilt - expected).max() <= 1e-14 * np.abs(w).max()
-    rebuilt = np.sqrt(n) * np.stack([
-        np.kron(rows[b], cols[n_beams + b]) for b in range(n_beams)
-    ], axis=1).conj()
-    expected = w * (geom.elements[ax1] - center[ax1])[:, None]
-    assert np.abs(rebuilt - expected).max() <= 1e-14 * np.abs(w).max()
+        assert np.abs(rebuilt - w * weight[:, None]).max() <= 1e-14 * np.abs(w).max()
 
 
 def test_kernel_rejects_an_array_without_a_grid():
