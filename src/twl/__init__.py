@@ -28,8 +28,6 @@ from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
     SteeringBundle,
-    UraGrid,
-    make_ura,
     steering,
     wavenumber,
 )

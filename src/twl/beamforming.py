@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, steering
-from .pose import Pose
 
 
 class SingularBeamsError(ValueError):
@@ -139,19 +138,13 @@ def reverse_direction(theta: float, phi: float) -> tuple[float, float]:
 
 def sector_beam_grid(
     n_beams: int,
-    device: Pose | str,
     sector_azimuth: tuple[float, float],
     sector_polar: tuple[float, float],
 ) -> list[tuple[float, float]]:
-    """Equispaced pointing grid over an azimuth x polar sector.
+    """Anchor pointing grid, equispaced over an azimuth x polar sector.
 
-    For the anchor (``device="anchor"``) the grid covers the sector directly.
-    For a terminal pose the anchor grid is reversed so the codebook points
-    back toward the sector; the returned directions are terminal-local and do
-    not change with the pose orientation (beams are rigidly attached to the
-    device, so a rotated terminal physically steers away from the anchor).
-
-    ``n_beams`` must be a perfect square.
+    ``n_beams`` must be a perfect square. The terminal's codebook is the
+    reversed grid (`scenario._beam_directions`).
     """
     side = round(np.sqrt(n_beams))
     if side * side != n_beams or n_beams < 1:
@@ -166,12 +159,7 @@ def sector_beam_grid(
     else:
         az = np.linspace(az_lo, az_hi, side)
         pol = np.linspace(pol_lo, pol_hi, side)
-    grid = [(th, ph) for th in pol for ph in az]
-    if isinstance(device, Pose):
-        return [reverse_direction(th, ph) for th, ph in grid]
-    if device != "anchor":
-        raise ValueError(f"device must be a Pose or 'anchor', got {device!r}")
-    return grid
+    return [(th, ph) for th in pol for ph in az]
 
 
 def region_spot_grid(vertices: np.ndarray, n_beams: int) -> list[tuple[float, float]]:
@@ -188,19 +176,15 @@ def region_spot_grid(vertices: np.ndarray, n_beams: int) -> list[tuple[float, fl
     v = np.asarray(vertices, dtype=np.float64)
     if v.shape != (4, 3):
         raise ValueError(f"need 4 region vertices of 3 coordinates, got {v.shape}")
-    e1 = v[1] - v[0]
-    e2 = v[3] - v[0]
-    dirs = []
-    for i in range(side):
-        for j in range(side):
-            spot = v[0] + (i + 0.5) / side * e1 + (j + 0.5) / side * e2
-            norm = np.linalg.norm(spot)
-            if norm == 0.0:
-                raise ValueError("region spot coincides with the anchor")
-            u = spot / norm
-            dirs.append((float(np.arccos(np.clip(u[2], -1.0, 1.0))),
-                         float(np.arctan2(u[1], u[0]))))
-    return dirs
+    cell = (np.arange(side) + 0.5) / side
+    spots = (v[0] + cell[:, None, None] * (v[1] - v[0])
+             + cell[None, :, None] * (v[3] - v[0])).reshape(-1, 3)
+    norm = np.linalg.norm(spots, axis=1)
+    if np.any(norm == 0.0):
+        raise ValueError("region spot coincides with the anchor")
+    u = spots / norm[:, None]
+    theta = np.arccos(np.clip(u[:, 2], -1.0, 1.0))
+    return list(zip(theta.tolist(), np.arctan2(u[:, 1], u[:, 0]).tolist()))
 
 
 def gram_inv_sqrt(w: np.ndarray) -> np.ndarray:

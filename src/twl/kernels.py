@@ -10,10 +10,10 @@ Fᵀ = Wᴴ, and U·Uᴴ = W·G⁻¹·Wᴴ with G = WᴴW. Both forms are theref
 matrices of the one projection Wᴴ·(a, da/dtheta, da/dphi): the transmit form
 as it stands, the receive form after the n_beams x n_beams G^(-1/2).
 
-Every array is a uniform rectangular array (`geometry.UraGrid`). Its
-response factors per plane axis, a = c(k)·(a_row ⊗ a_col)/sqrt(N) with a
-unit centre phase c(k), and so does every codebook column. The projection
-is then an elementwise product,
+Every array is a uniform rectangular array (`geometry.ArrayGeometry`).
+Its response factors per plane axis, a = c(k)·(a_row ⊗ a_col)/sqrt(N)
+with a unit centre phase c(k), and so does every codebook column. The
+projection is then an elementwise product,
 
     Wᴴa = c(k)·P_row∘P_col,   P_row = R·a_row,  P_col = S·a_col,
 
@@ -34,15 +34,15 @@ m) product. c(k) multiplies the whole bundle and cancels in every form; each
 Hermitian form is filled from its 6 unique entries.
 
 `fim.quadratic_forms` over `geometry.steering` computes the same tables one
-direction at a time for any array layout and serves as the independent
-reference.
+direction at a time from the full element coordinates and serves as the
+independent reference.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayGeometry, UraGrid, wavenumber
+from .geometry import ArrayGeometry, _wavenumber_partials, wavenumber
 
 # Directions per step. One step's temporaries take ~6 MB, so they stay in
 # cache: at 10^5 directions on one thread, 1024 ran ~15% faster than 4096.
@@ -67,20 +67,13 @@ class DeviceTables:
     whitening: np.ndarray
 
 
-def _grid(geometry: ArrayGeometry) -> UraGrid:
-    if geometry.grid is None:
-        raise ValueError("the steering-form kernel needs an array with a UraGrid (make_ura)")
-    return geometry.grid
-
-
 def beam_factors(geometry: ArrayGeometry, directions) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) of `DeviceTables` for a receive codebook over ``directions``."""
-    grid = _grid(geometry)
     theta, phi = np.asarray(directions, dtype=np.float64).reshape(-1, 2).T
     k = wavenumber(theta, phi, geometry.wavelength)  # (3, n_beams)
-    x, y = grid.offsets()
-    ax0, ax1 = grid.axes
-    scale = np.exp(1j * (np.asarray(grid.center) @ k)) / (
+    x, y = geometry.offsets()
+    ax0, ax1 = geometry.axes
+    scale = np.exp(1j * (np.asarray(geometry.center) @ k)) / (
         geometry.n_elements * np.sqrt(theta.shape[0])
     )
     r = np.exp(1j * np.outer(k[ax0], x)) * scale[:, None]
@@ -94,7 +87,7 @@ def steering_forms(
     """Beam-space quadratic forms of one device over a batch of directions.
 
     Args:
-        geometry: the device's array; it must carry a `UraGrid`.
+        geometry: the device's array.
         tables: the device's codebook factors and G^(-1/2).
         theta, phi: link angles at this device, shape (n,).
 
@@ -102,29 +95,22 @@ def steering_forms(
         t_forms: (n, 3, 3) complex, t[x, y] = x^T F F^H y* per position;
             t[0, 0] is also the receive gain |W^H a|^2.
         r_forms: (n, 3, 3) complex, r[x, y] = x^H U U^H y per position.
-
-    Raises:
-        ValueError: the array has no grid.
     """
-    grid = _grid(geometry)
     theta = np.asarray(theta, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
-    x, y = grid.offsets()
-    ax0, ax1 = grid.axes
-    center = np.asarray(grid.center)
+    x, y = geometry.offsets()
+    ax0, ax1 = geometry.axes
+    center = np.asarray(geometry.center)
     n_beams = tables.whitening.shape[0]
 
     n = theta.shape[0]
     t_forms = np.empty((n, 3, 3), dtype=np.complex128)
     r_forms = np.empty((n, 3, 3), dtype=np.complex128)
-    k0 = 2.0 * np.pi / geometry.wavelength
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        st, ct = np.sin(theta[lo:hi]), np.cos(theta[lo:hi])
-        sp, cp = np.sin(phi[lo:hi]), np.cos(phi[lo:hi])
-        kvec = k0 * np.stack([cp * st, sp * st, ct])  # (3, m)
-        dkt = k0 * np.stack([cp * ct, sp * ct, -st])
-        dkp = k0 * np.stack([-sp * st, cp * st, np.zeros_like(st)])
+        th, ph = theta[lo:hi], phi[lo:hi]
+        kvec = wavenumber(th, ph, geometry.wavelength)  # (3, m)
+        dkt, dkp = _wavenumber_partials(th, ph, geometry.wavelength)
         p_row, d_row = (tables.rows @ np.exp(-1j * np.outer(x, kvec[ax0]))).reshape(
             2, n_beams, -1
         )

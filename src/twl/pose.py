@@ -21,6 +21,9 @@ import numpy as np
 
 from .geometry import SPEED_OF_LIGHT
 
+# Smallest sin(theta) of a link direction with a defined azimuth.
+_SIN_FLOOR = 1e-12
+
 
 class DegenerateGeometryError(ValueError):
     """Pose at an angle-coordinate singularity (link along a frame z-axis)."""
@@ -99,7 +102,7 @@ def _rotation_partials(zeta0: float, chi0: float):
     return drz @ rx, rz @ drx
 
 
-def _spherical_batch(v: np.ndarray, sin_floor: float = 1e-12):
+def _spherical_batch(v: np.ndarray):
     """Polar/azimuth angles of unit vectors, batched over the leading axis.
 
     Returns (theta, phi, sin_theta). Raises on polar singularities.
@@ -107,7 +110,7 @@ def _spherical_batch(v: np.ndarray, sin_floor: float = 1e-12):
     vz = np.clip(v[..., 2], -1.0, 1.0)
     theta = np.arccos(vz)
     sin_theta = np.sqrt(np.maximum(1.0 - vz * vz, 0.0))
-    if np.any(sin_theta < sin_floor):
+    if np.any(sin_theta < _SIN_FLOOR):
         raise DegenerateGeometryError(
             "link direction aligned with a frame z-axis; azimuth undefined"
         )

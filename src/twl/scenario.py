@@ -18,8 +18,9 @@ EFIM inverse per position for each link and for their sum
 `protocol_bounds` picks the factors by key and computes only the
 protocol's delay weight (`twl.protocols.invert_efim`). The single-pose
 functions of those modules call the same stage code. `sweep_antennas`
-shares the geometry stage and the unswept device's forms across its
-antenna counts.
+resizes the swept device's own array, keeping its wavelength, spacing,
+plane and centre, and shares the geometry stage and the unswept device's
+forms across its antenna counts.
 
 `REFERENCE_CONFIG` holds the reference setup once, in the CLI's config
 units; `Scenario.from_config` converts it, or any validated config, to a
@@ -40,13 +41,15 @@ from .beamforming import (
     sector_beam_grid,
 )
 from .fim import eliminate_gain, fim_from_forms
-from .geometry import SPEED_OF_LIGHT, ArrayGeometry, make_ura
+from .geometry import SPEED_OF_LIGHT, ArrayGeometry
 from .kernels import DeviceTables, beam_factors, steering_forms
 from .pose import _jacobian_batch, _link_angles_batch, rotation_matrix
 from .protocols import PROTOCOLS, delay_weight, efim_factors, invert_efim
 
 QUANTILES = (0.1, 0.5, 0.9)
 INITIATORS = ("bs", "ue")
+# Boundary slack of `Region.contains` (height in m, edge cross products in m²).
+_CONTAINS_TOL = 1e-9
 
 
 #: The reference desk-scale setup in config units, keyed by config name.
@@ -117,17 +120,17 @@ class Region:
         v = self.vertices
         return (v[[0, 1, 2]], v[[0, 2, 3]])
 
-    def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         """Boundary-inclusive membership test, batched over rows."""
         points = np.atleast_2d(points)
         v = self.vertices
         nxt = np.roll(v, -1, axis=0)
-        inside = np.abs(points[:, 2] - v[0, 2]) <= tol
+        inside = np.abs(points[:, 2] - v[0, 2]) <= _CONTAINS_TOL
         sign = np.sign(self._edge_crosses(v)[0])
         for a, b in zip(v, nxt):
             e = b[:2] - a[:2]
             d = points[:, :2] - a[:2]
-            inside &= sign * (e[0] * d[:, 1] - e[1] * d[:, 0]) >= -tol
+            inside &= sign * (e[0] * d[:, 1] - e[1] * d[:, 0]) >= -_CONTAINS_TOL
         return inside
 
 
@@ -148,7 +151,6 @@ class Scenario:
     initiators: tuple
     n_samples: int
     seed: int
-    element_spacing: float | None  # meters; None means half a wavelength
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -172,9 +174,7 @@ class Scenario:
         """
         if self.beam_grid == "region":
             return region_spot_grid(self.region.vertices, self.n_beams)
-        return sector_beam_grid(
-            self.n_beams, "anchor", self.sector_azimuth, self.sector_polar
-        )
+        return sector_beam_grid(self.n_beams, self.sector_azimuth, self.sector_polar)
 
     @classmethod
     def from_config(cls, values: dict) -> "Scenario":
@@ -193,8 +193,8 @@ class Scenario:
         spacing = v["spacing_wavelengths"] * lam
         return cls(
             region=Region(np.asarray(v["region_vertices_m"], dtype=float)),
-            bs_array=make_ura(v["bs_rows"], v["bs_cols"], lam, spacing=spacing),
-            ue_array=make_ura(v["ue_rows"], v["ue_cols"], lam, spacing=spacing),
+            bs_array=ArrayGeometry(v["bs_rows"], v["bs_cols"], lam, spacing=spacing),
+            ue_array=ArrayGeometry(v["ue_rows"], v["ue_cols"], lam, spacing=spacing),
             signal=signal,
             n_beams=v["n_beams"],
             beam_grid=v["beam_grid"],
@@ -205,7 +205,6 @@ class Scenario:
             initiators=tuple(v["initiators"]),
             n_samples=v["n_positions"],
             seed=v["seed"],
-            element_spacing=spacing,
         )
 
     @classmethod
@@ -477,11 +476,14 @@ def sweep_bandwidth(scenario: Scenario, bandwidths) -> list:
 def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
     """PEB at the 0.9 quantile versus one side's antenna count.
 
-    Each count must be a perfect square (square arrays); the other side keeps
-    the scenario's array. The positions, their link geometry and Jacobian,
-    and the other side's steering forms are computed once and shared by
-    every count, so rows are directly comparable across counts and only the
-    swept device goes through the kernel per count.
+    Each count must be a perfect square: the swept side's array is resized
+    to edge x edge, keeping its wavelength, spacing, plane and centre, and
+    the other side keeps the scenario's array. A square array swept at its
+    own count thus gives `run_cdf`'s 0.9 quantiles bit for bit. The
+    positions, their link geometry and Jacobian, and the other side's
+    steering forms are computed once and shared by every count, so rows are
+    directly comparable across counts and only the swept device goes
+    through the kernel per count.
     """
     if side not in ("bs", "ue"):
         raise ValueError(f"side must be 'bs' or 'ue', got {side!r}")
@@ -496,8 +498,7 @@ def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
     fixed = _device_forms(scenario, other, dirs, geo)
     rows = []
     for count, edge in zip(counts, edges):
-        arr = make_ura(edge, edge, scenario.signal.wavelength,
-                       spacing=scenario.element_spacing)
+        arr = replace(getattr(scenario, f"{side}_array"), rows=edge, cols=edge)
         swept = replace(scenario, **{f"{side}_array": arr})
         links = _link_tables(
             swept, geo, {side: _device_forms(swept, side, dirs, geo), other: fixed}

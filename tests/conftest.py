@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twl.beamforming import SignalConfig
-from twl.geometry import make_ura
+from twl.geometry import ArrayGeometry
 
 
 @pytest.fixture(scope="session")
@@ -15,7 +15,7 @@ def default_signal() -> SignalConfig:
 
 @pytest.fixture(scope="session")
 def ura12(default_signal):
-    return make_ura(12, 12, default_signal.wavelength)
+    return ArrayGeometry(12, 12, default_signal.wavelength)
 
 
 @pytest.fixture()

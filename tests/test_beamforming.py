@@ -12,7 +12,7 @@ from twl.beamforming import (
     sector_beam_grid,
 )
 from twl.geometry import steering
-from twl.pose import Pose
+from twl.scenario import Scenario, _beam_directions
 
 DEG = np.pi / 180.0
 
@@ -58,7 +58,7 @@ def test_beamformer_role_validation(ura12):
 
 def test_sector_grid_is_equispaced():
     grid = sector_beam_grid(
-        25, "anchor", (30 * DEG, 150 * DEG), (100 * DEG, 170 * DEG)
+        25, (30 * DEG, 150 * DEG), (100 * DEG, 170 * DEG)
     )
     assert len(grid) == 25
     polars = np.degrees(sorted({th for th, _ in grid}))
@@ -68,20 +68,23 @@ def test_sector_grid_is_equispaced():
 
 
 def test_sector_grid_single_beam_is_center():
-    ((th, ph),) = sector_beam_grid(1, "anchor", (0.4, 0.8), (1.0, 2.0))
+    ((th, ph),) = sector_beam_grid(1, (0.4, 0.8), (1.0, 2.0))
     assert abs(th - 1.5) < 1e-12 and abs(ph - 0.6) < 1e-12
 
 
 def test_sector_grid_rejects_non_square():
     with pytest.raises(ValueError):
-        sector_beam_grid(24, "anchor", (0.0, 1.0), (1.0, 2.0))
+        sector_beam_grid(24, (0.0, 1.0), (1.0, 2.0))
 
 
 def test_terminal_grid_is_reversed_anchor_grid():
-    anchor = sector_beam_grid(9, "anchor", (30 * DEG, 150 * DEG), (100 * DEG, 170 * DEG))
-    pose = Pose(np.array([0.0, 25.0, -10.0]), 0.5, 0.2)
-    terminal = sector_beam_grid(9, pose, (30 * DEG, 150 * DEG), (100 * DEG, 170 * DEG))
-    for (th_a, ph_a), (th_t, ph_t) in zip(anchor, terminal):
+    scn = Scenario.reference_defaults(
+        beam_grid="sector", n_beams=9, orientation=(0.5, 0.2)
+    )
+    dirs = _beam_directions(scn)
+    anchor = sector_beam_grid(9, scn.sector_azimuth, scn.sector_polar)
+    assert dirs["bs"] == anchor
+    for (th_a, ph_a), (th_t, ph_t) in zip(anchor, dirs["ue"], strict=True):
         assert abs(th_t - (np.pi - th_a)) < 1e-12
         diff = (ph_t - ph_a - np.pi) % (2 * np.pi)
         assert min(diff, 2 * np.pi - diff) < 1e-12
@@ -97,6 +100,43 @@ def test_region_spot_grid_covers_region():
     assert all(th > np.pi / 2 for th, _ in dirs)
     with pytest.raises(ValueError):
         region_spot_grid(vertices, 24)
+
+
+def _spot_grid_loop(v, side):
+    """Reference: one cell at a time, as a Python loop."""
+    dirs = []
+    for i in range(side):
+        for j in range(side):
+            spot = v[0] + (i + 0.5) / side * (v[1] - v[0]) + (j + 0.5) / side * (v[3] - v[0])
+            u = spot / np.linalg.norm(spot)
+            dirs.append((np.arccos(np.clip(u[2], -1.0, 1.0)), np.arctan2(u[1], u[0])))
+    return np.array(dirs)
+
+
+def test_region_spot_grid_matches_the_cell_loop(rng):
+    """Equal on the default region; elsewhere within 4 eps of direction.
+
+    Only the norm's rounding may differ (a batched norm against one per
+    cell), which moves each unit vector by an ulp; arccos and arctan2 turn
+    that into an angle error up to ~eps/sin(theta).
+    """
+    diamond = np.array(
+        [[0.0, 0.0, -10.0], [25 * np.sqrt(3), 25, -10], [0, 50, -10], [-25 * np.sqrt(3), 25, -10]]
+    )
+    dirs = region_spot_grid(diamond, 25)
+    assert all(type(x) is float for d in dirs for x in d)
+    np.testing.assert_array_equal(dirs, _spot_grid_loop(diamond, 5))
+    for _ in range(300):
+        c, s = np.cos(t := rng.uniform(-np.pi, np.pi)), np.sin(t)
+        v = rng.uniform(0.02, 3.0) * diamond @ np.array([[c, s, 0], [-s, c, 0], [0, 0, 1]])
+        v += [*rng.uniform(-40.0, 40.0, 2), rng.uniform(-40.0, 10.0) - v[0, 2]]
+        side = int(rng.integers(1, 7))
+        got, ref = np.array(region_spot_grid(v, side * side)), _spot_grid_loop(v, side)
+        scale = np.sin(ref[:, 0])[:, None]
+        assert np.all(np.abs(got - ref) * scale <= 4 * np.finfo(float).eps)
+    centred = np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [-1.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="anchor"):
+        region_spot_grid(centred, 1)
 
 
 def test_reverse_direction_wraps():

@@ -15,7 +15,7 @@ from twl.fim import (
     efim,
     efim_additivity,
 )
-from twl.geometry import make_ura
+from twl.geometry import ArrayGeometry
 from twl.pose import ChannelGeometry
 
 LAM = 299792458.0 / 38e9
@@ -23,8 +23,8 @@ LAM = 299792458.0 / 38e9
 
 def small_link(rng, n_tx_beams=2, n_rx_beams=2, ns=4):
     """Random 2x2-array link with beams near the true angles."""
-    tx_geom = make_ura(2, 2, LAM)
-    rx_geom = make_ura(2, 2, LAM)
+    tx_geom = ArrayGeometry(2, 2, LAM)
+    rx_geom = ArrayGeometry(2, 2, LAM)
     d = rng.uniform(5.0, 30.0)
     cg = ChannelGeometry(
         theta1=rng.uniform(0.5, 2.6), phi1=rng.uniform(-3.0, 3.0),

@@ -11,7 +11,7 @@ import pytest
 from oracles import numerical_channel_fim, pulse_weff2
 from twl.beamforming import SignalConfig, directional_beams
 from twl.fim import channel_fim
-from twl.geometry import make_ura
+from twl.geometry import ArrayGeometry
 from twl.pose import ChannelGeometry
 
 C = 299792458.0
@@ -24,8 +24,8 @@ N0 = 1e-20
 
 
 def oracle_case(rng):
-    tx_geom = make_ura(2, 2, LAM)
-    rx_geom = make_ura(2, 2, LAM)
+    tx_geom = ArrayGeometry(2, 2, LAM)
+    rx_geom = ArrayGeometry(2, 2, LAM)
     direction = "backward" if rng.integers(2) else "forward"
     d = rng.uniform(5.0, 30.0)
     cg = ChannelGeometry(

@@ -6,7 +6,7 @@ import pytest
 import twl.kernels as kernels
 from twl.beamforming import directional_beams, gram_inv_sqrt, orthonormal_basis
 from twl.fim import channel_fim, quadratic_forms
-from twl.geometry import ArrayGeometry, make_ura, steering
+from twl.geometry import ArrayGeometry, steering
 from twl.pose import channel_geometry, Pose
 from twl.scenario import Scenario, position_tables, sample_positions
 
@@ -24,13 +24,12 @@ def _random_separable_tables(rng, geom, n_beams):
     Column b of W is sqrt(N)·conj(r_b ⊗ s_b): the kernel's factors carry the
     1/sqrt(N) of the response. Random complex factors keep G = WᴴW complex.
     """
-    grid = geom.grid
-    x, y = grid.offsets()
+    x, y = geom.offsets()
 
     def draw(size):
         return rng.standard_normal((n_beams, size)) + 1j * rng.standard_normal((n_beams, size))
 
-    r, s = draw(grid.rows), draw(grid.cols)
+    r, s = draw(geom.rows), draw(geom.cols)
     w = np.sqrt(geom.n_elements) * np.stack(
         [np.kron(r[b], s[b]) for b in range(n_beams)], axis=1
     ).conj()
@@ -44,10 +43,10 @@ def _random_separable_tables(rng, geom, n_beams):
 @pytest.mark.parametrize(
     "geom,n_w",
     [
-        (make_ura(6, 6, LAMBDA), 7),
-        (make_ura(12, 12, LAMBDA, plane="yz", center=(0.01, -0.02, 0.03)), 9),
-        (make_ura(3, 5, LAMBDA, plane="xy", center=(-0.02, 0.01, 0.005)), 4),
-        (make_ura(1, 1, LAMBDA), 1),  # one element at the origin: zero partials
+        (ArrayGeometry(6, 6, LAMBDA), 7),
+        (ArrayGeometry(12, 12, LAMBDA, plane="yz", center=(0.01, -0.02, 0.03)), 9),
+        (ArrayGeometry(3, 5, LAMBDA, plane="xy", center=(-0.02, 0.01, 0.005)), 4),
+        (ArrayGeometry(1, 1, LAMBDA), 1),  # one element at the origin: zero partials
     ],
     ids=["6x6-xz", "12x12-offset", "3x5-xy", "1x1"],
 )
@@ -86,13 +85,13 @@ def test_beam_factors_rebuild_the_receive_codebook(plane):
     This pins the element ravel order (row index slowest), the plane axes and
     the folded centre phase and scale.
     """
-    geom = make_ura(4, 3, LAMBDA, plane=plane, center=(0.013, -0.021, 0.034))
+    geom = ArrayGeometry(4, 3, LAMBDA, plane=plane, center=(0.013, -0.021, 0.034))
     dirs = [(0.4, 0.2), (1.3, -2.0), (2.2, 1.1), (1.7, 2.9), (0.9, -0.6)]
     w = directional_beams(geom, dirs, "receive").matrix
     rows, cols = kernels.beam_factors(geom, dirs)
     n_beams, n = len(dirs), geom.n_elements
-    ax0, ax1 = geom.grid.axes
-    center = np.asarray(geom.grid.center)
+    ax0, ax1 = geom.axes
+    center = np.asarray(geom.center)
     blocks = (  # (row block, column block, weight on W's rows)
         (0, 0, np.ones(n)),
         (1, 0, geom.elements[ax0] - center[ax0]),
@@ -104,16 +103,6 @@ def test_beam_factors_rebuild_the_receive_codebook(plane):
             for b in range(n_beams)
         ], axis=1).conj()
         assert np.abs(rebuilt - w * weight[:, None]).max() <= 1e-14 * np.abs(w).max()
-
-
-def test_kernel_rejects_an_array_without_a_grid():
-    ura = make_ura(2, 2, LAMBDA)
-    loose = ArrayGeometry(ura.elements, ura.wavelength)
-    tables = kernels.DeviceTables(*kernels.beam_factors(ura, [(1.0, 0.5)]), np.eye(1))
-    with pytest.raises(ValueError, match="UraGrid"):
-        kernels.steering_forms(loose, tables, np.array([1.0]), np.array([0.3]))
-    with pytest.raises(ValueError, match="UraGrid"):
-        kernels.beam_factors(loose, [(1.0, 0.5)])
 
 
 def test_backend_is_deterministic(small_scenario):

@@ -6,7 +6,7 @@ import pytest
 
 from twl.beamforming import SignalConfig, directional_beams, region_spot_grid, reverse_direction
 from twl.fim import angle_efim, channel_fim, delay_info
-from twl.geometry import SPEED_OF_LIGHT, make_ura
+from twl.geometry import SPEED_OF_LIGHT, ArrayGeometry
 from twl.pose import Pose, channel_geometry, location_jacobian
 from twl.protocols import (
     PROTOCOLS,
@@ -31,8 +31,8 @@ def reference_link():
     sig = SignalConfig.from_link_budget(
         power_w=1e-3, bandwidth=125e6, ns=64, n0=1e-20, carrier=38e9
     )
-    bs = make_ura(12, 12, sig.wavelength)
-    ue = make_ura(12, 12, sig.wavelength)
+    bs = ArrayGeometry(12, 12, sig.wavelength)
+    ue = ArrayGeometry(12, 12, sig.wavelength)
     pose = Pose(np.array([0.0, 25.0, -10.0]))
     cg = channel_geometry(pose, sig.wavelength)
     bs_dirs = region_spot_grid(DIAMOND, 25)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,28 +210,51 @@ def test_sweep_antennas_validation(quick_scenario):
         sweep_antennas(quick_scenario, [36], "mid")
 
 
-def test_sweep_antennas_keeps_custom_spacing():
-    from twl.geometry import make_ura
+def _own_array_scenario(case):
+    """A 12x12 scenario whose arrays differ from the default pitch, carrier or plane."""
     from twl.beamforming import SignalConfig
+    from twl.geometry import ArrayGeometry
 
+    carrier = 60e9 if case == "60ghz" else 38e9
     sig = SignalConfig.from_link_budget(
-        power_w=1e-3, bandwidth=125e6, ns=64, n0=1e-20, carrier=38e9
+        power_w=1e-3, bandwidth=125e6, ns=64, n0=1e-20, carrier=carrier
     )
-    spacing = 0.4 * sig.wavelength
-    scn = Scenario.reference_defaults(
+    lam = sig.wavelength
+    spacing = 0.4 * lam if case == "spacing" else None
+    return Scenario.reference_defaults(
         signal=sig,
-        bs_array=make_ura(12, 12, sig.wavelength, spacing=spacing),
-        ue_array=make_ura(12, 12, sig.wavelength, spacing=spacing),
-        element_spacing=spacing,
+        bs_array=ArrayGeometry(12, 12, lam, spacing=spacing),
+        ue_array=ArrayGeometry(
+            12, 12, lam, spacing=spacing, plane="xy" if case == "ue-xy" else "xz"
+        ),
         n_samples=200,
         seed=4,
     )
-    rows = sweep_antennas(scn, [144], "ue")
-    baseline = run_cdf(scn)
-    q90 = {r["quantile"]: r for r in baseline.quantile_rows
-           if (r["protocol"], r["initiator"]) == ("clp", "bs")}[0.9]
-    match = [r for r in rows if (r["protocol"], r["initiator"]) == ("clp", "bs")][0]
-    assert match["peb90_m"] == q90["peb_m"]
+
+
+@pytest.mark.parametrize("side", ["bs", "ue"])
+@pytest.mark.parametrize("case", ["spacing", "60ghz", "ue-xy"])
+def test_sweep_antennas_keeps_custom_spacing(case, side):
+    """A sweep resizes the scenario's own array and changes nothing else.
+
+    The swept array keeps its wavelength, spacing, plane and centre, so each
+    count's rows equal `run_cdf`'s 0.9 quantiles bit for bit, at the
+    scenario's own 144 antennas and for an 8x8 array built with the same
+    parameters: a 0.4-wavelength pitch, a 60 GHz carrier with the default
+    half-wavelength pitch, and a terminal array on the xy plane.
+    """
+    from twl.geometry import ArrayGeometry
+
+    scn = _own_array_scenario(case)
+    own = getattr(scn, f"{side}_array")
+    small = ArrayGeometry(8, 8, own.wavelength, own.spacing, own.plane, own.center)
+    rows = sweep_antennas(scn, [144, 64], side)
+    assert len(rows) == 12
+    for count, ref in ((144, scn), (64, replace(scn, **{f"{side}_array": small}))):
+        q90 = {(r["protocol"], r["initiator"]): r["peb_m"]
+               for r in run_cdf(ref).quantile_rows if r["quantile"] == 0.9}
+        for row in (r for r in rows if r["n_antennas"] == count):
+            assert row["peb90_m"] == q90[(row["protocol"], row["initiator"])], row
 
 
 def test_misorientation_degrades_bounds():
