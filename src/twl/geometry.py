@@ -8,9 +8,10 @@ kernel (`twl.kernels`) uses.
 Conventions: theta is the polar angle measured from +z, phi the azimuth
 measured from +x. Steering vectors are unit norm, with each element
 contributing a phase of minus the projection of its coordinate onto the
-wavenumber vector. `wavenumber` and `_wavenumber_partials` are the one
-definition of k(theta, phi) and its two partials; both take scalars or
-arrays of angles.
+wavenumber vector. `wavenumber_with_partials` is the one definition of
+k(theta, phi) and its two partials, computed from one set of sines and
+cosines; `wavenumber` is its first result. Both take scalars or arrays of
+angles.
 """
 
 from dataclasses import dataclass, field
@@ -112,21 +113,23 @@ def wavenumber(theta, phi, wavelength: float) -> np.ndarray:
 
     Shape (3,) for scalar angles, (3, n) for angle arrays of shape (n,).
     """
+    return wavenumber_with_partials(theta, phi, wavelength)[0]
+
+
+def wavenumber_with_partials(theta, phi, wavelength: float):
+    """(k, dk/dtheta, dk/dphi) from one set of sines and cosines.
+
+    Each is shaped as `wavenumber`'s result.
+    """
     if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength!r}")
     k0 = 2.0 * np.pi / wavelength
-    st = np.sin(theta)
-    return k0 * np.array([np.cos(phi) * st, np.sin(phi) * st, np.cos(theta)])
-
-
-def _wavenumber_partials(theta, phi, wavelength: float):
-    """Partials of the wavenumber vector w.r.t. theta and phi, shaped as `wavenumber`."""
-    k0 = 2.0 * np.pi / wavelength
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
+    k = k0 * np.array([cp * st, sp * st, ct])
     dk_dtheta = k0 * np.array([cp * ct, sp * ct, -st])
     dk_dphi = k0 * np.array([-sp * st, cp * st, np.zeros_like(st)])
-    return dk_dtheta, dk_dphi
+    return k, dk_dtheta, dk_dphi
 
 
 def steering(geom: ArrayGeometry, theta: float, phi: float) -> SteeringBundle:
@@ -136,8 +139,7 @@ def steering(geom: ArrayGeometry, theta: float, phi: float) -> SteeringBundle:
     is exactly 1; the partials follow by differentiating the phase.
     """
     n = geom.n_elements
-    k = wavenumber(theta, phi, geom.wavelength)
-    dk_dtheta, dk_dphi = _wavenumber_partials(theta, phi, geom.wavelength)
+    k, dk_dtheta, dk_dphi = wavenumber_with_partials(theta, phi, geom.wavelength)
     phase = geom.elements.T @ k
     a = np.exp(-1j * phase) / np.sqrt(n)
     da_dtheta = -1j * (geom.elements.T @ dk_dtheta) * a

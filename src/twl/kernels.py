@@ -42,10 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayGeometry, _wavenumber_partials, wavenumber
+from .geometry import ArrayGeometry, wavenumber, wavenumber_with_partials
 
 # Directions per step. One step's temporaries take ~6 MB, so they stay in
 # cache: at 10^5 directions on one thread, 1024 ran ~15% faster than 4096.
+# The position pipeline's chunk (`scenario._CHUNK`) is a multiple of it.
 _CHUNK = 1024
 
 
@@ -109,8 +110,7 @@ def steering_forms(
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         th, ph = theta[lo:hi], phi[lo:hi]
-        kvec = wavenumber(th, ph, geometry.wavelength)  # (3, m)
-        dkt, dkp = _wavenumber_partials(th, ph, geometry.wavelength)
+        kvec, dkt, dkp = wavenumber_with_partials(th, ph, geometry.wavelength)  # (3, m) each
         p_row, d_row = (tables.rows @ np.exp(-1j * np.outer(x, kvec[ax0]))).reshape(
             2, n_beams, -1
         )

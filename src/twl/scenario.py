@@ -6,21 +6,31 @@ sampled uniformly over a planar convex region, every position is evaluated
 independently (position/orientation error bounds per protocol and initiator,
 plus link SNR), and results are summarized as empirical quantiles.
 
-`position_tables` computes the link geometry and Jacobian of the positions
-once (`twl.pose`), projects each device's receive codebook W once per
-direction (`twl.kernels`; its transmit codebook is conj(W), so W's
-per-axis factors and G^(-1/2) of G = WᴴW are all the kernel needs), and
-evaluates everything downstream as batched numpy over the positions: the
-channel FIM and its gain elimination (`twl.fim`), and the factored form of
-each distinct protocol EFIM, which carries its angle EFIM: one 4x4 angle
-EFIM inverse per position for each link and for their sum
-(`twl.protocols.efim_factors`).
+`position_tables` streams the positions through one pipeline in chunks of
+4096 (`_CHUNK`). Each chunk runs the link geometry and Jacobian
+(`twl.pose`), projects each device's receive codebook W once per direction
+(`twl.kernels`; its transmit codebook is conj(W), so W's per-axis factors
+and G^(-1/2) of G = WᴴW are all the kernel needs), builds the channel FIM
+and its gain elimination (`twl.fim`), and the factored form of each
+distinct protocol EFIM, which carries its angle EFIM: one 4x4 angle EFIM
+inverse per position for each link and for their sum
+(`twl.protocols.efim_factors`). The chunk's results are written into
+per-position tables allocated up front, and the codebook tables are built
+once per call. So only one chunk of forms and 7x7 channel FIMs is alive at
+a time: at 10^5 positions that cut the peak RSS of `twl cdf` from 241 to
+130 MB. Of the widths timed at 10^5 positions (README, "Library"), 4096
+ran fastest: narrower chunks pay the per-chunk cost of the stages around
+the kernel, and wider ones add their transients to the peak (38 MB more
+at 16384). The kernel keeps its own 1024-direction step inside each
+chunk; 4096 is a multiple of it, so the tables equal those of an
+unchunked run bit for bit.
 `protocol_bounds` picks the factors by key and computes only the
 protocol's delay weight (`twl.protocols.invert_efim`). The single-pose
 functions of those modules call the same stage code. `sweep_antennas`
 resizes the swept device's own array, keeping its wavelength, spacing,
-plane and centre, and shares the geometry stage and the unswept device's
-forms across its antenna counts.
+plane and centre, shares the geometry stage and the unswept device's
+forms across its antenna counts, and runs the counts through the same
+chunked pipeline one at a time.
 
 `REFERENCE_CONFIG` holds the reference setup once, in the CLI's config
 units; `Scenario.from_config` converts it, or any validated config, to a
@@ -28,7 +38,7 @@ scenario.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,10 +54,15 @@ from .fim import eliminate_gain, fim_from_forms
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry
 from .kernels import DeviceTables, beam_factors, steering_forms
 from .pose import _jacobian_batch, _link_angles_batch, rotation_matrix
-from .protocols import PROTOCOLS, delay_weight, efim_factors, invert_efim
+from .protocols import PROTOCOLS, EfimFactors, delay_weight, efim_factors, invert_efim
 
 QUANTILES = (0.1, 0.5, 0.9)
 INITIATORS = ("bs", "ue")
+# Transmission links, anchor to terminal first.
+_LINKS = ("bs_to_ue", "ue_to_bs")
+# Positions per chunk of the position pipeline; a multiple of the kernel's
+# 1024-direction step (see the module docstring for the measurements).
+_CHUNK = 4096
 # Boundary slack of `Region.contains` (height in m, edge cross products in m²).
 _CONTAINS_TOL = 1e-9
 
@@ -272,19 +287,23 @@ def percentile(values, q: float, unidentifiable=None) -> float:
 class PositionTables:
     """Per-position ingredients shared by all protocols and sweeps.
 
-    ``angle_efim``/``delay_info`` are keyed by transmission link
-    ("bs_to_ue", "ue_to_bs") in the anchor-first parameter ordering.
-    ``factors`` holds the `EfimFactors`, with its angle EFIM, of each
-    distinct protocol: one link's, keyed by that link (owl and rlp), and
-    the sum of both, keyed "clp".
+    ``delay_info`` is keyed by transmission link ("bs_to_ue", "ue_to_bs")
+    in the anchor-first parameter ordering. ``factors`` holds the
+    `EfimFactors`, with its angle EFIM, of each distinct protocol: one
+    link's, keyed by that link (owl and rlp), and the sum of both, keyed
+    "clp".
     """
 
     positions: np.ndarray
     snr_db: np.ndarray
     jacobian: np.ndarray  # (n, 5, 5)
-    angle_efim: dict
     delay_info: dict
     factors: dict
+
+    @property
+    def angle_efim(self) -> dict:
+        """Each link's (n, 4, 4) angle EFIM: its factors' ``angle``, not a copy."""
+        return {link: self.factors[link].angle for link in _LINKS}
 
 
 @dataclass(frozen=True)
@@ -321,12 +340,11 @@ def _beam_directions(scenario: Scenario) -> dict:
     return {"bs": bs_dirs, "ue": [reverse_direction(th, ph) for th, ph in bs_dirs]}
 
 
-def _device_forms(scenario: Scenario, device: str, directions: dict, geo: dict):
+def _device_forms(scenario: Scenario, device: str, tables: DeviceTables, geo: dict):
     """(t_forms, r_forms) of one device ("bs" or "ue") at its link angles."""
-    geom = getattr(scenario, f"{device}_array")
     end = "1" if device == "bs" else "2"
     return steering_forms(
-        geom, _device_tables(geom, directions[device]),
+        getattr(scenario, f"{device}_array"), tables,
         theta=geo[f"theta{end}"], phi=geo[f"phi{end}"],
     )
 
@@ -345,30 +363,55 @@ def position_tables(
     if positions is None:
         positions = sample_positions(scenario.region, scenario.n_samples, scenario.seed)
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    geo, jac = _pose_tables(scenario, positions)
     dirs = _beam_directions(scenario)
-    links = _link_tables(
-        scenario, geo, {d: _device_forms(scenario, d, dirs, geo) for d in ("bs", "ue")}
-    )
-    return _with_factors(positions, jac, *links)
+    devices = {d: _device_tables(getattr(scenario, f"{d}_array"), dirs[d]) for d in dirs}
+    return _stream_tables(scenario, positions, devices)
 
 
-def _with_factors(positions, jac, snr, angle_efim, delay) -> PositionTables:
-    # Called once the steering forms and channel FIMs are freed, so the
-    # factors do not add to the peak memory.
-    keys = ("bs_to_ue", "ue_to_bs", "clp")
-    both = angle_efim["bs_to_ue"] + angle_efim["ue_to_bs"]
-    factors = dict(zip(keys, efim_factors(jac, *(angle_efim[k] for k in keys[:2]), both)))
+def _stream_tables(scenario, positions, devices, shared=None) -> PositionTables:
+    """Run pose -> forms -> link tables -> factors over chunks of positions.
+
+    Only one chunk of each stage is alive at a time; its results go into
+    per-position tables allocated up front. ``devices`` maps each device
+    whose forms the kernel computes per chunk to its `DeviceTables`.
+    ``shared``, when given, is (geometry, Jacobian, {device: forms}) of all
+    positions, computed once by the caller and sliced per chunk.
+    """
+    n = positions.shape[0]
+    jac = np.empty((n, 5, 5)) if shared is None else shared[1]
+    snr = np.empty(n)
+    delay = {link: np.empty(n) for link in _LINKS}
+    factors = {
+        key: EfimFactors(np.empty((n, 4, 4)), np.empty((n, 2)), np.empty((n, 2)),
+                         np.empty((n, 2)))
+        for key in (*_LINKS, "clp")
+    }
+    for lo in range(0, n, _CHUNK):
+        rows = slice(lo, min(lo + _CHUNK, n))
+        if shared is None:
+            geo, jac[rows] = _pose_tables(scenario, positions[rows])
+            forms = {}
+        else:  # the rotation is per call, not per position; no chunk stage reads it
+            geo = {k: v[rows] for k, v in shared[0].items() if k != "rot"}
+            forms = {d: (t[rows], r[rows]) for d, (t, r) in shared[2].items()}
+        forms.update({d: _device_forms(scenario, d, dev, geo) for d, dev in devices.items()})
+        snr[rows], angle, chunk_delay = _link_tables(scenario, geo, forms)
+        both = angle["bs_to_ue"] + angle["ue_to_bs"]
+        for key, chunk in zip(factors, efim_factors(jac[rows], *angle.values(), both)):
+            for f in fields(EfimFactors):
+                getattr(factors[key], f.name)[rows] = getattr(chunk, f.name)
+        for link in _LINKS:
+            delay[link][rows] = chunk_delay[link]
     return PositionTables(
-        positions=positions, snr_db=snr, jacobian=jac,
-        angle_efim=angle_efim, delay_info=delay, factors=factors,
+        positions=positions, snr_db=snr, jacobian=jac, delay_info=delay, factors=factors,
     )
 
 
 def _link_tables(scenario: Scenario, geo: dict, forms: dict):
     """SNR, angle EFIMs and delay information of both links, per position.
 
-    ``forms`` maps "bs" and "ue" to that device's `steering_forms`.
+    ``forms`` maps "bs" and "ue" to that device's `steering_forms`. The
+    angle EFIMs and delay information are keyed by link, in `_LINKS` order.
     """
     lam = scenario.signal.wavelength
     t_bs, r_bs = forms["bs"]
@@ -387,14 +430,13 @@ def _link_tables(scenario: Scenario, geo: dict, forms: dict):
 
     angle_efim = {}
     delay = {}
-    for link, (t_tx, r_rx, direction) in {
-        "bs_to_ue": (t_bs, r_ue, "forward"),
-        "ue_to_bs": (t_ue, r_bs, "backward"),
-    }.items():
+    for link, (t_tx, r_rx, direction) in zip(_LINKS, (
+        (t_bs, r_ue, "forward"),
+        (t_ue, r_bs, "backward"),
+    )):
         jm = fim_from_forms(t_tx, r_rx, gamma, beta, scenario.signal.weff2, direction)
         angle_efim[link] = eliminate_gain(jm)
-        # A copy, not a view: a view would keep the whole (n, 7, 7) FIM alive.
-        delay[link] = jm[:, 6, 6].copy()
+        delay[link] = jm[:, 6, 6]
     return snr, angle_efim, delay
 
 
@@ -483,7 +525,8 @@ def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
     positions, their link geometry and Jacobian, and the other side's
     steering forms are computed once and shared by every count, so rows are
     directly comparable across counts and only the swept device goes
-    through the kernel per count.
+    through the kernel per count. The counts run one after another through
+    the chunked pipeline, so one count's tables are alive at a time.
     """
     if side not in ("bs", "ue"):
         raise ValueError(f"side must be 'bs' or 'ue', got {side!r}")
@@ -495,15 +538,14 @@ def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
     geo, jac = _pose_tables(scenario, positions)
     dirs = _beam_directions(scenario)
     other = "ue" if side == "bs" else "bs"
-    fixed = _device_forms(scenario, other, dirs, geo)
+    other_tables = _device_tables(getattr(scenario, f"{other}_array"), dirs[other])
+    shared = (geo, jac, {other: _device_forms(scenario, other, other_tables, geo)})
     rows = []
     for count, edge in zip(counts, edges):
         arr = replace(getattr(scenario, f"{side}_array"), rows=edge, cols=edge)
         swept = replace(scenario, **{f"{side}_array": arr})
-        links = _link_tables(
-            swept, geo, {side: _device_forms(swept, side, dirs, geo), other: fixed}
-        )
-        tables = _with_factors(positions, jac, *links)
+        devices = {side: _device_tables(arr, dirs[side])}
+        tables = _stream_tables(swept, positions, devices, shared)
         for protocol in scenario.protocols:
             for initiator in scenario.initiators:
                 samples = protocol_bounds(tables, protocol, initiator)
@@ -514,4 +556,5 @@ def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
                     "initiator": initiator,
                     "peb90_m": percentile(samples.peb, 0.9, ~samples.identifiable),
                 })
+        del tables  # so that the next count's tables are the only ones alive
     return rows

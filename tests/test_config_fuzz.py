@@ -4,16 +4,21 @@ Configs are drawn key by key from `cli._CONFIG_SPEC` (any subset of keys
 overridden, the rest at their defaults) with at most 50 positions, and run
 through `cli.main` for the batch subcommands. A run must return 0 with rows
 (`inf` allowed), 2 with a `twl: error:` message, or 3 with `inf` rows; an
-exception, numpy's `RuntimeWarning`s included, fails the test. `point` is
-left out: its position at the anchor's nadir still ends in a traceback.
+exception, numpy's `RuntimeWarning`s included, fails the test. The
+position pipeline's chunk is set to 7 positions, so most runs cross chunk
+boundaries, and the singular and overflowing cases meet them per chunk.
+`point` is left out: its position at the anchor's nadir still ends in a
+traceback.
 """
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import twl.scenario
 from twl.cli import _CONFIG_SPEC, main
 from twl.geometry import SPEED_OF_LIGHT
 
@@ -89,6 +94,17 @@ NON_SQUARE = [
      "n_beams": 9},
 ]
 
+#: exactly singular angle EFIMs in every chunk (`protocols._inverse`'s
+#: `LinAlgError` fallback), a link budget past the float range, and a
+#: subnormal smallest EFIM eigenvalue
+SINGULAR = [
+    {"n_positions": 20, "n_beams": 1, "bs_rows": 1, "bs_cols": 1},
+    {"n_positions": 20, "n_beams": 1, "ue_rows": 1, "ue_cols": 12},
+    {"n_positions": 20, "power_dbm": 3000.0},
+    {"n_positions": 20, "ue_rows": 1, "n_beams": 1,
+     "orientation_deg": [-9.745956736650328, -9.224055508374545e-138]},
+]
+
 
 def test_every_key_has_a_strategy():
     assert set(VALUES) == set(_CONFIG_SPEC)
@@ -113,5 +129,12 @@ def _run(tmp_path, subcommand, config):
 @given(config=configs)
 @example(config=NON_SQUARE[0])
 @example(config=NON_SQUARE[1])
+@example(config=SINGULAR[0])
+@example(config=SINGULAR[1])
+@example(config=SINGULAR[2])
+@example(config=SINGULAR[3])
 def test_batch_subcommands_end_in_rows_or_an_exit_code(tmp_path_factory, subcommand, config):
-    _run(tmp_path_factory.mktemp("fuzz"), subcommand, config)
+    # patched here, not by a fixture: hypothesis runs every example in one
+    # call of a function-scoped fixture
+    with mock.patch.object(twl.scenario, "_CHUNK", 7):
+        _run(tmp_path_factory.mktemp("fuzz"), subcommand, config)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from twl.geometry import ArrayGeometry, _wavenumber_partials, steering, wavenumber
+from twl.geometry import ArrayGeometry, steering, wavenumber, wavenumber_with_partials
 
 
 def test_make_ura_single_element_at_origin():
@@ -142,9 +142,10 @@ def test_wavenumber_and_partials_batch_over_angle_arrays(rng):
     lam = 0.0078
     theta = rng.uniform(0.0, np.pi, 7)
     phi = rng.uniform(-np.pi, np.pi, 7)
-    batched = (wavenumber(theta, phi, lam), *_wavenumber_partials(theta, phi, lam))
+    batched = wavenumber_with_partials(theta, phi, lam)
+    np.testing.assert_array_equal(wavenumber(theta, phi, lam), batched[0])
     for i in range(7):
-        single = (wavenumber(theta[i], phi[i], lam), *_wavenumber_partials(theta[i], phi[i], lam))
+        single = wavenumber_with_partials(theta[i], phi[i], lam)
         for b, s in zip(batched, single):
             assert b.shape == (3, 7)
             np.testing.assert_array_equal(b[:, i], s)
@@ -161,7 +162,7 @@ def test_wavenumber_partials_match_finite_differences(rng):
     k0 = 2 * np.pi / lam
     theta = rng.uniform(0.0, np.pi, 50)
     phi = rng.uniform(-np.pi, np.pi, 50)
-    dk_dtheta, dk_dphi = _wavenumber_partials(theta, phi, lam)
+    _, dk_dtheta, dk_dphi = wavenumber_with_partials(theta, phi, lam)
     fd_theta = (wavenumber(theta + h, phi, lam) - wavenumber(theta - h, phi, lam)) / (2 * h)
     fd_phi = (wavenumber(theta, phi + h, lam) - wavenumber(theta, phi - h, lam)) / (2 * h)
     np.testing.assert_allclose(dk_dtheta, fd_theta, rtol=0, atol=1e-8 * k0)

@@ -1,9 +1,13 @@
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import twl.kernels
+import twl.scenario
+from twl.protocols import EfimFactors
 from twl.scenario import (
     Region,
     Scenario,
@@ -158,6 +162,126 @@ def test_delay_info_owns_its_data(quick_scenario):
     tables = position_tables(quick_scenario)
     for link, delay in tables.delay_info.items():
         assert delay.base is None, link
+
+
+def _table_arrays(tables):
+    """Every per-position array of a `PositionTables`, by name."""
+    arrays = {"positions": tables.positions, "snr_db": tables.snr_db,
+              "jacobian": tables.jacobian}
+    arrays.update({f"delay_info[{k}]": v for k, v in tables.delay_info.items()})
+    arrays.update({
+        f"factors[{k}].{f.name}": getattr(v, f.name)
+        for k, v in tables.factors.items() for f in fields(EfimFactors)
+    })
+    return arrays
+
+
+def test_angle_efim_is_a_view_of_the_link_factors(quick_scenario):
+    tables = position_tables(quick_scenario)
+    assert "angle_efim" not in {f.name for f in fields(tables)}
+    for link in ("bs_to_ue", "ue_to_bs"):
+        assert tables.angle_efim[link] is tables.factors[link].angle
+
+
+def _chunk_width(monkeypatch, chunk):
+    """The module's pipeline chunk, or ``chunk`` for both it and the kernel's step.
+
+    BLAS blocks the kernel's products by their width, which moves their last
+    bits (a few 1e-15 relative between steps of 37 and 1024). The module's
+    chunk is a multiple of the kernel's step, so both see the same steps as
+    an unchunked call; a width that is not gets the kernel's step set to it.
+    """
+    if chunk is None:
+        return twl.scenario._CHUNK
+    monkeypatch.setattr(twl.kernels, "_CHUNK", chunk)
+    monkeypatch.setattr(twl.scenario, "_CHUNK", chunk)
+    return chunk
+
+
+@pytest.mark.parametrize("chunk", [37, None], ids=["odd", "module"])
+def test_chunked_tables_equal_one_chunk(monkeypatch, chunk):
+    """Chunking the positions changes no table entry, bound or flag.
+
+    n is no multiple of the chunk and crosses the kernel's step boundaries.
+    The position [10, 0, 0] has an exactly singular Jacobian (a horizontal
+    link along the terminal's x axis), so in chunks only its own chunk takes
+    the `LinAlgError` fallback of `protocols._inverse`.
+    """
+    scn = Scenario.reference_defaults()
+    chunk = _chunk_width(monkeypatch, chunk)
+    n = chunk + 1100
+    positions = sample_positions(scn.region, n, 5)
+    positions[chunk + 5] = [10.0, 0.0, 0.0]
+    chunked = position_tables(scn, positions)
+    monkeypatch.setattr(twl.scenario, "_CHUNK", n)
+    whole = position_tables(scn, positions)
+    expected = _table_arrays(whole)
+    for name, array in _table_arrays(chunked).items():
+        np.testing.assert_array_equal(array, expected[name], err_msg=name)
+    assert np.isnan(whole.factors["clp"].pos[chunk + 5]).all()
+    for protocol in ("owl", "rlp", "clp"):
+        for initiator in ("bs", "ue"):
+            a = protocol_bounds(chunked, protocol, initiator)
+            b = protocol_bounds(whole, protocol, initiator)
+            np.testing.assert_array_equal(a.identifiable, b.identifiable)
+            np.testing.assert_array_equal(a.peb, b.peb)
+            np.testing.assert_array_equal(a.oeb, b.oeb)
+            assert not a.identifiable[chunk + 5] and a.identifiable.sum() == n - 1
+
+
+@pytest.mark.parametrize("chunk", [37, None], ids=["odd", "module"])
+def test_chunked_sweep_equals_one_chunk(monkeypatch, chunk):
+    chunk = _chunk_width(monkeypatch, chunk)
+    scn = Scenario.reference_defaults(n_samples=chunk + 1100, seed=6)
+    chunked = sweep_antennas(scn, [36, 144], "bs")
+    monkeypatch.setattr(twl.scenario, "_CHUNK", scn.n_samples)
+    assert chunked == sweep_antennas(scn, [36, 144], "bs")
+
+
+def test_position_tables_transient_memory_does_not_grow_with_n():
+    """The peak above the returned tables is one chunk's, whatever n.
+
+    Measured with `tracemalloc` at 2 and 8 chunks of positions: the peak
+    minus the bytes the tables keep may grow by at most 5% of what the kept
+    bytes grow by. Holding every stage for all positions at once would grow
+    it by about twice that.
+    """
+    scn = Scenario.reference_defaults()
+    retained, extra = [], []
+    for n in (2 * twl.scenario._CHUNK, 8 * twl.scenario._CHUNK):
+        positions = sample_positions(scn.region, n, 3)
+        tracemalloc.start()
+        try:
+            tables = position_tables(scn, positions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = _table_arrays(tables)
+        del arrays["positions"]  # allocated before the trace started
+        retained.append(sum(a.nbytes for a in arrays.values()))
+        extra.append(peak - retained[-1])
+        del tables, arrays
+    assert extra[1] - extra[0] <= 0.05 * (retained[1] - retained[0]), (retained, extra)
+
+
+def test_sweep_antennas_holds_one_count_of_tables():
+    """Three counts peak no higher than one: each count's tables are freed first.
+
+    At 2 chunks of positions one count's own tables (SNR, delays and
+    factors; the Jacobian is shared) take about 4.5 MB; the peaks, by
+    `tracemalloc`, may differ by at most a quarter of that.
+    """
+    scn = Scenario.reference_defaults(n_samples=2 * twl.scenario._CHUNK, seed=8)
+    peaks = []
+    for counts in ([144], [144, 144, 144]):
+        tracemalloc.start()
+        try:
+            sweep_antennas(scn, counts, "bs")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one_count = scn.n_samples * 8 * (1 + 2 + 3 * (16 + 6))
+    assert peaks[1] - peaks[0] <= one_count / 4, (peaks, one_count)
 
 
 def test_protocol_bounds_validation(quick_scenario):
