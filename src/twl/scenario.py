@@ -411,7 +411,8 @@ def _link_tables(scenario: Scenario, geo: dict, forms: dict):
     """SNR, angle EFIMs and delay information of both links, per position.
 
     ``forms`` maps "bs" and "ue" to that device's `steering_forms`. The
-    angle EFIMs and delay information are keyed by link, in `_LINKS` order.
+    angle EFIMs and delay information are keyed by link, in `_LINKS` order;
+    the delay information is a view of the chunk's channel FIMs.
     """
     lam = scenario.signal.wavelength
     t_bs, r_bs = forms["bs"]
@@ -430,10 +431,10 @@ def _link_tables(scenario: Scenario, geo: dict, forms: dict):
 
     angle_efim = {}
     delay = {}
-    for link, (t_tx, r_rx, direction) in zip(_LINKS, (
-        (t_bs, r_ue, "forward"),
-        (t_ue, r_bs, "backward"),
-    )):
+    for link, (t_tx, r_rx, direction) in {
+        "bs_to_ue": (t_bs, r_ue, "forward"),
+        "ue_to_bs": (t_ue, r_bs, "backward"),
+    }.items():
         jm = fim_from_forms(t_tx, r_rx, gamma, beta, scenario.signal.weff2, direction)
         angle_efim[link] = eliminate_gain(jm)
         delay[link] = jm[:, 6, 6]
