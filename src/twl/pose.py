@@ -143,12 +143,7 @@ def _link_angles_batch(positions: np.ndarray, rot: np.ndarray):
     }
 
 
-def channel_geometry(
-    ue: Pose,
-    wavelength: float,
-    c: float = SPEED_OF_LIGHT,
-    psi: float = 0.0,
-) -> ChannelGeometry:
+def channel_geometry(ue: Pose, wavelength: float, c: float = SPEED_OF_LIGHT) -> ChannelGeometry:
     """Channel parameters implied by a terminal pose.
 
     Pair-1 angles are the anchor-frame direction of the terminal, pair-2 the
@@ -159,7 +154,7 @@ def channel_geometry(
     r = g["r"][0]
     return ChannelGeometry(
         theta1=g["theta1"][0], phi1=g["phi1"][0], theta2=g["theta2"][0], phi2=g["phi2"][0],
-        tau=r / c, beta=wavelength / (4.0 * np.pi * r), psi=psi,
+        tau=r / c, beta=wavelength / (4.0 * np.pi * r),
     )
 
 

@@ -6,31 +6,38 @@ sampled uniformly over a planar convex region, every position is evaluated
 independently (position/orientation error bounds per protocol and initiator,
 plus link SNR), and results are summarized as empirical quantiles.
 
-`position_tables` streams the positions through one pipeline in chunks of
-4096 (`_CHUNK`). Each chunk runs the link geometry and Jacobian
-(`twl.pose`), projects each device's receive codebook W once per direction
+Every subcommand streams its positions through one pipeline, `_stream`,
+in chunks of 4096 (`_CHUNK`). Each chunk runs the link geometry and
+Jacobian (`twl.pose`) once. Then, for each variant of the scenario, it
+projects each device's receive codebook W once per direction
 (`twl.kernels`; its transmit codebook is conj(W), so W's per-axis factors
 and G^(-1/2) of G = WᴴW are all the kernel needs), builds the channel FIM
 and its gain elimination (`twl.fim`), and the factored form of each
 distinct protocol EFIM, which carries its angle EFIM: one 4x4 angle EFIM
 inverse per position for each link and for their sum
-(`twl.protocols.efim_factors`). The chunk's results are written into
-per-position tables allocated up front, and the codebook tables are built
-once per call. So only one chunk of forms and 7x7 channel FIMs is alive at
-a time: at 10^5 positions that cut the peak RSS of `twl cdf` from 241 to
-130 MB. Of the widths timed at 10^5 positions (README, "Library"), 4096
-ran fastest: narrower chunks pay the per-chunk cost of the stages around
-the kernel, and wider ones add their transients to the peak (38 MB more
-at 16384). The kernel keeps its own 1024-direction step inside each
-chunk; 4096 is a multiple of it, so the tables equal those of an
-unchunked run bit for bit.
+(`twl.protocols.efim_factors`). The callers run `protocol_bounds` on each
+chunk's tables and keep only what they report: `run_cdf` the SNR and each
+pair's bounds, the sweeps each cell's PEB. No Jacobian, angle EFIM or
+channel FIM outlives its chunk, so the memory a call needs beyond its
+results does not grow with the number of positions.
+
+Variants differ only in their arrays. `sweep_antennas` has one per
+antenna count: it resizes the swept device's own array, keeping its
+wavelength, spacing, plane and centre, and per chunk only that device's
+forms are recomputed per count. `sweep_bandwidth` has one variant, read at
+one delay scale per bandwidth. The codebook tables of each distinct array
+are built once per call. `position_tables` runs the same pipeline as one
+chunk over the positions it is given: the n-position view that
+`twl point` and the tests read.
+
+Of the widths timed at 10^5 positions (README, "Library"), 4096 ran
+fastest: narrower chunks pay the per-chunk cost of the stages around the
+kernel, and wider ones add their transients to the peak. The kernel keeps
+its own 1024-direction step inside each chunk; 4096 is a multiple of it,
+so the results equal those of an unchunked run bit for bit.
 `protocol_bounds` picks the factors by key and computes only the
 protocol's delay weight (`twl.protocols.invert_efim`). The single-pose
-functions of those modules call the same stage code. `sweep_antennas`
-resizes the swept device's own array, keeping its wavelength, spacing,
-plane and centre, shares the geometry stage and the unswept device's
-forms across its antenna counts, and runs the counts through the same
-chunked pipeline one at a time.
+functions of those modules call the same stage code.
 
 `REFERENCE_CONFIG` holds the reference setup once, in the CLI's config
 units; `Scenario.from_config` converts it, or any validated config, to a
@@ -38,7 +45,7 @@ scenario.
 """
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,7 +61,7 @@ from .fim import eliminate_gain, fim_from_forms
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry
 from .kernels import DeviceTables, beam_factors, steering_forms
 from .pose import _jacobian_batch, _link_angles_batch, rotation_matrix
-from .protocols import PROTOCOLS, EfimFactors, delay_weight, efim_factors, invert_efim
+from .protocols import PROTOCOLS, delay_weight, efim_factors, invert_efim
 
 QUANTILES = (0.1, 0.5, 0.9)
 INITIATORS = ("bs", "ue")
@@ -317,10 +324,8 @@ class BoundSamples:
 
 @dataclass(frozen=True)
 class CdfResult:
-    """Per-position records plus the empirical quantile table."""
+    """Per-position bounds plus the empirical quantile table."""
 
-    positions: np.ndarray
-    snr_db: np.ndarray
     bounds: dict  # (protocol, initiator) -> BoundSamples
     quantile_rows: list  # dicts matching the cdf output schema
 
@@ -340,79 +345,58 @@ def _beam_directions(scenario: Scenario) -> dict:
     return {"bs": bs_dirs, "ue": [reverse_direction(th, ph) for th, ph in bs_dirs]}
 
 
-def _device_forms(scenario: Scenario, device: str, tables: DeviceTables, geo: dict):
-    """(t_forms, r_forms) of one device ("bs" or "ue") at its link angles."""
-    end = "1" if device == "bs" else "2"
-    return steering_forms(
-        getattr(scenario, f"{device}_array"), tables,
-        theta=geo[f"theta{end}"], phi=geo[f"phi{end}"],
-    )
-
-
-def _pose_tables(scenario: Scenario, positions: np.ndarray):
-    """Link geometry and the (n, 5, 5) Jacobian of the positions."""
-    zeta0, chi0 = scenario.orientation
-    geo = _link_angles_batch(positions, rotation_matrix(zeta0, chi0))
-    return geo, _jacobian_batch(geo, zeta0, chi0, scenario.signal.c)
-
-
 def position_tables(
     scenario: Scenario, positions: np.ndarray | None = None
 ) -> PositionTables:
-    """Evaluate the per-position FIM ingredients of a scenario."""
+    """The per-position FIM ingredients of a scenario, as one chunk."""
     if positions is None:
         positions = sample_positions(scenario.region, scenario.n_samples, scenario.seed)
     positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    dirs = _beam_directions(scenario)
-    devices = {d: _device_tables(getattr(scenario, f"{d}_array"), dirs[d]) for d in dirs}
-    return _stream_tables(scenario, positions, devices)
+    ((_, _, tables),) = _stream([scenario], positions, chunk=positions.shape[0])
+    return tables
 
 
-def _stream_tables(scenario, positions, devices, shared=None) -> PositionTables:
-    """Run pose -> forms -> link tables -> factors over chunks of positions.
+def _stream(variants, positions, chunk=None):
+    """Yield (rows, k, `PositionTables` of those rows) per chunk and variant k.
 
-    Only one chunk of each stage is alive at a time; its results go into
-    per-position tables allocated up front. ``devices`` maps each device
-    whose forms the kernel computes per chunk to its `DeviceTables`.
-    ``shared``, when given, is (geometry, Jacobian, {device: forms}) of all
-    positions, computed once by the caller and sliced per chunk.
+    Variants are scenarios that differ only in their arrays. Each chunk of
+    positions runs the pose stage once, then for each variant recomputes a
+    device's forms only when its array differs from the previous variant's.
+    Each distinct array's codebook tables are built once per call. Callers
+    drop a chunk's tables before asking for the next ones, so that one
+    chunk is alive at a time.
     """
+    dirs = _beam_directions(variants[0])
+    distinct = dict.fromkeys((d, getattr(v, f"{d}_array")) for v in variants for d in dirs)
+    codebooks = {(d, array): _device_tables(array, dirs[d]) for d, array in distinct}
+    zeta0, chi0 = variants[0].orientation
+    rot = rotation_matrix(zeta0, chi0)
     n = positions.shape[0]
-    jac = np.empty((n, 5, 5)) if shared is None else shared[1]
-    snr = np.empty(n)
-    delay = {link: np.empty(n) for link in _LINKS}
-    factors = {
-        key: EfimFactors(np.empty((n, 4, 4)), np.empty((n, 2)), np.empty((n, 2)),
-                         np.empty((n, 2)))
-        for key in (*_LINKS, "clp")
-    }
-    for lo in range(0, n, _CHUNK):
-        rows = slice(lo, min(lo + _CHUNK, n))
-        if shared is None:
-            geo, jac[rows] = _pose_tables(scenario, positions[rows])
-            forms = {}
-        else:  # the rotation is per call, not per position; no chunk stage reads it
-            geo = {k: v[rows] for k, v in shared[0].items() if k != "rot"}
-            forms = {d: (t[rows], r[rows]) for d, (t, r) in shared[2].items()}
-        forms.update({d: _device_forms(scenario, d, dev, geo) for d, dev in devices.items()})
-        snr[rows], angle, chunk_delay = _link_tables(scenario, geo, forms)
-        both = angle["bs_to_ue"] + angle["ue_to_bs"]
-        for key, chunk in zip(factors, efim_factors(jac[rows], *angle.values(), both)):
-            for f in fields(EfimFactors):
-                getattr(factors[key], f.name)[rows] = getattr(chunk, f.name)
-        for link in _LINKS:
-            delay[link][rows] = chunk_delay[link]
-    return PositionTables(
-        positions=positions, snr_db=snr, jacobian=jac, delay_info=delay, factors=factors,
-    )
+    chunk = chunk or _CHUNK
+    forms = {}
+    for lo in range(0, n, chunk):
+        rows = slice(lo, min(lo + chunk, n))
+        geo = _link_angles_batch(positions[rows], rot)
+        jac = _jacobian_batch(geo, zeta0, chi0, variants[0].signal.c)
+        for k, variant in enumerate(variants):
+            for device, end in (("bs", "1"), ("ue", "2")):
+                array = getattr(variant, f"{device}_array")
+                if k and array == getattr(variants[k - 1], f"{device}_array"):
+                    continue
+                forms.pop(device, None)  # free the stale forms before the kernel runs
+                forms[device] = steering_forms(
+                    array, codebooks[device, array],
+                    theta=geo[f"theta{end}"], phi=geo[f"phi{end}"],
+                )
+            yield rows, k, _link_tables(variant, positions[rows], geo, jac, forms)
 
 
-def _link_tables(scenario: Scenario, geo: dict, forms: dict):
-    """SNR, angle EFIMs and delay information of both links, per position.
+def _link_tables(scenario: Scenario, positions, geo: dict, jac, forms: dict):
+    """`PositionTables` of one chunk of positions under one scenario.
 
     ``forms`` maps "bs" and "ue" to that device's `steering_forms`. The
-    angle EFIMs and delay information are keyed by link, in `_LINKS` order;
-    the delay information is a view of the chunk's channel FIMs.
+    delay information is keyed by link, in `_LINKS` order, and copied out
+    of the chunk's channel FIMs, so that it does not keep them alive.
     """
     lam = scenario.signal.wavelength
     t_bs, r_bs = forms["bs"]
@@ -429,16 +413,20 @@ def _link_tables(scenario: Scenario, geo: dict, forms: dict):
     with np.errstate(over="ignore"):
         snr = 10.0 * np.log10(gamma * beta**2 * t_ue[:, 0, 0].real * t_bs[:, 0, 0].real)
 
-    angle_efim = {}
+    angle = {}
     delay = {}
     for link, (t_tx, r_rx, direction) in {
         "bs_to_ue": (t_bs, r_ue, "forward"),
         "ue_to_bs": (t_ue, r_bs, "backward"),
     }.items():
         jm = fim_from_forms(t_tx, r_rx, gamma, beta, scenario.signal.weff2, direction)
-        angle_efim[link] = eliminate_gain(jm)
-        delay[link] = jm[:, 6, 6]
-    return snr, angle_efim, delay
+        angle[link] = eliminate_gain(jm)
+        delay[link] = jm[:, 6, 6].copy()
+    both = angle["bs_to_ue"] + angle["ue_to_bs"]
+    factors = dict(zip((*_LINKS, "clp"), efim_factors(jac, *angle.values(), both)))
+    return PositionTables(
+        positions=positions, snr_db=snr, jacobian=jac, delay_info=delay, factors=factors,
+    )
 
 
 def protocol_bounds(
@@ -465,30 +453,62 @@ def protocol_bounds(
 
 
 def run_cdf(scenario: Scenario) -> CdfResult:
-    """Sample the region and evaluate every requested protocol/initiator."""
-    tables = position_tables(scenario)
-    snr_p10 = percentile(tables.snr_db, 0.1)
-    bounds = {}
+    """Sample the region and evaluate every requested protocol/initiator.
+
+    Streams the positions: only the SNR and each pair's bounds are kept.
+    """
+    positions = sample_positions(scenario.region, scenario.n_samples, scenario.seed)
+    n = positions.shape[0]
+    snr = np.empty(n)
+    bounds = {
+        (protocol, initiator): BoundSamples(np.empty(n), np.empty(n), np.empty(n, bool))
+        for protocol in scenario.protocols for initiator in scenario.initiators
+    }
+    for rows, _, tables in _stream([scenario], positions):
+        snr[rows] = tables.snr_db
+        for pair, kept in bounds.items():
+            b = protocol_bounds(tables, *pair)
+            kept.peb[rows], kept.oeb[rows], kept.identifiable[rows] = b.peb, b.oeb, b.identifiable
+        del tables  # so that the next chunk's tables are the only ones alive
+    snr_p10 = percentile(snr, 0.1)
     rows = []
-    for protocol in scenario.protocols:
-        for initiator in scenario.initiators:
-            samples = protocol_bounds(tables, protocol, initiator)
-            bounds[(protocol, initiator)] = samples
-            flagged = ~samples.identifiable
-            for q in QUANTILES:
-                rows.append({
-                    "protocol": protocol,
-                    "initiator": initiator,
-                    "quantile": q,
-                    "peb_m": percentile(samples.peb, q, flagged),
-                    "oeb_deg": math.degrees(percentile(samples.oeb, q, flagged)),
-                    "snr_p10_db": snr_p10,
-                    "n_unidentifiable": int(flagged.sum()),
-                })
-    return CdfResult(
-        positions=tables.positions, snr_db=tables.snr_db,
-        bounds=bounds, quantile_rows=rows,
-    )
+    for (protocol, initiator), samples in bounds.items():
+        flagged = ~samples.identifiable
+        for q in QUANTILES:
+            rows.append({
+                "protocol": protocol,
+                "initiator": initiator,
+                "quantile": q,
+                "peb_m": percentile(samples.peb, q, flagged),
+                "oeb_deg": math.degrees(percentile(samples.oeb, q, flagged)),
+                "snr_p10_db": snr_p10,
+                "n_unidentifiable": int(flagged.sum()),
+            })
+    return CdfResult(bounds=bounds, quantile_rows=rows)
+
+
+def _peb90(scenario: Scenario, variants, scales) -> dict:
+    """PEB at the 0.9 quantile per (variant, scale, protocol, initiator) index.
+
+    Streams the scenario's positions under each variant and rescales the
+    delay information by each scale; only each cell's PEB is kept, which
+    `invert_efim` sets to inf wherever a position is unidentifiable.
+    """
+    positions = sample_positions(scenario.region, scenario.n_samples, scenario.seed)
+    cells = {
+        (k, j, protocol, initiator): np.empty(positions.shape[0])
+        for k in range(len(variants)) for j in range(len(scales))
+        for protocol in scenario.protocols for initiator in scenario.initiators
+    }
+    for rows, k, tables in _stream(variants, positions):
+        for j, scale in enumerate(scales):
+            for protocol in scenario.protocols:
+                for initiator in scenario.initiators:
+                    cells[k, j, protocol, initiator][rows] = protocol_bounds(
+                        tables, protocol, initiator, delay_scale=scale
+                    ).peb
+        del tables  # so that the next chunk's tables are the only ones alive
+    return {cell: percentile(peb, 0.9) for cell, peb in cells.items()}
 
 
 def sweep_bandwidth(scenario: Scenario, bandwidths) -> list:
@@ -496,24 +516,19 @@ def sweep_bandwidth(scenario: Scenario, bandwidths) -> list:
 
     Only the effective-bandwidth factor of the delay information varies
     across rows; transmit energy, beams, and sampled positions stay fixed.
+    Each bandwidth is a delay scale of the one position stream.
     """
     bandwidths = [float(w) for w in bandwidths]
     if any(w <= 0 for w in bandwidths) or bandwidths != sorted(bandwidths):
         raise ValueError("bandwidths must be positive and ascending")
-    tables = position_tables(scenario)
-    rows = []
-    for w in bandwidths:
-        scale = (w / scenario.signal.bandwidth) ** 2
-        for protocol in scenario.protocols:
-            for initiator in scenario.initiators:
-                samples = protocol_bounds(tables, protocol, initiator, delay_scale=scale)
-                rows.append({
-                    "w_hz": w,
-                    "protocol": protocol,
-                    "initiator": initiator,
-                    "peb90_m": percentile(samples.peb, 0.9, ~samples.identifiable),
-                })
-    return rows
+    scales = [(w / scenario.signal.bandwidth) ** 2 for w in bandwidths]
+    peb90 = _peb90(scenario, [scenario], scales)
+    return [
+        {"w_hz": w, "protocol": protocol, "initiator": initiator,
+         "peb90_m": peb90[0, j, protocol, initiator]}
+        for j, w in enumerate(bandwidths)
+        for protocol in scenario.protocols for initiator in scenario.initiators
+    ]
 
 
 def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
@@ -522,12 +537,10 @@ def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
     Each count must be a perfect square: the swept side's array is resized
     to edge x edge, keeping its wavelength, spacing, plane and centre, and
     the other side keeps the scenario's array. A square array swept at its
-    own count thus gives `run_cdf`'s 0.9 quantiles bit for bit. The
-    positions, their link geometry and Jacobian, and the other side's
-    steering forms are computed once and shared by every count, so rows are
-    directly comparable across counts and only the swept device goes
-    through the kernel per count. The counts run one after another through
-    the chunked pipeline, so one count's tables are alive at a time.
+    own count thus gives `run_cdf`'s 0.9 quantiles bit for bit. Each count
+    is a variant of the one position stream, so every count sees the same
+    positions, and per chunk the pose stage and the other side's forms run
+    once for all counts.
     """
     if side not in ("bs", "ue"):
         raise ValueError(f"side must be 'bs' or 'ue', got {side!r}")
@@ -535,27 +548,15 @@ def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
     for count, edge in zip(counts, edges):
         if edge * edge != count or count < 1:
             raise ValueError(f"antenna counts must be perfect squares, got {count!r}")
-    positions = sample_positions(scenario.region, scenario.n_samples, scenario.seed)
-    geo, jac = _pose_tables(scenario, positions)
-    dirs = _beam_directions(scenario)
-    other = "ue" if side == "bs" else "bs"
-    other_tables = _device_tables(getattr(scenario, f"{other}_array"), dirs[other])
-    shared = (geo, jac, {other: _device_forms(scenario, other, other_tables, geo)})
-    rows = []
-    for count, edge in zip(counts, edges):
-        arr = replace(getattr(scenario, f"{side}_array"), rows=edge, cols=edge)
-        swept = replace(scenario, **{f"{side}_array": arr})
-        devices = {side: _device_tables(arr, dirs[side])}
-        tables = _stream_tables(swept, positions, devices, shared)
-        for protocol in scenario.protocols:
-            for initiator in scenario.initiators:
-                samples = protocol_bounds(tables, protocol, initiator)
-                rows.append({
-                    "side": side,
-                    "n_antennas": int(count),
-                    "protocol": protocol,
-                    "initiator": initiator,
-                    "peb90_m": percentile(samples.peb, 0.9, ~samples.identifiable),
-                })
-        del tables  # so that the next count's tables are the only ones alive
-    return rows
+    own = getattr(scenario, f"{side}_array")
+    variants = [
+        replace(scenario, **{f"{side}_array": replace(own, rows=edge, cols=edge)})
+        for edge in edges
+    ]
+    peb90 = _peb90(scenario, variants, [1.0])
+    return [
+        {"side": side, "n_antennas": int(count), "protocol": protocol,
+         "initiator": initiator, "peb90_m": peb90[k, 0, protocol, initiator]}
+        for k, count in enumerate(counts)
+        for protocol in scenario.protocols for initiator in scenario.initiators
+    ]

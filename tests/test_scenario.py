@@ -7,7 +7,6 @@ import pytest
 
 import twl.kernels
 import twl.scenario
-from twl.protocols import EfimFactors
 from twl.scenario import (
     Region,
     Scenario,
@@ -164,18 +163,6 @@ def test_delay_info_owns_its_data(quick_scenario):
         assert delay.base is None, link
 
 
-def _table_arrays(tables):
-    """Every per-position array of a `PositionTables`, by name."""
-    arrays = {"positions": tables.positions, "snr_db": tables.snr_db,
-              "jacobian": tables.jacobian}
-    arrays.update({f"delay_info[{k}]": v for k, v in tables.delay_info.items()})
-    arrays.update({
-        f"factors[{k}].{f.name}": getattr(v, f.name)
-        for k, v in tables.factors.items() for f in fields(EfimFactors)
-    })
-    return arrays
-
-
 def test_angle_efim_is_a_view_of_the_link_factors(quick_scenario):
     tables = position_tables(quick_scenario)
     assert "angle_efim" not in {f.name for f in fields(tables)}
@@ -200,33 +187,41 @@ def _chunk_width(monkeypatch, chunk):
 
 @pytest.mark.parametrize("chunk", [37, None], ids=["odd", "module"])
 def test_chunked_tables_equal_one_chunk(monkeypatch, chunk):
-    """Chunking the positions changes no table entry, bound or flag.
+    """Chunking the positions changes no SNR, bound, flag or row.
 
-    n is no multiple of the chunk and crosses the kernel's step boundaries.
-    The position [10, 0, 0] has an exactly singular Jacobian (a horizontal
-    link along the terminal's x axis), so in chunks only its own chunk takes
-    the `LinAlgError` fallback of `protocols._inverse`.
+    `run_cdf` and `sweep_bandwidth` stream n positions, no multiple of the
+    chunk, in chunks and then as one chunk. The position [10, 0, 0] has an
+    exactly singular Jacobian (a horizontal link along the terminal's x
+    axis), so in chunks only its own chunk takes the `LinAlgError` fallback
+    of `protocols._inverse`; it must be the only unidentifiable position.
     """
     scn = Scenario.reference_defaults()
     chunk = _chunk_width(monkeypatch, chunk)
     n = chunk + 1100
     positions = sample_positions(scn.region, n, 5)
     positions[chunk + 5] = [10.0, 0.0, 0.0]
-    chunked = position_tables(scn, positions)
+    monkeypatch.setattr(twl.scenario, "sample_positions", lambda *args: positions)
+    bandwidths = [20e6, 125e6, 1e9]
+
+    def run():
+        snr = [tables.snr_db for _, _, tables in twl.scenario._stream([scn], positions)]
+        return np.concatenate(snr), run_cdf(scn), sweep_bandwidth(scn, bandwidths)
+
+    snr, chunked, chunked_bw = run()
     monkeypatch.setattr(twl.scenario, "_CHUNK", n)
-    whole = position_tables(scn, positions)
-    expected = _table_arrays(whole)
-    for name, array in _table_arrays(chunked).items():
-        np.testing.assert_array_equal(array, expected[name], err_msg=name)
-    assert np.isnan(whole.factors["clp"].pos[chunk + 5]).all()
-    for protocol in ("owl", "rlp", "clp"):
-        for initiator in ("bs", "ue"):
-            a = protocol_bounds(chunked, protocol, initiator)
-            b = protocol_bounds(whole, protocol, initiator)
-            np.testing.assert_array_equal(a.identifiable, b.identifiable)
-            np.testing.assert_array_equal(a.peb, b.peb)
-            np.testing.assert_array_equal(a.oeb, b.oeb)
-            assert not a.identifiable[chunk + 5] and a.identifiable.sum() == n - 1
+    whole_snr, whole, whole_bw = run()
+    one_pass = position_tables(scn, positions)
+    np.testing.assert_array_equal(snr, whole_snr)
+    np.testing.assert_array_equal(snr, one_pass.snr_db)
+    assert chunked.quantile_rows == whole.quantile_rows
+    assert chunked_bw == whole_bw
+    assert np.isnan(one_pass.factors["clp"].pos[chunk + 5]).all()
+    for pair, a in chunked.bounds.items():
+        b = whole.bounds[pair]
+        np.testing.assert_array_equal(a.identifiable, b.identifiable)
+        np.testing.assert_array_equal(a.peb, b.peb)
+        np.testing.assert_array_equal(a.oeb, b.oeb)
+        assert np.flatnonzero(~a.identifiable).tolist() == [chunk + 5], pair
 
 
 @pytest.mark.parametrize("chunk", [37, None], ids=["odd", "module"])
@@ -238,30 +233,81 @@ def test_chunked_sweep_equals_one_chunk(monkeypatch, chunk):
     assert chunked == sweep_antennas(scn, [36, 144], "bs")
 
 
-def test_position_tables_transient_memory_does_not_grow_with_n():
-    """The peak above the returned tables is one chunk's, whatever n.
+def _traced_run_cdf(n_chunks):
+    """(bytes of the bounds, bytes held after, peak bytes) of one `run_cdf` call.
 
-    Measured with `tracemalloc` at 2 and 8 chunks of positions: the peak
-    minus the bytes the tables keep may grow by at most 5% of what the kept
-    bytes grow by. Holding every stage for all positions at once would grow
-    it by about twice that.
+    A small call first imports what numpy loads lazily, so that only the
+    measured call is counted.
     """
-    scn = Scenario.reference_defaults()
+    run_cdf(Scenario.reference_defaults(n_samples=2))
+    scn = Scenario.reference_defaults(n_samples=n_chunks * twl.scenario._CHUNK, seed=3)
+    tracemalloc.start()
+    try:
+        result = run_cdf(scn)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bounds = sum(a.nbytes for b in result.bounds.values() for a in vars(b).values())
+    return bounds, held, peak
+
+
+def test_run_cdf_transient_memory_does_not_grow_with_n():
+    """The peak above what `run_cdf` keeps is one chunk's, whatever n.
+
+    While it streams, `run_cdf` keeps the positions, the SNR and each
+    pair's bounds. Measured with `tracemalloc` at 2 and 8 chunks of
+    positions: the peak minus those bytes may grow by at most 5% of what
+    they grow by. Keeping the Jacobian (200 B per position) or the three
+    angle EFIMs (384 B) would grow it by more than that.
+    """
     retained, extra = [], []
-    for n in (2 * twl.scenario._CHUNK, 8 * twl.scenario._CHUNK):
-        positions = sample_positions(scn.region, n, 3)
-        tracemalloc.start()
-        try:
-            tables = position_tables(scn, positions)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        arrays = _table_arrays(tables)
-        del arrays["positions"]  # allocated before the trace started
-        retained.append(sum(a.nbytes for a in arrays.values()))
+    for n_chunks in (2, 8):
+        bounds, _, peak = _traced_run_cdf(n_chunks)
+        retained.append(bounds + n_chunks * twl.scenario._CHUNK * 8 * (3 + 1))
         extra.append(peak - retained[-1])
-        del tables, arrays
     assert extra[1] - extra[0] <= 0.05 * (retained[1] - retained[0]), (retained, extra)
+
+
+def test_run_cdf_retains_only_its_bounds():
+    """What `run_cdf` returns holds each pair's bounds and no per-position table.
+
+    Measured with `tracemalloc` at 2 and 8 chunks of positions: the memory
+    the result holds grows as its bounds' bytes do, within 4 kB, not by a
+    Jacobian or an angle EFIM per position.
+    """
+    (b2, held2, _), (b8, held8, _) = _traced_run_cdf(2), _traced_run_cdf(8)
+    assert b8 - b2 == 6 * 6 * twl.scenario._CHUNK * (8 + 8 + 1)
+    assert abs((held8 - held2) - (b8 - b2)) <= 4096, (held2, held8, b2, b8)
+
+
+def test_sweep_antennas_shares_the_pose_and_the_other_forms(monkeypatch):
+    """k distinct counts send (1 + k)·n directions through the kernel.
+
+    Per chunk, the unswept device's forms are computed once for all counts
+    and each swept array's once; each distinct array's codebook is built
+    once per call, two `directional_beams` calls each. Recomputing the
+    unswept device's forms per count would send 2·k·n directions.
+    """
+    monkeypatch.setattr(twl.scenario, "_CHUNK", 256)
+    calls = {"directions": 0, "codebooks": 0}
+    steering_forms, directional_beams = twl.scenario.steering_forms, twl.scenario.directional_beams
+
+    def counted_forms(*args, theta, **kwargs):
+        calls["directions"] += len(theta)
+        return steering_forms(*args, theta=theta, **kwargs)
+
+    def counted_beams(*args, **kwargs):
+        calls["codebooks"] += 1
+        return directional_beams(*args, **kwargs)
+
+    monkeypatch.setattr(twl.scenario, "steering_forms", counted_forms)
+    monkeypatch.setattr(twl.scenario, "directional_beams", counted_beams)
+    scn = Scenario.reference_defaults(n_samples=600, seed=9)
+    counts = [36, 64, 144]
+    for side in ("bs", "ue"):
+        calls.update(directions=0, codebooks=0)
+        sweep_antennas(scn, counts, side)
+        assert calls == {"directions": (1 + 3) * 600, "codebooks": 2 * (1 + 3)}, side
 
 
 def test_sweep_antennas_holds_one_count_of_tables():
