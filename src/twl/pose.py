@@ -91,17 +91,6 @@ def rotation_matrix(zeta0: float, chi0: float) -> np.ndarray:
     return rz @ rx
 
 
-def _rotation_partials(zeta0: float, chi0: float):
-    """Partials of rotation_matrix w.r.t. zeta0 and chi0."""
-    cz, sz = np.cos(zeta0), np.sin(zeta0)
-    cx, sx = np.cos(chi0), np.sin(chi0)
-    drz = np.array([[-sz, -cz, 0.0], [cz, -sz, 0.0], [0.0, 0.0, 0.0]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
-    rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
-    drx = np.array([[0.0, 0.0, 0.0], [0.0, -sx, -cx], [0.0, cx, -sx]])
-    return drz @ rx, rz @ drx
-
-
 def _spherical_batch(v: np.ndarray):
     """Polar/azimuth angles of unit vectors, batched over the leading axis.
 
@@ -158,39 +147,36 @@ def channel_geometry(ue: Pose, wavelength: float, c: float = SPEED_OF_LIGHT) -> 
     )
 
 
-def _jacobian_batch(g: dict, zeta0: float, chi0: float,
-                    c: float = SPEED_OF_LIGHT) -> np.ndarray:
+def _jacobian_batch(g: dict, c: float) -> np.ndarray:
     """Location-to-channel Jacobians for a batch of positions, shape (n, 5, 5).
 
-    ``g`` is the `_link_angles_batch` geometry of the positions at the
-    orientation (zeta0, chi0). Rows (zeta0, chi0, px, py, pz); columns
+    ``g`` is the `_link_angles_batch` geometry of the positions, whose
+    ``rot`` fixes the orientation. Rows (zeta0, chi0, px, py, pz); columns
     (theta1, phi1, theta2, phi2, tau). All partials are exact derivatives of
     the channel-geometry map.
     """
-    drot_dz, drot_dx = _rotation_partials(zeta0, chi0)
     r, u, q, rot = g["r"], g["u"], g["q"], g["rot"]
     sin1, sin2 = g["sin1"], g["sin2"]
-    n = r.shape[0]
 
-    jac = np.zeros((n, 5, 5))
+    jac = np.zeros((r.shape[0], 5, 5))
 
-    # Anchor-side angles depend on position only.
+    # Anchor-side angles depend on position only; d(phi1)/dpz = 0.
     ez = np.array([0.0, 0.0, 1.0])
     jac[:, 2:, 0] = (u * u[:, 2:3] - ez) / (r * sin1)[:, None]
-    jac[:, 2:, 1] = np.stack([-u[:, 1], u[:, 0], np.zeros(n)], axis=-1) / (
-        r * sin1**2
-    )[:, None]
+    jac[:, 2:4, 1] = np.stack([-u[:, 1], u[:, 0]], axis=-1) / (r * sin1**2)[:, None]
 
     # Terminal-local angles: q = rot^T @ (-u).
     rx, ry, rz = rot[:, 0], rot[:, 1], rot[:, 2]
     # d(theta2)/dp = (rz + u * q_z) / (r * sin2)
-    jac[:, 2:, 2] = (rz[None, :] + u * q[:, 2:3]) / (r * sin2)[:, None]
+    jac[:, 2:, 2] = (rz + u * q[:, 2:3]) / (r * sin2)[:, None]
     # d(phi2)/dp = (q_y * rx - q_x * ry) / (r * sin2^2)
-    jac[:, 2:, 3] = (q[:, 1:2] * rx[None, :] - q[:, 0:1] * ry[None, :]) / (
-        r * sin2**2
-    )[:, None]
+    jac[:, 2:, 3] = (q[:, 1:2] * rx - q[:, 0:1] * ry) / (r * sin2**2)[:, None]
 
-    # Orientation partials enter through the rotation only.
+    # Orientation partials enter through the rotation R = Rz(zeta0)·Rx(chi0)
+    # only: dR/dzeta0 has rows (-R1, R0, 0), dR/dchi0 columns (0, R[:, 2], -R[:, 1]).
+    zero = np.zeros(3)
+    drot_dz = np.stack([-rot[1], rot[0], zero])
+    drot_dx = np.stack([zero, rot[:, 2], -rot[:, 1]], axis=1)
     for row, drot in ((0, drot_dz), (1, drot_dx)):
         dq = -(u @ drot)  # rows are drot^T @ (-u)
         jac[:, row, 2] = -dq[:, 2] / sin2
@@ -204,5 +190,5 @@ def _jacobian_batch(g: dict, zeta0: float, chi0: float,
 def location_jacobian(ue: Pose, c: float = SPEED_OF_LIGHT) -> LocationJacobian:
     """Exact Jacobian of the channel-geometry map at a pose."""
     g = _link_angles_batch(ue.position[None, :], rotation_matrix(ue.zeta0, ue.chi0))
-    jac = _jacobian_batch(g, ue.zeta0, ue.chi0, c)[0]
+    jac = _jacobian_batch(g, c)[0]
     return LocationJacobian(angles=jac[:, :4], delay=jac[:, 4].copy())

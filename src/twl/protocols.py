@@ -20,11 +20,14 @@ M = J⁻¹ the covariance is E⁻¹ = Mᵀ·blkdiag(A⁻¹, 1/w)·M and
     PEB² = ⟨A⁻¹, G_pos⟩ + g_pos/w,    OEB² = ⟨A⁻¹, G_ori⟩ + g_ori/w,
 
 an angle term and a delay term, where G = M₄ᵀM₄ and g = |M_τ|² over the
-position or orientation columns of M. `efim_factors` computes these terms
-once per pose and angle EFIM and keeps A with them; the delay weight
-(`delay_weight`), which alone depends on the bandwidth, enters only in
-`invert_efim`. The position pipeline calls both for many poses and
-`assemble` for one.
+position or orientation columns of M. As p = c·τ·u(θ₁, φ₁), G_pos =
+diag(r², r²·sin²θ₁, 0, 0), g_pos = c² and g_ori = 0: the delay enters PEB
+only as c²/w, and OEB not at all. `pose_grams` computes G and g, which
+depend only on the pose, and `efim_factors` contracts one A with them and
+keeps A with the result; the delay weight (`delay_weight`), which alone
+depends on the bandwidth, enters only in `invert_efim`. The position
+pipeline calls `pose_grams` once per chunk and `efim_factors` per variant
+and angle EFIM; `assemble` calls both for one pose.
 """
 
 from dataclasses import dataclass
@@ -35,7 +38,6 @@ from .fim import ChannelFim, angle_efim, delay_info
 from .pose import LocationJacobian
 
 PROTOCOLS = ("owl", "rlp", "clp")
-LOCATION_PARAMS = ("zeta0", "chi0", "px", "py", "pz")
 
 _MAX_CONDITION = 1e12
 # cond(E) <= tr(E)·tr(E⁻¹); the factor leaves room for rounding in both traces
@@ -141,34 +143,35 @@ def _inverse(a: np.ndarray) -> np.ndarray:
     return inv
 
 
-def efim_factors(jacobian: np.ndarray, *angles) -> list:
-    """`EfimFactors` of one Jacobian J with each angle EFIM A given, batched.
+def pose_grams(jacobian: np.ndarray) -> tuple:
+    """Gram pairs of Jᵀ, M_pos and M_ori (M = J⁻¹): the pose's part of `efim_factors`.
 
     ``jacobian`` is (..., 5, 5) with the four link-angle columns first and
-    the delay column last, each A (..., 4, 4). A singular J or A gives NaN
-    terms.
+    the delay column last, and a singular J gives NaN terms. Rows of each
+    factor F are channel parameters; the bounds read the angle block and
+    the delay entry of its Gram F·Fᵀ.
     """
     m = _inverse(jacobian)
-    # Rows of each factor F are channel parameters; the bounds read the angle
-    # block and the delay entry of its Gram F·Fᵀ.
-    grams = [
+    return tuple(
         (f[..., :4, :] @ np.swapaxes(f[..., :4, :], -1, -2),
          np.einsum("...i,...i->...", f[..., 4, :], f[..., 4, :]))
         for f in (np.swapaxes(jacobian, -1, -2), m[..., 2:], m[..., :2])
-    ]
+    )
 
-    def terms(x, gram):
-        block, delay = gram
-        return np.stack([np.einsum("...ab,...ab->...", x, block), delay], axis=-1)
 
-    factors = []
-    for angle in angles:
-        angle_inv = _inverse(angle)
-        factors.append(EfimFactors(
-            angle=angle, pos=terms(angle_inv, grams[1]), ori=terms(angle_inv, grams[2]),
-            trace=terms(angle, grams[0]),
-        ))
-    return factors
+def _terms(x, gram):
+    block, delay = gram
+    return np.stack([np.einsum("...ab,...ab->...", x, block), delay], axis=-1)
+
+
+def efim_factors(grams: tuple, angle: np.ndarray) -> EfimFactors:
+    """`EfimFactors` of angle EFIMs A (..., 4, 4) at poses' `pose_grams`; a singular A gives NaN."""
+    trace, pos, ori = grams
+    angle_inv = _inverse(angle)
+    return EfimFactors(
+        angle=angle, pos=_terms(angle_inv, pos), ori=_terms(angle_inv, ori),
+        trace=_terms(angle, trace),
+    )
 
 
 def rank_and_condition(efim: np.ndarray):
@@ -191,7 +194,8 @@ def invert_efim(jacobian, factors: EfimFactors, weight):
     """PEB and OEB of the EFIMs J·blkdiag(A, w)·Jᵀ, from their factors.
 
     Batched over the leading axes of ``jacobian`` (..., 5, 5) and ``weight``
-    (...); ``factors`` are the `efim_factors` of ``jacobian`` and A.
+    (...); ``factors`` are the `efim_factors` of A at the `pose_grams` of
+    ``jacobian``.
 
     Returns (peb, oeb, identifiable). A pose is identifiable when its EFIM
     has full rank and condition at most 1e12. The bound
@@ -243,7 +247,7 @@ def assemble(
     angle = angle_efim(bwd).matrix
     if kind == "clp":
         angle = angle + angle_efim(fwd).matrix
-    (factors,) = efim_factors(jac.full[None], angle[None])
+    factors = efim_factors(pose_grams(jac.full[None]), angle[None])
     peb, oeb, ok = invert_efim(jac.full[None], factors, np.array([weight]))
     efim5 = localization_efim(jac.full, angle, weight)
     rank, condition = rank_and_condition(efim5)

@@ -7,13 +7,14 @@ independently (position/orientation error bounds per protocol and initiator,
 plus link SNR), and results are summarized as empirical quantiles.
 
 Every subcommand streams its positions through one pipeline, `_stream`,
-in chunks of 4096 (`_CHUNK`). Each chunk runs the link geometry and
-Jacobian (`twl.pose`) once. Then, for each variant of the scenario, it
+in chunks of 4096 (`_CHUNK`). Each chunk runs the pose stage once: the
+link geometry and Jacobian (`twl.pose`), then J⁻¹'s Grams
+(`twl.protocols.pose_grams`). Then, for each variant of the scenario, it
 projects each device's receive codebook W once per direction
 (`twl.kernels`; its transmit codebook is conj(W), so W's per-axis factors
 and G^(-1/2) of G = WᴴW are all the kernel needs), builds the channel FIM
 and its gain elimination (`twl.fim`), and the factored form of each
-distinct protocol EFIM, which carries its angle EFIM: one 4x4 angle EFIM
+distinct protocol EFIM from the pose's Grams: one 4x4 angle EFIM
 inverse per position for each link and for their sum
 (`twl.protocols.efim_factors`). The callers run `protocol_bounds` on each
 chunk's tables and keep only what they report: `run_cdf` the SNR and each
@@ -61,7 +62,7 @@ from .fim import eliminate_gain, fim_from_forms
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry
 from .kernels import DeviceTables, beam_factors, steering_forms
 from .pose import _jacobian_batch, _link_angles_batch, rotation_matrix
-from .protocols import PROTOCOLS, delay_weight, efim_factors, invert_efim
+from .protocols import PROTOCOLS, delay_weight, efim_factors, invert_efim, pose_grams
 
 QUANTILES = (0.1, 0.5, 0.9)
 INITIATORS = ("bs", "ue")
@@ -185,6 +186,10 @@ class Scenario:
         unknown = set(self.initiators) - set(INITIATORS)
         if unknown:
             raise ValueError(f"unknown initiators {sorted(unknown)}")
+        lam = self.signal.wavelength
+        for side in ("bs", "ue"):
+            if abs(getattr(self, f"{side}_array").wavelength - lam) > 1e-12 * lam:
+                raise ValueError(f"{side}_array wavelength differs from the signal's {lam!r} m")
 
     def anchor_beam_directions(self) -> list:
         """Anchor codebook pointing directions for the configured grid.
@@ -234,7 +239,7 @@ class Scenario:
         """38 GHz / 125 MHz / 12x12 arrays / 25-beam default configuration.
 
         ``overrides`` replace fields of the reference scenario as given; a
-        replaced ``signal`` does not rebuild the arrays.
+        ``signal`` of another wavelength needs arrays of it, or this raises.
         """
         return replace(cls.from_config(REFERENCE_CONFIG), **overrides)
 
@@ -369,15 +374,15 @@ def _stream(variants, positions, chunk=None):
     dirs = _beam_directions(variants[0])
     distinct = dict.fromkeys((d, getattr(v, f"{d}_array")) for v in variants for d in dirs)
     codebooks = {(d, array): _device_tables(array, dirs[d]) for d, array in distinct}
-    zeta0, chi0 = variants[0].orientation
-    rot = rotation_matrix(zeta0, chi0)
+    rot = rotation_matrix(*variants[0].orientation)
     n = positions.shape[0]
     chunk = chunk or _CHUNK
     forms = {}
     for lo in range(0, n, chunk):
         rows = slice(lo, min(lo + chunk, n))
+        grams = None  # the last chunk's, released before this chunk is built
         geo = _link_angles_batch(positions[rows], rot)
-        jac = _jacobian_batch(geo, zeta0, chi0, variants[0].signal.c)
+        jac = _jacobian_batch(geo, variants[0].signal.c)
         for k, variant in enumerate(variants):
             for device, end in (("bs", "1"), ("ue", "2")):
                 array = getattr(variant, f"{device}_array")
@@ -388,15 +393,18 @@ def _stream(variants, positions, chunk=None):
                     array, codebooks[device, array],
                     theta=geo[f"theta{end}"], phi=geo[f"phi{end}"],
                 )
-            yield rows, k, _link_tables(variant, positions[rows], geo, jac, forms)
+            if grams is None:  # after the first forms: the kernel's peak lacks them
+                grams = pose_grams(jac)
+            yield rows, k, _link_tables(variant, positions[rows], geo, jac, grams, forms)
 
 
-def _link_tables(scenario: Scenario, positions, geo: dict, jac, forms: dict):
+def _link_tables(scenario: Scenario, positions, geo: dict, jac, grams, forms: dict):
     """`PositionTables` of one chunk of positions under one scenario.
 
-    ``forms`` maps "bs" and "ue" to that device's `steering_forms`. The
-    delay information is keyed by link, in `_LINKS` order, and copied out
-    of the chunk's channel FIMs, so that it does not keep them alive.
+    ``grams`` are the `pose_grams` of ``jac``; ``forms`` maps "bs" and "ue"
+    to that device's `steering_forms`. The delay information is keyed by
+    link, in `_LINKS` order, and copied out of the chunk's channel FIMs, so
+    that it does not keep them alive.
     """
     lam = scenario.signal.wavelength
     t_bs, r_bs = forms["bs"]
@@ -423,7 +431,7 @@ def _link_tables(scenario: Scenario, positions, geo: dict, jac, forms: dict):
         angle[link] = eliminate_gain(jm)
         delay[link] = jm[:, 6, 6].copy()
     both = angle["bs_to_ue"] + angle["ue_to_bs"]
-    factors = dict(zip((*_LINKS, "clp"), efim_factors(jac, *angle.values(), both)))
+    factors = {key: efim_factors(grams, a) for key, a in (*angle.items(), ("clp", both))}
     return PositionTables(
         positions=positions, snr_db=snr, jacobian=jac, delay_info=delay, factors=factors,
     )

@@ -190,3 +190,25 @@ def test_peb_tends_to_the_angle_limited_floor(orientation_deg, seed):
                 assert ok.any()
                 gap = b.peb[ok] ** 2 / floor[ok] - 1.0
                 assert np.all(gap <= excess[ok] / scale + 8.0 * EPS)
+
+
+@property_check
+@given(orientations, seeds)
+def test_delay_enters_peb_only_as_c2_over_w_and_oeb_not_at_all(orientation_deg, seed):
+    # The channel parameters fix p = c·τ·u(θ₁, φ₁), so the position columns
+    # of M = J⁻¹ are (r·e_θ, r·sinθ₁·e_φ, 0, 0, c·u) and its orientation
+    # columns have no delay entry: g_pos = c², g_ori = 0, and the angle term
+    # of PEB² reads only the anchor-angle diagonal of A⁻¹.
+    scn = _scenario(orientation_deg, seed)
+    tables = position_tables(scn)
+    c2 = scn.signal.c**2
+    p = tables.positions
+    r2 = np.einsum("ij,ij->i", p, p)
+    r2_sin2 = p[:, 0] ** 2 + p[:, 1] ** 2
+    for key, f in tables.factors.items():
+        np.testing.assert_allclose(f.pos[:, 1], c2, rtol=1e-13, atol=0.0, err_msg=key)
+        assert np.all(np.abs(f.ori[:, 1]) <= 1e-20 * f.pos[:, 1]), key
+        np.testing.assert_allclose(f.trace[:, 1] * c2, 1.0, rtol=1e-13, atol=0.0, err_msg=key)
+        a_inv = np.linalg.inv(f.angle)
+        angle_term = r2 * a_inv[:, 0, 0] + r2_sin2 * a_inv[:, 1, 1]
+        np.testing.assert_allclose(f.pos[:, 0], angle_term, rtol=1e-11, atol=0.0, err_msg=key)

@@ -15,6 +15,7 @@ from twl.protocols import (
     assemble,
     efim_factors,
     invert_efim,
+    pose_grams,
     rank_and_condition,
 )
 from twl.scenario import Scenario, position_tables, protocol_bounds
@@ -81,7 +82,7 @@ def test_combined_delay_unobservable():
 
 def test_identity_efim_bounds():
     # J = I, A = I4, w = 1 give the identity EFIM
-    (factors,) = efim_factors(np.eye(5)[None], np.eye(4)[None])
+    factors = efim_factors(pose_grams(np.eye(5)[None]), np.eye(4)[None])
     np.testing.assert_array_equal(factors.angle[0], np.eye(4))
     peb, oeb, ok = invert_efim(np.eye(5)[None], factors, np.ones(1))
     assert ok[0]
@@ -95,7 +96,7 @@ def test_singular_efim_reports_rank_not_crash():
     # an exactly singular angle EFIM gives inf bounds for its pose only
     angle = np.stack([np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0])])
     jacobian = np.stack([np.eye(5)] * 2)
-    (factors,) = efim_factors(jacobian, angle)
+    factors = efim_factors(pose_grams(jacobian), angle)
     peb, oeb, ok = invert_efim(jacobian, factors, np.ones(2))
     assert ok.tolist() == [True, False]
     assert np.isfinite(peb[0]) and np.isinf(peb[1]) and np.isinf(oeb[1])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import twl.kernels
+import twl.protocols
 import twl.scenario
 from twl.scenario import (
     Region,
@@ -286,11 +287,19 @@ def test_sweep_antennas_shares_the_pose_and_the_other_forms(monkeypatch):
     Per chunk, the unswept device's forms are computed once for all counts
     and each swept array's once; each distinct array's codebook is built
     once per call, two `directional_beams` calls each. Recomputing the
-    unswept device's forms per count would send 2·k·n directions.
+    unswept device's forms per count would send 2·k·n directions. The
+    Jacobians are inverted once per chunk, whatever the number of counts:
+    600 positions in chunks of 256 take 3 inverses of 5x5 batches, where
+    one per count would take 9.
     """
     monkeypatch.setattr(twl.scenario, "_CHUNK", 256)
-    calls = {"directions": 0, "codebooks": 0}
+    calls = {"directions": 0, "codebooks": 0, "jacobian_inverses": 0}
     steering_forms, directional_beams = twl.scenario.steering_forms, twl.scenario.directional_beams
+    inverse = twl.protocols._inverse
+
+    def counted_inverse(a):
+        calls["jacobian_inverses"] += a.shape[-1] == 5
+        return inverse(a)
 
     def counted_forms(*args, theta, **kwargs):
         calls["directions"] += len(theta)
@@ -302,12 +311,14 @@ def test_sweep_antennas_shares_the_pose_and_the_other_forms(monkeypatch):
 
     monkeypatch.setattr(twl.scenario, "steering_forms", counted_forms)
     monkeypatch.setattr(twl.scenario, "directional_beams", counted_beams)
+    monkeypatch.setattr(twl.protocols, "_inverse", counted_inverse)
     scn = Scenario.reference_defaults(n_samples=600, seed=9)
     counts = [36, 64, 144]
     for side in ("bs", "ue"):
-        calls.update(directions=0, codebooks=0)
+        calls.update(directions=0, codebooks=0, jacobian_inverses=0)
         sweep_antennas(scn, counts, side)
-        assert calls == {"directions": (1 + 3) * 600, "codebooks": 2 * (1 + 3)}, side
+        assert calls == {"directions": (1 + 3) * 600, "codebooks": 2 * (1 + 3),
+                         "jacobian_inverses": 3}, side
 
 
 def test_sweep_antennas_holds_one_count_of_tables():
@@ -448,6 +459,22 @@ def test_scenario_validation():
         Scenario.reference_defaults(protocols=("owl", "xxx"))
     with pytest.raises(ValueError):
         Scenario.reference_defaults(beam_grid="hex")
+
+
+def test_scenario_rejects_arrays_of_another_wavelength():
+    """A signal of another carrier needs arrays of its wavelength.
+
+    Replacing only the signal kept 38 GHz arrays under a 60 GHz path gain
+    and ran silently: the steering used the arrays' wavelength and the path
+    gain the signal's.
+    """
+    scn = Scenario.reference_defaults()
+    with pytest.raises(ValueError, match="bs_array wavelength"):
+        replace(scn, signal=replace(scn.signal, carrier=60e9))
+    lam = scn.signal.wavelength
+    with pytest.raises(ValueError, match="ue_array wavelength"):
+        replace(scn, ue_array=replace(scn.ue_array, wavelength=lam * (1.0 + 1e-11)))
+    replace(scn, ue_array=replace(scn.ue_array, wavelength=lam * (1.0 + 1e-13)))
 
 
 def test_sector_grid_mode_runs():
