@@ -26,12 +26,15 @@ element coordinates along dk, e = centre + (row offset, col offset):
                       + dk_ax0·D_row∘P_col + dk_ax1·P_row∘D_col],
 
 where D_row and D_col project through the offset-weighted copies of R and
-S, stacked under them. A chunk of m directions thus costs rows + cols
-exponentials per direction and the two products (2·n_beams x rows)·(rows x
-m) and (2·n_beams x cols)·(cols x m), where projecting through the full
-codebook would need N exponentials per direction and a (4·n_beams x N)·(N x
-m) product. c(k) multiplies the whole bundle and cancels in every form; each
-Hermitian form is filled from its 6 unique entries.
+S, stacked under them. The offsets along each axis are symmetric about
+0, so the phase of offset -x is the conjugate of that of x, and only
+ceil(rows/2) + ceil(cols/2) complex exponentials per direction are taken
+(`_phases`). A chunk of m directions thus costs those exponentials and the
+two products (2·n_beams x rows)·(rows x m) and (2·n_beams x cols)·(cols x
+m), where projecting through the full codebook would need N exponentials
+per direction and a (4·n_beams x N)·(N x m) product. c(k) multiplies the
+whole bundle and cancels in every form; each Hermitian form is filled from
+its 6 unique entries.
 
 `fim.quadratic_forms` over `geometry.steering` computes the same tables one
 direction at a time from the full element coordinates and serves as the
@@ -111,12 +114,8 @@ def steering_forms(
         hi = min(lo + _CHUNK, n)
         th, ph = theta[lo:hi], phi[lo:hi]
         kvec, dkt, dkp = wavenumber_with_partials(th, ph, geometry.wavelength)  # (3, m) each
-        p_row, d_row = (tables.rows @ np.exp(-1j * np.outer(x, kvec[ax0]))).reshape(
-            2, n_beams, -1
-        )
-        p_col, d_col = (tables.cols @ np.exp(-1j * np.outer(y, kvec[ax1]))).reshape(
-            2, n_beams, -1
-        )
+        p_row, d_row = (tables.rows @ _phases(x, kvec[ax0])).reshape(2, n_beams, -1)
+        p_col, d_col = (tables.cols @ _phases(y, kvec[ax1])).reshape(2, n_beams, -1)
         v0 = p_row * p_col
         along_row = d_row * p_col
         along_col = p_row * d_col
@@ -128,6 +127,20 @@ def steering_forms(
         t_forms[lo:hi] = _gram(v).conj()
         r_forms[lo:hi] = _gram(tables.whitening @ v)
     return t_forms, r_forms
+
+
+def _phases(offsets, k):
+    """exp(-j·outer(offsets, k)) for offsets symmetric about 0 (`ArrayGeometry.offsets`).
+
+    Offset n-1-i is exactly -offset i, so its row is the conjugate of row
+    i: only the first ceil(n/2) rows are exponentiated.
+    """
+    n = offsets.shape[0]
+    half = n - n // 2
+    out = np.empty((n, k.shape[0]), dtype=np.complex128)
+    np.exp(-1j * np.outer(offsets[:half], k), out=out[:half])
+    np.conjugate(out[:n // 2][::-1], out=out[half:])
+    return out
 
 
 def _gram(v):

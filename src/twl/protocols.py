@@ -19,10 +19,14 @@ M = J⁻¹ the covariance is E⁻¹ = Mᵀ·blkdiag(A⁻¹, 1/w)·M and
 
     PEB² = ⟨A⁻¹, G_pos⟩ + g_pos/w,    OEB² = ⟨A⁻¹, G_ori⟩ + g_ori/w,
 
-an angle term and a delay term, where G = M₄ᵀM₄ and g = |M_τ|² over the
-position or orientation columns of M. As p = c·τ·u(θ₁, φ₁), G_pos =
-diag(r², r²·sin²θ₁, 0, 0), g_pos = c² and g_ori = 0: the delay enters PEB
-only as c²/w, and OEB not at all. `pose_grams` computes G and g, which
+an angle term and a delay term, where G = F·Fᵀ with F the angle rows M₄ of
+the position or orientation columns of M, and g = |M_τ|² over the same
+columns. As p = c·τ·u(θ₁, φ₁), G_pos = diag(r², r²·sin²θ₁, 0, 0), g_pos =
+c² and g_ori = 0: the delay enters PEB only as c²/w, and OEB not at all.
+G is never formed and A never inverted: with A = L·Lᵀ its Cholesky
+factor, ⟨A⁻¹, F·Fᵀ⟩ = |L⁻¹F|², and `efim_factors` computes L⁻¹F by an
+elimination elementwise over the poses, so a singular or indefinite A
+spoils only its own pose's terms. `pose_grams` computes M₄ and g, which
 depend only on the pose, and `efim_factors` contracts one A with them and
 keeps A with the result; the delay weight (`delay_weight`), which alone
 depends on the bandwidth, enters only in `invert_efim`. The position
@@ -144,33 +148,56 @@ def _inverse(a: np.ndarray) -> np.ndarray:
 
 
 def pose_grams(jacobian: np.ndarray) -> tuple:
-    """Gram pairs of Jᵀ, M_pos and M_ori (M = J⁻¹): the pose's part of `efim_factors`.
+    """The pose's part of `efim_factors`: Jᵀ's Gram pair and M = J⁻¹'s factors.
 
     ``jacobian`` is (..., 5, 5) with the four link-angle columns first and
-    the delay column last, and a singular J gives NaN terms. Rows of each
-    factor F are channel parameters; the bounds read the angle block and
-    the delay entry of its Gram F·Fᵀ.
+    the delay column last, and a singular J gives NaN terms. Returns
+    (trace, (f, g_pos, g_ori)): ``trace`` is the Gram pair (angle block,
+    delay entry) of Jᵀ; ``f`` is (..., 4, 5), the angle rows of M over its
+    orientation columns then its position columns, and g_pos and g_ori the
+    squared norms of M's delay row over the same columns.
     """
     m = _inverse(jacobian)
-    return tuple(
-        (f[..., :4, :] @ np.swapaxes(f[..., :4, :], -1, -2),
-         np.einsum("...i,...i->...", f[..., 4, :], f[..., 4, :]))
-        for f in (np.swapaxes(jacobian, -1, -2), m[..., 2:], m[..., :2])
-    )
+    jt = np.swapaxes(jacobian, -1, -2)
+    trace = (jt[..., :4, :] @ jacobian[..., :4], _sq_norm(jt[..., 4, :]))
+    # M's angle rows are copied out, so that the rest of M is freed
+    return trace, (m[..., :4, :].copy(), _sq_norm(m[..., 4, 2:]), _sq_norm(m[..., 4, :2]))
 
 
-def _terms(x, gram):
-    block, delay = gram
-    return np.stack([np.einsum("...ab,...ab->...", x, block), delay], axis=-1)
+def _sq_norm(v):
+    return np.einsum("...i,...i->...", v, v)
+
+
+def _whitened_squares(angle: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Squares of L⁻¹·F for A = L·Lᵀ, as (4, k, ...); a bad A gives NaN or inf.
+
+    Elimination on [A | F], elementwise over the leading axes: row j of the
+    reduced rows is [Lᵀ | L⁻¹F] row j once divided by its pivot's root. No
+    LAPACK call sees A, so one bad pose cannot fail a whole batch, and a
+    non-positive or non-finite pivot spoils only its own pose's terms.
+    """
+    aug = np.moveaxis(np.concatenate([angle, f], axis=-1), (-2, -1), (0, 1)).copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(4):
+            row = aug[j, j:] / np.sqrt(aug[j, j])
+            aug[j + 1:, j + 1:] -= row[1:4 - j, None] * row[None, 1:]
+            aug[j, j:] = row
+        return aug[:, 4:] ** 2
 
 
 def efim_factors(grams: tuple, angle: np.ndarray) -> EfimFactors:
-    """`EfimFactors` of angle EFIMs A (..., 4, 4) at poses' `pose_grams`; a singular A gives NaN."""
-    trace, pos, ori = grams
-    angle_inv = _inverse(angle)
+    """`EfimFactors` of angle EFIMs A (..., 4, 4) at poses' `pose_grams`.
+
+    ⟨A⁻¹, F·Fᵀ⟩ = |L⁻¹F|² with L the Cholesky factor of A, so A is never
+    inverted; a singular or indefinite A gives NaN or inf terms.
+    """
+    (block, delay), (f, g_pos, g_ori) = grams
+    y2 = _whitened_squares(angle, f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos, ori = y2[:, 2:].sum(axis=(0, 1)), y2[:, :2].sum(axis=(0, 1))
     return EfimFactors(
-        angle=angle, pos=_terms(angle_inv, pos), ori=_terms(angle_inv, ori),
-        trace=_terms(angle, trace),
+        angle=angle, pos=np.stack([pos, g_pos], axis=-1), ori=np.stack([ori, g_ori], axis=-1),
+        trace=np.stack([np.einsum("...ab,...ab->...", angle, block), delay], axis=-1),
     )
 
 
@@ -194,8 +221,9 @@ def invert_efim(jacobian, factors: EfimFactors, weight):
     """PEB and OEB of the EFIMs J·blkdiag(A, w)·Jᵀ, from their factors.
 
     Batched over the leading axes of ``jacobian`` (..., 5, 5) and ``weight``
-    (...); ``factors`` are the `efim_factors` of A at the `pose_grams` of
-    ``jacobian``.
+    (...), which broadcast: a weight of shape (s, n) reads the n poses at s
+    delay weights each. ``factors`` are the `efim_factors` of A at the
+    `pose_grams` of ``jacobian``.
 
     Returns (peb, oeb, identifiable). A pose is identifiable when its EFIM
     has full rank and condition at most 1e12. The bound
@@ -215,7 +243,12 @@ def invert_efim(jacobian, factors: EfimFactors, weight):
         ok = positive & (trace * (pos2 + ori2) <= _CERTIFIED_PRODUCT)
     doubt = ~ok
     if doubt.any():
-        efim = localization_efim(jacobian[doubt], factors.angle[doubt], weight[doubt])
+        def at_doubt(x, core):
+            return np.broadcast_to(x, doubt.shape + x.shape[x.ndim - core:])[doubt]
+
+        efim = localization_efim(
+            at_doubt(jacobian, 2), at_doubt(factors.angle, 2), at_doubt(weight, 0)
+        )
         rank, condition = rank_and_condition(efim)
         ok[doubt] = (rank == 5) & (condition <= _MAX_CONDITION) & positive[doubt]
     peb = np.sqrt(np.where(ok, pos2, np.inf))

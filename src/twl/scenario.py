@@ -8,28 +8,28 @@ plus link SNR), and results are summarized as empirical quantiles.
 
 Every subcommand streams its positions through one pipeline, `_stream`,
 in chunks of 4096 (`_CHUNK`). Each chunk runs the pose stage once: the
-link geometry and Jacobian (`twl.pose`), then J⁻¹'s Grams
+link geometry and Jacobian (`twl.pose`), then J⁻¹'s factors
 (`twl.protocols.pose_grams`). Then, for each variant of the scenario, it
 projects each device's receive codebook W once per direction
 (`twl.kernels`; its transmit codebook is conj(W), so W's per-axis factors
 and G^(-1/2) of G = WᴴW are all the kernel needs), builds the channel FIM
 and its gain elimination (`twl.fim`), and the factored form of each
-distinct protocol EFIM from the pose's Grams: one 4x4 angle EFIM
-inverse per position for each link and for their sum
-(`twl.protocols.efim_factors`). The callers run `protocol_bounds` on each
-chunk's tables and keep only what they report: `run_cdf` the SNR and each
-pair's bounds, the sweeps each cell's PEB. No Jacobian, angle EFIM or
-channel FIM outlives its chunk, so the memory a call needs beyond its
-results does not grow with the number of positions.
+distinct protocol EFIM from the pose's factors: one elementwise Cholesky
+elimination of a 4x4 angle EFIM per position for each link and for their
+sum, with no inverse of it (`twl.protocols.efim_factors`). The callers run
+`protocol_bounds` on each chunk's tables and keep only what they report:
+`run_cdf` the SNR and each pair's bounds, the sweeps each cell's PEB. No
+Jacobian, angle EFIM or channel FIM outlives its chunk, so the memory a
+call needs beyond its results does not grow with the number of positions.
 
 Variants differ only in their arrays. `sweep_antennas` has one per
 antenna count: it resizes the swept device's own array, keeping its
 wavelength, spacing, plane and centre, and per chunk only that device's
 forms are recomputed per count. `sweep_bandwidth` has one variant, read at
-one delay scale per bandwidth. The codebook tables of each distinct array
-are built once per call. `position_tables` runs the same pipeline as one
-chunk over the positions it is given: the n-position view that
-`twl point` and the tests read.
+one delay scale per bandwidth, all scales in one `protocol_bounds` call.
+The codebook tables of each distinct array are built once per call.
+`position_tables` runs the same pipeline as one chunk over the positions
+it is given: the n-position view that `twl point` and the tests read.
 
 Of the widths timed at 10^5 positions (README, "Library"), 4096 ran
 fastest: narrower chunks pay the per-chunk cost of the stages around the
@@ -438,12 +438,13 @@ def _link_tables(scenario: Scenario, positions, geo: dict, jac, grams, forms: di
 
 
 def protocol_bounds(
-    tables: PositionTables, protocol: str, initiator: str, delay_scale: float = 1.0
+    tables: PositionTables, protocol: str, initiator: str, delay_scale=1.0
 ) -> BoundSamples:
     """Per-position bounds of one protocol/initiator from shared tables.
 
     ``delay_scale`` rescales the delay information of both directions, which
-    is how a bandwidth change enters at fixed transmit energy and beams.
+    is how a bandwidth change enters at fixed transmit energy and beams. A
+    scalar gives bounds of shape (n,), an array of s scales (s, n).
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
@@ -452,9 +453,8 @@ def protocol_bounds(
     bwd = "ue_to_bs" if initiator == "bs" else "bs_to_ue"
     fwd = "bs_to_ue" if initiator == "bs" else "ue_to_bs"
 
-    weight = delay_weight(
-        protocol, tables.delay_info[fwd] * delay_scale, tables.delay_info[bwd] * delay_scale
-    )
+    scale = np.asarray(delay_scale, dtype=np.float64)[..., None]
+    weight = delay_weight(protocol, tables.delay_info[fwd] * scale, tables.delay_info[bwd] * scale)
     factors = tables.factors["clp" if protocol == "clp" else bwd]
     peb, oeb, ok = invert_efim(tables.jacobian, factors, weight)
     return BoundSamples(peb=peb, oeb=oeb, identifiable=ok)
@@ -498,25 +498,22 @@ def run_cdf(scenario: Scenario) -> CdfResult:
 def _peb90(scenario: Scenario, variants, scales) -> dict:
     """PEB at the 0.9 quantile per (variant, scale, protocol, initiator) index.
 
-    Streams the scenario's positions under each variant and rescales the
-    delay information by each scale; only each cell's PEB is kept, which
-    `invert_efim` sets to inf wherever a position is unidentifiable.
+    Streams the scenario's positions under each variant and reads each
+    chunk at all delay scales in one `protocol_bounds` call per pair; only
+    each cell's PEB is kept, which `invert_efim` sets to inf wherever a
+    position is unidentifiable.
     """
     positions = sample_positions(scenario.region, scenario.n_samples, scenario.seed)
-    cells = {
-        (k, j, protocol, initiator): np.empty(positions.shape[0])
-        for k in range(len(variants)) for j in range(len(scales))
-        for protocol in scenario.protocols for initiator in scenario.initiators
-    }
+    scales = np.asarray(scales, dtype=np.float64)
+    pairs = [(p, i) for p in scenario.protocols for i in scenario.initiators]
+    pebs = {(k, *pair): np.empty((scales.size, positions.shape[0]))
+            for k in range(len(variants)) for pair in pairs}
     for rows, k, tables in _stream(variants, positions):
-        for j, scale in enumerate(scales):
-            for protocol in scenario.protocols:
-                for initiator in scenario.initiators:
-                    cells[k, j, protocol, initiator][rows] = protocol_bounds(
-                        tables, protocol, initiator, delay_scale=scale
-                    ).peb
+        for pair in pairs:
+            pebs[(k, *pair)][:, rows] = protocol_bounds(tables, *pair, delay_scale=scales).peb
         del tables  # so that the next chunk's tables are the only ones alive
-    return {cell: percentile(peb, 0.9) for cell, peb in cells.items()}
+    return {(k, j, *pair): percentile(peb[j], 0.9)
+            for (k, *pair), peb in pebs.items() for j in range(scales.size)}
 
 
 def sweep_bandwidth(scenario: Scenario, bandwidths) -> list:

@@ -94,9 +94,9 @@ NON_SQUARE = [
      "n_beams": 9},
 ]
 
-#: exactly singular angle EFIMs in every chunk (`protocols._inverse`'s
-#: `LinAlgError` fallback), a link budget past the float range, and a
-#: subnormal smallest EFIM eigenvalue
+#: exactly singular angle EFIMs in every chunk (a zero pivot in
+#: `protocols.efim_factors`' elementwise Cholesky elimination), a link
+#: budget past the float range, and a subnormal smallest EFIM eigenvalue
 SINGULAR = [
     {"n_positions": 20, "n_beams": 1, "bs_rows": 1, "bs_cols": 1},
     {"n_positions": 20, "n_beams": 1, "ue_rows": 1, "ue_cols": 12},

@@ -105,6 +105,22 @@ def test_beam_factors_rebuild_the_receive_codebook(plane):
         assert np.abs(rebuilt - w * weight[:, None]).max() <= 1e-14 * np.abs(w).max()
 
 
+@pytest.mark.parametrize("rows", [1, 2, 7, 12], ids=["1", "2", "odd", "even"])
+@pytest.mark.parametrize("spacing", [None, 0.0031], ids=["half-wave", "other"])
+def test_mirrored_phases_equal_every_exponential(rows, spacing):
+    """Half the exponentials and their conjugates give exp(-j·x·k) bit for bit.
+
+    A row mirrored from the wrong offset, or a 1-element axis whose one row
+    is duplicated, changes the bits or the shape.
+    """
+    x = ArrayGeometry(rows, 3, LAMBDA, spacing=spacing).offsets()[0]
+    k = np.random.default_rng(4).uniform(-2.0, 2.0, 257) * 2.0 * np.pi / LAMBDA
+    expected = np.exp(-1j * np.outer(x, k))
+    phases = kernels._phases(x, k)
+    assert phases.shape == expected.shape
+    np.testing.assert_array_equal(phases.view(np.uint64), expected.view(np.uint64))
+
+
 def test_backend_is_deterministic(small_scenario):
     positions = sample_positions(small_scenario.region, 64, 9)
     a = position_tables(small_scenario, positions)

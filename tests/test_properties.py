@@ -13,6 +13,7 @@ import functools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -212,3 +213,20 @@ def test_delay_enters_peb_only_as_c2_over_w_and_oeb_not_at_all(orientation_deg, 
         a_inv = np.linalg.inv(f.angle)
         angle_term = r2 * a_inv[:, 0, 0] + r2_sin2 * a_inv[:, 1, 1]
         np.testing.assert_allclose(f.pos[:, 0], angle_term, rtol=1e-11, atol=0.0, err_msg=key)
+
+
+@pytest.mark.parametrize("orientation_deg", [(0.0, 0.0), (30.0, 30.0)], ids=["0", "30-30"])
+def test_cholesky_contraction_matches_a_dense_inverse(orientation_deg):
+    # ⟨A⁻¹, F·Fᵀ⟩ through A's Cholesky factor equals the contraction with a
+    # LAPACK inverse of A, over one pipeline chunk of positions
+    import twl.scenario
+
+    scn = _scenario(orientation_deg, 1, n_samples=twl.scenario._CHUNK)
+    tables = position_tables(scn)
+    m = np.linalg.inv(tables.jacobian)
+    for key, f in tables.factors.items():
+        a_inv = np.linalg.inv(f.angle)
+        for got, columns in ((f.pos[:, 0], slice(2, 5)), (f.ori[:, 0], slice(0, 2))):
+            rows = m[:, :4, columns]
+            dense = np.einsum("nab,nac,nbc->n", a_inv, rows, rows)
+            np.testing.assert_allclose(got, dense, rtol=1e-12, atol=0.0, err_msg=key)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from twl.protocols import (
     assemble,
     efim_factors,
     invert_efim,
+    localization_efim,
     pose_grams,
     rank_and_condition,
 )
@@ -105,6 +107,47 @@ def test_singular_efim_reports_rank_not_crash():
     # a subnormal smallest eigenvalue overflows the condition number to inf
     rank, condition = rank_and_condition(np.diag([1.0, 1.0, 1.0, 1.0, 1e-310]))
     assert rank == 4 and condition == np.inf
+
+
+def test_cholesky_factors_flag_each_bad_angle_efim_alone(monkeypatch):
+    """One batch of good and bad angle EFIMs: each flag is that of its own dense E.
+
+    The factors contract A through an elementwise Cholesky elimination, not
+    a LAPACK call on the batch, which would raise for all poses when one A
+    is not positive definite. The batch holds I, diag(1, 1, 1, 0), an
+    indefinite A, an all-NaN A and an SPD A scaled by 1e-27, once with w = 1
+    (cond(E) ~ 1e27, unidentifiable) and once with w = 1e-27 (E is 1e-27
+    times a well-conditioned matrix, identifiable).
+    """
+    rng = np.random.default_rng(14)
+    b = rng.standard_normal((4, 4))
+    spd = b @ b.T + 4.0 * np.eye(4)
+    angle = np.stack([
+        np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0]), np.diag([2.0, 1.0, -1.0, 3.0]),
+        np.full((4, 4), np.nan), 1e-27 * spd, 1e-27 * spd,
+    ])
+    weight = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1e-27])
+    jacobian = np.broadcast_to(np.eye(5) + 0.1 * rng.standard_normal((5, 5)), (6, 5, 5))
+    grams = pose_grams(jacobian)
+    for name in ("inv", "solve", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, None)  # any call on A would raise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factors = efim_factors(grams, angle)
+    monkeypatch.undo()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        peb, oeb, ok = invert_efim(jacobian, factors, weight)
+    efim = localization_efim(jacobian, angle, weight)
+    rank, condition = rank_and_condition(efim)
+    expected = (rank == 5) & (condition <= 1e12)
+    assert expected.tolist() == [True, False, False, False, False, True]
+    np.testing.assert_array_equal(ok, expected)
+    assert np.isinf(peb[~ok]).all() and np.isinf(oeb[~ok]).all()
+    for k in np.flatnonzero(ok):
+        cov = np.diag(np.linalg.inv(efim[k]))
+        assert peb[k] == pytest.approx(np.sqrt(cov[2:].sum()), rel=1e-12)
+        assert oeb[k] == pytest.approx(np.sqrt(cov[:2].sum()), rel=1e-12)
 
 
 def _exact_bounds(jacobian, angle, weight):

@@ -290,15 +290,18 @@ def test_sweep_antennas_shares_the_pose_and_the_other_forms(monkeypatch):
     unswept device's forms per count would send 2·k·n directions. The
     Jacobians are inverted once per chunk, whatever the number of counts:
     600 positions in chunks of 256 take 3 inverses of 5x5 batches, where
-    one per count would take 9.
+    one per count would take 9. No angle EFIM is inverted: every
+    `protocols._inverse` call is one of those 3.
     """
     monkeypatch.setattr(twl.scenario, "_CHUNK", 256)
-    calls = {"directions": 0, "codebooks": 0, "jacobian_inverses": 0}
+    calls = {"directions": 0, "codebooks": 0, "inverses": 0}
+    inverted = set()
     steering_forms, directional_beams = twl.scenario.steering_forms, twl.scenario.directional_beams
     inverse = twl.protocols._inverse
 
     def counted_inverse(a):
-        calls["jacobian_inverses"] += a.shape[-1] == 5
+        calls["inverses"] += 1
+        inverted.add(a.shape[-2:])
         return inverse(a)
 
     def counted_forms(*args, theta, **kwargs):
@@ -315,10 +318,11 @@ def test_sweep_antennas_shares_the_pose_and_the_other_forms(monkeypatch):
     scn = Scenario.reference_defaults(n_samples=600, seed=9)
     counts = [36, 64, 144]
     for side in ("bs", "ue"):
-        calls.update(directions=0, codebooks=0, jacobian_inverses=0)
+        calls.update(directions=0, codebooks=0, inverses=0)
         sweep_antennas(scn, counts, side)
         assert calls == {"directions": (1 + 3) * 600, "codebooks": 2 * (1 + 3),
-                         "jacobian_inverses": 3}, side
+                         "inverses": 3}, side
+    assert inverted == {(5, 5)}
 
 
 def test_sweep_antennas_holds_one_count_of_tables():
