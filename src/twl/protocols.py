@@ -176,13 +176,17 @@ def _whitened_squares(angle: np.ndarray, f: np.ndarray) -> np.ndarray:
     LAPACK call sees A, so one bad pose cannot fail a whole batch, and a
     non-positive or non-finite pivot spoils only its own pose's terms.
     """
-    aug = np.moveaxis(np.concatenate([angle, f], axis=-1), (-2, -1), (0, 1)).copy()
+    aug = np.empty((4, 4 + f.shape[-1]) + angle.shape[:-2])
+    aug[:, :4] = np.moveaxis(angle, (-2, -1), (0, 1))
+    aug[:, 4:] = np.moveaxis(f, (-2, -1), (0, 1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(4):
-            row = aug[j, j:] / np.sqrt(aug[j, j])
-            aug[j + 1:, j + 1:] -= row[1:4 - j, None] * row[None, 1:]
-            aug[j, j:] = row
-        return aug[:, 4:] ** 2
+            row = aug[j, j:]
+            row /= np.sqrt(row[0])
+            for i in range(j + 1, 4):
+                aug[i, j + 1:] -= row[i - j] * row[1:]
+        y = aug[:, 4:]
+        return np.square(y, out=y)
 
 
 def efim_factors(grams: tuple, angle: np.ndarray) -> EfimFactors:

@@ -430,6 +430,7 @@ def _link_tables(scenario: Scenario, positions, geo: dict, jac, grams, forms: di
         jm = fim_from_forms(t_tx, r_rx, gamma, beta, scenario.signal.weff2, direction)
         angle[link] = eliminate_gain(jm)
         delay[link] = jm[:, 6, 6].copy()
+    del jm  # so that the factors' transients do not add to a channel FIM
     both = angle["bs_to_ue"] + angle["ue_to_bs"]
     factors = {key: efim_factors(grams, a) for key, a in (*angle.items(), ("clp", both))}
     return PositionTables(
