@@ -171,8 +171,8 @@ def _sq_norm(v):
 def _whitened_squares(angle: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Squares of L⁻¹·F for A = L·Lᵀ, as (4, k, ...); a bad A gives NaN or inf.
 
-    Elimination on [A | F], elementwise over the leading axes: row j of the
-    reduced rows is [Lᵀ | L⁻¹F] row j once divided by its pivot's root. No
+    Symmetric elimination on [A | F], elementwise over the leading axes:
+    after step j, row j holds row j of [Lᵀ | L⁻¹F] from column j on. No
     LAPACK call sees A, so one bad pose cannot fail a whole batch, and a
     non-positive or non-finite pivot spoils only its own pose's terms.
     """

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twl.scenario
 from twl.beamforming import directional_beams, reverse_direction
 from twl.fim import channel_fim
 from twl.pose import Pose, channel_geometry, location_jacobian
@@ -219,8 +220,6 @@ def test_delay_enters_peb_only_as_c2_over_w_and_oeb_not_at_all(orientation_deg, 
 def test_cholesky_contraction_matches_a_dense_inverse(orientation_deg):
     # ⟨A⁻¹, F·Fᵀ⟩ through A's Cholesky factor equals the contraction with a
     # LAPACK inverse of A, over one pipeline chunk of positions
-    import twl.scenario
-
     scn = _scenario(orientation_deg, 1, n_samples=twl.scenario._CHUNK)
     tables = position_tables(scn)
     m = np.linalg.inv(tables.jacobian)
