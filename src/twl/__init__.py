@@ -27,7 +27,6 @@ from .fim import (
 from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
-    SteeringBundle,
     steering,
     wavenumber,
 )

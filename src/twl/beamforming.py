@@ -1,4 +1,4 @@
-"""Beam matrices, codebooks, the receive-space basis, and the signal constants.
+"""Beam matrices, codebooks, the receive-space whitening, and the signal constants.
 
 Directional codebooks hold one steering column per pointing direction,
 scaled by 1/sqrt(n_beams) so a transmit matrix satisfies the unit trace
@@ -6,10 +6,12 @@ power constraint exactly. Transmit columns are conjugated so that a beam's
 named direction is the direction it radiates toward; receive columns are
 plain steering vectors, peaking for arrivals from the named direction. A
 device's transmit codebook over a pointing set is therefore the conjugate
-of its receive codebook, F = conj(W).
+of its receive codebook, F = conj(W). A `Beamformer` keeps its pointing
+directions beside its matrix: the kernel (`twl.kernels`) builds its
+per-axis factors from them.
 
-The receive-space projector is U·Uᴴ = W·G⁻¹·Wᴴ with G = WᴴW; `gram_inv_sqrt`
-gives G^(-1/2) and `orthonormal_basis` the basis U = W·G^(-1/2).
+The receive-space projector is U·Uᴴ = W·G⁻¹·Wᴴ with G = WᴴW;
+`gram_inv_sqrt` gives the G^(-1/2) that the kernel applies.
 """
 
 from dataclasses import dataclass
@@ -25,14 +27,16 @@ class SingularBeamsError(ValueError):
 
 @dataclass(frozen=True)
 class Beamformer:
-    """Complex N x n_beams beam matrix with its role.
+    """Complex N x n_beams beam matrix with its role and pointing directions.
 
     Transmit matrices carry Tr(F^H F) = 1; receive matrices must have a
-    nonsingular Gram matrix W^H W.
+    nonsingular Gram matrix W^H W. ``directions`` holds one (theta, phi)
+    per column, the directions `directional_beams` steered it to.
     """
 
     matrix: np.ndarray
     role: str
+    directions: tuple
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
@@ -44,7 +48,12 @@ class Beamformer:
             trace = np.sum(np.abs(m) ** 2)
             if abs(trace - 1.0) > 1e-12:
                 raise ValueError(f"transmit power constraint violated: Tr(F^H F) = {trace!r}")
+        directions = tuple((float(th), float(ph)) for th, ph in self.directions)
+        if len(directions) != m.shape[1]:
+            raise ValueError(f"need one direction per beam, got {len(directions)} "
+                             f"for {m.shape[1]} beams")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "directions", directions)
 
     @property
     def n_beams(self) -> int:
@@ -122,10 +131,11 @@ def directional_beams(
         raise ValueError("need at least one beam direction")
     if role == "receive" and len(set(directions)) < len(directions):
         raise SingularBeamsError("duplicate receive directions make W^H W singular")
-    cols = np.column_stack([steering(geom, th, ph).a for th, ph in directions])
+    cols = np.column_stack([steering(geom, th, ph) for th, ph in directions])
     if role == "transmit":
         cols = cols.conj()
-    return Beamformer(matrix=cols / np.sqrt(len(directions)), role=role)
+    return Beamformer(matrix=cols / np.sqrt(len(directions)), role=role,
+                      directions=directions)
 
 
 def reverse_direction(theta: float, phi: float) -> tuple[float, float]:
@@ -201,8 +211,3 @@ def gram_inv_sqrt(w: np.ndarray) -> np.ndarray:
             f"({len(bad)} dependent combinations); drop redundant beams"
         )
     return (evecs * evals**-0.5) @ evecs.conj().T
-
-
-def orthonormal_basis(w: np.ndarray) -> np.ndarray:
-    """Orthonormal basis U = w·G^(-1/2) of the column space of w."""
-    return w @ gram_inv_sqrt(w)

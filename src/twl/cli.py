@@ -285,6 +285,9 @@ def _rows_point(config: RunConfig):
     if not scenario.region.contains(point[None, :])[0]:
         raise ConfigError(f"invalid value for point_m: {config['point_m']!r} "
                           "lies outside the region")
+    if np.linalg.norm(point) == 0.0:
+        raise ConfigError(f"invalid value for point_m: {config['point_m']!r} "
+                          "lies on the anchor")
     tables = position_tables(scenario, positions=point[None, :])
     zeta_deg, chi_deg = (math.degrees(a) for a in scenario.orientation)
     rows = []

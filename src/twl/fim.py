@@ -10,22 +10,23 @@ the angle block decouples from everything except the gain amplitude beta.
 
 `fim_from_forms` and `eliminate_gain` are batched over leading axes and are
 what the position pipeline runs; `channel_fim` and `angle_efim` call them
-for one link. `quadratic_forms` computes the beam-space forms of one
-direction from `geometry.steering`, the per-pose reference for the kernel.
+for one link. `channel_fim` takes its beam-space forms from the pipeline's
+kernel (`kernels.steering_forms`) at one direction per device.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import Beamformer, SignalConfig, orthonormal_basis
-from .geometry import ArrayGeometry, steering
+from .beamforming import Beamformer, SignalConfig
+from .geometry import ArrayGeometry
+from .kernels import codebook_tables, steering_forms
 from .pose import ChannelGeometry
 
 CHANNEL_PARAMS = ("theta1", "phi1", "theta2", "phi2", "beta", "psi", "tau")
 DIRECTIONS = ("forward", "backward")
 
-# Bundle component indices inside the 3x3 quadratic-form tables.
+# Indices of (a, da/dtheta, da/dphi) inside the 3x3 form tables.
 _A, _K, _P = 0, 1, 2
 
 
@@ -56,28 +57,6 @@ class Efim:
 
     matrix: np.ndarray
     kept_parameters: tuple
-
-
-def quadratic_forms(tx_matrix: np.ndarray, rx_basis: np.ndarray, bundles):
-    """Beam-space quadratic-form tables for one device pair.
-
-    Args:
-        tx_matrix: transmit beam matrix F of the transmitting device.
-        rx_basis: orthonormal basis U of the receive beam space.
-        bundles: pair of steering bundles (transmitter's, receiver's).
-
-    Returns:
-        (t_forms, r_forms), each 3x3 complex over components (a, da/dtheta,
-        da/dphi): t_forms[x, y] = x^T F F^H y*, r_forms[x, y] = x^H U U^H y.
-    """
-    tx_bundle, rx_bundle = bundles
-    xt = np.stack([tx_bundle.a, tx_bundle.da_dtheta, tx_bundle.da_dphi], axis=1)
-    xr = np.stack([rx_bundle.a, rx_bundle.da_dtheta, rx_bundle.da_dphi], axis=1)
-    ut = tx_matrix.T @ xt  # (n_beams, 3)
-    vr = rx_basis.conj().T @ xr
-    t_forms = ut.T @ ut.conj()
-    r_forms = vr.conj().T @ vr
-    return t_forms, r_forms
 
 
 def fim_from_forms(t_tx, r_rx, gamma, beta, weff2, direction):
@@ -144,25 +123,30 @@ def channel_fim(
     """Closed-form channel FIM of one transmission direction.
 
     The transmitter is the pair-1 device for "forward" and the pair-2 device
-    for "backward"; geometries and beam matrices are passed for the actual
-    transmitter/receiver of that transmission.
+    for "backward"; geometries and codebooks are passed for the actual
+    transmitter/receiver of that transmission. ``tx_beams`` must be a
+    transmit and ``rx_beams`` a receive `directional_beams` codebook: the
+    forms come from their directions through `kernels.steering_forms`, the
+    position pipeline's kernel, at one direction per device.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if not cg.beta > 0:
         raise ValueError(f"beta must be positive, got {cg.beta!r}")
+    if tx_beams.role != "transmit" or rx_beams.role != "receive":
+        raise ValueError("tx_beams must be a transmit codebook and rx_beams a receive one")
     if direction == "backward":
         tx_angles = (cg.theta2, cg.phi2)
         rx_angles = (cg.theta1, cg.phi1)
     else:
         tx_angles = (cg.theta1, cg.phi1)
         rx_angles = (cg.theta2, cg.phi2)
-    tx_bundle = steering(tx_geom, *tx_angles)
-    rx_bundle = steering(rx_geom, *rx_angles)
-    rx_basis = orthonormal_basis(rx_beams.matrix)
-    t_forms, r_forms = quadratic_forms(tx_beams.matrix, rx_basis, (tx_bundle, rx_bundle))
+    t_forms, _ = steering_forms(tx_geom, codebook_tables(tx_geom, tx_beams),
+                                [tx_angles[0]], [tx_angles[1]])
+    _, r_forms = steering_forms(rx_geom, codebook_tables(rx_geom, rx_beams),
+                                [rx_angles[0]], [rx_angles[1]])
     gamma = sig.gamma(tx_geom.n_elements, rx_geom.n_elements)
-    jm = fim_from_forms(t_forms, r_forms, gamma, cg.beta, sig.weff2, direction)
+    jm = fim_from_forms(t_forms[0], r_forms[0], gamma, cg.beta, sig.weff2, direction)
     if not np.any(np.abs(jm) > 0.0):
         raise NoIlluminationError("no illumination: all FIM entries are zero")
     return ChannelFim(matrix=jm, direction=direction, gamma=gamma)

@@ -8,10 +8,12 @@ kernel (`twl.kernels`) uses.
 Conventions: theta is the polar angle measured from +z, phi the azimuth
 measured from +x. Steering vectors are unit norm, with each element
 contributing a phase of minus the projection of its coordinate onto the
-wavenumber vector. `wavenumber_with_partials` is the one definition of
-k(theta, phi) and its two partials, computed from one set of sines and
-cosines; `wavenumber` is its first result. Both take scalars or arrays of
-angles.
+wavenumber vector. `steering` gives the response alone, which is what a
+codebook column needs (`beamforming.directional_beams`); the angle partials
+exist only inside the kernel. `wavenumber_with_partials` is the one
+definition of k(theta, phi) and its two partials, computed from one set of
+sines and cosines; `wavenumber` is its first result. Both take scalars or
+arrays of angles.
 """
 
 from dataclasses import dataclass, field
@@ -93,21 +95,6 @@ class ArrayGeometry:
                 (np.arange(self.cols) - (self.cols - 1) / 2.0) * self.spacing)
 
 
-@dataclass(frozen=True)
-class SteeringBundle:
-    """Steering vector of an array together with its analytic angle partials.
-
-    Attributes:
-        a: unit-norm complex array response, shape (N,).
-        da_dtheta: elementwise partial of ``a`` w.r.t. the polar angle.
-        da_dphi: elementwise partial of ``a`` w.r.t. the azimuth angle.
-    """
-
-    a: np.ndarray
-    da_dtheta: np.ndarray
-    da_dphi: np.ndarray
-
-
 def wavenumber(theta, phi, wavelength: float) -> np.ndarray:
     """Wavenumber vector (rad/m) of a plane wave from direction (theta, phi).
 
@@ -132,16 +119,10 @@ def wavenumber_with_partials(theta, phi, wavelength: float):
     return k, dk_dtheta, dk_dphi
 
 
-def steering(geom: ArrayGeometry, theta: float, phi: float) -> SteeringBundle:
-    """Array response vector and its exact angle partials.
+def steering(geom: ArrayGeometry, theta: float, phi: float) -> np.ndarray:
+    """Array response ``exp(-j * elements^T k) / sqrt(N)``, shape (N,).
 
-    The response is ``exp(-j * elements^T k) / sqrt(N)`` so that its 2-norm
-    is exactly 1; the partials follow by differentiating the phase.
+    Its 2-norm is exactly 1.
     """
-    n = geom.n_elements
-    k, dk_dtheta, dk_dphi = wavenumber_with_partials(theta, phi, geom.wavelength)
-    phase = geom.elements.T @ k
-    a = np.exp(-1j * phase) / np.sqrt(n)
-    da_dtheta = -1j * (geom.elements.T @ dk_dtheta) * a
-    da_dphi = -1j * (geom.elements.T @ dk_dphi) * a
-    return SteeringBundle(a=a, da_dtheta=da_dtheta, da_dphi=da_dphi)
+    k = wavenumber(theta, phi, geom.wavelength)
+    return np.exp(-1j * (geom.elements.T @ k)) / np.sqrt(geom.n_elements)

@@ -36,15 +36,18 @@ per direction and a (4·n_beams x N)·(N x m) product. c(k) multiplies the
 whole bundle and cancels in every form; each Hermitian form is filled from
 its 6 unique entries.
 
-`fim.quadratic_forms` over `geometry.steering` computes the same tables one
-direction at a time from the full element coordinates and serves as the
-independent reference.
+This is the one place that computes beam-space forms. The position
+pipeline (`twl.scenario`) runs it over chunks of positions, and
+`fim.channel_fim` at one direction per device; `codebook_tables` builds the
+tables of both from a `Beamformer`'s directions. The independent per-pose
+reference, from the full element coordinates, lives in the test suite.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .beamforming import Beamformer, gram_inv_sqrt
 from .geometry import ArrayGeometry, wavenumber, wavenumber_with_partials
 
 # Directions per step. One step's temporaries take ~6 MB, so they stay in
@@ -83,6 +86,19 @@ def beam_factors(geometry: ArrayGeometry, directions) -> tuple[np.ndarray, np.nd
     r = np.exp(1j * np.outer(k[ax0], x)) * scale[:, None]
     s = np.exp(1j * np.outer(k[ax1], y))
     return np.concatenate([r, r * x]), np.concatenate([s, s * y])
+
+
+def codebook_tables(geometry: ArrayGeometry, beams: Beamformer) -> DeviceTables:
+    """`DeviceTables` of a `directional_beams` codebook, from its directions.
+
+    A receive codebook W gives G^(-1/2) of G = WᴴW, which raises
+    `SingularBeamsError` for a singular G. A transmit codebook conj(W) is
+    read through its t forms alone, which need no G^(-1/2): its tables carry
+    the identity there, so a transmit set may repeat a direction.
+    """
+    whitening = (gram_inv_sqrt(beams.matrix) if beams.role == "receive"
+                 else np.eye(beams.n_beams))
+    return DeviceTables(*beam_factors(geometry, beams.directions), whitening=whitening)
 
 
 def steering_forms(

@@ -38,7 +38,9 @@ its own 1024-direction step inside each chunk; 4096 is a multiple of it,
 so the results equal those of an unchunked run bit for bit.
 `protocol_bounds` picks the factors by key and computes only the
 protocol's delay weight (`twl.protocols.invert_efim`). The single-pose
-functions of those modules call the same stage code.
+functions of those modules are n = 1 views of the same stage code:
+`fim.channel_fim` runs the kernel at one direction per device, on tables
+that `kernels.codebook_tables` builds as `_device_tables` does.
 
 `REFERENCE_CONFIG` holds the reference setup once, in the CLI's config
 units; `Scenario.from_config` converts it, or any validated config, to a
@@ -53,14 +55,13 @@ import numpy as np
 from .beamforming import (
     SignalConfig,
     directional_beams,
-    gram_inv_sqrt,
     region_spot_grid,
     reverse_direction,
     sector_beam_grid,
 )
 from .fim import eliminate_gain, fim_from_forms
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry
-from .kernels import DeviceTables, beam_factors, steering_forms
+from .kernels import DeviceTables, codebook_tables, steering_forms
 from .pose import _jacobian_batch, _link_angles_batch, rotation_matrix
 from .protocols import PROTOCOLS, delay_weight, efim_factors, invert_efim, pose_grams
 
@@ -174,6 +175,7 @@ class Scenario:
     initiators: tuple
     n_samples: int
     seed: int
+    _anchor_directions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -190,6 +192,13 @@ class Scenario:
         for side in ("bs", "ue"):
             if abs(getattr(self, f"{side}_array").wavelength - lam) > 1e-12 * lam:
                 raise ValueError(f"{side}_array wavelength differs from the signal's {lam!r} m")
+        # Built here, so that a grid that cannot be built, such as a region
+        # spot on the anchor, fails with the scenario, not in a run.
+        if self.beam_grid == "region":
+            grid = region_spot_grid(self.region.vertices, self.n_beams)
+        else:
+            grid = sector_beam_grid(self.n_beams, self.sector_azimuth, self.sector_polar)
+        object.__setattr__(self, "_anchor_directions", tuple(grid))
 
     def anchor_beam_directions(self) -> list:
         """Anchor codebook pointing directions for the configured grid.
@@ -199,9 +208,7 @@ class Scenario:
         The terminal codebook is always the reversed set, held fixed in its
         local frame.
         """
-        if self.beam_grid == "region":
-            return region_spot_grid(self.region.vertices, self.n_beams)
-        return sector_beam_grid(self.n_beams, self.sector_azimuth, self.sector_polar)
+        return list(self._anchor_directions)
 
     @classmethod
     def from_config(cls, values: dict) -> "Scenario":
@@ -340,8 +347,7 @@ def _device_tables(geom: ArrayGeometry, directions) -> DeviceTables:
     # for their checks: the transmit one (conj(W)) for the unit transmit
     # power, the receive one for a duplicate direction, and G^(-1/2).
     directional_beams(geom, directions, role="transmit")
-    w = directional_beams(geom, directions, role="receive").matrix
-    return DeviceTables(*beam_factors(geom, directions), whitening=gram_inv_sqrt(w))
+    return codebook_tables(geom, directional_beams(geom, directions, role="receive"))
 
 
 def _beam_directions(scenario: Scenario) -> dict:

@@ -3,13 +3,23 @@
 The waveform FIM oracle synthesizes the actual pilot signal (time-limited
 raised-cosine pulses, orthogonal pilot sequences), forms the noise-whitened
 observation mean, and integrates finite-difference derivatives over a dense
-time grid. It shares no code with the closed-form FIM path beyond steering
-vector evaluation through public helpers.
+time grid. It shares no code with the closed-form FIM path beyond the
+wavenumber k(theta, phi): the kernel (`twl.kernels.steering_forms`) never
+calls `twl.geometry.steering`.
+
+The per-pose reference of the kernel builds the steering bundle (the
+response a and its two analytic angle partials) of one direction from the
+full element coordinates, projects it through F and through an orthonormal
+basis U of the receive beam space, and takes the 3x3 forms: no per-axis
+factors, no mirrored phases, no chunking.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from twl.geometry import steering
+from twl.beamforming import gram_inv_sqrt
+from twl.geometry import steering, wavenumber_with_partials
 
 CHANNEL_PARAMS = ("theta1", "phi1", "theta2", "phi2", "beta", "psi", "tau")
 
@@ -75,8 +85,8 @@ def numerical_channel_fim(
             tx_angles, rx_angles = (theta2, phi2), (theta1, phi1)
         else:
             tx_angles, rx_angles = (theta1, phi1), (theta2, phi2)
-        a_tx = steering(tx_geom, *tx_angles).a
-        a_rx = steering(rx_geom, *rx_angles).a
+        a_tx = steering(tx_geom, *tx_angles)
+        a_rx = steering(rx_geom, *rx_angles)
         rx_gain = rx_matrix.conj().T @ a_rx  # (n_rx_beams,)
         tx_row = a_tx @ tx_matrix  # (n_tx_beams,)
         offsets = t_grid[None, :] - tau - np.arange(ns)[:, None] * ts
@@ -102,6 +112,58 @@ def numerical_channel_fim(
             )
             fim[i, j] = fim[j, i] = val
     return fim
+
+
+@dataclass(frozen=True)
+class SteeringBundle:
+    """Steering vector of an array together with its analytic angle partials.
+
+    Attributes:
+        a: unit-norm complex array response, shape (N,).
+        da_dtheta: elementwise partial of ``a`` w.r.t. the polar angle.
+        da_dphi: elementwise partial of ``a`` w.r.t. the azimuth angle.
+    """
+
+    a: np.ndarray
+    da_dtheta: np.ndarray
+    da_dphi: np.ndarray
+
+
+def steering_bundle(geom, theta, phi) -> SteeringBundle:
+    """Array response ``exp(-j * elements^T k) / sqrt(N)`` and its exact angle partials.
+
+    The partials follow by differentiating the phase.
+    """
+    k, dk_dtheta, dk_dphi = wavenumber_with_partials(theta, phi, geom.wavelength)
+    a = np.exp(-1j * (geom.elements.T @ k)) / np.sqrt(geom.n_elements)
+    da_dtheta = -1j * (geom.elements.T @ dk_dtheta) * a
+    da_dphi = -1j * (geom.elements.T @ dk_dphi) * a
+    return SteeringBundle(a=a, da_dtheta=da_dtheta, da_dphi=da_dphi)
+
+
+def orthonormal_basis(w):
+    """Orthonormal basis U = w·G^(-1/2) of the column space of w."""
+    return w @ gram_inv_sqrt(w)
+
+
+def quadratic_forms(tx_matrix, rx_basis, bundles):
+    """Beam-space quadratic-form tables for one device pair.
+
+    Args:
+        tx_matrix: transmit beam matrix F of the transmitting device.
+        rx_basis: orthonormal basis U of the receive beam space.
+        bundles: pair of steering bundles (transmitter's, receiver's).
+
+    Returns:
+        (t_forms, r_forms), each 3x3 complex over components (a, da/dtheta,
+        da/dphi): t_forms[x, y] = x^T F F^H y*, r_forms[x, y] = x^H U U^H y.
+    """
+    tx_bundle, rx_bundle = bundles
+    xt = np.stack([tx_bundle.a, tx_bundle.da_dtheta, tx_bundle.da_dphi], axis=1)
+    xr = np.stack([rx_bundle.a, rx_bundle.da_dtheta, rx_bundle.da_dphi], axis=1)
+    ut = tx_matrix.T @ xt  # (n_beams, 3)
+    vr = rx_basis.conj().T @ xr
+    return ut.T @ ut.conj(), vr.conj().T @ vr
 
 
 def joint_efim_oracle(rng, dim_x, dim_z1, dim_z2):

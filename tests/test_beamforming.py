@@ -6,11 +6,12 @@ from twl.beamforming import (
     SignalConfig,
     SingularBeamsError,
     directional_beams,
-    orthonormal_basis,
+    gram_inv_sqrt,
     region_spot_grid,
     reverse_direction,
     sector_beam_grid,
 )
+from oracles import orthonormal_basis
 from twl.geometry import steering
 from twl.scenario import Scenario, _beam_directions
 
@@ -21,12 +22,12 @@ def test_single_transmit_beam_trace(ura12):
     f = directional_beams(ura12, [(2.0, 1.0)], role="transmit")
     assert f.n_beams == 1
     assert abs(np.sum(np.abs(f.matrix) ** 2) - 1.0) < 1e-12
-    np.testing.assert_allclose(f.matrix[:, 0], steering(ura12, 2.0, 1.0).a.conj())
+    np.testing.assert_allclose(f.matrix[:, 0], steering(ura12, 2.0, 1.0).conj())
 
 
 def test_single_receive_beam_is_plain_steering(ura12):
     w = directional_beams(ura12, [(2.0, 1.0)], role="receive")
-    np.testing.assert_allclose(w.matrix[:, 0], steering(ura12, 2.0, 1.0).a)
+    np.testing.assert_allclose(w.matrix[:, 0], steering(ura12, 2.0, 1.0))
 
 
 def test_25_beam_trace_constraint(ura12, rng):
@@ -50,10 +51,13 @@ def test_duplicate_receive_directions_rejected(ura12):
 
 
 def test_beamformer_role_validation(ura12):
+    dirs = [(2.0, 1.0), (2.2, 0.5)]
     with pytest.raises(ValueError):
-        Beamformer(matrix=np.ones((4, 2), complex), role="transmit")  # bad trace
+        Beamformer(matrix=np.ones((4, 2), complex), role="transmit", directions=dirs)  # bad trace
     with pytest.raises(ValueError):
-        Beamformer(matrix=np.eye(4, 2, dtype=complex), role="other")
+        Beamformer(matrix=np.eye(4, 2, dtype=complex), role="other", directions=dirs)
+    with pytest.raises(ValueError, match="one direction per beam"):
+        Beamformer(matrix=np.eye(4, 2, dtype=complex), role="receive", directions=dirs[:1])
 
 
 def test_sector_grid_is_equispaced():
@@ -146,7 +150,7 @@ def test_reverse_direction_wraps():
 
 
 def _projector(w):
-    """U U^H from the pipeline's receive-space basis, checking U^H U = I."""
+    """U U^H with U = W·G^(-1/2) through the pipeline's whitening, checking U^H U = I."""
     u = orthonormal_basis(w)
     np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[1]), atol=1e-12)
     return u @ u.conj().T
@@ -184,9 +188,9 @@ def test_projection_fixes_span_annihilates_complement(ura12, rng):
 
 
 def test_projection_singular_gram_names_beams(ura12):
-    a = steering(ura12, 2.0, 1.0).a
+    a = steering(ura12, 2.0, 1.0)
     with pytest.raises(SingularBeamsError, match="beam set of 3"):
-        orthonormal_basis(np.column_stack([a, a, steering(ura12, 2.2, 0.5).a]))
+        gram_inv_sqrt(np.column_stack([a, a, steering(ura12, 2.2, 0.5)]))
 
 
 def test_signal_config_defaults(default_signal):

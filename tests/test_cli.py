@@ -226,6 +226,28 @@ def test_point_outside_region_is_validation_error(tmp_path, capsys):
     assert "point_m" in capsys.readouterr().err
 
 
+def test_point_on_the_anchor_is_validation_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "region_vertices_m = [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.0, 2.0, 0.0], "
+        "[0.0, 2.0, 0.0]]\nbeam_grid = \"sector\"\npoint_m = [0.0, 0.0, 0.0]\n",
+    )
+    assert main(["point", "--config", cfg]) == 2
+    assert "point_m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["cdf", "sweep-bw", "sweep-ant", "point"])
+def test_region_spot_on_the_anchor_is_validation_error(tmp_path, capsys, subcommand):
+    # one beam aims at the centre of this region, which is the anchor
+    cfg = write_config(
+        tmp_path,
+        "region_vertices_m = [[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, 0.0], "
+        "[-1.0, 1.0, 0.0]]\nn_beams = 1\nn_positions = 20\n",
+    )
+    assert main([subcommand, "--config", cfg]) == 2
+    assert "coincides with the anchor" in capsys.readouterr().err
+
+
 def test_unwritable_output_path(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["point", "--config", cfg, "--out", "/nonexistent/dir/x.csv"]) == 2

@@ -2,13 +2,16 @@
 
 Configs are drawn key by key from `cli._CONFIG_SPEC` (any subset of keys
 overridden, the rest at their defaults) with at most 50 positions, and run
-through `cli.main` for the batch subcommands. A run must return 0 with rows
+through `cli.main` for every subcommand. A run must return 0 with rows
 (`inf` allowed), 2 with a `twl: error:` message, or 3 with `inf` rows; an
 exception, numpy's `RuntimeWarning`s included, fails the test. The
 position pipeline's chunk is set to 7 positions, so most runs cross chunk
 boundaries, and the singular and overflowing cases meet them per chunk.
-`point` is left out: its position at the anchor's nadir still ends in a
-traceback.
+`point_m` is drawn as the off-nadir default [0, 25, -10] alone: at the
+anchor's nadir, [0, 0, -10], the link angles are degenerate and `point`
+still ends in a traceback, which only a change of the angle coordinates
+can mend. One `@example` puts `point_m` on the anchor itself, a config
+error.
 """
 
 import math
@@ -94,6 +97,16 @@ NON_SQUARE = [
      "n_beams": 9},
 ]
 
+#: a region spot on the anchor, and the anchor as the point
+ON_THE_ANCHOR = [
+    {"n_positions": 20, "n_beams": 1,
+     "region_vertices_m": [[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, 0.0],
+                           [-1.0, 1.0, 0.0]]},
+    {"n_positions": 20, "beam_grid": "sector", "point_m": [0.0, 0.0, 0.0],
+     "region_vertices_m": [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.0, 2.0, 0.0],
+                           [0.0, 2.0, 0.0]]},
+]
+
 #: exactly singular angle EFIMs in every chunk (a zero pivot in
 #: `protocols.efim_factors`' elementwise Cholesky elimination), a link
 #: budget past the float range, and a subnormal smallest EFIM eigenvalue
@@ -124,9 +137,11 @@ def _run(tmp_path, subcommand, config):
     assert len(rows) > 1
 
 
-@pytest.mark.parametrize("subcommand", ["cdf", "sweep-bw", "sweep-ant"])
+@pytest.mark.parametrize("subcommand", ["cdf", "sweep-bw", "sweep-ant", "point"])
 @fuzz
 @given(config=configs)
+@example(config=ON_THE_ANCHOR[0])
+@example(config=ON_THE_ANCHOR[1])
 @example(config=NON_SQUARE[0])
 @example(config=NON_SQUARE[1])
 @example(config=SINGULAR[0])

@@ -1,7 +1,12 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
-from oracles import joint_efim_oracle
+import twl
+import twl.fim
+from oracles import joint_efim_oracle, orthonormal_basis, quadratic_forms, steering_bundle
 from twl.beamforming import SignalConfig, directional_beams
 from twl.fim import (
     CHANNEL_PARAMS,
@@ -106,18 +111,66 @@ def test_channel_fim_scaling_in_pilots_energy_and_beta(rng):
     assert scaled[6, 6] == pytest.approx(4.0 * base[6, 6], rel=1e-12)
 
 
-class _ZeroBeams:
-    """Stand-in transmit beamformer whose matrix is all zeros."""
-
-    def __init__(self, like):
-        self.matrix = np.zeros_like(like)
-        self.role = "transmit"
-
-
-def test_channel_fim_no_illumination(rng):
+def test_channel_fim_no_illumination(rng, monkeypatch):
+    """All-zero beam-space forms, beams that put no energy on the link, raise."""
     direction, tx_geom, rx_geom, f, w, cg, sig = small_link(rng)
+    zeros = np.zeros((1, 3, 3), complex)
+    monkeypatch.setattr(twl.fim, "steering_forms", lambda *args: (zeros, zeros))
     with pytest.raises(NoIlluminationError):
-        channel_fim(direction, tx_geom, rx_geom, _ZeroBeams(f.matrix), w, cg, sig)
+        channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig)
+
+
+def test_channel_fim_is_two_kernel_calls_of_one_direction(rng, monkeypatch):
+    """The transmitter's forms, then the receiver's, each at n = 1."""
+    direction, tx_geom, rx_geom, f, w, cg, sig = small_link(rng)
+    calls = []
+    steering_forms = twl.fim.steering_forms
+
+    def counted(geometry, tables, theta, phi):
+        calls.append((geometry, len(theta), len(phi)))
+        return steering_forms(geometry, tables, theta, phi)
+
+    monkeypatch.setattr(twl.fim, "steering_forms", counted)
+    channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig)
+    assert [n for _, *n in calls] == [[1, 1], [1, 1]]
+    assert calls[0][0] is tx_geom and calls[1][0] is rx_geom
+
+
+def test_no_second_beam_space_path():
+    """The per-pose reference lives in the tests' oracles, not in `twl`."""
+    for info in pkgutil.iter_modules(twl.__path__):
+        module = importlib.import_module(f"twl.{info.name}")
+        for name in ("quadratic_forms", "orthonormal_basis", "SteeringBundle"):
+            assert not hasattr(module, name), (info.name, name)
+    for name in ("quadratic_forms", "orthonormal_basis", "SteeringBundle"):
+        assert not hasattr(twl, name), name
+
+
+def test_repeated_transmit_direction_is_valid(rng):
+    """Only a receive set needs distinct directions; the FIM matches the reference."""
+    direction, tx_geom, rx_geom, f, w, cg, sig = small_link(rng, n_tx_beams=3)
+    repeated = directional_beams(
+        tx_geom, [f.directions[0], f.directions[0], f.directions[1]], "transmit"
+    )
+    cf = channel_fim(direction, tx_geom, rx_geom, repeated, w, cg, sig)
+    assert np.all(np.isfinite(cf.matrix)) and cf.matrix[4, 4] > 0.0
+    if direction == "backward":
+        tx_angles, rx_angles = (cg.theta2, cg.phi2), (cg.theta1, cg.phi1)
+    else:
+        tx_angles, rx_angles = (cg.theta1, cg.phi1), (cg.theta2, cg.phi2)
+    t_ref, r_ref = quadratic_forms(
+        repeated.matrix, orthonormal_basis(w.matrix),
+        (steering_bundle(tx_geom, *tx_angles), steering_bundle(rx_geom, *rx_angles)),
+    )
+    ref = twl.fim.fim_from_forms(t_ref, r_ref, cf.gamma, cg.beta, sig.weff2, direction)
+    np.testing.assert_allclose(cf.matrix, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_channel_fim_needs_a_transmit_and_a_receive_codebook(rng):
+    direction, tx_geom, rx_geom, f, w, cg, sig = small_link(rng)
+    as_receive = directional_beams(tx_geom, f.directions, "receive")
+    with pytest.raises(ValueError, match="transmit codebook"):
+        channel_fim(direction, tx_geom, rx_geom, as_receive, w, cg, sig)
 
 
 def test_efim_block_diagonal_returns_kept_block(rng):

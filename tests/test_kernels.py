@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import twl.kernels as kernels
-from twl.beamforming import directional_beams, gram_inv_sqrt, orthonormal_basis
-from twl.fim import channel_fim, quadratic_forms
-from twl.geometry import ArrayGeometry, steering
+from oracles import orthonormal_basis, quadratic_forms, steering_bundle
+from twl.beamforming import directional_beams, gram_inv_sqrt
+from twl.fim import channel_fim
+from twl.geometry import ArrayGeometry
 from twl.pose import channel_geometry, Pose
 from twl.scenario import Scenario, position_tables, sample_positions
 
@@ -51,7 +52,7 @@ def _random_separable_tables(rng, geom, n_beams):
     ids=["6x6-xz", "12x12-offset", "3x5-xy", "1x1"],
 )
 def test_steering_forms_match_per_pose_reference(geom, n_w):
-    """Chunked kernel == geometry.steering + fim.quadratic_forms per direction.
+    """Chunked kernel == the per-pose reference of `oracles`, per direction.
 
     A random complex separable codebook per case, with F = conj(W) and
     U = orthonormal_basis(W) in the reference, so G^(-1/2) applied without
@@ -72,7 +73,7 @@ def test_steering_forms_match_per_pose_reference(geom, n_w):
     np.testing.assert_array_equal(r, r.conj().transpose(0, 2, 1))
 
     for i in range(n):
-        bundle = steering(geom, theta[i], phi[i])
+        bundle = steering_bundle(geom, theta[i], phi[i])
         t_ref, r_ref = quadratic_forms(f, u, (bundle, bundle))
         assert np.abs(t[i] - t_ref).max() <= 1e-12 * np.abs(t_ref).max(), i
         assert np.abs(r[i] - r_ref).max() <= 1e-12 * np.abs(r_ref).max(), i
@@ -130,40 +131,65 @@ def test_backend_is_deterministic(small_scenario):
         np.testing.assert_array_equal(a.angle_efim[link], b.angle_efim[link])
 
 
+def _single_pose_codebooks(scn):
+    """(f1, w1, f2, w2): each device's transmit and receive codebook."""
+    from twl.beamforming import reverse_direction
+
+    bs_dirs = scn.anchor_beam_directions()
+    ue_dirs = [reverse_direction(th, ph) for th, ph in bs_dirs]
+    return (directional_beams(scn.bs_array, bs_dirs, "transmit"),
+            directional_beams(scn.bs_array, bs_dirs, "receive"),
+            directional_beams(scn.ue_array, ue_dirs, "transmit"),
+            directional_beams(scn.ue_array, ue_dirs, "receive"))
+
+
+def _link_fims(scn, codebooks, p):
+    f1, w1, f2, w2 = codebooks
+    cg = channel_geometry(Pose(p, *scn.orientation), scn.signal.wavelength, c=scn.signal.c)
+    return {"bs_to_ue": channel_fim("forward", scn.bs_array, scn.ue_array, f1, w2, cg, scn.signal),
+            "ue_to_bs": channel_fim("backward", scn.ue_array, scn.bs_array, f2, w1, cg, scn.signal)}
+
+
 def test_batched_tables_match_single_pose_path(small_scenario):
-    """The kernel pipeline reproduces the reference per-pose construction."""
-    from twl.beamforming import directional_beams, reverse_direction
+    """The pipeline and `channel_fim` run one kernel, 8 directions or one at a time.
+
+    BLAS blocks the kernel's products by their width, so only the last bits
+    differ: the largest angle EFIM gap here was 5.2e-16 of the matrix's
+    largest entry (2.3e-15 over 500 positions), against 9.0e-16 when
+    `channel_fim` ran a per-pose reference of its own.
+    """
     from twl.fim import angle_efim, delay_info
     from twl.pose import location_jacobian
 
     scn = small_scenario
     positions = sample_positions(scn.region, 8, 11)
     tables = position_tables(scn, positions)
-
-    bs_dirs = scn.anchor_beam_directions()
-    ue_dirs = [reverse_direction(th, ph) for th, ph in bs_dirs]
-    f1 = directional_beams(scn.bs_array, bs_dirs, "transmit")
-    w1 = directional_beams(scn.bs_array, bs_dirs, "receive")
-    f2 = directional_beams(scn.ue_array, ue_dirs, "transmit")
-    w2 = directional_beams(scn.ue_array, ue_dirs, "receive")
+    codebooks = _single_pose_codebooks(scn)
 
     for i, p in enumerate(positions):
-        pose = Pose(p, *scn.orientation)
-        cg = channel_geometry(pose, scn.signal.wavelength, c=scn.signal.c)
-        fwd = channel_fim("forward", scn.bs_array, scn.ue_array, f1, w2, cg, scn.signal)
-        bwd = channel_fim("backward", scn.ue_array, scn.bs_array, f2, w1, cg, scn.signal)
-        np.testing.assert_allclose(
-            tables.angle_efim["bs_to_ue"][i], angle_efim(fwd).matrix,
-            rtol=1e-9, atol=1e-9 * np.abs(angle_efim(fwd).matrix).max(),
-        )
-        np.testing.assert_allclose(
-            tables.angle_efim["ue_to_bs"][i], angle_efim(bwd).matrix,
-            rtol=1e-9, atol=1e-9 * np.abs(angle_efim(bwd).matrix).max(),
-        )
+        fims = _link_fims(scn, codebooks, p)
+        for link, cf in fims.items():
+            single = angle_efim(cf).matrix
+            np.testing.assert_allclose(tables.angle_efim[link][i], single,
+                                       rtol=1e-14, atol=1e-14 * np.abs(single).max())
+        fwd, bwd = fims["bs_to_ue"], fims["ue_to_bs"]
         assert tables.delay_info["bs_to_ue"][i] == pytest.approx(delay_info(fwd), rel=1e-12)
         assert tables.delay_info["ue_to_bs"][i] == pytest.approx(delay_info(bwd), rel=1e-12)
-        jac = location_jacobian(pose, c=scn.signal.c)
+        jac = location_jacobian(Pose(p, *scn.orientation), c=scn.signal.c)
         np.testing.assert_allclose(tables.jacobian[i], jac.full, rtol=1e-12, atol=1e-18)
+
+
+def test_one_position_table_is_channel_fim_bit_for_bit(small_scenario):
+    """At one position the pipeline and `channel_fim` make the same kernel calls."""
+    from twl.fim import angle_efim, delay_info
+
+    scn = small_scenario
+    codebooks = _single_pose_codebooks(scn)
+    for p in sample_positions(scn.region, 5, 12):
+        tables = position_tables(scn, p[None])
+        for link, cf in _link_fims(scn, codebooks, p).items():
+            np.testing.assert_array_equal(tables.angle_efim[link][0], angle_efim(cf).matrix)
+            assert tables.delay_info[link][0] == delay_info(cf)
 
 
 def test_steering_forms_shapes(small_scenario):

@@ -127,9 +127,9 @@ def test_run_cdf_protocol_ordering_per_position(quick_result):
 def test_run_cdf_snr_symmetry(quick_scenario):
     # conjugate-matched codebooks make the two link directions share one SNR:
     # each device's transmit form t[0, 0] is its receive gain |W^H a|^2
-    from twl.beamforming import directional_beams, gram_inv_sqrt, reverse_direction
-    from twl.geometry import steering
-    from twl.kernels import DeviceTables, beam_factors, steering_forms
+    from oracles import steering_bundle
+    from twl.beamforming import directional_beams, reverse_direction
+    from twl.kernels import codebook_tables, steering_forms
     from twl.pose import _link_angles_batch, rotation_matrix
     from twl.scenario import sample_positions
 
@@ -144,11 +144,11 @@ def test_run_cdf_snr_symmetry(quick_scenario):
         ("ue", scn.ue_array, [reverse_direction(t, p) for t, p in bs_dirs],
          geo["theta2"], geo["phi2"]),
     ):
-        w = directional_beams(geom, dirs, "receive").matrix
-        device = DeviceTables(*beam_factors(geom, dirs), whitening=gram_inv_sqrt(w))
-        t_forms, _ = steering_forms(geom, device, th, ph)
+        w = directional_beams(geom, dirs, "receive")
+        t_forms, _ = steering_forms(geom, codebook_tables(geom, w), th, ph)
         rx_gain_sq = np.array([
-            np.sum(np.abs(w.conj().T @ steering(geom, t, p).a) ** 2) for t, p in zip(th, ph)
+            np.sum(np.abs(w.matrix.conj().T @ steering_bundle(geom, t, p).a) ** 2)
+            for t, p in zip(th, ph)
         ])
         gains[name] = (t_forms[:, 0, 0].real, rx_gain_sq)
     downlink = gains["bs"][0] * gains["ue"][1]  # anchor transmits
