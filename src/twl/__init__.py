@@ -16,7 +16,6 @@ from .beamforming import (
     sector_beam_grid,
 )
 from .fim import (
-    ChannelFim,
     Efim,
     angle_efim,
     channel_fim,
@@ -33,7 +32,6 @@ from .geometry import (
 from .kernels import steering_forms
 from .pose import (
     ChannelGeometry,
-    LocationJacobian,
     Pose,
     channel_geometry,
     location_jacobian,

@@ -4,13 +4,16 @@ The channel FIM is 7x7 over (theta1, phi1, theta2, phi2, beta, psi, tau).
 Every nonzero entry is the real part of a product of two beam-space
 quadratic forms: one through the transmit matrix F of the transmitting
 device, one through the projector onto the receive beam space of the
-receiving device. By construction the psi and tau rows carry no
+receiving device. `_FORMS` states that rule once: it names the two forms
+behind each parameter's derivative, and `fim_from_forms` fills the angle
+and gain block from it. By construction the psi and tau rows carry no
 cross-coupling, so the delay information is the bare (tau, tau) entry and
 the angle block decouples from everything except the gain amplitude beta.
 
 `fim_from_forms` and `eliminate_gain` are batched over leading axes and are
-what the position pipeline runs; `channel_fim` and `angle_efim` call them
-for one link. `channel_fim` takes its beam-space forms from the pipeline's
+what the position pipeline runs; `channel_fim` and `angle_efim` are their
+n = 1 views. `channel_fim` returns the (7, 7) array, which `angle_efim` and
+`delay_info` read, and takes its beam-space forms from the pipeline's
 kernel (`kernels.steering_forms`) at one direction per device.
 """
 
@@ -28,6 +31,10 @@ DIRECTIONS = ("forward", "backward")
 
 # Indices of (a, da/dtheta, da/dphi) inside the 3x3 form tables.
 _A, _K, _P = 0, 1, 2
+# (transmit form, receive form) index of each parameter's derivative, in the
+# order receiver theta, phi, transmitter theta, phi, gain; `fim_from_forms`
+# places them by direction.
+_FORMS = ((_A, _K), (_A, _P), (_K, _A), (_P, _A), (_A, _A))
 
 
 class NoIlluminationError(ValueError):
@@ -36,19 +43,6 @@ class NoIlluminationError(ValueError):
 
 class NuisanceSingularError(np.linalg.LinAlgError):
     """Nuisance block of a FIM is singular: nuisance parameters unidentifiable."""
-
-
-@dataclass(frozen=True)
-class ChannelFim:
-    """7x7 channel-parameter FIM of one transmission direction.
-
-    ``direction`` is "forward" (initiator transmits) or "backward"
-    (responder transmits); ``gamma`` the integrated SNR scale used.
-    """
-
-    matrix: np.ndarray
-    direction: str
-    gamma: float
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,10 @@ def fim_from_forms(t_tx, r_rx, gamma, beta, weff2, direction):
     """Assemble the 7x7 channel FIM from quadratic-form tables.
 
     Broadcasts over leading axes: ``t_tx``/``r_rx`` may be (..., 3, 3) and
-    ``beta`` (...,). The transmitting device's angle pair occupies the
+    ``beta`` (...,). Entry (i, j) of the angle and gain block is
+    pre·Re(t_tx[tj, ti]·r_rx[ri, rj]), with (ti, ri) the `_FORMS` row of
+    parameter i and pre gamma·beta², gamma·beta or gamma as zero, one or two
+    of i, j are the gain. The transmitting device's angle pair occupies the
     pair-2 slots for a backward transmission and the pair-1 slots otherwise.
     """
     t_tx = np.asarray(t_tx)
@@ -71,9 +68,9 @@ def fim_from_forms(t_tx, r_rx, gamma, beta, weff2, direction):
     beta = np.asarray(beta, dtype=np.float64)
     shape = np.broadcast_shapes(t_tx.shape[:-2], beta.shape)
     if direction == "backward":
-        r0, r1, t0, t1 = 0, 1, 2, 3
+        slots = (0, 1, 2, 3, 4)
     elif direction == "forward":
-        t0, t1, r0, r1 = 0, 1, 2, 3
+        slots = (2, 3, 0, 1, 4)
     else:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
@@ -82,32 +79,17 @@ def fim_from_forms(t_tx, r_rx, gamma, beta, weff2, direction):
     with np.errstate(over="ignore"):
         ab = gamma * beta**2  # angle/phase/delay prefactor
         bb = gamma * beta  # beta-coupling prefactor
+    pre = (ab, bb, gamma)
     jm = np.zeros(shape + (7, 7))
-
-    def put(i, j, value):
-        jm[..., i, j] = value
-        jm[..., j, i] = value
-
-    t = lambda x, y: t_tx[..., x, y]
-    r = lambda x, y: r_rx[..., x, y]
-
-    put(r0, r0, ab * (t(_A, _A) * r(_K, _K)).real)
-    put(r1, r1, ab * (t(_A, _A) * r(_P, _P)).real)
-    put(r0, r1, ab * (t(_A, _A) * r(_K, _P)).real)
-    put(t0, t0, ab * (t(_K, _K) * r(_A, _A)).real)
-    put(t1, t1, ab * (t(_P, _P) * r(_A, _A)).real)
-    put(t0, t1, ab * (t(_P, _K) * r(_A, _A)).real)
-    put(r0, t0, ab * (t(_K, _A) * r(_K, _A)).real)
-    put(r0, t1, ab * (t(_P, _A) * r(_K, _A)).real)
-    put(r1, t0, ab * (t(_K, _A) * r(_P, _A)).real)
-    put(r1, t1, ab * (t(_P, _A) * r(_P, _A)).real)
-    put(r0, 4, bb * (t(_A, _A) * r(_K, _A)).real)
-    put(r1, 4, bb * (t(_A, _A) * r(_P, _A)).real)
-    put(t0, 4, bb * (t(_A, _K) * r(_A, _A)).real)
-    put(t1, 4, bb * (t(_A, _P) * r(_A, _A)).real)
-    put(4, 4, gamma * (t(_A, _A) * r(_A, _A)).real)
-    put(5, 5, ab * (t(_A, _A) * r(_A, _A)).real)
-    put(6, 6, 4.0 * np.pi**2 * weff2 * ab * (t(_A, _A) * r(_A, _A)).real)
+    for a, (ta, ra) in enumerate(_FORMS):
+        for b in range(a, len(_FORMS)):
+            tb, rb = _FORMS[b]
+            value = pre[(a == 4) + (b == 4)] * (t_tx[..., tb, ta] * r_rx[..., ra, rb]).real
+            jm[..., slots[a], slots[b]] = value
+            jm[..., slots[b], slots[a]] = value
+    aa = (t_tx[..., _A, _A] * r_rx[..., _A, _A]).real
+    jm[..., 5, 5] = ab * aa
+    jm[..., 6, 6] = 4.0 * np.pi**2 * weff2 * ab * aa
     return jm
 
 
@@ -119,8 +101,8 @@ def channel_fim(
     rx_beams: Beamformer,
     cg: ChannelGeometry,
     sig: SignalConfig,
-) -> ChannelFim:
-    """Closed-form channel FIM of one transmission direction.
+) -> np.ndarray:
+    """Closed-form 7x7 channel FIM of one transmission direction.
 
     The transmitter is the pair-1 device for "forward" and the pair-2 device
     for "backward"; geometries and codebooks are passed for the actual
@@ -129,18 +111,12 @@ def channel_fim(
     forms come from their directions through `kernels.steering_forms`, the
     position pipeline's kernel, at one direction per device.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if not cg.beta > 0:
         raise ValueError(f"beta must be positive, got {cg.beta!r}")
     if tx_beams.role != "transmit" or rx_beams.role != "receive":
         raise ValueError("tx_beams must be a transmit codebook and rx_beams a receive one")
-    if direction == "backward":
-        tx_angles = (cg.theta2, cg.phi2)
-        rx_angles = (cg.theta1, cg.phi1)
-    else:
-        tx_angles = (cg.theta1, cg.phi1)
-        rx_angles = (cg.theta2, cg.phi2)
+    pairs = ((cg.theta1, cg.phi1), (cg.theta2, cg.phi2))
+    tx_angles, rx_angles = pairs[::-1] if direction == "backward" else pairs
     t_forms, _ = steering_forms(tx_geom, codebook_tables(tx_geom, tx_beams),
                                 [tx_angles[0]], [tx_angles[1]])
     _, r_forms = steering_forms(rx_geom, codebook_tables(rx_geom, rx_beams),
@@ -149,7 +125,7 @@ def channel_fim(
     jm = fim_from_forms(t_forms[0], r_forms[0], gamma, cg.beta, sig.weff2, direction)
     if not np.any(np.abs(jm) > 0.0):
         raise NoIlluminationError("no illumination: all FIM entries are zero")
-    return ChannelFim(matrix=jm, direction=direction, gamma=gamma)
+    return jm
 
 
 def efim(jm: np.ndarray, keep, labels=None) -> Efim:
@@ -190,16 +166,16 @@ def eliminate_gain(jm: np.ndarray) -> np.ndarray:
         return jm[..., :4, :4] - outer / jm[..., 4:5, 4:5]
 
 
-def angle_efim(cf: ChannelFim) -> Efim:
-    """4x4 EFIM of the link angles after eliminating the gain amplitude."""
-    if cf.matrix[4, 4] <= 0.0:
+def angle_efim(jm: np.ndarray) -> Efim:
+    """4x4 EFIM of the link angles of a 7x7 channel FIM, gain eliminated."""
+    if jm[4, 4] <= 0.0:
         raise NuisanceSingularError("nuisance parameters unidentifiable")
-    return Efim(matrix=eliminate_gain(cf.matrix), kept_parameters=CHANNEL_PARAMS[:4])
+    return Efim(matrix=eliminate_gain(jm), kept_parameters=CHANNEL_PARAMS[:4])
 
 
-def delay_info(cf: ChannelFim) -> float:
-    """Delay information: the (tau, tau) entry, already decoupled."""
-    return float(cf.matrix[6, 6])
+def delay_info(jm: np.ndarray) -> float:
+    """Delay information of a 7x7 channel FIM: its (tau, tau) entry, decoupled."""
+    return float(jm[6, 6])
 
 
 def efim_additivity(je1: Efim, je2: Efim) -> Efim:

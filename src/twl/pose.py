@@ -11,8 +11,9 @@ terminal-local angles, whichever device initiates an exchange. The initiator
 only decides which link is the forward one (`twl.protocols`).
 
 `_link_angles_batch` computes the link geometry of a batch of positions and
-`_jacobian_batch` the Jacobians from it; `channel_geometry` and
-`location_jacobian` are their n = 1 views.
+`_jacobian_batch` the (n, 5, 5) Jacobians from it; `channel_geometry` and
+`location_jacobian` are their n = 1 views, and `location_jacobian` returns
+the pipeline's (5, 5) array itself.
 """
 
 from dataclasses import dataclass
@@ -61,25 +62,6 @@ class ChannelGeometry:
     tau: float
     beta: float
     psi: float = 0.0
-
-
-@dataclass(frozen=True)
-class LocationJacobian:
-    """Partials of channel parameters w.r.t. location parameters.
-
-    Rows are ordered (zeta0, chi0, px, py, pz); the ``angles`` block has one
-    column per link angle (theta1, phi1, theta2, phi2) and ``delay`` holds the
-    tau column. The orientation rows of ``delay`` and of the pair-1 angle
-    columns are exactly zero.
-    """
-
-    angles: np.ndarray  # (5, 4)
-    delay: np.ndarray  # (5,)
-
-    @property
-    def full(self) -> np.ndarray:
-        """5x5 matrix [angles | delay]."""
-        return np.hstack([self.angles, self.delay[:, None]])
 
 
 def rotation_matrix(zeta0: float, chi0: float) -> np.ndarray:
@@ -187,8 +169,12 @@ def _jacobian_batch(g: dict, c: float) -> np.ndarray:
     return jac
 
 
-def location_jacobian(ue: Pose, c: float = SPEED_OF_LIGHT) -> LocationJacobian:
-    """Exact Jacobian of the channel-geometry map at a pose."""
+def location_jacobian(ue: Pose, c: float = SPEED_OF_LIGHT) -> np.ndarray:
+    """Exact 5x5 Jacobian of the channel-geometry map at a pose.
+
+    Rows (zeta0, chi0, px, py, pz); columns (theta1, phi1, theta2, phi2,
+    tau). The orientation rows of the tau and pair-1 angle columns are
+    exactly zero.
+    """
     g = _link_angles_batch(ue.position[None, :], rotation_matrix(ue.zeta0, ue.chi0))
-    jac = _jacobian_batch(g, c)[0]
-    return LocationJacobian(angles=jac[:, :4], delay=jac[:, 4].copy())
+    return _jacobian_batch(g, c)[0]

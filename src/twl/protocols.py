@@ -38,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fim import ChannelFim, angle_efim, delay_info
-from .pose import LocationJacobian
+from .fim import angle_efim, delay_info
 
 PROTOCOLS = ("owl", "rlp", "clp")
 
@@ -55,18 +54,16 @@ class DelayUnobservableError(ValueError):
 
 @dataclass(frozen=True)
 class LocalizationBound:
-    """5x5 localization EFIM with its scalar bounds.
+    """Scalar bounds of one protocol at one pose.
 
     ``peb`` is the position error bound in meters, ``oeb`` the orientation
     error bound in radians. Unidentifiable poses carry infinite bounds;
-    ``rank`` and ``condition`` are those of ``efim``.
+    ``condition`` is the 2-norm condition of the 5x5 localization EFIM.
     """
 
-    efim: np.ndarray
     peb: float
     oeb: float
     identifiable: bool
-    rank: int
     condition: float
 
 
@@ -262,14 +259,16 @@ def invert_efim(jacobian, factors: EfimFactors, weight):
 
 def assemble(
     kind: str,
-    fwd: ChannelFim | None,
-    bwd: ChannelFim,
-    jac: LocationJacobian,
+    fwd: np.ndarray | None,
+    bwd: np.ndarray,
+    jac: np.ndarray,
 ) -> LocalizationBound:
-    """Localization EFIM and scalar bounds for one protocol at one pose.
+    """Scalar bounds for one protocol at one pose: `invert_efim` at n = 1.
 
-    ``fwd`` may be omitted for owl; rlp and clp need both directions. A
-    singular 5x5 EFIM is reported as unidentifiable, not raised.
+    ``fwd`` and ``bwd`` are the 7x7 `channel_fim`s of the forward and
+    backward links and ``jac`` the 5x5 `location_jacobian`. ``fwd`` may be
+    omitted for owl; rlp and clp need both directions. A singular 5x5 EFIM
+    is reported as unidentifiable, not raised.
     """
     if kind not in PROTOCOLS:
         raise ValueError(f"kind must be one of {PROTOCOLS}, got {kind!r}")
@@ -284,15 +283,10 @@ def assemble(
     angle = angle_efim(bwd).matrix
     if kind == "clp":
         angle = angle + angle_efim(fwd).matrix
-    factors = efim_factors(pose_grams(jac.full[None]), angle[None])
-    peb, oeb, ok = invert_efim(jac.full[None], factors, np.array([weight]))
-    efim5 = localization_efim(jac.full, angle, weight)
-    rank, condition = rank_and_condition(efim5)
+    factors = efim_factors(pose_grams(jac[None]), angle[None])
+    peb, oeb, ok = invert_efim(jac[None], factors, np.array([weight]))
+    _, condition = rank_and_condition(localization_efim(jac, angle, weight))
     return LocalizationBound(
-        efim=efim5,
-        peb=float(peb[0]),
-        oeb=float(oeb[0]),
-        identifiable=bool(ok[0]),
-        rank=int(rank),
+        peb=float(peb[0]), oeb=float(oeb[0]), identifiable=bool(ok[0]),
         condition=float(condition),
     )

@@ -10,7 +10,6 @@ from oracles import joint_efim_oracle, orthonormal_basis, quadratic_forms, steer
 from twl.beamforming import SignalConfig, directional_beams
 from twl.fim import (
     CHANNEL_PARAMS,
-    ChannelFim,
     Efim,
     NoIlluminationError,
     NuisanceSingularError,
@@ -50,13 +49,13 @@ def small_link(rng, n_tx_beams=2, n_rx_beams=2, ns=4):
 
 def test_channel_fim_is_symmetric(rng):
     direction, tx_geom, rx_geom, f, w, cg, sig = small_link(rng)
-    jm = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig).matrix
+    jm = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig)
     np.testing.assert_array_equal(jm, jm.T)
 
 
 def test_channel_fim_decoupled_rows(rng):
     direction, tx_geom, rx_geom, f, w, cg, sig = small_link(rng)
-    jm = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig).matrix
+    jm = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig)
     for idx in (5, 6):  # psi and tau rows carry no cross terms
         off = np.delete(jm[idx], idx)
         np.testing.assert_array_equal(off, 0.0)
@@ -65,9 +64,30 @@ def test_channel_fim_decoupled_rows(rng):
 def test_channel_fim_positive_semidefinite(rng):
     for _ in range(20):
         direction, tx_geom, rx_geom, f, w, cg, sig = small_link(rng)
-        jm = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig).matrix
+        jm = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig)
         evals = np.linalg.eigvalsh(jm)
         assert evals[0] >= -1e-9 * np.linalg.norm(jm)
+
+
+def test_backward_fim_is_the_forward_one_with_the_pairs_swapped(rng):
+    """The direction only places the two angle pairs, bit for bit."""
+    from twl.fim import fim_from_forms
+
+    def hermitian(n):
+        x = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+        return x + np.conj(np.swapaxes(x, -1, -2))
+
+    t, r, beta = hermitian(16), hermitian(16), rng.uniform(0.1, 2.0, 16)
+    forward = fim_from_forms(t, r, 3.0, beta, 5.0, "forward")
+    backward = fim_from_forms(t, r, 3.0, beta, 5.0, "backward")
+    swap = [2, 3, 0, 1, 4, 5, 6]
+    np.testing.assert_array_equal(backward[:, swap][:, :, swap], forward)
+
+
+def test_channel_fim_rejects_an_unknown_direction(rng):
+    direction, tx_geom, rx_geom, f, w, cg, sig = small_link(rng)
+    with pytest.raises(ValueError, match="direction must be one of"):
+        channel_fim("sideways", tx_geom, rx_geom, f, w, cg, sig)
 
 
 def test_delay_entry_plugin_value(ura12, rng):
@@ -84,13 +104,13 @@ def test_delay_entry_plugin_value(ura12, rng):
 
 def test_channel_fim_scaling_in_pilots_energy_and_beta(rng):
     direction, tx_geom, rx_geom, f, w, cg, sig = small_link(rng)
-    base = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig).matrix
+    base = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig)
 
     doubled_ns = SignalConfig(et=sig.et, ts=sig.ts, ns=2 * sig.ns, n0=sig.n0,
                               bandwidth=sig.bandwidth, weff2=sig.weff2,
                               carrier=sig.carrier, c=sig.c)
     np.testing.assert_allclose(
-        channel_fim(direction, tx_geom, rx_geom, f, w, cg, doubled_ns).matrix,
+        channel_fim(direction, tx_geom, rx_geom, f, w, cg, doubled_ns),
         2.0 * base, rtol=1e-12,
     )
 
@@ -98,13 +118,13 @@ def test_channel_fim_scaling_in_pilots_energy_and_beta(rng):
                               bandwidth=sig.bandwidth, weff2=sig.weff2,
                               carrier=sig.carrier, c=sig.c)
     np.testing.assert_allclose(
-        channel_fim(direction, tx_geom, rx_geom, f, w, cg, doubled_et).matrix,
+        channel_fim(direction, tx_geom, rx_geom, f, w, cg, doubled_et),
         2.0 * base, rtol=1e-12,
     )
 
     cg2 = ChannelGeometry(cg.theta1, cg.phi1, cg.theta2, cg.phi2, cg.tau,
                           2.0 * cg.beta, cg.psi)
-    scaled = channel_fim(direction, tx_geom, rx_geom, f, w, cg2, sig).matrix
+    scaled = channel_fim(direction, tx_geom, rx_geom, f, w, cg2, sig)
     np.testing.assert_allclose(scaled[:4, :4], 4.0 * base[:4, :4], rtol=1e-12)
     np.testing.assert_allclose(scaled[:4, 4], 2.0 * base[:4, 4], rtol=1e-12)
     assert scaled[4, 4] == pytest.approx(base[4, 4], rel=1e-12)
@@ -152,8 +172,8 @@ def test_repeated_transmit_direction_is_valid(rng):
     repeated = directional_beams(
         tx_geom, [f.directions[0], f.directions[0], f.directions[1]], "transmit"
     )
-    cf = channel_fim(direction, tx_geom, rx_geom, repeated, w, cg, sig)
-    assert np.all(np.isfinite(cf.matrix)) and cf.matrix[4, 4] > 0.0
+    jm = channel_fim(direction, tx_geom, rx_geom, repeated, w, cg, sig)
+    assert np.all(np.isfinite(jm)) and jm[4, 4] > 0.0
     if direction == "backward":
         tx_angles, rx_angles = (cg.theta2, cg.phi2), (cg.theta1, cg.phi1)
     else:
@@ -162,8 +182,9 @@ def test_repeated_transmit_direction_is_valid(rng):
         repeated.matrix, orthonormal_basis(w.matrix),
         (steering_bundle(tx_geom, *tx_angles), steering_bundle(rx_geom, *rx_angles)),
     )
-    ref = twl.fim.fim_from_forms(t_ref, r_ref, cf.gamma, cg.beta, sig.weff2, direction)
-    np.testing.assert_allclose(cf.matrix, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    gamma = sig.gamma(tx_geom.n_elements, rx_geom.n_elements)
+    ref = twl.fim.fim_from_forms(t_ref, r_ref, gamma, cg.beta, sig.weff2, direction)
+    np.testing.assert_allclose(jm, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 def test_channel_fim_needs_a_transmit_and_a_receive_codebook(rng):
@@ -208,9 +229,9 @@ def test_efim_singular_nuisance(rng):
 
 def test_angle_efim_matches_generic_schur(rng):
     direction, tx_geom, rx_geom, f, w, cg, sig = small_link(rng)
-    cf = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig)
-    fast = angle_efim(cf)
-    generic = efim(cf.matrix[:5, :5], keep=[0, 1, 2, 3], labels=CHANNEL_PARAMS[:5])
+    jm = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig)
+    fast = angle_efim(jm)
+    generic = efim(jm[:5, :5], keep=[0, 1, 2, 3], labels=CHANNEL_PARAMS[:5])
     np.testing.assert_allclose(
         fast.matrix, generic.matrix,
         rtol=1e-10, atol=1e-14 * np.linalg.norm(generic.matrix),
@@ -220,24 +241,22 @@ def test_angle_efim_matches_generic_schur(rng):
 
 def test_angle_efim_decoupled_case():
     jm = np.diag([4.0, 3.0, 2.0, 1.0, 5.0, 1.0, 7.0])
-    cf = ChannelFim(matrix=jm, direction="backward", gamma=1.0)
-    np.testing.assert_array_equal(angle_efim(cf).matrix, np.diag([4.0, 3.0, 2.0, 1.0]))
+    np.testing.assert_array_equal(angle_efim(jm).matrix, np.diag([4.0, 3.0, 2.0, 1.0]))
 
 
 def test_angle_efim_psd_sweep(rng):
     for _ in range(20):
         direction, tx_geom, rx_geom, f, w, cg, sig = small_link(rng)
-        cf = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig)
-        evals = np.linalg.eigvalsh(angle_efim(cf).matrix)
-        assert evals[0] >= -1e-9 * np.linalg.norm(cf.matrix[:4, :4])
+        jm = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig)
+        evals = np.linalg.eigvalsh(angle_efim(jm).matrix)
+        assert evals[0] >= -1e-9 * np.linalg.norm(jm[:4, :4])
 
 
 def test_delay_info_reads_tau_entry(rng):
     direction, tx_geom, rx_geom, f, w, cg, sig = small_link(rng)
-    cf = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig)
-    assert delay_info(cf) == cf.matrix[6, 6]
-    zero = ChannelFim(matrix=np.zeros((7, 7)), direction="forward", gamma=1.0)
-    assert delay_info(zero) == 0.0
+    jm = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig)
+    assert delay_info(jm) == jm[6, 6]
+    assert delay_info(np.zeros((7, 7))) == 0.0
 
 
 def test_efim_additivity_trivial_and_commutative(rng):

@@ -49,7 +49,7 @@ def closed_and_oracle(case):
     direction, tx_geom, rx_geom, f, w, cg = case
     sig = SignalConfig(et=ET, ts=TS, ns=NS, n0=N0, bandwidth=1.0 / TS,
                        weff2=pulse_weff2(TS), carrier=CARRIER, c=C)
-    closed = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig).matrix
+    closed = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig)
     oracle = numerical_channel_fim(
         direction, tx_geom, rx_geom, f.matrix, w.matrix, cg, ET, TS, NS, N0
     )

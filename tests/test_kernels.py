@@ -1,5 +1,8 @@
 """The batched steering-form kernel against the per-pose construction."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from twl.beamforming import directional_beams, gram_inv_sqrt
 from twl.fim import channel_fim
 from twl.geometry import ArrayGeometry
 from twl.pose import channel_geometry, Pose
-from twl.scenario import Scenario, position_tables, sample_positions
+from twl.scenario import Scenario, position_tables, protocol_bounds, sample_positions
 
 LAMBDA = 299792458.0 / 38e9
 
@@ -176,20 +179,38 @@ def test_batched_tables_match_single_pose_path(small_scenario):
         assert tables.delay_info["bs_to_ue"][i] == pytest.approx(delay_info(fwd), rel=1e-12)
         assert tables.delay_info["ue_to_bs"][i] == pytest.approx(delay_info(bwd), rel=1e-12)
         jac = location_jacobian(Pose(p, *scn.orientation), c=scn.signal.c)
-        np.testing.assert_allclose(tables.jacobian[i], jac.full, rtol=1e-12, atol=1e-18)
+        np.testing.assert_array_equal(tables.jacobian[i], jac)
 
 
 def test_one_position_table_is_channel_fim_bit_for_bit(small_scenario):
-    """At one position the pipeline and `channel_fim` make the same kernel calls."""
-    from twl.fim import angle_efim, delay_info
+    """At one position the pipeline and the single-pose views agree bit for bit.
 
-    scn = small_scenario
-    codebooks = _single_pose_codebooks(scn)
-    for p in sample_positions(scn.region, 5, 12):
+    `channel_fim` makes the pipeline's kernel calls, `location_jacobian` is
+    its Jacobian, and `assemble` runs its factors and inversion, so every
+    protocol's bounds at one position equal `protocol_bounds`' exactly.
+    """
+    from twl.fim import angle_efim, delay_info
+    from twl.pose import location_jacobian
+    from twl.protocols import PROTOCOLS, assemble
+
+    rotated = dataclasses.replace(small_scenario, orientation=(np.pi / 6, np.pi / 6))
+    for scn, p in itertools.product((small_scenario, rotated),
+                                    sample_positions(small_scenario.region, 5, 12)):
         tables = position_tables(scn, p[None])
-        for link, cf in _link_fims(scn, codebooks, p).items():
-            np.testing.assert_array_equal(tables.angle_efim[link][0], angle_efim(cf).matrix)
-            assert tables.delay_info[link][0] == delay_info(cf)
+        fims = _link_fims(scn, _single_pose_codebooks(scn), p)
+        for link, jm in fims.items():
+            np.testing.assert_array_equal(tables.angle_efim[link][0], angle_efim(jm).matrix)
+            assert tables.delay_info[link][0] == delay_info(jm)
+        jac = location_jacobian(Pose(p, *scn.orientation), c=scn.signal.c)
+        np.testing.assert_array_equal(tables.jacobian[0], jac)
+        down, up = fims["bs_to_ue"], fims["ue_to_bs"]
+        for initiator, fwd, bwd in (("bs", down, up), ("ue", up, down)):
+            for protocol in PROTOCOLS:
+                single = assemble(protocol, fwd, bwd, jac)
+                batched = protocol_bounds(tables, protocol, initiator)
+                assert single.identifiable == batched.identifiable[0]
+                assert single.peb == batched.peb[0], (protocol, initiator)
+                assert single.oeb == batched.oeb[0], (protocol, initiator)
 
 
 def test_steering_forms_shapes(small_scenario):
