@@ -16,12 +16,10 @@ from .beamforming import (
     sector_beam_grid,
 )
 from .fim import (
-    Efim,
     angle_efim,
     channel_fim,
     delay_info,
     efim,
-    efim_additivity,
 )
 from .geometry import (
     SPEED_OF_LIGHT,

@@ -17,8 +17,6 @@ n = 1 views. `channel_fim` returns the (7, 7) array, which `angle_efim` and
 kernel (`kernels.steering_forms`) at one direction per device.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .beamforming import Beamformer, SignalConfig
@@ -26,7 +24,6 @@ from .geometry import ArrayGeometry
 from .kernels import codebook_tables, steering_forms
 from .pose import ChannelGeometry
 
-CHANNEL_PARAMS = ("theta1", "phi1", "theta2", "phi2", "beta", "psi", "tau")
 DIRECTIONS = ("forward", "backward")
 
 # Indices of (a, da/dtheta, da/dphi) inside the 3x3 form tables.
@@ -43,14 +40,6 @@ class NoIlluminationError(ValueError):
 
 class NuisanceSingularError(np.linalg.LinAlgError):
     """Nuisance block of a FIM is singular: nuisance parameters unidentifiable."""
-
-
-@dataclass(frozen=True)
-class Efim:
-    """Equivalent FIM after eliminating nuisance parameters."""
-
-    matrix: np.ndarray
-    kept_parameters: tuple
 
 
 def fim_from_forms(t_tx, r_rx, gamma, beta, weff2, direction):
@@ -128,7 +117,7 @@ def channel_fim(
     return jm
 
 
-def efim(jm: np.ndarray, keep, labels=None) -> Efim:
+def efim(jm: np.ndarray, keep) -> np.ndarray:
     """Equivalent FIM of the kept parameters via the Schur complement."""
     jm = np.asarray(jm, dtype=np.float64)
     n = jm.shape[0]
@@ -145,11 +134,7 @@ def efim(jm: np.ndarray, keep, labels=None) -> Efim:
     if not np.isfinite(cond) or cond > 1e12:
         raise NuisanceSingularError("nuisance parameters unidentifiable")
     out = j11 - j12 @ np.linalg.solve(j22, j12.T)
-    if labels is None:
-        labels = tuple(keep)
-    else:
-        labels = tuple(labels[i] for i in keep)
-    return Efim(matrix=0.5 * (out + out.T), kept_parameters=labels)
+    return 0.5 * (out + out.T)
 
 
 def eliminate_gain(jm: np.ndarray) -> np.ndarray:
@@ -166,22 +151,14 @@ def eliminate_gain(jm: np.ndarray) -> np.ndarray:
         return jm[..., :4, :4] - outer / jm[..., 4:5, 4:5]
 
 
-def angle_efim(jm: np.ndarray) -> Efim:
-    """4x4 EFIM of the link angles of a 7x7 channel FIM, gain eliminated."""
+def angle_efim(jm: np.ndarray) -> np.ndarray:
+    """(4, 4) EFIM of the link angles of a 7x7 channel FIM, gain eliminated."""
     if jm[4, 4] <= 0.0:
         raise NuisanceSingularError("nuisance parameters unidentifiable")
-    return Efim(matrix=eliminate_gain(jm), kept_parameters=CHANNEL_PARAMS[:4])
+    return eliminate_gain(jm)
 
 
 def delay_info(jm: np.ndarray) -> float:
     """Delay information of a 7x7 channel FIM: its (tau, tau) entry, decoupled."""
     return float(jm[6, 6])
 
-
-def efim_additivity(je1: Efim, je2: Efim) -> Efim:
-    """Total EFIM of two independent observations with disjoint nuisances."""
-    if je1.kept_parameters != je2.kept_parameters:
-        raise ValueError(
-            f"kept parameters differ: {je1.kept_parameters} vs {je2.kept_parameters}"
-        )
-    return Efim(matrix=je1.matrix + je2.matrix, kept_parameters=je1.kept_parameters)

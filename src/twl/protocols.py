@@ -27,11 +27,13 @@ G is never formed and A never inverted: with A = L·Lᵀ its Cholesky
 factor, ⟨A⁻¹, F·Fᵀ⟩ = |L⁻¹F|², and `efim_factors` computes L⁻¹F by an
 elimination elementwise over the poses, so a singular or indefinite A
 spoils only its own pose's terms. `pose_grams` computes M₄ and g, which
-depend only on the pose, and `efim_factors` contracts one A with them and
-keeps A with the result; the delay weight (`delay_weight`), which alone
-depends on the bandwidth, enters only in `invert_efim`. The position
-pipeline calls `pose_grams` once per chunk and `efim_factors` per variant
-and angle EFIM; `assemble` calls both for one pose.
+depend only on the pose, from J's blocks, elementwise too: J is
+block-triangular, as the anchor-side angles and the delay depend on the
+position only. `efim_factors` contracts one A with them and keeps A with
+the result; the delay weight (`delay_weight`), which alone depends on the
+bandwidth, enters only in `invert_efim`. The position pipeline calls
+`pose_grams` once per chunk and `efim_factors` per variant and angle
+EFIM; `assemble` calls both for one pose.
 """
 
 from dataclasses import dataclass
@@ -46,6 +48,8 @@ _MAX_CONDITION = 1e12
 # cond(E) <= tr(E)·tr(E⁻¹); the factor leaves room for rounding in both traces
 # and in the eigenvalues that define the identifiable flag.
 _CERTIFIED_PRODUCT = _MAX_CONDITION / 16.0
+_SPLIT = 2.0**27 + 1.0
+_CYCLIC_C = np.ix_((2, 3, 4, 2, 3), (0, 1, 4, 0, 1))
 
 
 class DelayUnobservableError(ValueError):
@@ -122,60 +126,78 @@ def localization_efim(jacobian, angle, weight):
         return spatial + weight[..., None, None] * jd[..., :, None] * jd[..., None, :]
 
 
-def _inverse(a: np.ndarray) -> np.ndarray:
-    """Batched inverse; exactly singular or non-finite matrices give NaN.
+def _two_products(x, y):
+    """p, e with p + e = x·y exactly: Dekker's TwoProduct, splitting at 2²⁷ + 1."""
+    p = x * y
+    xs, ys = _SPLIT * x, _SPLIT * y
+    xh, yh = xs - (xs - x), ys - (ys - y)
+    xl, yl = x - xh, y - yh
+    return p, xl * yl - (((p - xh * yh) - xl * yh) - xh * yl)
 
-    `np.linalg.inv` raises for the whole batch when one matrix has an exact
-    zero pivot; the LU determinant sign finds those matrices instead.
+
+def _block_inverse(v: np.ndarray) -> tuple:
+    """(F, g_pos, g_ori) of M = J⁻¹ for J as (5, 5, ...), batch axes last.
+
+    M[2:4] = [B⁻¹ | 0] and M[(0, 1, 4)] = [−C⁻¹·P·B⁻¹ | C⁻¹], with B =
+    J[0:2, 2:4], P = J[2:5, 2:4] and C = J[2:5, (0, 1, 4)]: adjugates over
+    determinants. det B is compensated: B can be nearly singular (cond 3.5e4
+    at the exact test's pose), where b00·b11 − b01·b10 cancels.
     """
-    eye = np.eye(a.shape[-1])
-    finite = np.isfinite(a)
-    bad = None if finite.all() else ~finite.all(axis=(-2, -1))
-    if bad is not None:
-        a = np.where(bad[..., None, None], eye, a)
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        singular = np.linalg.slogdet(a)[0] == 0.0
-        bad = singular if bad is None else bad | singular
-        inv = np.linalg.inv(np.where(bad[..., None, None], eye, a))
-    if bad is not None:
-        inv[bad] = np.nan
-    return inv
+    b, p = v[:2, 2:4], v[2:5, 2:4]
+    c = v[_CYCLIC_C]  # rows (px, py, pz, px, py), columns (θ₁, φ₁, τ, θ₁, φ₁)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        prod, err = _two_products(b[0], b[1, ::-1])  # b00·b11 and b01·b10
+        binv = np.swapaxes(b[::-1, ::-1], 0, 1) / ((prod[0] - prod[1]) + (err[0] - err[1]))
+        binv[0, 1] *= -1.0
+        binv[1, 0] *= -1.0
+        # k[:, i] = c_(i+1) × c_(i+2) over C's columns c_i, so C⁻¹ = kᵀ / det C
+        k = c[1:4, 1:4] * c[2:5, 2:5] - c[2:5, 1:4] * c[1:4, 2:5]
+        k /= (c[:3, 0] * k[:, 0]).sum(axis=0)
+        del c  # before F is built, so that the copy does not set the peak
+        cinv = np.swapaxes(k, 0, 1)
+        cp = cinv[:, 0, None] * p[0] + cinv[:, 1, None] * p[1] + cinv[:, 2, None] * p[2]
+        cpb = cp[:, 0, None] * binv[0] + cp[:, 1, None] * binv[1]  # C⁻¹·P·B⁻¹
+        f = np.zeros((4, 5) + binv.shape[2:])
+        np.negative(cpb[:2], out=f[:2, :2])
+        f[:2, 2:], f[2:, :2] = cinv[:2], binv
+        return f, np.square(cinv[2]).sum(axis=0), np.square(cpb[2]).sum(axis=0)
 
 
 def pose_grams(jacobian: np.ndarray) -> tuple:
     """The pose's part of `efim_factors`: Jᵀ's Gram pair and M = J⁻¹'s factors.
 
-    ``jacobian`` is (..., 5, 5) with the four link-angle columns first and
-    the delay column last, and a singular J gives NaN terms. Returns
-    (trace, (f, g_pos, g_ori)): ``trace`` is the Gram pair (angle block,
-    delay entry) of Jᵀ; ``f`` is (..., 4, 5), the angle rows of M over its
-    orientation columns then its position columns, and g_pos and g_ori the
-    squared norms of M's delay row over the same columns.
+    ``jacobian`` is (..., 5, 5), rows (zeta0, chi0, px, py, pz) and columns
+    (theta1, phi1, theta2, phi2, tau). Returns (trace, (f, g_pos, g_ori)):
+    ``trace`` is the Gram pair (angle block, delay entry) of Jᵀ; ``f`` is
+    (4, 5, ...), batch axes last, the angle rows of M over its orientation
+    columns then its position columns, and g_pos and g_ori the squared
+    norms of M's delay row over the same columns.
+
+    J's orientation rows must vanish in the anchor-angle and delay columns,
+    or ``ValueError`` is raised. `_block_inverse` then runs elementwise over
+    the poses, so a singular J gives inf or NaN terms for its own pose only.
     """
-    m = _inverse(jacobian)
+    v = np.moveaxis(jacobian, (-2, -1), (0, 1))
+    if v[:2, :2].any() or v[:2, 4].any():
+        raise ValueError("J's orientation rows must vanish in the anchor-angle and delay columns")
+    m = _block_inverse(v)  # first, so that its transients are gone before the trace's
     jt = np.swapaxes(jacobian, -1, -2)
-    trace = (jt[..., :4, :] @ jacobian[..., :4], _sq_norm(jt[..., 4, :]))
-    # M's angle rows are copied out, so that the rest of M is freed
-    return trace, (m[..., :4, :].copy(), _sq_norm(m[..., 4, 2:]), _sq_norm(m[..., 4, :2]))
-
-
-def _sq_norm(v):
-    return np.einsum("...i,...i->...", v, v)
+    delay = np.einsum("...i,...i->...", jt[..., 4, :], jt[..., 4, :])
+    return (jt[..., :4, :] @ jacobian[..., :4], delay), m
 
 
 def _whitened_squares(angle: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Squares of L⁻¹·F for A = L·Lᵀ, as (4, k, ...); a bad A gives NaN or inf.
 
-    Symmetric elimination on [A | F], elementwise over the leading axes:
-    after step j, row j holds row j of [Lᵀ | L⁻¹F] from column j on. No
-    LAPACK call sees A, so one bad pose cannot fail a whole batch, and a
-    non-positive or non-finite pivot spoils only its own pose's terms.
+    F is (4, k, ...), batch axes last, as `pose_grams` gives it. Symmetric
+    elimination on [A | F], elementwise over the poses: after step j, row j
+    holds row j of [Lᵀ | L⁻¹F] from column j on. No LAPACK call sees A, so
+    one bad pose cannot fail a whole batch, and a non-positive or
+    non-finite pivot spoils only its own pose's terms.
     """
-    aug = np.empty((4, 4 + f.shape[-1]) + angle.shape[:-2])
+    aug = np.empty((4, 4 + f.shape[1]) + angle.shape[:-2])
     aug[:, :4] = np.moveaxis(angle, (-2, -1), (0, 1))
-    aug[:, 4:] = np.moveaxis(f, (-2, -1), (0, 1))
+    aug[:, 4:] = f
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(4):
             row = aug[j, j:]
@@ -280,9 +302,9 @@ def assemble(
     j_tau_f = delay_info(fwd) if fwd is not None else 0.0
     j_tau_b = delay_info(bwd)
     weight = combined_delay_info(kind, j_tau_f, j_tau_b)  # raises DelayUnobservableError
-    angle = angle_efim(bwd).matrix
+    angle = angle_efim(bwd)
     if kind == "clp":
-        angle = angle + angle_efim(fwd).matrix
+        angle = angle + angle_efim(fwd)
     factors = efim_factors(pose_grams(jac[None]), angle[None])
     peb, oeb, ok = invert_efim(jac[None], factors, np.array([weight]))
     _, condition = rank_and_condition(localization_efim(jac, angle, weight))

@@ -8,7 +8,7 @@ plus link SNR), and results are summarized as empirical quantiles.
 
 Every subcommand streams its positions through one pipeline, `_stream`,
 in chunks of 4096 (`_CHUNK`). Each chunk runs the pose stage once: the
-link geometry and Jacobian (`twl.pose`), then J⁻¹'s factors
+link geometry and Jacobian (`twl.pose`), then J⁻¹'s factors by blocks
 (`twl.protocols.pose_grams`). Then, for each variant of the scenario, it
 projects each device's receive codebook W once per direction
 (`twl.kernels`; its transmit codebook is conj(W), so W's per-axis factors
@@ -556,10 +556,10 @@ def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
     """
     if side not in ("bs", "ue"):
         raise ValueError(f"side must be 'bs' or 'ue', got {side!r}")
-    edges = [round(math.sqrt(count)) for count in counts]
-    for count, edge in zip(counts, edges):
-        if edge * edge != count or count < 1:
+    for count in counts:
+        if count < 1 or round(math.sqrt(count)) ** 2 != count:
             raise ValueError(f"antenna counts must be perfect squares, got {count!r}")
+    edges = [round(math.sqrt(count)) for count in counts]
     own = getattr(scenario, f"{side}_array")
     variants = [
         replace(scenario, **{f"{side}_array": replace(own, rows=edge, cols=edge)})

@@ -172,7 +172,7 @@ def test_batched_tables_match_single_pose_path(small_scenario):
     for i, p in enumerate(positions):
         fims = _link_fims(scn, codebooks, p)
         for link, cf in fims.items():
-            single = angle_efim(cf).matrix
+            single = angle_efim(cf)
             np.testing.assert_allclose(tables.angle_efim[link][i], single,
                                        rtol=1e-14, atol=1e-14 * np.abs(single).max())
         fwd, bwd = fims["bs_to_ue"], fims["ue_to_bs"]
@@ -199,7 +199,7 @@ def test_one_position_table_is_channel_fim_bit_for_bit(small_scenario):
         tables = position_tables(scn, p[None])
         fims = _link_fims(scn, _single_pose_codebooks(scn), p)
         for link, jm in fims.items():
-            np.testing.assert_array_equal(tables.angle_efim[link][0], angle_efim(jm).matrix)
+            np.testing.assert_array_equal(tables.angle_efim[link][0], angle_efim(jm))
             assert tables.delay_info[link][0] == delay_info(jm)
         jac = location_jacobian(Pose(p, *scn.orientation), c=scn.signal.c)
         np.testing.assert_array_equal(tables.jacobian[0], jac)

@@ -20,7 +20,7 @@ from twl.protocols import (
     pose_grams,
     rank_and_condition,
 )
-from twl.scenario import Scenario, position_tables, protocol_bounds
+from twl.scenario import Scenario, position_tables, protocol_bounds, sample_positions
 
 LAM = SPEED_OF_LIGHT / 38e9
 DIAMOND = np.array(
@@ -82,22 +82,31 @@ def test_combined_delay_unobservable():
         combined_delay_info("clp", 1.0, 0.0)
 
 
+# The permutation Jacobian that sends (zeta0, chi0, px, py, pz) to (theta2,
+# phi2, theta1, phi1, tau): block-triangular as a pose's J is, and J·Jᵀ = I.
+PERMUTATION_J = np.eye(5)[[2, 3, 0, 1, 4]]
+
+
 def test_identity_efim_bounds():
-    # J = I, A = I4, w = 1 give the identity EFIM
-    factors = efim_factors(pose_grams(np.eye(5)[None]), np.eye(4)[None])
+    # the permutation J, A = I4 and w = 1 give the identity EFIM
+    factors = efim_factors(pose_grams(PERMUTATION_J[None]), np.eye(4)[None])
     np.testing.assert_array_equal(factors.angle[0], np.eye(4))
-    peb, oeb, ok = invert_efim(np.eye(5)[None], factors, np.ones(1))
+    peb, oeb, ok = invert_efim(PERMUTATION_J[None], factors, np.ones(1))
     assert ok[0]
     assert peb[0] == pytest.approx(np.sqrt(3.0))
     assert oeb[0] == pytest.approx(np.sqrt(2.0))
     rank, cond = rank_and_condition(np.eye(5))
     assert rank == 5 and cond == 1.0
+    # J = I couples the orientation to the anchor angles and the delay,
+    # which no pose's Jacobian does
+    with pytest.raises(ValueError, match="orientation rows"):
+        pose_grams(np.eye(5)[None])
 
 
 def test_singular_efim_reports_rank_not_crash():
     # an exactly singular angle EFIM gives inf bounds for its pose only
     angle = np.stack([np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0])])
-    jacobian = np.stack([np.eye(5)] * 2)
+    jacobian = np.stack([PERMUTATION_J] * 2)
     factors = efim_factors(pose_grams(jacobian), angle)
     peb, oeb, ok = invert_efim(jacobian, factors, np.ones(2))
     assert ok.tolist() == [True, False]
@@ -127,7 +136,9 @@ def test_cholesky_factors_flag_each_bad_angle_efim_alone(monkeypatch):
         np.full((4, 4), np.nan), 1e-27 * spd, 1e-27 * spd,
     ])
     weight = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1e-27])
-    jacobian = np.broadcast_to(np.eye(5) + 0.1 * rng.standard_normal((5, 5)), (6, 5, 5))
+    jacobian = np.eye(5) + 0.1 * rng.standard_normal((5, 5))
+    jacobian[:2, (0, 1, 4)] = 0.0
+    jacobian = np.broadcast_to(jacobian, (6, 5, 5))
     grams = pose_grams(jacobian)
     for name in ("inv", "solve", "cholesky"):
         monkeypatch.setattr(np.linalg, name, None)  # any call on A would raise
@@ -148,6 +159,37 @@ def test_cholesky_factors_flag_each_bad_angle_efim_alone(monkeypatch):
         cov = np.diag(np.linalg.inv(efim[k]))
         assert peb[k] == pytest.approx(np.sqrt(cov[2:].sum()), rel=1e-12)
         assert oeb[k] == pytest.approx(np.sqrt(cov[:2].sum()), rel=1e-12)
+
+
+def test_block_inverse_isolates_a_singular_jacobian_without_lapack(monkeypatch):
+    """J is inverted by its blocks, elementwise: no LAPACK call sees it.
+
+    At [10, 0, 0] and zero orientation the link runs along the terminal's x
+    axis, so chi0 moves neither terminal angle and J is exactly singular. A
+    chunk that holds it builds its tables with no `np.linalg` inverse,
+    solve or determinant; in a batch of Jacobians, only that pose's terms
+    are not finite, and every other pose's equal its own n = 1 terms bit
+    for bit.
+    """
+    scn = Scenario.reference_defaults()
+    positions = sample_positions(scn.region, 8, 4)
+    positions[3] = [10.0, 0.0, 0.0]
+    for name in ("inv", "solve", "slogdet", "det"):
+        monkeypatch.setattr(np.linalg, name, None)  # any call on J would raise
+    jacobian = position_tables(scn, positions).jacobian
+    monkeypatch.undo()
+
+    def terms(grams, i):
+        (block, delay), (f, g_pos, g_ori) = grams
+        return [block[i], delay[i], f[..., i], g_pos[i], g_ori[i]]
+
+    grams = pose_grams(jacobian)
+    for i in range(len(positions)):
+        batched = terms(grams, i)
+        for got, alone in zip(batched, terms(pose_grams(jacobian[i:i + 1]), 0)):
+            np.testing.assert_array_equal(got, alone)
+        finite = all(np.isfinite(t).all() for t in batched)
+        assert finite == (i != 3), i
 
 
 def _exact_bounds(jacobian, angle, weight):
@@ -201,9 +243,9 @@ def test_assemble_reference_ordering(reference_link):
 
 def _dense_efim(kind, fwd, bwd, jac):
     """The explicit 5x5 localization EFIM whose bounds `assemble` reports."""
-    angle = angle_efim(bwd).matrix
+    angle = angle_efim(bwd)
     if kind == "clp":
-        angle = angle + angle_efim(fwd).matrix
+        angle = angle + angle_efim(fwd)
     weight = combined_delay_info(kind, delay_info(fwd), delay_info(bwd))
     return localization_efim(jac, angle, weight)
 
@@ -222,7 +264,7 @@ def test_assemble_bound_consistency(reference_link):
 def test_clp_dominates_rlp_by_forward_spatial_term(reference_link):
     fwd, bwd, jac = reference_link
     gap = _dense_efim("clp", fwd, bwd, jac) - _dense_efim("rlp", fwd, bwd, jac)
-    expected = jac[:, :4] @ angle_efim(fwd).matrix @ jac[:, :4].T
+    expected = jac[:, :4] @ angle_efim(fwd) @ jac[:, :4].T
     np.testing.assert_allclose(gap, expected, rtol=1e-10)
     assert np.linalg.eigvalsh(gap)[0] >= -1e-9 * np.linalg.norm(gap)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import twl.kernels
-import twl.protocols
 import twl.scenario
 from twl.scenario import (
     Region,
@@ -193,8 +192,10 @@ def test_chunked_tables_equal_one_chunk(monkeypatch, chunk):
     `run_cdf` and `sweep_bandwidth` stream n positions, no multiple of the
     chunk, in chunks and then as one chunk. The position [10, 0, 0] has an
     exactly singular Jacobian (a horizontal link along the terminal's x
-    axis), so in chunks only its own chunk takes the `LinAlgError` fallback
-    of `protocols._inverse`; it must be the only unidentifiable position.
+    axis), so its block inverse divides by det B = 0 for that position
+    alone, and its angle EFIMs are singular too: its angle term is not
+    finite, while its delay term, which reads only C⁻¹, is c². It must be
+    the only unidentifiable position.
     """
     scn = Scenario.reference_defaults()
     chunk = _chunk_width(monkeypatch, chunk)
@@ -216,7 +217,9 @@ def test_chunked_tables_equal_one_chunk(monkeypatch, chunk):
     np.testing.assert_array_equal(snr, one_pass.snr_db)
     assert chunked.quantile_rows == whole.quantile_rows
     assert chunked_bw == whole_bw
-    assert np.isnan(one_pass.factors["clp"].pos[chunk + 5]).all()
+    singular = one_pass.factors["clp"].pos[chunk + 5]
+    assert not np.isfinite(singular[0])
+    assert singular[1] == pytest.approx(scn.signal.c**2, rel=1e-13)
     for pair, a in chunked.bounds.items():
         b = whole.bounds[pair]
         np.testing.assert_array_equal(a.identifiable, b.identifiable)
@@ -288,21 +291,20 @@ def test_sweep_antennas_shares_the_pose_and_the_other_forms(monkeypatch):
     and each swept array's once; each distinct array's codebook is built
     once per call, two `directional_beams` calls each. Recomputing the
     unswept device's forms per count would send 2·k·n directions. The
-    Jacobians are inverted once per chunk, whatever the number of counts:
-    600 positions in chunks of 256 take 3 inverses of 5x5 batches, where
-    one per count would take 9. No angle EFIM is inverted: every
-    `protocols._inverse` call is one of those 3.
+    Jacobians' pose terms are computed once per chunk, whatever the number
+    of counts: 600 positions in chunks of 256 take 3 `pose_grams` calls on
+    5x5 batches, where one per count would take 9.
     """
     monkeypatch.setattr(twl.scenario, "_CHUNK", 256)
-    calls = {"directions": 0, "codebooks": 0, "inverses": 0}
-    inverted = set()
+    calls = {"directions": 0, "codebooks": 0, "grams": 0}
+    shapes = set()
     steering_forms, directional_beams = twl.scenario.steering_forms, twl.scenario.directional_beams
-    inverse = twl.protocols._inverse
+    pose_grams = twl.scenario.pose_grams
 
-    def counted_inverse(a):
-        calls["inverses"] += 1
-        inverted.add(a.shape[-2:])
-        return inverse(a)
+    def counted_grams(jac):
+        calls["grams"] += 1
+        shapes.add(jac.shape[-2:])
+        return pose_grams(jac)
 
     def counted_forms(*args, theta, **kwargs):
         calls["directions"] += len(theta)
@@ -314,15 +316,15 @@ def test_sweep_antennas_shares_the_pose_and_the_other_forms(monkeypatch):
 
     monkeypatch.setattr(twl.scenario, "steering_forms", counted_forms)
     monkeypatch.setattr(twl.scenario, "directional_beams", counted_beams)
-    monkeypatch.setattr(twl.protocols, "_inverse", counted_inverse)
+    monkeypatch.setattr(twl.scenario, "pose_grams", counted_grams)
     scn = Scenario.reference_defaults(n_samples=600, seed=9)
     counts = [36, 64, 144]
     for side in ("bs", "ue"):
-        calls.update(directions=0, codebooks=0, inverses=0)
+        calls.update(directions=0, codebooks=0, grams=0)
         sweep_antennas(scn, counts, side)
         assert calls == {"directions": (1 + 3) * 600, "codebooks": 2 * (1 + 3),
-                         "inverses": 3}, side
-    assert inverted == {(5, 5)}
+                         "grams": 3}, side
+    assert shapes == {(5, 5)}
 
 
 def test_sweep_antennas_holds_one_count_of_tables():
@@ -391,6 +393,8 @@ def test_sweep_antennas_consistent_with_cdf_baseline(quick_scenario, quick_resul
 def test_sweep_antennas_validation(quick_scenario):
     with pytest.raises(ValueError):
         sweep_antennas(quick_scenario, [30], "ue")
+    with pytest.raises(ValueError, match="antenna counts must be perfect squares"):
+        sweep_antennas(quick_scenario, [-4], "bs")
     with pytest.raises(ValueError):
         sweep_antennas(quick_scenario, [36], "mid")
 
