@@ -38,7 +38,7 @@ from .pose import (
 from .protocols import (
     LocalizationBound,
     assemble,
-    combined_delay_info,
+    delay_weight,
 )
 from .scenario import (
     CdfResult,

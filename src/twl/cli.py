@@ -37,24 +37,35 @@ class ConfigError(ValueError):
     """Invalid, unknown, or out-of-range configuration entry."""
 
 
+def _integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # True is an int to Python
+
+
+def _number(x) -> bool:
+    return _integer(x) or isinstance(x, float)
+
+
 def _positive(x) -> bool:
-    return isinstance(x, (int, float)) and x > 0
+    return _number(x) and x > 0
 
 
 def _count(x) -> bool:
-    return isinstance(x, int) and x >= 1
+    return _integer(x) and x >= 1
 
 
 def _pair(x) -> bool:
-    return isinstance(x, (list, tuple)) and len(x) == 2 and all(
-        isinstance(v, (int, float)) for v in x
-    )
+    return isinstance(x, (list, tuple)) and len(x) == 2 and all(_number(v) for v in x)
 
 
 def _vec3(x) -> bool:
-    return isinstance(x, (list, tuple)) and len(x) == 3 and all(
-        isinstance(v, (int, float)) for v in x
-    )
+    return isinstance(x, (list, tuple)) and len(x) == 3 and all(_number(v) for v in x)
+
+
+def _choices(*known):
+    def check(x) -> bool:
+        return (isinstance(x, (list, tuple)) and x and all(v in known for v in x)
+                and len(set(x)) == len(x))
+    return check
 
 
 # key -> (validator, description)
@@ -62,8 +73,8 @@ _CONFIG_SPEC = {
     "carrier_hz": (_positive, "carrier frequency"),
     "bandwidth_hz": (_positive, "occupied bandwidth"),
     "n_symbols": (_count, "pilot symbols per beam"),
-    "power_dbm": (lambda x: isinstance(x, (int, float)), "transmit power"),
-    "noise_dbm_hz": (lambda x: isinstance(x, (int, float)), "noise PSD"),
+    "power_dbm": (_number, "transmit power"),
+    "noise_dbm_hz": (_number, "noise PSD"),
     "weff2_over_w2": (_positive, "squared effective bandwidth factor"),
     "c_m_s": (_positive, "propagation speed"),
     "bs_rows": (_count, "anchor array rows"),
@@ -81,15 +92,9 @@ _CONFIG_SPEC = {
         "region quadrilateral",
     ),
     "n_positions": (_count, "sampled positions"),
-    "seed": (lambda x: isinstance(x, int) and 0 <= x < 2**64, "RNG seed"),
-    "protocols": (
-        lambda x: isinstance(x, (list, tuple)) and x and set(x) <= {"owl", "rlp", "clp"},
-        "protocols to evaluate",
-    ),
-    "initiators": (
-        lambda x: isinstance(x, (list, tuple)) and x and set(x) <= {"bs", "ue"},
-        "exchange initiators",
-    ),
+    "seed": (lambda x: _integer(x) and 0 <= x < 2**64, "RNG seed"),
+    "protocols": (_choices("owl", "rlp", "clp"), "distinct protocols to evaluate"),
+    "initiators": (_choices("bs", "ue"), "distinct exchange initiators"),
     "point_m": (_vec3, "single evaluation position"),
     "bandwidths_hz": (
         lambda x: isinstance(x, (list, tuple)) and x and all(_positive(v) for v in x),
@@ -137,8 +142,11 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def parse_config(path: str | None) -> RunConfig:
-    """Read, validate, and default-fill a key-value config file."""
+def parse_config(path: str | None, seed: int | None = None) -> RunConfig:
+    """Read, validate, and default-fill a key-value config file.
+
+    A ``seed`` other than None overrides the file's.
+    """
     values = {key: _DEFAULTS[key] for key in _CONFIG_SPEC}
     if path is not None:
         try:
@@ -148,6 +156,8 @@ def parse_config(path: str | None) -> RunConfig:
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
         for update in _parse_lines(text):
             values.update([update])
+    if seed is not None:
+        values["seed"] = seed
     _validate(values)
     return RunConfig(values=values)
 
@@ -199,12 +209,8 @@ def _echo_lines(config: RunConfig):
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.9g}"
+    if isinstance(value, float):
+        return f"{value:.9g}"
     return str(value)
 
 
@@ -227,16 +233,8 @@ def _write_json(fh, subcommand: str, columns, rows, config: RunConfig):
         "columns": list(columns),
         "rows": [[row[c] for c in columns] for row in rows],
     }
-    json.dump(doc, fh, indent=1, default=_json_default)
+    json.dump(doc, fh, indent=1)
     fh.write("\n")
-
-
-def _json_default(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    raise TypeError(f"not JSON serializable: {type(value)}")
 
 
 def _merge_protocol_label(protocol: str, initiator: str) -> str:
@@ -246,17 +244,11 @@ def _merge_protocol_label(protocol: str, initiator: str) -> str:
 
 
 def _rows_cdf(config: RunConfig):
-    result = run_cdf(config.scenario())
-    failed = all(
-        not s.identifiable.any() for s in result.bounds.values()
-    ) if result.bounds else False
-    return result.quantile_rows, failed
+    return run_cdf(config.scenario()).quantile_rows
 
 
 def _rows_sweep_bw(config: RunConfig):
-    rows = sweep_bandwidth(config.scenario(), config["bandwidths_hz"])
-    failed = all(not np.isfinite(r["peb90_m"]) for r in rows)
-    return rows, failed
+    return sweep_bandwidth(config.scenario(), config["bandwidths_hz"])
 
 
 def _rows_sweep_ant(config: RunConfig):
@@ -275,8 +267,7 @@ def _rows_sweep_ant(config: RunConfig):
             "side": r["side"], "n_antennas": r["n_antennas"],
             "protocol": label, "peb90_m": r["peb90_m"],
         })
-    failed = all(not np.isfinite(r["peb90_m"]) for r in rows)
-    return rows, failed
+    return rows
 
 
 def _rows_point(config: RunConfig):
@@ -302,8 +293,7 @@ def _rows_point(config: RunConfig):
                 "peb_m": float(samples.peb[0]),
                 "oeb_deg": math.degrees(float(samples.oeb[0])),
             })
-    failed = all(not np.isfinite(r["peb_m"]) for r in rows)
-    return rows, failed
+    return rows
 
 
 _RUNNERS = {
@@ -315,11 +305,16 @@ _RUNNERS = {
 
 
 def run(subcommand: str, config: RunConfig, out: str | None, fmt: str) -> int:
-    """Execute a subcommand and write its table; returns the exit code."""
-    rows, failed = _RUNNERS[subcommand](config)
+    """Execute a subcommand and write its table; returns the exit code.
+
+    The code is `EXIT_NUMERICAL` when the table's PEB column holds no finite
+    value: the pipeline writes inf wherever a bound is unusable.
+    """
+    rows = _RUNNERS[subcommand](config)
+    columns = _SCHEMAS[subcommand]
     writer = _write_csv if fmt == "csv" else _write_json
     buffer = io.StringIO()
-    writer(buffer, subcommand, _SCHEMAS[subcommand], rows, config)
+    writer(buffer, subcommand, columns, rows, config)
     if out is None:
         sys.stdout.write(buffer.getvalue())
     else:
@@ -328,7 +323,8 @@ def run(subcommand: str, config: RunConfig, out: str | None, fmt: str) -> int:
                 fh.write(buffer.getvalue())
         except OSError as exc:
             raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
-    return EXIT_NUMERICAL if failed else EXIT_OK
+    peb = next(c for c in columns if c.startswith("peb"))
+    return EXIT_OK if any(math.isfinite(row[peb]) for row in rows) else EXIT_NUMERICAL
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -354,12 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = parse_config(args.config)
-        if args.seed is not None:
-            values = dict(config.values)
-            values["seed"] = args.seed
-            config = RunConfig(values=values)
-            _validate(config.values)
+        config = parse_config(args.config, seed=args.seed)
         return run(args.subcommand, config, args.out, args.format)
     except (ConfigError, SingularBeamsError) as exc:
         print(f"twl: error: {exc}", file=sys.stderr)

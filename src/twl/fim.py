@@ -10,11 +10,13 @@ and gain block from it. By construction the psi and tau rows carry no
 cross-coupling, so the delay information is the bare (tau, tau) entry and
 the angle block decouples from everything except the gain amplitude beta.
 
-`fim_from_forms` and `eliminate_gain` are batched over leading axes and are
-what the position pipeline runs; `channel_fim` and `angle_efim` are their
-n = 1 views. `channel_fim` returns the (7, 7) array, which `angle_efim` and
-`delay_info` read, and takes its beam-space forms from the pipeline's
-kernel (`kernels.steering_forms`) at one direction per device.
+`fim_from_forms` and `angle_efim` are batched over leading axes and are
+what the position pipeline runs; `channel_fim` is the n = 1 view of the
+first. It returns the (7, 7) array, which `angle_efim` and `delay_info`
+read, and takes its beam-space forms from the pipeline's kernel
+(`kernels.steering_forms`) at one direction per device. A link without
+illumination gives the all-zero FIM and non-finite angle EFIMs, which
+`protocols.invert_efim` flags as unidentifiable.
 """
 
 import numpy as np
@@ -32,10 +34,6 @@ _A, _K, _P = 0, 1, 2
 # order receiver theta, phi, transmitter theta, phi, gain; `fim_from_forms`
 # places them by direction.
 _FORMS = ((_A, _K), (_A, _P), (_K, _A), (_P, _A), (_A, _A))
-
-
-class NoIlluminationError(ValueError):
-    """All FIM entries vanish: the beam sets put no energy on the link."""
 
 
 class NuisanceSingularError(np.linalg.LinAlgError):
@@ -111,10 +109,7 @@ def channel_fim(
     _, r_forms = steering_forms(rx_geom, codebook_tables(rx_geom, rx_beams),
                                 [rx_angles[0]], [rx_angles[1]])
     gamma = sig.gamma(tx_geom.n_elements, rx_geom.n_elements)
-    jm = fim_from_forms(t_forms[0], r_forms[0], gamma, cg.beta, sig.weff2, direction)
-    if not np.any(np.abs(jm) > 0.0):
-        raise NoIlluminationError("no illumination: all FIM entries are zero")
-    return jm
+    return fim_from_forms(t_forms[0], r_forms[0], gamma, cg.beta, sig.weff2, direction)
 
 
 def efim(jm: np.ndarray, keep) -> np.ndarray:
@@ -137,7 +132,7 @@ def efim(jm: np.ndarray, keep) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def eliminate_gain(jm: np.ndarray) -> np.ndarray:
+def angle_efim(jm: np.ndarray) -> np.ndarray:
     """Angle EFIMs after eliminating the gain amplitude, batched.
 
     Maps channel FIMs (..., 7, 7) to (..., 4, 4). psi and tau are decoupled
@@ -149,13 +144,6 @@ def eliminate_gain(jm: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         outer = coupling[..., :, None] * coupling[..., None, :]
         return jm[..., :4, :4] - outer / jm[..., 4:5, 4:5]
-
-
-def angle_efim(jm: np.ndarray) -> np.ndarray:
-    """(4, 4) EFIM of the link angles of a 7x7 channel FIM, gain eliminated."""
-    if jm[4, 4] <= 0.0:
-        raise NuisanceSingularError("nuisance parameters unidentifiable")
-    return eliminate_gain(jm)
 
 
 def delay_info(jm: np.ndarray) -> float:

@@ -52,10 +52,6 @@ _SPLIT = 2.0**27 + 1.0
 _CYCLIC_C = np.ix_((2, 3, 4, 2, 3), (0, 1, 4, 0, 1))
 
 
-class DelayUnobservableError(ValueError):
-    """Two-way protocol with zero delay information in one direction."""
-
-
 @dataclass(frozen=True)
 class LocalizationBound:
     """Scalar bounds of one protocol at one pose.
@@ -88,10 +84,11 @@ class EfimFactors:
 
 
 def delay_weight(kind: str, j_tau_f, j_tau_b) -> np.ndarray:
-    """Delay weight w of a protocol, batched; a zero gives inf or NaN.
+    """Delay weight w of a protocol, batched.
 
     ``j_tau_f``/``j_tau_b`` are the delay information of the forward and
-    backward links; owl reads only the backward one.
+    backward links; owl reads only the backward one. w is 0 wherever a link
+    it reads carries no delay information; `invert_efim` flags those poses.
     """
     j_tau_f = np.asarray(j_tau_f, dtype=np.float64)
     j_tau_b = np.asarray(j_tau_b, dtype=np.float64)
@@ -99,17 +96,6 @@ def delay_weight(kind: str, j_tau_f, j_tau_b) -> np.ndarray:
         return j_tau_b
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return 4.0 / (1.0 / j_tau_f + 1.0 / j_tau_b)
-
-
-def combined_delay_info(kind: str, j_tau_f: float, j_tau_b: float) -> float:
-    """Delay information entering the temporal term of each protocol."""
-    if kind not in PROTOCOLS:
-        raise ValueError(f"kind must be one of {PROTOCOLS}, got {kind!r}")
-    if j_tau_f < 0 or j_tau_b < 0:
-        raise ValueError("delay information must be nonnegative")
-    if kind != "owl" and (j_tau_f == 0.0 or j_tau_b == 0.0):
-        raise DelayUnobservableError(f"delay unobservable under {kind}")
-    return float(delay_weight(kind, j_tau_f, j_tau_b))
 
 
 def localization_efim(jacobian, angle, weight):
@@ -289,8 +275,10 @@ def assemble(
 
     ``fwd`` and ``bwd`` are the 7x7 `channel_fim`s of the forward and
     backward links and ``jac`` the 5x5 `location_jacobian`. ``fwd`` may be
-    omitted for owl; rlp and clp need both directions. A singular 5x5 EFIM
-    is reported as unidentifiable, not raised.
+    omitted for owl; rlp and clp need both directions. A pose whose 5x5
+    EFIM is singular, as with a dark link or a two-way protocol with no
+    delay information in one direction, is reported as unidentifiable with
+    infinite bounds, as the pipeline reports it.
     """
     if kind not in PROTOCOLS:
         raise ValueError(f"kind must be one of {PROTOCOLS}, got {kind!r}")
@@ -301,12 +289,12 @@ def assemble(
 
     j_tau_f = delay_info(fwd) if fwd is not None else 0.0
     j_tau_b = delay_info(bwd)
-    weight = combined_delay_info(kind, j_tau_f, j_tau_b)  # raises DelayUnobservableError
+    weight = delay_weight(kind, j_tau_f, j_tau_b)
     angle = angle_efim(bwd)
     if kind == "clp":
         angle = angle + angle_efim(fwd)
     factors = efim_factors(pose_grams(jac[None]), angle[None])
-    peb, oeb, ok = invert_efim(jac[None], factors, np.array([weight]))
+    peb, oeb, ok = invert_efim(jac[None], factors, weight[None])
     _, condition = rank_and_condition(localization_efim(jac, angle, weight))
     return LocalizationBound(
         peb=float(peb[0]), oeb=float(oeb[0]), identifiable=bool(ok[0]),

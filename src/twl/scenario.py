@@ -59,7 +59,7 @@ from .beamforming import (
     reverse_direction,
     sector_beam_grid,
 )
-from .fim import eliminate_gain, fim_from_forms
+from .fim import angle_efim, fim_from_forms
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry
 from .kernels import DeviceTables, codebook_tables, steering_forms
 from .pose import _jacobian_batch, _link_angles_batch, rotation_matrix
@@ -182,12 +182,10 @@ class Scenario:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples!r}")
         if self.beam_grid not in ("region", "sector"):
             raise ValueError(f"beam_grid must be 'region' or 'sector', got {self.beam_grid!r}")
-        unknown = set(self.protocols) - set(PROTOCOLS)
-        if unknown:
-            raise ValueError(f"unknown protocols {sorted(unknown)}")
-        unknown = set(self.initiators) - set(INITIATORS)
-        if unknown:
-            raise ValueError(f"unknown initiators {sorted(unknown)}")
+        for name, chosen, known in (("protocols", self.protocols, PROTOCOLS),
+                                    ("initiators", self.initiators, INITIATORS)):
+            if not set(chosen) <= set(known) or len(set(chosen)) != len(chosen):
+                raise ValueError(f"{name} must be distinct entries of {known}, got {chosen!r}")
         lam = self.signal.wavelength
         for side in ("bs", "ue"):
             if abs(getattr(self, f"{side}_array").wavelength - lam) > 1e-12 * lam:
@@ -276,19 +274,18 @@ def sample_positions(region: Region, n: int, seed: int) -> np.ndarray:
     return np.where(u[:, 0][:, None] < w_a, warp(tri_a), warp(tri_b))
 
 
-def percentile(values, q: float, unidentifiable=None) -> float:
+def percentile(values, q: float) -> float:
     """Order-statistic quantile with linear interpolation.
 
-    Entries flagged unidentifiable sort as +inf. With n values, the quantile
-    sits at fractional rank (n - 1) * q between adjacent order statistics.
+    With n values, the quantile sits at fractional rank (n - 1) * q between
+    adjacent order statistics. Unidentifiable positions carry +inf bounds,
+    so they sort last.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot take a percentile of no values")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q!r}")
-    if unidentifiable is not None:
-        values = np.where(np.asarray(unidentifiable, dtype=bool), np.inf, values)
     v = np.sort(values)
     h = (v.size - 1) * q
     lo = int(math.floor(h))
@@ -296,8 +293,8 @@ def percentile(values, q: float, unidentifiable=None) -> float:
     if t == 0.0 or lo + 1 >= v.size:
         return float(v[lo])
     if not np.isfinite(v[lo + 1]):
-        # Sorted ascending, so a non-finite upper neighbor is the +inf
-        # sentinel; any interpolation weight toward it is unbounded.
+        # Sorted ascending, so a non-finite upper neighbor is +inf; any
+        # interpolation weight toward it is unbounded.
         return float(v[lo + 1])
     return float(v[lo] + t * (v[lo + 1] - v[lo]))
 
@@ -422,9 +419,9 @@ def _link_tables(scenario: Scenario, positions, geo: dict, jac, grams, forms: di
     )
     # Uplink and downlink SNR coincide: the conjugated transmit codebook makes
     # each device's transmit and receive gain patterns identical, so t[0, 0]
-    # is both. An SNR beyond the float range reads inf; its bounds are
-    # flagged downstream.
-    with np.errstate(over="ignore"):
+    # is both. An SNR beyond the float range reads inf and a dark link's
+    # -inf; their bounds are flagged downstream.
+    with np.errstate(over="ignore", divide="ignore"):
         snr = 10.0 * np.log10(gamma * beta**2 * t_ue[:, 0, 0].real * t_bs[:, 0, 0].real)
 
     angle = {}
@@ -434,7 +431,7 @@ def _link_tables(scenario: Scenario, positions, geo: dict, jac, grams, forms: di
         "ue_to_bs": (t_ue, r_bs, "backward"),
     }.items():
         jm = fim_from_forms(t_tx, r_rx, gamma, beta, scenario.signal.weff2, direction)
-        angle[link] = eliminate_gain(jm)
+        angle[link] = angle_efim(jm)
         delay[link] = jm[:, 6, 6].copy()
     del jm  # so that the factors' transients do not add to a channel FIM
     both = angle["bs_to_ue"] + angle["ue_to_bs"]
@@ -494,8 +491,8 @@ def run_cdf(scenario: Scenario) -> CdfResult:
                 "protocol": protocol,
                 "initiator": initiator,
                 "quantile": q,
-                "peb_m": percentile(samples.peb, q, flagged),
-                "oeb_deg": math.degrees(percentile(samples.oeb, q, flagged)),
+                "peb_m": percentile(samples.peb, q),
+                "oeb_deg": math.degrees(percentile(samples.oeb, q)),
                 "snr_p10_db": snr_p10,
                 "n_unidentifiable": int(flagged.sum()),
             })

@@ -49,12 +49,12 @@ def full_o30():
 
 def peb90(tables, protocol, initiator, delay_scale=1.0):
     s = protocol_bounds(tables, protocol, initiator, delay_scale)
-    return percentile(s.peb, 0.9, ~s.identifiable)
+    return percentile(s.peb, 0.9)
 
 
 def oeb_quantile(tables, protocol, initiator, q):
     s = protocol_bounds(tables, protocol, initiator)
-    return percentile(s.oeb, q, ~s.identifiable)
+    return percentile(s.oeb, q)
 
 
 def test_criterion_1_closed_form_fim_matches_waveform_oracle(rng):

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import twl
+import twl.scenario
 from twl.cli import ConfigError, main, parse_config
-from twl.scenario import Scenario
+from twl.scenario import BoundSamples, Scenario
 
 QUICK = """
 # quick smoke configuration
@@ -155,6 +156,16 @@ def test_seed_override_changes_rows(tmp_path):
     assert data_lines(out1.read_text()) != data_lines(out2.read_text())
 
 
+def test_seed_override_is_validated_with_the_config(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert parse_config(cfg, seed=43)["seed"] == 43
+    assert parse_config(cfg)["seed"] == 42
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config(cfg, seed=2**64)
+    assert main(["point", "--config", cfg, "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_config_echo_is_lossless(tmp_path):
     cfg = write_config(tmp_path)
     out1 = tmp_path / "a.csv"
@@ -285,6 +296,40 @@ def test_exactly_singular_angle_efims_exit_3_with_inf_rows(tmp_path, subcommand,
             assert row["n_unidentifiable"] == "20"
         else:
             assert row["peb90_m"] == "inf"
+
+
+def test_cdf_without_a_finite_quantile_exits_3(tmp_path, monkeypatch):
+    # one identifiable position in 20 leaves every quantile, the 0.1 one
+    # included, at inf: the table holds no usable bound
+    bounds = twl.scenario.protocol_bounds
+
+    def first_position_only(tables, *args, **kwargs):
+        b = bounds(tables, *args, **kwargs)
+        keep = np.arange(b.peb.shape[-1]) == 0
+        return BoundSamples(np.where(keep, b.peb, np.inf), np.where(keep, b.oeb, np.inf),
+                            keep & b.identifiable)
+
+    monkeypatch.setattr(twl.scenario, "protocol_bounds", first_position_only)
+    cfg = write_config(tmp_path, "n_positions = 20\n")
+    out = tmp_path / "x.csv"
+    assert main(["cdf", "--config", cfg, "--out", str(out)]) == 3
+    lines = data_lines(out.read_text())
+    rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+    assert len(rows) == 18
+    for row in rows:
+        assert row["peb_m"] == row["oeb_deg"] == "inf"
+        assert row["n_unidentifiable"] == "19"
+
+
+@pytest.mark.parametrize("subcommand", ["cdf", "sweep-bw", "sweep-ant", "point"])
+@pytest.mark.parametrize("text", ["protocols = ['owl', 'owl']\n",
+                                  "initiators = ['ue', 'bs', 'ue']\n"],
+                         ids=["protocols", "initiators"])
+def test_repeated_protocols_or_initiators_exit_2(tmp_path, capsys, subcommand, text):
+    # a repeat would write the same rows twice
+    cfg = write_config(tmp_path, QUICK + text)
+    assert main([subcommand, "--config", cfg]) == 2
+    assert "distinct" in capsys.readouterr().err
 
 
 def test_exactly_singular_jacobian_exits_3(tmp_path):

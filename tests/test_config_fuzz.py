@@ -4,9 +4,11 @@ Configs are drawn key by key from `cli._CONFIG_SPEC` (any subset of keys
 overridden, the rest at their defaults) with at most 50 positions, and run
 through `cli.main` for every subcommand. A run must return 0 with rows
 (`inf` allowed), 2 with a `twl: error:` message, or 3 with `inf` rows; an
-exception, numpy's `RuntimeWarning`s included, fails the test. The
-position pipeline's chunk is set to 7 positions, so most runs cross chunk
-boundaries, and the singular and overflowing cases meet them per chunk.
+exception, numpy's `RuntimeWarning`s included, fails the test. A boolean,
+which Python counts as an integer, must exit 2 wherever a number is
+expected. The position pipeline's chunk is set to 7 positions, so most
+runs cross chunk boundaries, and the singular and overflowing cases meet
+them per chunk.
 `point_m` is drawn as the off-nadir default [0, 25, -10] alone: at the
 anchor's nadir, [0, 0, -10], the link angles are degenerate and `point`
 still ends in a traceback, which only a change of the angle coordinates
@@ -130,6 +132,8 @@ def _run(tmp_path, subcommand, config):
     out.unlink(missing_ok=True)
     code = main([subcommand, "--config", str(cfg), "--out", str(out)])
     assert code in (0, 2, 3), code
+    if any(isinstance(v, bool) for v in config.values()):
+        assert code == 2
     if code == 2:
         assert not out.exists()
         return
@@ -148,6 +152,8 @@ def _run(tmp_path, subcommand, config):
 @example(config=SINGULAR[1])
 @example(config=SINGULAR[2])
 @example(config=SINGULAR[3])
+@example(config={"n_positions": True})
+@example(config={"n_beams": True})
 def test_batch_subcommands_end_in_rows_or_an_exit_code(tmp_path_factory, subcommand, config):
     # patched here, not by a fixture: hypothesis runs every example in one
     # call of a function-scoped fixture

@@ -2,11 +2,15 @@
 
 import dataclasses
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
 
+import twl.fim
 import twl.kernels as kernels
+import twl.scenario
 from oracles import orthonormal_basis, quadratic_forms, steering_bundle
 from twl.beamforming import directional_beams, gram_inv_sqrt
 from twl.fim import channel_fim
@@ -211,6 +215,53 @@ def test_one_position_table_is_channel_fim_bit_for_bit(small_scenario):
                 assert single.identifiable == batched.identifiable[0]
                 assert single.peb == batched.peb[0], (protocol, initiator)
                 assert single.oeb == batched.oeb[0], (protocol, initiator)
+
+
+def _dark_forms(geom, tables, theta, phi):
+    zeros = np.zeros((len(theta), 3, 3), complex)
+    return zeros, zeros
+
+
+@pytest.mark.parametrize("case", ["dark", "no-delay"])
+def test_unusable_bound_reads_the_same_in_the_views_and_the_pipeline(
+    small_scenario, monkeypatch, case
+):
+    """A dark link, or a downlink without delay information, at n = 1.
+
+    The single-pose views report an unusable bound as the pipeline does:
+    `invert_efim`'s flag and inf, with no exception and no warning. "dark"
+    zeroes every beam-space form; "no-delay" zeroes the downlink's delay
+    information, which leaves only owl with the uplink as its backward link.
+    """
+    from twl.pose import location_jacobian
+    from twl.protocols import PROTOCOLS, assemble
+
+    scn = small_scenario
+    p = sample_positions(scn.region, 1, 12)[0]
+    if case == "dark":
+        for module in (twl.fim, twl.scenario):
+            monkeypatch.setattr(module, "steering_forms", _dark_forms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tables = position_tables(scn, p[None])
+        fims = _link_fims(scn, _single_pose_codebooks(scn), p)
+        if case == "no-delay":
+            tables.delay_info["bs_to_ue"][:] = 0.0
+            fims["bs_to_ue"][6, 6] = 0.0
+        jac = location_jacobian(Pose(p, *scn.orientation), c=scn.signal.c)
+        down, up = fims["bs_to_ue"], fims["ue_to_bs"]
+        flags = []
+        for initiator, fwd, bwd in (("bs", down, up), ("ue", up, down)):
+            for protocol in PROTOCOLS:
+                single = assemble(protocol, fwd, bwd, jac)
+                batched = protocol_bounds(tables, protocol, initiator)
+                assert single.identifiable == batched.identifiable[0], (protocol, initiator)
+                assert single.peb == batched.peb[0], (protocol, initiator)
+                assert single.oeb == batched.oeb[0], (protocol, initiator)
+                if not single.identifiable:
+                    assert single.peb == single.oeb == math.inf
+                flags.append(single.identifiable)
+    assert flags == [case == "no-delay"] + [False] * 5
 
 
 def test_steering_forms_shapes(small_scenario):

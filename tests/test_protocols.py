@@ -11,9 +11,8 @@ from twl.geometry import SPEED_OF_LIGHT, ArrayGeometry
 from twl.pose import Pose, channel_geometry, location_jacobian
 from twl.protocols import (
     PROTOCOLS,
-    DelayUnobservableError,
-    combined_delay_info,
     assemble,
+    delay_weight,
     efim_factors,
     invert_efim,
     localization_efim,
@@ -51,17 +50,17 @@ def reference_link():
 
 
 def test_combined_delay_harmonic():
-    assert combined_delay_info("rlp", 3.0, 3.0) == pytest.approx(6.0)
-    assert combined_delay_info("clp", 3.0, 3.0) == pytest.approx(6.0)
+    assert delay_weight("rlp", 3.0, 3.0) == pytest.approx(6.0)
+    assert delay_weight("clp", 3.0, 3.0) == pytest.approx(6.0)
 
 
 def test_combined_delay_one_sided_limit():
     jb = 2.5
-    assert combined_delay_info("rlp", 1e18, jb) == pytest.approx(4 * jb, rel=1e-10)
+    assert delay_weight("rlp", 1e18, jb) == pytest.approx(4 * jb, rel=1e-10)
 
 
 def test_combined_delay_owl_uses_backward_only():
-    assert combined_delay_info("owl", 123.0, 7.0) == 7.0
+    assert delay_weight("owl", 123.0, 7.0) == 7.0
 
 
 def test_combined_delay_matches_two_by_two_schur(rng):
@@ -72,14 +71,27 @@ def test_combined_delay_matches_two_by_two_schur(rng):
             [[1.0, 1.0], [1.0, 1.0]]
         )
         schur = joint[0, 0] - joint[0, 1] ** 2 / joint[1, 1]
-        assert combined_delay_info("clp", jf, jb) == pytest.approx(schur, rel=1e-12)
+        assert delay_weight("clp", jf, jb) == pytest.approx(schur, rel=1e-12)
 
 
-def test_combined_delay_unobservable():
-    with pytest.raises(DelayUnobservableError):
-        combined_delay_info("rlp", 0.0, 1.0)
-    with pytest.raises(DelayUnobservableError):
-        combined_delay_info("clp", 1.0, 0.0)
+def _without_delay(jm):
+    jm = jm.copy()
+    jm[6, 6] = 0.0
+    return jm
+
+
+def test_combined_delay_unobservable(reference_link):
+    # a two-way protocol without delay information in one direction has
+    # delay weight 0, and `assemble` flags its pose with infinite bounds
+    fwd, bwd, jac = reference_link
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert delay_weight("rlp", 0.0, 1.0) == 0.0
+        assert delay_weight("clp", 1.0, 0.0) == 0.0
+        for kind, f, b in (("rlp", _without_delay(fwd), bwd), ("clp", fwd, _without_delay(bwd))):
+            bound = assemble(kind, f, b, jac)
+            assert not bound.identifiable
+            assert bound.peb == bound.oeb == math.inf
 
 
 # The permutation Jacobian that sends (zeta0, chi0, px, py, pz) to (theta2,
@@ -222,9 +234,9 @@ def test_factored_bounds_match_exact_arithmetic():
             angle = tables.angle_efim[bwd][0]
             if protocol == "clp":
                 angle = angle + tables.angle_efim[fwd][0]
-            weight = combined_delay_info(
+            weight = float(delay_weight(
                 protocol, tables.delay_info[fwd][0], tables.delay_info[bwd][0]
-            )
+            ))
             peb, oeb = _exact_bounds(tables.jacobian[0], angle, weight)
             bound = protocol_bounds(tables, protocol, initiator)
             assert bound.peb[0] == pytest.approx(peb, rel=1e-13, abs=0.0)
@@ -246,7 +258,7 @@ def _dense_efim(kind, fwd, bwd, jac):
     angle = angle_efim(bwd)
     if kind == "clp":
         angle = angle + angle_efim(fwd)
-    weight = combined_delay_info(kind, delay_info(fwd), delay_info(bwd))
+    weight = delay_weight(kind, delay_info(fwd), delay_info(bwd))
     return localization_efim(jac, angle, weight)
 
 
@@ -273,7 +285,7 @@ def test_rlp_owl_share_spatial_part(reference_link):
     fwd, bwd, jac = reference_link
     rlp = _dense_efim("rlp", fwd, bwd, jac)
     owl = _dense_efim("owl", fwd, bwd, jac)
-    dj = combined_delay_info("rlp", delay_info(fwd), delay_info(bwd)) - delay_info(bwd)
+    dj = delay_weight("rlp", delay_info(fwd), delay_info(bwd)) - delay_info(bwd)
     temporal = dj * np.outer(jac[:, 4], jac[:, 4])
     np.testing.assert_allclose(rlp - temporal, owl, rtol=1e-12)
 

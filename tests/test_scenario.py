@@ -87,11 +87,11 @@ def test_percentile_examples():
 
 
 def test_percentile_flags_sort_to_infinity():
-    vals = np.array([1.0, 2.0, 3.0, 4.0])
-    flags = np.array([False, False, True, True])
-    assert percentile(vals, 0.25, flags) == pytest.approx(1.75)
-    assert percentile(vals, 0.9, flags) == math.inf
-    assert percentile(vals, 0.5, np.ones(4, bool)) == math.inf
+    # unidentifiable positions carry inf bounds
+    vals = np.array([math.inf, 1.0, math.inf, 2.0])
+    assert percentile(vals, 0.25) == pytest.approx(1.75)
+    assert percentile(vals, 0.9) == math.inf
+    assert percentile(np.full(4, math.inf), 0.5) == math.inf
 
 
 def test_percentile_validation():
@@ -455,8 +455,8 @@ def test_misorientation_degrades_bounds():
     r30 = run_cdf(tilted)
     for key, s0 in r0.bounds.items():
         s30 = r30.bounds[key]
-        q0 = percentile(s0.peb, 0.9, ~s0.identifiable)
-        q30 = percentile(s30.peb, 0.9, ~s30.identifiable)
+        q0 = percentile(s0.peb, 0.9)
+        q30 = percentile(s30.peb, 0.9)
         assert q30 > q0, f"{key} did not degrade under mis-orientation"
 
 
@@ -467,6 +467,14 @@ def test_scenario_validation():
         Scenario.reference_defaults(protocols=("owl", "xxx"))
     with pytest.raises(ValueError):
         Scenario.reference_defaults(beam_grid="hex")
+
+
+@pytest.mark.parametrize("field", ["protocols", "initiators"])
+def test_scenario_rejects_repeated_entries(field):
+    # a repeat would evaluate, and write, the same rows twice
+    repeated = {"protocols": ("owl", "rlp", "owl"), "initiators": ("ue", "ue")}[field]
+    with pytest.raises(ValueError, match=f"{field} must be distinct"):
+        Scenario.reference_defaults(**{field: repeated})
 
 
 def test_scenario_rejects_arrays_of_another_wavelength():
