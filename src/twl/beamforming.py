@@ -11,7 +11,8 @@ directions beside its matrix: the kernel (`twl.kernels`) builds its
 per-axis factors from them.
 
 The receive-space projector is U·Uᴴ = W·G⁻¹·Wᴴ with G = WᴴW;
-`gram_inv_sqrt` gives the G^(-1/2) that the kernel applies.
+`gram_inv_sqrt` gives G^(-1/2); the kernel applies it to the real,
+centre-rotated Gram matrix (`kernels.codebook_tables`).
 """
 
 from dataclasses import dataclass

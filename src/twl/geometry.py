@@ -10,10 +10,10 @@ measured from +x. Steering vectors are unit norm, with each element
 contributing a phase of minus the projection of its coordinate onto the
 wavenumber vector. `steering` gives the response alone, which is what a
 codebook column needs (`beamforming.directional_beams`); the angle partials
-exist only inside the kernel. `wavenumber_with_partials` is the one
-definition of k(theta, phi) and its two partials, computed from one set of
-sines and cosines; `wavenumber` is its first result. Both take scalars or
-arrays of angles.
+exist only inside the kernel. `direction_with_partials` is the one
+definition of the unit direction u(theta, phi) and its two partials,
+computed from one set of sines and cosines, and `wavenumber` is k0 = 2·pi/
+wavelength times its first result. All take scalars or arrays of angles.
 """
 
 from dataclasses import dataclass, field
@@ -100,23 +100,22 @@ def wavenumber(theta, phi, wavelength: float) -> np.ndarray:
 
     Shape (3,) for scalar angles, (3, n) for angle arrays of shape (n,).
     """
-    return wavenumber_with_partials(theta, phi, wavelength)[0]
-
-
-def wavenumber_with_partials(theta, phi, wavelength: float):
-    """(k, dk/dtheta, dk/dphi) from one set of sines and cosines.
-
-    Each is shaped as `wavenumber`'s result.
-    """
     if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength!r}")
-    k0 = 2.0 * np.pi / wavelength
+    return (2.0 * np.pi / wavelength) * direction_with_partials(theta, phi)[0]
+
+
+def direction_with_partials(theta, phi):
+    """Unit direction u(theta, phi) = k/k0 and its two partials (du/dtheta, du/dphi).
+
+    All three come from one set of sines and cosines and are shaped as
+    `wavenumber`'s result.
+    """
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    k = k0 * np.array([cp * st, sp * st, ct])
-    dk_dtheta = k0 * np.array([cp * ct, sp * ct, -st])
-    dk_dphi = k0 * np.array([-sp * st, cp * st, np.zeros_like(st)])
-    return k, dk_dtheta, dk_dphi
+    return (np.array([cp * st, sp * st, ct]),
+            np.array([cp * ct, sp * ct, -st]),
+            np.array([-sp * st, cp * st, np.zeros_like(st)]))
 
 
 def steering(geom: ArrayGeometry, theta: float, phi: float) -> np.ndarray:

@@ -8,33 +8,41 @@ projector U·Uᴴ onto its receive beam space.
 A device's transmit codebook is the conjugate of its receive codebook W, so
 Fᵀ = Wᴴ, and U·Uᴴ = W·G⁻¹·Wᴴ with G = WᴴW. Both forms are therefore Gram
 matrices of the one projection Wᴴ·(a, da/dtheta, da/dphi): the transmit form
-as it stands, the receive form after the n_beams x n_beams G^(-1/2).
+as it stands, the receive form through G⁻¹.
 
-Every array is a uniform rectangular array (`geometry.ArrayGeometry`).
-Its response factors per plane axis, a = c(k)·(a_row ⊗ a_col)/sqrt(N)
-with a unit centre phase c(k), and so does every codebook column. The
-projection is then an elementwise product,
+Every array is a uniform rectangular array (`geometry.ArrayGeometry`), and
+its element offsets from the centre are symmetric about 0 along each plane
+axis. Write k = k0·u, and let c(k) be the response's centre phase and
+Φ = diag(exp(j·k_b·centre)) the codebook's. Then
 
-    Wᴴa = c(k)·P_row∘P_col,   P_row = R·a_row,  P_col = S·a_col,
+    Wᴴa = c(k)·Φ·q0,   q0 = p_r∘p_c / (N·sqrt(n_beams)),
 
-with R (n_beams x rows) and S (n_beams x cols) the conjugated per-axis beam
-factors, the 1/(N·sqrt(n_beams)) scale and each beam's centre phase folded
-into R (`beam_factors`). Both angle partials rescale the response by the
-element coordinates along dk, e = centre + (row offset, col offset):
+where p_r[b] = Σᵢ cos(ξᵢ·(u_b - u)[ax0]) sums over the row offsets in phase
+units, ξᵢ = k0·(row offset i), and p_c likewise over the columns: a real
+Dirichlet sum per beam and axis, because the sine terms cancel in mirrored
+pairs. Both angle partials rescale the response by k0·(element − centre)
+along du and by the centre term, so with d_r[b] = Σᵢ ξᵢ·sin(ξᵢ·(u_b - u)[ax0])
+and d_c likewise,
 
-    j Wᴴ da/dx = c(k)·[(centre·dk)·P_row∘P_col
-                      + dk_ax0·D_row∘P_col + dk_ax1·P_row∘D_col],
+    j·Wᴴ·da/dx = c(k)·Φ·[(k0·centre·du_x)·q0 + j·(du_x[ax0]·q_r + du_x[ax1]·q_c)],
 
-where D_row and D_col project through the offset-weighted copies of R and
-S, stacked under them. The offsets along each axis are symmetric about
-0, so the phase of offset -x is the conjugate of that of x, and only
-ceil(rows/2) + ceil(cols/2) complex exponentials per direction are taken
-(`_phases`). A chunk of m directions thus costs those exponentials and the
-two products (2·n_beams x rows)·(rows x m) and (2·n_beams x cols)·(cols x
-m), where projecting through the full codebook would need N exponentials
-per direction and a (4·n_beams x N)·(N x m) product. c(k) multiplies the
-whole bundle and cancels in every form; each Hermitian form is filled from
-its 6 unique entries.
+with q_r = d_r∘p_c and q_c = p_r∘d_c, all real. c(k) cancels in every form
+and Φ in the transmit ones; in the receive forms Φᴴ·G⁻¹·Φ = Γ⁻¹ with
+Γ = Φᴴ·G·Φ real symmetric, so the whitening Γ^(-1/2) is a real
+n_beams x n_beams matrix (`codebook_tables`).
+
+Per step of m directions and per axis, the kernel takes one complex
+exponential per direction, exp(j·u·k0·spacing/2), and the other
+ceil(n/2) cos/sin rows of the axis as its powers (`_half_phases`), then one
+real product (2·n_beams x 2·ceil(n/2))·(2·ceil(n/2) x m) that gives p and d
+at once: by cos(a - b) = cos a·cos b + sin a·sin b and the matching sine
+rule, the beam side of each product is a table built once (`beam_factors`).
+The three real planes (q0, q_r, q_c) go through Γ^(-1/2) in one broadcast
+product, and each Hermitian 3x3 form is filled in closed form from the 6
+real Grams of its planes and the per-direction coefficients k0·centre·du,
+du[ax0] and du[ax1] (`_fill_forms`). Everything is in phase units, so no
+metre-sized offset meets a wavenumber-sized partial: the forms stay finite
+at any wavelength the config accepts.
 
 This is the one place that computes beam-space forms. The position
 pipeline (`twl.scenario`) runs it over chunks of positions, and
@@ -48,10 +56,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import Beamformer, gram_inv_sqrt
-from .geometry import ArrayGeometry, wavenumber, wavenumber_with_partials
+from .geometry import ArrayGeometry, direction_with_partials
 
-# Directions per step. One step's temporaries take ~6 MB, so they stay in
-# cache: at 10^5 directions on one thread, 1024 ran ~15% faster than 4096.
+# Directions per step; one step's temporaries take ~2.5 MB at 25 beams.
+# `run_cdf` at 10^5 positions, one BLAS thread, 8 alternating in-process
+# rounds on a shared 2-vCPU Xeon: best/median 0.62/0.72 s with steps of
+# 1024, 0.64/0.72 s with 2048 and 0.79/0.84 s with 4096; the kernel alone
+# took 0.12-0.14 s per 10^5 directions of one device at each width.
 # The position pipeline's chunk (`scenario._CHUNK`) is a multiple of it.
 _CHUNK = 1024
 
@@ -60,13 +71,11 @@ _CHUNK = 1024
 class DeviceTables:
     """A device's receive codebook W in the per-axis form the kernel takes.
 
-    Column b of W is c_b·(r_b ⊗ s_b)/sqrt(N·n_beams), with r_b and s_b the
-    steering factors of beam direction b along the array's two plane axes
-    and c_b its centre phase. ``rows`` stacks R, the rows
-    conj(c_b·r_b)/(N·sqrt(n_beams)), over R·diag(row offsets):
-    (2·n_beams, rows). ``cols`` stacks S, the rows conj(s_b), over
-    S·diag(col offsets): (2·n_beams, cols). ``whitening`` is G^(-1/2) of
-    G = WᴴW, (n_beams, n_beams).
+    ``rows`` stacks the beam side of p_r over that of d_r, each
+    (n_beams, 2·ceil(rows/2)) with the cos/sin pairs of `_half_phases`
+    interleaved and the 1/(N·sqrt(n_beams)) scale folded in; ``cols`` does
+    the same for the columns, unscaled. ``whitening`` is the real symmetric
+    Γ^(-1/2) of the centred Gram matrix Γ = Φᴴ·WᴴW·Φ, (n_beams, n_beams).
     """
 
     rows: np.ndarray
@@ -74,30 +83,77 @@ class DeviceTables:
     whitening: np.ndarray
 
 
+def _phase_units(geometry: ArrayGeometry):
+    """(k0·spacing, k0·centre): the grid step and the centre in radians per unit of u."""
+    k0 = 2.0 * np.pi / geometry.wavelength
+    return k0 * geometry.spacing, k0 * np.asarray(geometry.center)
+
+
+def _half_phases(n: int, step: float, u: np.ndarray) -> np.ndarray:
+    """exp(j·ξ_l·u), (len(u), ceil(n/2)), over the offsets ξ_l ≥ 0 of an n-element axis.
+
+    ξ_l = (l + 1/2)·step for even n and l·step for odd n: the mirrored half
+    of the axis's offsets in phase units. One exponential e = exp(j·u·step/2)
+    is taken per direction; row l is e·(e²)^l for even n and (e²)^l for odd
+    n, so its rounding error grows by a few ulps per row.
+    """
+    half = n - n // 2
+    e = np.exp(0.5j * step * u)
+    z = e * e
+    out = np.empty((u.shape[0], half), dtype=np.complex128)
+    out[:, 0] = 1.0 if n % 2 else e
+    for l in range(1, half):
+        np.multiply(out[:, l - 1], z, out=out[:, l])
+    return out
+
+
+def _axis_table(n: int, step: float, u_beams: np.ndarray, scale: float) -> np.ndarray:
+    """Beam side of one axis's product: the p rows over the d rows, (2·n_beams, 2·ceil(n/2)).
+
+    With z = exp(j·ξ·u_b) the beam's and y = exp(j·ξ·u) a direction's
+    `_half_phases` row, Re(z·ȳ) = cos(ξ·(u_b − u)) and Re(−j·ξ·z·ȳ) =
+    ξ·sin(ξ·(u_b − u)); as interleaved (re, im) pairs each is a real dot
+    product. The weight 2 counts each mirrored pair, 1 the zero offset.
+    """
+    half = n - n // 2
+    xi = (np.arange(half) + (1 - n % 2) / 2.0) * step
+    weight = np.full(half, 2.0 * scale)
+    if n % 2:
+        weight[0] = scale
+    z = _half_phases(n, step, u_beams) * weight
+    return np.concatenate([z, -1j * xi * z]).view(np.float64)
+
+
 def beam_factors(geometry: ArrayGeometry, directions) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) of `DeviceTables` for a receive codebook over ``directions``."""
     theta, phi = np.asarray(directions, dtype=np.float64).reshape(-1, 2).T
-    k = wavenumber(theta, phi, geometry.wavelength)  # (3, n_beams)
-    x, y = geometry.offsets()
+    u = direction_with_partials(theta, phi)[0]  # (3, n_beams)
+    step, _ = _phase_units(geometry)
     ax0, ax1 = geometry.axes
-    scale = np.exp(1j * (np.asarray(geometry.center) @ k)) / (
-        geometry.n_elements * np.sqrt(theta.shape[0])
-    )
-    r = np.exp(1j * np.outer(k[ax0], x)) * scale[:, None]
-    s = np.exp(1j * np.outer(k[ax1], y))
-    return np.concatenate([r, r * x]), np.concatenate([s, s * y])
+    scale = 1.0 / (geometry.n_elements * np.sqrt(theta.shape[0]))
+    return (_axis_table(geometry.rows, step, u[ax0], scale),
+            _axis_table(geometry.cols, step, u[ax1], 1.0))
 
 
 def codebook_tables(geometry: ArrayGeometry, beams: Beamformer) -> DeviceTables:
     """`DeviceTables` of a `directional_beams` codebook, from its directions.
 
-    A receive codebook W gives G^(-1/2) of G = WᴴW, which raises
-    `SingularBeamsError` for a singular G. A transmit codebook conj(W) is
-    read through its t forms alone, which need no G^(-1/2): its tables carry
-    the identity there, so a transmit set may repeat a direction.
+    A receive codebook W gives Γ^(-1/2) of the centred Gram matrix
+    Γ = (W·Φ)ᴴ(W·Φ), real because each centred column is conjugate-symmetric
+    about the centre, so it is the Gram matrix of the real stack of W·Φ's
+    real and imaginary parts. `gram_inv_sqrt` raises `SingularBeamsError`
+    for a singular Γ, and its root is symmetrised exactly. A transmit
+    codebook conj(W) is read through its t forms alone, which need no
+    whitening: its tables carry the identity there, so a transmit set may
+    repeat a direction.
     """
-    whitening = (gram_inv_sqrt(beams.matrix) if beams.role == "receive"
-                 else np.eye(beams.n_beams))
+    whitening = np.eye(beams.n_beams)
+    if beams.role == "receive":
+        theta, phi = np.asarray(beams.directions).T
+        _, center = _phase_units(geometry)
+        centred = beams.matrix * np.exp(1j * (center @ direction_with_partials(theta, phi)[0]))
+        root = gram_inv_sqrt(np.concatenate([centred.real, centred.imag]))
+        whitening = 0.5 * (root + root.T)
     return DeviceTables(*beam_factors(geometry, beams.directions), whitening=whitening)
 
 
@@ -108,7 +164,7 @@ def steering_forms(
 
     Args:
         geometry: the device's array.
-        tables: the device's codebook factors and G^(-1/2).
+        tables: the device's codebook factors and Γ^(-1/2).
         theta, phi: link angles at this device, shape (n,).
 
     Returns:
@@ -118,64 +174,63 @@ def steering_forms(
     """
     theta = np.asarray(theta, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
-    x, y = geometry.offsets()
+    _, center = _phase_units(geometry)
     ax0, ax1 = geometry.axes
-    center = np.asarray(geometry.center)
-    n_beams = tables.whitening.shape[0]
-
     n = theta.shape[0]
     t_forms = np.empty((n, 3, 3), dtype=np.complex128)
     r_forms = np.empty((n, 3, 3), dtype=np.complex128)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        th, ph = theta[lo:hi], phi[lo:hi]
-        kvec, dkt, dkp = wavenumber_with_partials(th, ph, geometry.wavelength)  # (3, m) each
-        p_row, d_row = (tables.rows @ _phases(x, kvec[ax0])).reshape(2, n_beams, -1)
-        p_col, d_col = (tables.cols @ _phases(y, kvec[ax1])).reshape(2, n_beams, -1)
-        v0 = p_row * p_col
-        along_row = d_row * p_col
-        along_col = p_row * d_col
-        v = np.stack([
-            v0,
-            (center @ dkt) * v0 + dkt[ax0] * along_row + dkt[ax1] * along_col,
-            (center @ dkp) * v0 + dkp[ax0] * along_row + dkp[ax1] * along_col,
-        ])
-        t_forms[lo:hi] = _gram(v).conj()
-        r_forms[lo:hi] = _gram(tables.whitening @ v)
+        u, *du = direction_with_partials(theta[lo:hi], phi[lo:hi])  # (3, m) each
+        du = np.stack(du)  # (2, 3, m): the theta and the phi partial
+        coeffs = (center @ du, du[:, ax0], du[:, ax1])
+        q = _planes(geometry, tables, u)
+        _fill_forms(t_forms[lo:hi], q, coeffs)
+        np.negative(t_forms[lo:hi].imag, out=t_forms[lo:hi].imag)
+        _fill_forms(r_forms[lo:hi], tables.whitening @ q, coeffs)
     return t_forms, r_forms
 
 
-def _phases(offsets, k):
-    """exp(-j·outer(offsets, k)) for offsets symmetric about 0 (`ArrayGeometry.offsets`).
+def _planes(geometry: ArrayGeometry, tables: DeviceTables, u: np.ndarray) -> np.ndarray:
+    """The real planes (q0, q_r, q_c), (3, n_beams, m), at unit directions ``u`` (3, m)."""
+    step, _ = _phase_units(geometry)
+    ax0, ax1 = geometry.axes
+    n_beams = tables.whitening.shape[0]
+    p_r, d_r = (tables.rows @ _half_phases(geometry.rows, step, u[ax0])
+                .view(np.float64).T).reshape(2, n_beams, -1)
+    p_c, d_c = (tables.cols @ _half_phases(geometry.cols, step, u[ax1])
+                .view(np.float64).T).reshape(2, n_beams, -1)
+    q = np.empty((3, n_beams, u.shape[1]))  # filled in place: stacking temporaries is slower
+    np.multiply(p_r, p_c, out=q[0])
+    np.multiply(d_r, p_c, out=q[1])
+    np.multiply(p_r, d_c, out=q[2])
+    return q
 
-    Offset n-1-i is exactly -offset i, so its row is the conjugate of row
-    i: only the first ceil(n/2) rows are exponentiated.
+
+def _fill_forms(out, q, coeffs):
+    """Fill ``out`` (m, 3, 3) with g[x, y] = b_xᴴb_y over the bundle of the planes ``q``.
+
+    ``q`` is (q0, q_r, q_c), (3, n_beams, m); ``coeffs`` is (α, a, b), each
+    (2, m) over the theta and phi partials, with v_x = α_x·q0 + j·β_x,
+    β_x = a_x·q_r + b_x·q_c the projection of j·da/dx. With h_x = q0·β_x,
+    g[0, x] = h_x − j·α_x·|q0|² and g[x, y] = α_x·α_y·|q0|² + β_x·β_y +
+    j·(α_x·h_y − α_y·h_x); each mirrored entry is the exact conjugate.
     """
-    n = offsets.shape[0]
-    half = n - n // 2
-    out = np.empty((n, k.shape[0]), dtype=np.complex128)
-    np.exp(-1j * np.outer(offsets[:half], k), out=out[:half])
-    np.conjugate(out[:n // 2][::-1], out=out[half:])
-    return out
-
-
-def _gram(v):
-    """(m, 3, 3) g[x, y] = b_x^H b_y over b = M (a, da/dtheta, da/dphi).
-
-    ``v`` is (M a, j M da/dtheta, j M da/dphi), up to one unit phase per
-    direction: the j factors cancel on the (1, 2) block and give -j on row 0.
-    """
-    g = np.empty((v.shape[2], 3, 3), dtype=np.complex128)
-    for x in range(3):
-        g[:, x, x] = _sq_norms(v[x])
-        for y in range(x + 1, 3):
-            g[:, x, y] = np.einsum("bm,bm->m", v[x].conj(), v[y])
-            if x == 0:
-                g[:, x, y] *= -1j
-            g[:, y, x] = g[:, x, y].conj()
-    return g
-
-
-def _sq_norms(v):
-    """Squared 2-norm of each column of a complex (n_beams, m) block."""
-    return np.einsum("bm,bm->m", v.real, v.real) + np.einsum("bm,bm->m", v.imag, v.imag)
+    pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    g00, g0r, g0c, grr, grc, gcc = (np.einsum("bm,bm->m", q[x], q[y]) for x, y in pairs)
+    alpha, a, b = coeffs
+    h = a * g0r + b * g0c
+    re, im = out.real, out.imag
+    re[:, 0, 0] = g00
+    im[:, 0, 0] = 0.0
+    re[:, 0, 1:] = re[:, 1:, 0] = h.T
+    im[:, 1:, 0] = (alpha * g00).T
+    im[:, 0, 1:] = -im[:, 1:, 0]
+    for x, y in ((0, 0), (0, 1), (1, 1)):
+        re[:, x + 1, y + 1] = re[:, y + 1, x + 1] = (
+            alpha[x] * alpha[y] * g00 + a[x] * a[y] * grr
+            + (a[x] * b[y] + b[x] * a[y]) * grc + b[x] * b[y] * gcc
+        )
+    im[:, 1, 1] = im[:, 2, 2] = 0.0
+    im[:, 1, 2] = alpha[0] * h[1] - alpha[1] * h[0]
+    im[:, 2, 1] = -im[:, 1, 2]

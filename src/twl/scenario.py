@@ -11,12 +11,15 @@ in chunks of 4096 (`_CHUNK`). Each chunk runs the pose stage once: the
 link geometry and Jacobian (`twl.pose`), then J⁻¹'s factors by blocks
 (`twl.protocols.pose_grams`). Then, for each variant of the scenario, it
 projects each device's receive codebook W once per direction
-(`twl.kernels`; its transmit codebook is conj(W), so W's per-axis factors
-and G^(-1/2) of G = WᴴW are all the kernel needs), builds the channel FIM
-and its gain elimination (`twl.fim`), and the factored form of each
-distinct protocol EFIM from the pose's factors: one elementwise Cholesky
-elimination of a 4x4 angle EFIM per position for each link and for their
-sum, with no inverse of it (`twl.protocols.efim_factors`). The callers run
+(`twl.kernels`, in real arithmetic: with the centre phases taken out,
+each beam's projection is a product of two real Dirichlet sums, and the
+transmit codebook is conj(W), so W's per-axis cos/sin tables and the
+real Γ^(-1/2) of its centred Gram matrix are all the kernel needs),
+builds the channel FIM and its gain elimination (`twl.fim`), and the
+factored form of each distinct protocol EFIM from the pose's factors: one
+elementwise Cholesky elimination of a 4x4 angle EFIM per position for
+each link and for their sum, with no inverse of it
+(`twl.protocols.efim_factors`). The callers run
 `protocol_bounds` on each chunk's tables and keep only what they report:
 `run_cdf` the SNR and each pair's bounds, the sweeps each cell's PEB. No
 Jacobian, angle EFIM or channel FIM outlives its chunk, so the memory a
@@ -342,7 +345,7 @@ class CdfResult:
 def _device_tables(geom: ArrayGeometry, directions) -> DeviceTables:
     # The kernel takes W as per-axis factors; the full codebooks are built
     # for their checks: the transmit one (conj(W)) for the unit transmit
-    # power, the receive one for a duplicate direction, and G^(-1/2).
+    # power, the receive one for a duplicate direction, and Γ^(-1/2).
     directional_beams(geom, directions, role="transmit")
     return codebook_tables(geom, directional_beams(geom, directions, role="receive"))
 

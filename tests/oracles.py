@@ -4,8 +4,9 @@ The waveform FIM oracle synthesizes the actual pilot signal (time-limited
 raised-cosine pulses, orthogonal pilot sequences), forms the noise-whitened
 observation mean, and integrates finite-difference derivatives over a dense
 time grid. It shares no code with the closed-form FIM path beyond the
-wavenumber k(theta, phi): the kernel (`twl.kernels.steering_forms`) never
-calls `twl.geometry.steering`.
+unit direction u(theta, phi) and its partials
+(`twl.geometry.direction_with_partials`): the kernel
+(`twl.kernels.steering_forms`) never calls `twl.geometry.steering`.
 
 The per-pose reference of the kernel builds the steering bundle (the
 response a and its two analytic angle partials) of one direction from the
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from twl.beamforming import gram_inv_sqrt
-from twl.geometry import steering, wavenumber_with_partials
+from twl.geometry import direction_with_partials, steering
 
 CHANNEL_PARAMS = ("theta1", "phi1", "theta2", "phi2", "beta", "psi", "tau")
 
@@ -134,7 +135,8 @@ def steering_bundle(geom, theta, phi) -> SteeringBundle:
 
     The partials follow by differentiating the phase.
     """
-    k, dk_dtheta, dk_dphi = wavenumber_with_partials(theta, phi, geom.wavelength)
+    k0 = 2.0 * np.pi / geom.wavelength
+    k, dk_dtheta, dk_dphi = (k0 * d for d in direction_with_partials(theta, phi))
     a = np.exp(-1j * (geom.elements.T @ k)) / np.sqrt(geom.n_elements)
     da_dtheta = -1j * (geom.elements.T @ dk_dtheta) * a
     da_dphi = -1j * (geom.elements.T @ dk_dphi) * a

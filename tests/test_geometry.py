@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import steering_bundle
-from twl.geometry import ArrayGeometry, steering, wavenumber, wavenumber_with_partials
+from twl.geometry import ArrayGeometry, direction_with_partials, steering, wavenumber
 
 
 def test_make_ura_single_element_at_origin():
@@ -146,27 +146,28 @@ def test_wavenumber_and_partials_batch_over_angle_arrays(rng):
     lam = 0.0078
     theta = rng.uniform(0.0, np.pi, 7)
     phi = rng.uniform(-np.pi, np.pi, 7)
-    batched = wavenumber_with_partials(theta, phi, lam)
-    np.testing.assert_array_equal(wavenumber(theta, phi, lam), batched[0])
+    batched = direction_with_partials(theta, phi)
+    np.testing.assert_array_equal(wavenumber(theta, phi, lam), 2 * np.pi / lam * batched[0])
     for i in range(7):
-        single = wavenumber_with_partials(theta[i], phi[i], lam)
+        single = direction_with_partials(theta[i], phi[i])
         for b, s in zip(batched, single):
             assert b.shape == (3, 7)
             np.testing.assert_array_equal(b[:, i], s)
 
 
 def test_wavenumber_partials_match_finite_differences(rng):
-    """The one definition of dk/dtheta and dk/dphi, every component.
+    """The one definition of the angle partials, every component.
 
-    The kernel and its per-direction reference share it, so it is checked
-    here on its own: central differences of `wavenumber`, step 1e-6, agree
+    The kernel and its per-direction reference share
+    `direction_with_partials`, so it is checked here on its own: k0 times
+    its partials and central differences of `wavenumber`, step 1e-6, agree
     to 1e-8 of k0.
     """
     lam, h = 0.0078, 1e-6
     k0 = 2 * np.pi / lam
     theta = rng.uniform(0.0, np.pi, 50)
     phi = rng.uniform(-np.pi, np.pi, 50)
-    _, dk_dtheta, dk_dphi = wavenumber_with_partials(theta, phi, lam)
+    _, dk_dtheta, dk_dphi = (k0 * d for d in direction_with_partials(theta, phi))
     fd_theta = (wavenumber(theta + h, phi, lam) - wavenumber(theta - h, phi, lam)) / (2 * h)
     fd_phi = (wavenumber(theta, phi + h, lam) - wavenumber(theta, phi - h, lam)) / (2 * h)
     np.testing.assert_allclose(dk_dtheta, fd_theta, rtol=0, atol=1e-8 * k0)

@@ -14,7 +14,7 @@ import twl.scenario
 from oracles import orthonormal_basis, quadratic_forms, steering_bundle
 from twl.beamforming import directional_beams, gram_inv_sqrt
 from twl.fim import channel_fim
-from twl.geometry import ArrayGeometry
+from twl.geometry import ArrayGeometry, direction_with_partials, steering, wavenumber
 from twl.pose import channel_geometry, Pose
 from twl.scenario import Scenario, position_tables, protocol_bounds, sample_positions
 
@@ -26,26 +26,11 @@ def small_scenario():
     return Scenario.reference_defaults(n_samples=200, seed=5)
 
 
-def _random_separable_tables(rng, geom, n_beams):
-    """Random per-beam row and column factors, as `DeviceTables`, and their W.
-
-    Column b of W is sqrt(N)·conj(r_b ⊗ s_b): the kernel's factors carry the
-    1/sqrt(N) of the response. Random complex factors keep G = WᴴW complex.
-    """
-    x, y = geom.offsets()
-
-    def draw(size):
-        return rng.standard_normal((n_beams, size)) + 1j * rng.standard_normal((n_beams, size))
-
-    r, s = draw(geom.rows), draw(geom.cols)
-    w = np.sqrt(geom.n_elements) * np.stack(
-        [np.kron(r[b], s[b]) for b in range(n_beams)], axis=1
-    ).conj()
-    tables = kernels.DeviceTables(
-        rows=np.concatenate([r, r * x]), cols=np.concatenate([s, s * y]),
-        whitening=gram_inv_sqrt(w),
-    )
-    return tables, w
+def _random_codebook(rng, geom, n_beams):
+    """A receive `directional_beams` codebook over random directions, and its tables."""
+    dirs = list(zip(rng.uniform(0.0, np.pi, n_beams), rng.uniform(-np.pi, np.pi, n_beams)))
+    beams = directional_beams(geom, dirs, "receive")
+    return kernels.codebook_tables(geom, beams), beams.matrix
 
 
 @pytest.mark.parametrize(
@@ -61,17 +46,18 @@ def _random_separable_tables(rng, geom, n_beams):
 def test_steering_forms_match_per_pose_reference(geom, n_w):
     """Chunked kernel == the per-pose reference of `oracles`, per direction.
 
-    A random complex separable codebook per case, with F = conj(W) and
-    U = orthonormal_basis(W) in the reference, so G^(-1/2) applied without
-    its conjugate, a swapped plane axis or offset, or a misaligned row block
-    of the stacked factors cannot go unnoticed. n crosses two chunk
-    boundaries. Tolerance: 1e-12 relative to the largest entry of each form.
+    A codebook over random steering directions per case, with F = conj(W)
+    and U = orthonormal_basis(W) in the reference, so a centre phase folded
+    with the wrong sign, a swapped plane axis or offset, a misaligned row
+    block of the stacked tables or a mirrored pair counted once cannot go
+    unnoticed. n crosses two chunk boundaries. Tolerance: 1e-12 relative to
+    the largest entry of each form.
     """
     rng = np.random.default_rng(3)
     n = 2 * kernels._CHUNK + 37
     theta = rng.uniform(0.0, np.pi, n)
     phi = rng.uniform(-np.pi, np.pi, n)
-    tables, w = _random_separable_tables(rng, geom, n_w)
+    tables, w = _random_codebook(rng, geom, n_w)
     f = w.conj()
     u = orthonormal_basis(w)
     t, r = kernels.steering_forms(geom, tables, theta, phi)
@@ -88,45 +74,107 @@ def test_steering_forms_match_per_pose_reference(geom, n_w):
 
 @pytest.mark.parametrize("plane", ["xz", "xy", "yz"])
 def test_beam_factors_rebuild_the_receive_codebook(plane):
-    """The pipeline's factors give W as row ⊗ col, and Wᴴdiag(offsets) likewise.
+    """The real tables give the centre-rotated projections of the full codebook.
 
-    This pins the element ravel order (row index slowest), the plane axes and
-    the folded centre phase and scale.
+    The centre-rotated codebook W·Φ is the codebook of the same array moved
+    to the origin, and the response a·exp(j·k·centre) is that array's
+    response. Through them, the projection of a is the plane q0, and that of
+    a weighted by k0·(element - centre) along the first or second plane axis
+    is j·q_r or j·q_c. The tables do not depend on the centre. This pins the
+    element ravel order (row index slowest), the plane axes, the weights of
+    the mirrored pairs and the 1/(N·sqrt(n_beams)) scale. Tolerance: 1e-14
+    relative to the largest entry of each block.
     """
     geom = ArrayGeometry(4, 3, LAMBDA, plane=plane, center=(0.013, -0.021, 0.034))
+    centred = dataclasses.replace(geom, center=(0.0, 0.0, 0.0))
     dirs = [(0.4, 0.2), (1.3, -2.0), (2.2, 1.1), (1.7, 2.9), (0.9, -0.6)]
-    w = directional_beams(geom, dirs, "receive").matrix
-    rows, cols = kernels.beam_factors(geom, dirs)
-    n_beams, n = len(dirs), geom.n_elements
-    ax0, ax1 = geom.axes
-    center = np.asarray(geom.center)
-    blocks = (  # (row block, column block, weight on W's rows)
-        (0, 0, np.ones(n)),
-        (1, 0, geom.elements[ax0] - center[ax0]),
-        (0, 1, geom.elements[ax1] - center[ax1]),
-    )
-    for row_block, col_block, weight in blocks:
-        rebuilt = np.sqrt(n) * np.stack([
-            np.kron(rows[row_block * n_beams + b], cols[col_block * n_beams + b])
-            for b in range(n_beams)
-        ], axis=1).conj()
-        assert np.abs(rebuilt - w * weight[:, None]).max() <= 1e-14 * np.abs(w).max()
+    factors = kernels.beam_factors(geom, dirs)
+    for table, centred_table in zip(factors, kernels.beam_factors(centred, dirs)):
+        assert table.dtype == np.float64
+        np.testing.assert_array_equal(table, centred_table)
+    tables = kernels.DeviceTables(*factors, np.eye(len(dirs)))
+    theta, phi = np.random.default_rng(6).uniform((0.0, -np.pi), (np.pi, np.pi), (40, 2)).T
+    q = kernels._planes(geom, tables, direction_with_partials(theta, phi)[0])
+
+    w = directional_beams(centred, dirs, "receive").matrix
+    weights = 2.0 * np.pi / LAMBDA * centred.elements
+    for i, (th, ph) in enumerate(zip(theta, phi)):
+        a = steering(centred, th, ph)
+        for plane_q, weight in ((q[0], 1.0), (1j * q[1], weights[geom.axes[0]]),
+                                (1j * q[2], weights[geom.axes[1]])):
+            expected = w.conj().T @ (weight * a)
+            assert np.abs(plane_q[:, i] - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("rows", [1, 2, 7, 12], ids=["1", "2", "odd", "even"])
 @pytest.mark.parametrize("spacing", [None, 0.0031], ids=["half-wave", "other"])
 def test_mirrored_phases_equal_every_exponential(rows, spacing):
-    """Half the exponentials and their conjugates give exp(-j·x·k) bit for bit.
+    """The powers of one exponential give exp(-j·x·k) along the whole axis.
 
-    A row mirrored from the wrong offset, or a 1-element axis whose one row
-    is duplicated, changes the bits or the shape.
+    The half rows are exp(j·|x|·k) over the non-positive offsets; their
+    conjugates, the positive ones. A row taken from the wrong offset, or a
+    1-element axis whose one row is duplicated, changes the values or the
+    shape. Error bound: the recurrence's row l is the product of at most
+    2·l + 2 correctly rounded complex factors, each within 2·eps, and the
+    reference rounds its phase x·k by up to eps·|x·k|, so every entry lies
+    within eps·(4·rows + 2·max|x·k|) of the other.
     """
-    x = ArrayGeometry(rows, 3, LAMBDA, spacing=spacing).offsets()[0]
+    geom = ArrayGeometry(rows, 3, LAMBDA, spacing=spacing)
+    x = geom.offsets()[0]
     k = np.random.default_rng(4).uniform(-2.0, 2.0, 257) * 2.0 * np.pi / LAMBDA
-    expected = np.exp(-1j * np.outer(x, k))
-    phases = kernels._phases(x, k)
-    assert phases.shape == expected.shape
-    np.testing.assert_array_equal(phases.view(np.uint64), expected.view(np.uint64))
+    expected = np.exp(-1j * np.outer(x, k)).T
+    step = 2.0 * np.pi / LAMBDA * geom.spacing
+    half = kernels._half_phases(rows, step, k * LAMBDA / (2.0 * np.pi))
+    assert half.shape == (k.shape[0], rows - rows // 2)
+    mirrored = np.concatenate([half[:, ::-1], half[:, rows % 2:].conj()], axis=1)
+    assert mirrored.shape == expected.shape
+    bound = np.finfo(float).eps * (4 * rows + 2 * np.abs(np.outer(x, k)).max())
+    assert np.abs(mirrored - expected).max() <= bound
+
+
+@pytest.mark.parametrize("plane", ["xz", "xy", "yz"])
+def test_real_whitening_is_the_centre_rotated_root(plane):
+    """Γ^(-1/2) = Φᴴ·G^(-1/2)·Φ with G = WᴴW, real and exactly symmetric.
+
+    An offset centre makes Φ nontrivial on every plane: a whitening built
+    from W without the centre phases, or with them conjugated, is complex
+    and fails the comparison. Tolerance: 1e-12 of the largest entry.
+    """
+    geom = ArrayGeometry(5, 4, LAMBDA, plane=plane, center=(0.021, -0.013, 0.017))
+    dirs = [(0.4, 0.2), (1.3, -2.0), (2.2, 1.1), (1.7, 2.9), (0.9, -0.6), (1.1, 0.7)]
+    beams = directional_beams(geom, dirs, "receive")
+    whitening = kernels.codebook_tables(geom, beams).whitening
+    assert whitening.dtype == np.float64
+    np.testing.assert_array_equal(whitening, whitening.T)
+    theta, phi = np.asarray(dirs).T
+    phases = np.exp(1j * (np.asarray(geom.center) @ wavenumber(theta, phi, geom.wavelength)))
+    expected = phases.conj()[:, None] * gram_inv_sqrt(beams.matrix) * phases[None, :]
+    assert np.abs(whitening - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("wavelength", [1e300 / 38e9, 1e-300], ids=["huge", "tiny"])
+def test_forms_are_finite_at_extreme_wavelengths(wavelength):
+    """The kernel works in phase units, so no offset meets a partial in metres.
+
+    With half-wave spacing and the array at the origin, the forms depend on
+    the wavelength only through rounding: they equal the reference
+    wavelength's to 1e-12 of each form's largest entry, with warnings as
+    errors.
+    """
+    rng = np.random.default_rng(8)
+    dirs = list(zip(rng.uniform(0.0, np.pi, 9), rng.uniform(-np.pi, np.pi, 9)))
+    theta, phi = rng.uniform(0.0, np.pi, 300), rng.uniform(-np.pi, np.pi, 300)
+    forms = {}
+    for lam in (wavelength, LAMBDA):
+        geom = ArrayGeometry(12, 12, lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tables = kernels.codebook_tables(geom, directional_beams(geom, dirs, "receive"))
+            forms[lam] = kernels.steering_forms(geom, tables, theta, phi)
+    for extreme, reference in zip(forms[wavelength], forms[LAMBDA]):
+        assert np.all(np.isfinite(extreme))
+        scale = np.abs(reference).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(extreme - reference) <= 1e-12 * scale)
 
 
 def test_backend_is_deterministic(small_scenario):

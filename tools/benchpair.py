@@ -1,0 +1,223 @@
+"""Paired A/B timing of one twlbench workload: a base revision against this checkout.
+
+    python3 tools/benchpair.py --base HEAD~1 --workload cdf-100k
+
+Tree A is ``--base``, extracted with ``git archive`` into a temporary
+directory; tree B is this checkout's working tree. Each tree gets one
+worker process, started with ``PYTHONPATH`` naming that tree's ``src`` and
+this checkout's ``twlbench``, and with the OpenBLAS, OpenMP and MKL pools
+pinned to one thread. Both workers import ``twlbench/workload.py`` and take
+their configs from its ``rounds`` with the same seed, so the k-th call of
+each tree runs the same config. After one untimed warm-up call per tree, the
+calls alternate A B B A, A B B A, ... for ``PAIRS`` = 10 pairs: every
+adjacent (A, B) or (B, A) is a pair, so each tree runs first in half of
+them. A call is one round of the
+workload (one ``twl.cli.main`` call, or a round of ``point`` calls), timed
+by ``workload.call_cli`` and checked by ``workload.Run.check_op``.
+
+The record goes to ``BENCH_<workload>.json`` at the root of the checkout
+(or ``--out``): the machine record, each tree's ``src`` digest, every
+call's time in order, the pairs, the median of the per-pair ratios B/A,
+the pairs B won, and each tree's median and quartiles. It exits 1, after
+writing the record, if tree B failed more operations than tree A or any
+check reported a problem, so that a record whose comparison does not count
+cannot pass unseen. (Every ``point`` round ends with a call at the anchor's
+nadir, which fails in both trees; equal counts are not a fault.) Running
+it with ``--base HEAD`` on a clean checkout times a tree against itself.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "twlbench")
+PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+PAIRS = 10
+
+
+def src_digest(tree: str) -> str:
+    """sha256 of ``src/twl/*.py`` in name order, as twlbench's machine record takes it."""
+    digest = hashlib.sha256()
+    package = os.path.join(tree, "src", "twl")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()[:16]
+
+
+def host() -> dict:
+    """CPU model and load average, which the machine record leaves out."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            models = [line.split(":", 1)[1].strip() for line in fh
+                      if line.startswith("model name")]
+    except OSError:  # not Linux
+        models = []
+    return {"cpu_model": models[0] if models else None, "loadavg": os.getloadavg()}
+
+
+def schedule(pairs: int) -> list:
+    """Tree labels of the timed calls: A B B A repeated, 2·pairs calls."""
+    return [("A", "B", "B", "A")[i % 4] for i in range(2 * pairs)]
+
+
+def summarize(calls: list) -> dict:
+    """Pairs, ratios and per-tree quantiles of calls in `schedule` order."""
+    pairs = [{c["tree"]: c["seconds"] for c in calls[i:i + 2]}
+             for i in range(0, len(calls) - 1, 2)]
+    ratios = [p["B"] / p["A"] for p in pairs]
+    summary = {"pairs": pairs, "ratios": ratios,
+               "median_ratio": statistics.median(ratios),
+               "pairs_won_by_B": sum(r < 1.0 for r in ratios)}
+    for tree in ("A", "B"):
+        seconds = [c["seconds"] for c in calls if c["tree"] == tree]
+        q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+        summary[f"seconds_{tree}"] = {"median": median, "q1": q1, "q3": q3}
+    return summary
+
+
+def faults(calls: list) -> list:
+    """Why the comparison does not count, one line each; empty when it does.
+
+    B failing more operations than A is one line (both trees run the same
+    operations, so their totals compare their shares); every problem a
+    check reported is another.
+    """
+    failed = {tree: sum(c["failed"] for c in calls if c["tree"] == tree) for tree in "AB"}
+    lines = []
+    if failed["B"] > failed["A"]:
+        lines.append(f"B failed {failed['B']} operations, A {failed['A']}")
+    for call in calls:
+        lines += [f"{call['tree']}: check failed: {problem}" for problem in call["problems"]]
+    return lines
+
+
+def worker(tree: str, workload_name: str, seed: int) -> int:
+    """Serve timed rounds on stdin/stdout: one JSON line per ``next`` line."""
+    sys.path[:0] = [os.path.join(tree, "src"), BENCH]
+    import workload  # noqa: E402 (needs the paths above)
+
+    workdir = tempfile.mkdtemp(prefix="benchpair-")
+    try:
+        run = workload.Run(workload_name, workdir)
+        rounds = workload.rounds(workload_name, seed)
+        print(json.dumps({"machine": workload.machine_record(),
+                          "twl": os.path.dirname(workload.twl.cli.__file__)}), flush=True)
+        for line in sys.stdin:
+            if line.strip() != "next":
+                break
+            seconds, failed = 0.0, 0
+            for config_text, is_nadir in next(rounds):
+                code, took, _ = workload.call_cli(run.argv(config_text))
+                seconds += took
+                if code is None:
+                    failed += 1
+                else:
+                    run.check_op(config_text, code, is_nadir)
+            print(json.dumps({"seconds": seconds, "failed": failed,
+                              "problems": list(run.problems)}), flush=True)
+            run.problems.clear()
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    return 0
+
+
+class Worker:
+    def __init__(self, tree: str, workload_name: str, seed: int):
+        env = dict(os.environ, **{pin: "1" for pin in PINS})
+        env.pop("PYTHONPATH", None)
+        self.proc = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--worker", tree,
+             "--workload", workload_name, "--seed", str(seed)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+        self.hello = self._read()
+
+    def _read(self) -> dict:
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"worker exited with code {self.proc.wait()}")
+        return json.loads(line)
+
+    def call(self) -> dict:
+        self.proc.stdin.write("next\n")
+        self.proc.stdin.flush()
+        return self._read()
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD", help="git revision of tree A")
+    parser.add_argument("--workload", default="cdf-100k")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", help="default: BENCH_<workload>.json at the checkout's root")
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        return worker(args.worker, args.workload, args.seed)
+
+    base = tempfile.mkdtemp(prefix="benchpair-base-")
+    workers = {}
+    try:
+        commit = subprocess.run(["git", "-C", ROOT, "rev-parse", args.base], check=True,
+                                capture_output=True, text=True).stdout.strip()
+        archive = subprocess.run(["git", "-C", ROOT, "archive", commit, "src"],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
+        trees = {"A": base, "B": ROOT}
+        for tree in ("A", "B"):
+            workers[tree] = Worker(trees[tree], args.workload, args.seed)
+            imported = os.path.realpath(workers[tree].hello["twl"])
+            if not imported.startswith(os.path.realpath(trees[tree]) + os.sep):
+                raise RuntimeError(f"tree {tree} imported twl from {imported}")
+            workers[tree].call()  # warm-up, untimed
+        before = host()
+        calls = []
+        for tree in schedule(PAIRS):
+            reply = workers[tree].call()
+            calls.append({"tree": tree, **reply})
+            print(f"{tree} {reply['seconds']:.3f} s", file=sys.stderr)
+        record = {
+            "workload": args.workload,
+            "seed": args.seed,
+            "order": "A B B A",
+            "machine": {**{key: value for key, value in workers["A"].hello["machine"].items()
+                           if key != "src_sha256"},
+                        "cpu_model": before["cpu_model"],
+                        "loadavg_before": before["loadavg"], "loadavg_after": host()["loadavg"]},
+            "trees": {"A": {"revision": commit, "src_sha256": src_digest(base)},
+                      "B": {"revision": "working tree", "src_sha256": src_digest(ROOT)}},
+            "calls": calls,
+            **summarize(calls),
+        }
+    finally:
+        for w in workers.values():
+            w.close()
+        shutil.rmtree(base, ignore_errors=True)
+
+    out = args.out or os.path.join(ROOT, f"BENCH_{args.workload}.json")
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    found = faults(calls)
+    for line in found:
+        print(line, file=sys.stderr)
+    print(f"median B/A {record['median_ratio']:.3f}, B faster in "
+          f"{record['pairs_won_by_B']} of {len(record['pairs'])} pairs, "
+          f"{len(found)} fault(s) -> {out}")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
