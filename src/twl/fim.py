@@ -10,13 +10,13 @@ and gain block from it. By construction the psi and tau rows carry no
 cross-coupling, so the delay information is the bare (tau, tau) entry and
 the angle block decouples from everything except the gain amplitude beta.
 
-`fim_from_forms` and `angle_efim` are batched over leading axes and are
-what the position pipeline runs; `channel_fim` is the n = 1 view of the
-first. It returns the (7, 7) array, which `angle_efim` and `delay_info`
-read, and takes its beam-space forms from the pipeline's kernel
-(`kernels.steering_forms`) at one direction per device. A link without
-illumination gives the all-zero FIM and non-finite angle EFIMs, which
-`protocols.invert_efim` flags as unidentifiable.
+`fim_from_forms` and `angle_efim` are batched over trailing axes, matrix
+axes first and positions last, and are what the position pipeline runs;
+`channel_fim` is the n = 1 view of the first. It returns the (7, 7) array,
+which `angle_efim` and `delay_info` read, and takes its beam-space forms
+from the pipeline's kernel (`kernels.steering_forms`) at one direction per
+device. A link without illumination gives the all-zero FIM and non-finite
+angle EFIMs, which `protocols.invert_efim` flags as unidentifiable.
 """
 
 import numpy as np
@@ -43,17 +43,16 @@ class NuisanceSingularError(np.linalg.LinAlgError):
 def fim_from_forms(t_tx, r_rx, gamma, beta, weff2, direction):
     """Assemble the 7x7 channel FIM from quadratic-form tables.
 
-    Broadcasts over leading axes: ``t_tx``/``r_rx`` may be (..., 3, 3) and
-    ``beta`` (...,). Entry (i, j) of the angle and gain block is
-    pre·Re(t_tx[tj, ti]·r_rx[ri, rj]), with (ti, ri) the `_FORMS` row of
-    parameter i and pre gamma·beta², gamma·beta or gamma as zero, one or two
-    of i, j are the gain. The transmitting device's angle pair occupies the
+    Broadcasts over trailing axes: ``t_tx``/``r_rx`` may be (3, 3, ...),
+    ``beta`` (...,), and the result is (7, 7, ...). Entry (i, j) of the
+    angle and gain block is pre·Re(t_tx[tj, ti]·r_rx[ri, rj]), with (ti, ri)
+    the `_FORMS` row of parameter i and pre gamma·beta², gamma·beta or gamma
+    as zero, one or two of i, j are the gain. The transmitting device's angle pair occupies the
     pair-2 slots for a backward transmission and the pair-1 slots otherwise.
     """
-    t_tx = np.asarray(t_tx)
-    r_rx = np.asarray(r_rx)
+    t_tx, r_rx = np.asarray(t_tx), np.asarray(r_rx)
     beta = np.asarray(beta, dtype=np.float64)
-    shape = np.broadcast_shapes(t_tx.shape[:-2], beta.shape)
+    shape = np.broadcast_shapes(t_tx.shape[2:], beta.shape)
     if direction == "backward":
         slots = (0, 1, 2, 3, 4)
     elif direction == "forward":
@@ -67,16 +66,16 @@ def fim_from_forms(t_tx, r_rx, gamma, beta, weff2, direction):
         ab = gamma * beta**2  # angle/phase/delay prefactor
         bb = gamma * beta  # beta-coupling prefactor
     pre = (ab, bb, gamma)
-    jm = np.zeros(shape + (7, 7))
+    jm = np.zeros((7, 7) + shape)
     for a, (ta, ra) in enumerate(_FORMS):
         for b in range(a, len(_FORMS)):
             tb, rb = _FORMS[b]
-            value = pre[(a == 4) + (b == 4)] * (t_tx[..., tb, ta] * r_rx[..., ra, rb]).real
-            jm[..., slots[a], slots[b]] = value
-            jm[..., slots[b], slots[a]] = value
-    aa = (t_tx[..., _A, _A] * r_rx[..., _A, _A]).real
-    jm[..., 5, 5] = ab * aa
-    jm[..., 6, 6] = 4.0 * np.pi**2 * weff2 * ab * aa
+            value = jm[slots[a], slots[b], ...]
+            np.multiply(pre[(a == 4) + (b == 4)], (t_tx[tb, ta] * r_rx[ra, rb]).real, out=value)
+            jm[slots[b], slots[a]] = value
+    aa = (t_tx[_A, _A] * r_rx[_A, _A]).real
+    jm[5, 5] = ab * aa
+    jm[6, 6] = 4.0 * np.pi**2 * weff2 * ab * aa
     return jm
 
 
@@ -109,7 +108,7 @@ def channel_fim(
     _, r_forms = steering_forms(rx_geom, codebook_tables(rx_geom, rx_beams),
                                 [rx_angles[0]], [rx_angles[1]])
     gamma = sig.gamma(tx_geom.n_elements, rx_geom.n_elements)
-    return fim_from_forms(t_forms[0], r_forms[0], gamma, cg.beta, sig.weff2, direction)
+    return fim_from_forms(t_forms[..., 0], r_forms[..., 0], gamma, cg.beta, sig.weff2, direction)
 
 
 def efim(jm: np.ndarray, keep) -> np.ndarray:
@@ -135,15 +134,16 @@ def efim(jm: np.ndarray, keep) -> np.ndarray:
 def angle_efim(jm: np.ndarray) -> np.ndarray:
     """Angle EFIMs after eliminating the gain amplitude, batched.
 
-    Maps channel FIMs (..., 7, 7) to (..., 4, 4). psi and tau are decoupled
+    Maps channel FIMs (7, 7, ...) to (4, 4, ...). psi and tau are decoupled
     by construction, so the only Schur correction is the rank-one beta term.
     A zero or non-finite beta entry yields non-finite rows instead of a
     warning.
     """
-    coupling = jm[..., :4, 4]
+    coupling = jm[:4, 4]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        outer = coupling[..., :, None] * coupling[..., None, :]
-        return jm[..., :4, :4] - outer / jm[..., 4:5, 4:5]
+        outer = coupling[:, None] * coupling[None, :]
+        outer /= jm[4:5, 4:5]
+        return np.subtract(jm[:4, :4], outer, out=outer)
 
 
 def delay_info(jm: np.ndarray) -> float:

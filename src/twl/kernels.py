@@ -59,11 +59,11 @@ from .beamforming import Beamformer, gram_inv_sqrt
 from .geometry import ArrayGeometry, direction_with_partials
 
 # Directions per step; one step's temporaries take ~2.5 MB at 25 beams.
-# `run_cdf` at 10^5 positions, one BLAS thread, 8 alternating in-process
-# rounds on a shared 2-vCPU Xeon: best/median 0.62/0.72 s with steps of
-# 1024, 0.64/0.72 s with 2048 and 0.79/0.84 s with 4096; the kernel alone
-# took 0.12-0.14 s per 10^5 directions of one device at each width.
-# The position pipeline's chunk (`scenario._CHUNK`) is a multiple of it.
+# `run_cdf` at 10^5 positions, one BLAS thread, 16 alternating in-process
+# rounds on a shared 2-vCPU Xeon: best/median 0.41/0.47 s with steps of
+# 512, 0.34/0.41 s with 1024 and 0.33/0.40 s with 2048, within the spread
+# of rounds. The position pipeline's chunk (`scenario._CHUNK`) is a
+# multiple of it.
 _CHUNK = 1024
 
 
@@ -168,26 +168,26 @@ def steering_forms(
         theta, phi: link angles at this device, shape (n,).
 
     Returns:
-        t_forms: (n, 3, 3) complex, t[x, y] = x^T F F^H y* per position;
-            t[0, 0] is also the receive gain |W^H a|^2.
-        r_forms: (n, 3, 3) complex, r[x, y] = x^H U U^H y per position.
+        t_forms: (3, 3, n) complex and C-contiguous, t[x, y] = x^T F F^H y* per
+            direction; t[0, 0] is also the receive gain |W^H a|^2.
+        r_forms: (3, 3, n) likewise, r[x, y] = x^H U U^H y per direction.
     """
     theta = np.asarray(theta, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
     _, center = _phase_units(geometry)
     ax0, ax1 = geometry.axes
     n = theta.shape[0]
-    t_forms = np.empty((n, 3, 3), dtype=np.complex128)
-    r_forms = np.empty((n, 3, 3), dtype=np.complex128)
+    t_forms = np.empty((3, 3, n), dtype=np.complex128)
+    r_forms = np.empty((3, 3, n), dtype=np.complex128)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         u, *du = direction_with_partials(theta[lo:hi], phi[lo:hi])  # (3, m) each
         du = np.stack(du)  # (2, 3, m): the theta and the phi partial
         coeffs = (center @ du, du[:, ax0], du[:, ax1])
         q = _planes(geometry, tables, u)
-        _fill_forms(t_forms[lo:hi], q, coeffs)
-        np.negative(t_forms[lo:hi].imag, out=t_forms[lo:hi].imag)
-        _fill_forms(r_forms[lo:hi], tables.whitening @ q, coeffs)
+        _fill_forms(t_forms[..., lo:hi], q, coeffs)
+        np.negative(t_forms[..., lo:hi].imag, out=t_forms[..., lo:hi].imag)
+        _fill_forms(r_forms[..., lo:hi], tables.whitening @ q, coeffs)
     return t_forms, r_forms
 
 
@@ -208,7 +208,7 @@ def _planes(geometry: ArrayGeometry, tables: DeviceTables, u: np.ndarray) -> np.
 
 
 def _fill_forms(out, q, coeffs):
-    """Fill ``out`` (m, 3, 3) with g[x, y] = b_xᴴb_y over the bundle of the planes ``q``.
+    """Fill ``out`` (3, 3, m) with g[x, y] = b_xᴴb_y over the bundle of the planes ``q``.
 
     ``q`` is (q0, q_r, q_c), (3, n_beams, m); ``coeffs`` is (α, a, b), each
     (2, m) over the theta and phi partials, with v_x = α_x·q0 + j·β_x,
@@ -221,16 +221,16 @@ def _fill_forms(out, q, coeffs):
     alpha, a, b = coeffs
     h = a * g0r + b * g0c
     re, im = out.real, out.imag
-    re[:, 0, 0] = g00
-    im[:, 0, 0] = 0.0
-    re[:, 0, 1:] = re[:, 1:, 0] = h.T
-    im[:, 1:, 0] = (alpha * g00).T
-    im[:, 0, 1:] = -im[:, 1:, 0]
+    re[0, 0] = g00
+    im[0, 0] = 0.0
+    re[0, 1:] = re[1:, 0] = h
+    im[1:, 0] = alpha * g00
+    im[0, 1:] = -im[1:, 0]
     for x, y in ((0, 0), (0, 1), (1, 1)):
-        re[:, x + 1, y + 1] = re[:, y + 1, x + 1] = (
+        re[x + 1, y + 1] = re[y + 1, x + 1] = (
             alpha[x] * alpha[y] * g00 + a[x] * a[y] * grr
             + (a[x] * b[y] + b[x] * a[y]) * grc + b[x] * b[y] * gcc
         )
-    im[:, 1, 1] = im[:, 2, 2] = 0.0
-    im[:, 1, 2] = alpha[0] * h[1] - alpha[1] * h[0]
-    im[:, 2, 1] = -im[:, 1, 2]
+    im[1, 1] = im[2, 2] = 0.0
+    im[1, 2] = alpha[0] * h[1] - alpha[1] * h[0]
+    im[2, 1] = -im[1, 2]

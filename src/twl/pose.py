@@ -11,9 +11,9 @@ terminal-local angles, whichever device initiates an exchange. The initiator
 only decides which link is the forward one (`twl.protocols`).
 
 `_link_angles_batch` computes the link geometry of a batch of positions and
-`_jacobian_batch` the (n, 5, 5) Jacobians from it; `channel_geometry` and
-`location_jacobian` are their n = 1 views, and `location_jacobian` returns
-the pipeline's (5, 5) array itself.
+`_jacobian_batch` the (5, 5, n) Jacobians from it, positions last;
+`channel_geometry` and `location_jacobian` are their n = 1 views, and
+`location_jacobian` returns the pipeline's (5, 5) array itself.
 """
 
 from dataclasses import dataclass
@@ -130,29 +130,29 @@ def channel_geometry(ue: Pose, wavelength: float, c: float = SPEED_OF_LIGHT) -> 
 
 
 def _jacobian_batch(g: dict, c: float) -> np.ndarray:
-    """Location-to-channel Jacobians for a batch of positions, shape (n, 5, 5).
+    """Location-to-channel Jacobians for a batch of positions, shape (5, 5, n).
 
     ``g`` is the `_link_angles_batch` geometry of the positions, whose
     ``rot`` fixes the orientation. Rows (zeta0, chi0, px, py, pz); columns
     (theta1, phi1, theta2, phi2, tau). All partials are exact derivatives of
     the channel-geometry map.
     """
-    r, u, q, rot = g["r"], g["u"], g["q"], g["rot"]
-    sin1, sin2 = g["sin1"], g["sin2"]
+    r, rot, sin1, sin2 = g["r"], g["rot"], g["sin1"], g["sin2"]
+    u, q = g["u"].T, g["q"].T  # (3, n) views
 
-    jac = np.zeros((r.shape[0], 5, 5))
+    jac = np.zeros((5, 5, r.shape[0]))
 
     # Anchor-side angles depend on position only; d(phi1)/dpz = 0.
-    ez = np.array([0.0, 0.0, 1.0])
-    jac[:, 2:, 0] = (u * u[:, 2:3] - ez) / (r * sin1)[:, None]
-    jac[:, 2:4, 1] = np.stack([-u[:, 1], u[:, 0]], axis=-1) / (r * sin1**2)[:, None]
+    ez = np.array([0.0, 0.0, 1.0])[:, None]
+    jac[2:, 0] = (u * u[2] - ez) / (r * sin1)
+    jac[2:4, 1] = np.stack([-u[1], u[0]]) / (r * sin1**2)
 
     # Terminal-local angles: q = rot^T @ (-u).
-    rx, ry, rz = rot[:, 0], rot[:, 1], rot[:, 2]
+    rx, ry, rz = rot[:, 0, None], rot[:, 1, None], rot[:, 2, None]
     # d(theta2)/dp = (rz + u * q_z) / (r * sin2)
-    jac[:, 2:, 2] = (rz + u * q[:, 2:3]) / (r * sin2)[:, None]
+    jac[2:, 2] = (rz + u * q[2]) / (r * sin2)
     # d(phi2)/dp = (q_y * rx - q_x * ry) / (r * sin2^2)
-    jac[:, 2:, 3] = (q[:, 1:2] * rx - q[:, 0:1] * ry) / (r * sin2**2)[:, None]
+    jac[2:, 3] = (q[1] * rx - q[0] * ry) / (r * sin2**2)
 
     # Orientation partials enter through the rotation R = Rz(zeta0)·Rx(chi0)
     # only: dR/dzeta0 has rows (-R1, R0, 0), dR/dchi0 columns (0, R[:, 2], -R[:, 1]).
@@ -160,12 +160,12 @@ def _jacobian_batch(g: dict, c: float) -> np.ndarray:
     drot_dz = np.stack([-rot[1], rot[0], zero])
     drot_dx = np.stack([zero, rot[:, 2], -rot[:, 1]], axis=1)
     for row, drot in ((0, drot_dz), (1, drot_dx)):
-        dq = -(u @ drot)  # rows are drot^T @ (-u)
-        jac[:, row, 2] = -dq[:, 2] / sin2
-        jac[:, row, 3] = (q[:, 0] * dq[:, 1] - q[:, 1] * dq[:, 0]) / sin2**2
+        dq = -(g["u"] @ drot)  # rows are drot^T @ (-u)
+        jac[row, 2] = -dq[:, 2] / sin2
+        jac[row, 3] = (q[0] * dq[:, 1] - q[1] * dq[:, 0]) / sin2**2
 
     # Delay column: tau = r / c.
-    jac[:, 2:, 4] = u / c
+    jac[2:, 4] = u / c
     return jac
 
 
@@ -177,4 +177,4 @@ def location_jacobian(ue: Pose, c: float = SPEED_OF_LIGHT) -> np.ndarray:
     exactly zero.
     """
     g = _link_angles_batch(ue.position[None, :], rotation_matrix(ue.zeta0, ue.chi0))
-    return _jacobian_batch(g, c)[0]
+    return _jacobian_batch(g, c)[..., 0]

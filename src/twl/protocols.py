@@ -33,7 +33,9 @@ position only. `efim_factors` contracts one A with them and keeps A with
 the result; the delay weight (`delay_weight`), which alone depends on the
 bandwidth, enters only in `invert_efim`. The position pipeline calls
 `pose_grams` once per chunk and `efim_factors` per variant and angle
-EFIM; `assemble` calls both for one pose.
+EFIM; `assemble` calls both for one pose. Batched arrays carry their matrix
+axes first and the poses last, so each elimination step runs on contiguous
+rows of poses; only LAPACK's `localization_efim` inputs take them last.
 """
 
 from dataclasses import dataclass
@@ -71,10 +73,10 @@ class LocalizationBound:
 class EfimFactors:
     """Per-pose terms of E(w) = J·blkdiag(A, w)·Jᵀ for one angle EFIM A.
 
-    ``angle`` is A itself, (..., 4, 4). Each other field is (..., 2): an
-    angle term and a delay term, so that PEB² = pos[..., 0] + pos[..., 1]/w,
-    OEB² = ori[..., 0] + ori[..., 1]/w and tr(E) = trace[..., 0] +
-    w·trace[..., 1] for every delay weight w.
+    ``angle`` is A itself, (4, 4, ...). Each other field is (2, ...): an
+    angle term and a delay term, so that PEB² = pos[0] + pos[1]/w,
+    OEB² = ori[0] + ori[1]/w and tr(E) = trace[0] + w·trace[1] for every
+    delay weight w.
     """
 
     angle: np.ndarray  # A
@@ -99,10 +101,11 @@ def delay_weight(kind: str, j_tau_f, j_tau_b) -> np.ndarray:
 
 
 def localization_efim(jacobian, angle, weight):
-    """Explicit 5x5 localization EFIMs J·blkdiag(A, w)·Jᵀ, batched.
+    """Explicit 5x5 localization EFIMs J·blkdiag(A, w)·Jᵀ, batched over leading axes.
 
     ``jacobian`` is (..., 5, 5) with the four link-angle columns first and
-    the delay column last. A non-finite weight gives non-finite entries.
+    the delay column last, and ``angle`` (..., 4, 4), as `rank_and_condition`
+    reads them. A non-finite weight gives non-finite entries.
     """
     js = jacobian[..., :4]
     jd = jacobian[..., 4]
@@ -152,24 +155,22 @@ def _block_inverse(v: np.ndarray) -> tuple:
 def pose_grams(jacobian: np.ndarray) -> tuple:
     """The pose's part of `efim_factors`: Jᵀ's Gram pair and M = J⁻¹'s factors.
 
-    ``jacobian`` is (..., 5, 5), rows (zeta0, chi0, px, py, pz) and columns
+    ``jacobian`` is (5, 5, ...), rows (zeta0, chi0, px, py, pz) and columns
     (theta1, phi1, theta2, phi2, tau). Returns (trace, (f, g_pos, g_ori)):
-    ``trace`` is the Gram pair (angle block, delay entry) of Jᵀ; ``f`` is
-    (4, 5, ...), batch axes last, the angle rows of M over its orientation
-    columns then its position columns, and g_pos and g_ori the squared
-    norms of M's delay row over the same columns.
+    ``trace`` is the Gram pair of Jᵀ, angle block (4, 4, ...) and delay
+    entry (...); ``f`` is (4, 5, ...), the angle rows of M over its
+    orientation columns then its position columns, and g_pos and g_ori the
+    squared norms of M's delay row over the same columns.
 
     J's orientation rows must vanish in the anchor-angle and delay columns,
     or ``ValueError`` is raised. `_block_inverse` then runs elementwise over
     the poses, so a singular J gives inf or NaN terms for its own pose only.
     """
-    v = np.moveaxis(jacobian, (-2, -1), (0, 1))
-    if v[:2, :2].any() or v[:2, 4].any():
+    if jacobian[:2, :2].any() or jacobian[:2, 4].any():
         raise ValueError("J's orientation rows must vanish in the anchor-angle and delay columns")
-    m = _block_inverse(v)  # first, so that its transients are gone before the trace's
-    jt = np.swapaxes(jacobian, -1, -2)
-    delay = np.einsum("...i,...i->...", jt[..., 4, :], jt[..., 4, :])
-    return (jt[..., :4, :] @ jacobian[..., :4], delay), m
+    m = _block_inverse(jacobian)  # first, so that its transients are gone before the trace's
+    block = np.einsum("ia...,ib...->ab...", jacobian[:, :4], jacobian[:, :4])
+    return (block, np.einsum("i...,i...->...", jacobian[:, 4], jacobian[:, 4])), m
 
 
 def _whitened_squares(angle: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -181,8 +182,8 @@ def _whitened_squares(angle: np.ndarray, f: np.ndarray) -> np.ndarray:
     one bad pose cannot fail a whole batch, and a non-positive or
     non-finite pivot spoils only its own pose's terms.
     """
-    aug = np.empty((4, 4 + f.shape[1]) + angle.shape[:-2])
-    aug[:, :4] = np.moveaxis(angle, (-2, -1), (0, 1))
+    aug = np.empty((4, 4 + f.shape[1]) + angle.shape[2:])
+    aug[:, :4] = angle
     aug[:, 4:] = f
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(4):
@@ -195,7 +196,7 @@ def _whitened_squares(angle: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def efim_factors(grams: tuple, angle: np.ndarray) -> EfimFactors:
-    """`EfimFactors` of angle EFIMs A (..., 4, 4) at poses' `pose_grams`.
+    """`EfimFactors` of angle EFIMs A (4, 4, ...) at poses' `pose_grams`.
 
     ⟨A⁻¹, F·Fᵀ⟩ = |L⁻¹F|² with L the Cholesky factor of A, so A is never
     inverted; a singular or indefinite A gives NaN or inf terms.
@@ -205,8 +206,8 @@ def efim_factors(grams: tuple, angle: np.ndarray) -> EfimFactors:
     with np.errstate(over="ignore", invalid="ignore"):
         pos, ori = y2[:, 2:].sum(axis=(0, 1)), y2[:, :2].sum(axis=(0, 1))
     return EfimFactors(
-        angle=angle, pos=np.stack([pos, g_pos], axis=-1), ori=np.stack([ori, g_ori], axis=-1),
-        trace=np.stack([np.einsum("...ab,...ab->...", angle, block), delay], axis=-1),
+        angle=angle, pos=np.stack([pos, g_pos]), ori=np.stack([ori, g_ori]),
+        trace=np.stack([np.einsum("ab...,ab...->...", angle, block), delay]),
     )
 
 
@@ -226,38 +227,37 @@ def rank_and_condition(efim: np.ndarray):
     return rank, condition
 
 
-def invert_efim(jacobian, factors: EfimFactors, weight):
-    """PEB and OEB of the EFIMs J·blkdiag(A, w)·Jᵀ, from their factors.
+def invert_efim(weight, jacobian, factors: EfimFactors):
+    """PEB and OEB of the EFIMs J·blkdiag(A, w)·Jᵀ at delay weights w, from factors.
 
-    Batched over the leading axes of ``jacobian`` (..., 5, 5) and ``weight``
-    (...), which broadcast: a weight of shape (s, n) reads the n poses at s
-    delay weights each. ``factors`` are the `efim_factors` of A at the
-    `pose_grams` of ``jacobian``.
+    Batched over the trailing axes of ``weight`` (...) and ``jacobian``
+    (5, 5, ...), which broadcast: a weight of shape (s, n) reads the n
+    poses at s delay weights each. ``factors`` are the `efim_factors` of A
+    at the `pose_grams` of ``jacobian``.
 
     Returns (peb, oeb, identifiable). A pose is identifiable when its EFIM
-    has full rank and condition at most 1e12. The bound
-    cond(E) <= tr(E)·tr(E⁻¹) certifies that cheaply; poses it does not
-    certify get the eigenvalue test of their explicit EFIM. Unidentifiable
-    poses, and any whose bound the factors do not give as a positive
-    number, carry infinite bounds.
+    has full rank and condition at most 1e12. The bound cond(E) <=
+    tr(E)·tr(E⁻¹) certifies that cheaply; the poses it does not certify
+    alone are gathered with their matrix axes last for the eigenvalue test
+    of their explicit EFIM. Unidentifiable poses, and any whose bound the
+    factors do not give as a positive number, carry infinite bounds.
     """
     weight = np.asarray(weight, dtype=np.float64)
     # Non-finite factors give NaN or inf here; every such pose fails both
     # the certificate and the positivity test below.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pos2 = factors.pos[..., 0] + factors.pos[..., 1] / weight
-        ori2 = factors.ori[..., 0] + factors.ori[..., 1] / weight
-        trace = factors.trace[..., 0] + weight * factors.trace[..., 1]
+        pos2 = factors.pos[0] + factors.pos[1] / weight
+        ori2 = factors.ori[0] + factors.ori[1] / weight
+        trace = factors.trace[0] + weight * factors.trace[1]
         positive = (pos2 > 0.0) & (pos2 < np.inf) & (ori2 > 0.0) & (ori2 < np.inf)
         ok = positive & (trace * (pos2 + ori2) <= _CERTIFIED_PRODUCT)
     doubt = ~ok
     if doubt.any():
-        def at_doubt(x, core):
+        def at_doubt(x, core=2):  # the doubt poses' entries, (k, ...), matrix axes last
+            x = np.moveaxis(x, range(core), range(-core, 0))
             return np.broadcast_to(x, doubt.shape + x.shape[x.ndim - core:])[doubt]
 
-        efim = localization_efim(
-            at_doubt(jacobian, 2), at_doubt(factors.angle, 2), at_doubt(weight, 0)
-        )
+        efim = localization_efim(at_doubt(jacobian), at_doubt(factors.angle), at_doubt(weight, 0))
         rank, condition = rank_and_condition(efim)
         ok[doubt] = (rank == 5) & (condition <= _MAX_CONDITION) & positive[doubt]
     peb = np.sqrt(np.where(ok, pos2, np.inf))
@@ -293,8 +293,9 @@ def assemble(
     angle = angle_efim(bwd)
     if kind == "clp":
         angle = angle + angle_efim(fwd)
-    factors = efim_factors(pose_grams(jac[None]), angle[None])
-    peb, oeb, ok = invert_efim(jac[None], factors, weight[None])
+    jac1 = jac[..., None]
+    factors = efim_factors(pose_grams(jac1), angle[..., None])
+    peb, oeb, ok = invert_efim(weight[None], jac1, factors)
     _, condition = rank_and_condition(localization_efim(jac, angle, weight))
     return LocalizationBound(
         peb=float(peb[0]), oeb=float(oeb[0]), identifiable=bool(ok[0]),

@@ -6,24 +6,20 @@ sampled uniformly over a planar convex region, every position is evaluated
 independently (position/orientation error bounds per protocol and initiator,
 plus link SNR), and results are summarized as empirical quantiles.
 
-Every subcommand streams its positions through one pipeline, `_stream`,
-in chunks of 4096 (`_CHUNK`). Each chunk runs the pose stage once: the
-link geometry and Jacobian (`twl.pose`), then J⁻¹'s factors by blocks
+Every subcommand streams its positions through one pipeline, `_stream`, in
+chunks of 4096 (`_CHUNK`). Each chunk runs the pose stage once: the link
+geometry and Jacobian (`twl.pose`), then J⁻¹'s factors by blocks
 (`twl.protocols.pose_grams`). Then, for each variant of the scenario, it
-projects each device's receive codebook W once per direction
-(`twl.kernels`, in real arithmetic: with the centre phases taken out,
-each beam's projection is a product of two real Dirichlet sums, and the
-transmit codebook is conj(W), so W's per-axis cos/sin tables and the
-real Γ^(-1/2) of its centred Gram matrix are all the kernel needs),
-builds the channel FIM and its gain elimination (`twl.fim`), and the
-factored form of each distinct protocol EFIM from the pose's factors: one
-elementwise Cholesky elimination of a 4x4 angle EFIM per position for
-each link and for their sum, with no inverse of it
-(`twl.protocols.efim_factors`). The callers run
+runs each device's beam-space forms (`twl.kernels`), the channel FIM and its
+gain elimination (`twl.fim`), and the factored form of each distinct
+protocol EFIM from the pose's factors: one elementwise Cholesky elimination
+of a 4x4 angle EFIM per position for each link and for their sum
+(`twl.protocols.efim_factors`). Every per-position array but the positions
+carries its matrix axes first and the positions last. The callers run
 `protocol_bounds` on each chunk's tables and keep only what they report:
 `run_cdf` the SNR and each pair's bounds, the sweeps each cell's PEB. No
-Jacobian, angle EFIM or channel FIM outlives its chunk, so the memory a
-call needs beyond its results does not grow with the number of positions.
+Jacobian, angle EFIM or channel FIM outlives its chunk, so the memory a call
+needs beyond its results does not grow with the number of positions.
 
 Variants differ only in their arrays. `sweep_antennas` has one per
 antenna count: it resizes the swept device's own array, keeping its
@@ -34,12 +30,9 @@ The codebook tables of each distinct array are built once per call.
 `position_tables` runs the same pipeline as one chunk over the positions
 it is given: the n-position view that `twl point` and the tests read.
 
-Of the widths timed at 10^5 positions (README, "Library"), 4096 ran
-fastest: narrower chunks pay the per-chunk cost of the stages around the
-kernel, and wider ones add their transients to the peak. The kernel keeps
-its own 1024-direction step inside each chunk; 4096 is a multiple of it,
-so the results equal those of an unchunked run bit for bit.
-`protocol_bounds` picks the factors by key and computes only the
+The kernel keeps its own step inside each chunk, and the chunk is a
+multiple of it, so the results equal those of an unchunked run bit for
+bit. `protocol_bounds` picks the factors by key and computes only the
 protocol's delay weight (`twl.protocols.invert_efim`). The single-pose
 functions of those modules are n = 1 views of the same stage code:
 `fim.channel_fim` runs the kernel at one direction per device, on tables
@@ -73,7 +66,10 @@ INITIATORS = ("bs", "ue")
 # Transmission links, anchor to terminal first.
 _LINKS = ("bs_to_ue", "ue_to_bs")
 # Positions per chunk of the position pipeline; a multiple of the kernel's
-# 1024-direction step (see the module docstring for the measurements).
+# step. Timed as `kernels._CHUNK` is, best/median 0.36/0.46 s at 2048,
+# 0.34/0.41 s at 4096 and 0.39/0.46 s at 8192, with tracemalloc peaks of
+# 17, 21 and 30 MB; 2048 cut the CLI's peak RSS by 4-5 MB but slowed a
+# `twl sweep-ant` call at 10^4 positions from 0.17 to 0.19-0.21 s.
 _CHUNK = 4096
 # Boundary slack of `Region.contains` (height in m, edge cross products in m²).
 _CONTAINS_TOL = 1e-9
@@ -277,29 +273,35 @@ def sample_positions(region: Region, n: int, seed: int) -> np.ndarray:
     return np.where(u[:, 0][:, None] < w_a, warp(tri_a), warp(tri_b))
 
 
-def percentile(values, q: float) -> float:
+def percentile(values, q):
     """Order-statistic quantile with linear interpolation.
 
     With n values, the quantile sits at fractional rank (n - 1) * q between
     adjacent order statistics. Unidentifiable positions carry +inf bounds,
-    so they sort last.
+    so they sort last. A sequence of quantiles gives a list of them, read
+    from one sort.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot take a percentile of no values")
-    if not 0.0 <= q <= 1.0:
+    qs = np.atleast_1d(q).tolist()
+    if not all(0.0 <= x <= 1.0 for x in qs):
         raise ValueError(f"quantile must be in [0, 1], got {q!r}")
     v = np.sort(values)
-    h = (v.size - 1) * q
-    lo = int(math.floor(h))
-    t = h - lo
-    if t == 0.0 or lo + 1 >= v.size:
-        return float(v[lo])
-    if not np.isfinite(v[lo + 1]):
-        # Sorted ascending, so a non-finite upper neighbor is +inf; any
-        # interpolation weight toward it is unbounded.
-        return float(v[lo + 1])
-    return float(v[lo] + t * (v[lo + 1] - v[lo]))
+    out = []
+    for x in qs:
+        h = (v.size - 1) * x
+        lo = int(math.floor(h))
+        t = h - lo
+        # t > 0 leaves lo + 1 in range. Sorted ascending, a non-finite upper
+        # neighbor is +inf, and any interpolation weight toward it is unbounded.
+        if t == 0.0:
+            out.append(float(v[lo]))
+        elif not np.isfinite(v[lo + 1]):
+            out.append(float(v[lo + 1]))
+        else:
+            out.append(float(v[lo] + t * (v[lo + 1] - v[lo])))
+    return out if np.ndim(q) else out[0]
 
 
 @dataclass(frozen=True)
@@ -313,15 +315,15 @@ class PositionTables:
     "clp".
     """
 
-    positions: np.ndarray
+    positions: np.ndarray  # (n, 3)
     snr_db: np.ndarray
-    jacobian: np.ndarray  # (n, 5, 5)
+    jacobian: np.ndarray  # (5, 5, n)
     delay_info: dict
     factors: dict
 
     @property
     def angle_efim(self) -> dict:
-        """Each link's (n, 4, 4) angle EFIM: its factors' ``angle``, not a copy."""
+        """Each link's (4, 4, n) angle EFIM: its factors' ``angle``, not a copy."""
         return {link: self.factors[link].angle for link in _LINKS}
 
 
@@ -412,11 +414,8 @@ def _link_tables(scenario: Scenario, positions, geo: dict, jac, grams, forms: di
     link, in `_LINKS` order, and copied out of the chunk's channel FIMs, so
     that it does not keep them alive.
     """
-    lam = scenario.signal.wavelength
-    t_bs, r_bs = forms["bs"]
-    t_ue, r_ue = forms["ue"]
-
-    beta = lam / (4.0 * np.pi * geo["r"])
+    (t_bs, r_bs), (t_ue, r_ue) = forms["bs"], forms["ue"]
+    beta = scenario.signal.wavelength / (4.0 * np.pi * geo["r"])
     gamma = scenario.signal.gamma(
         scenario.bs_array.n_elements, scenario.ue_array.n_elements
     )
@@ -425,17 +424,16 @@ def _link_tables(scenario: Scenario, positions, geo: dict, jac, grams, forms: di
     # is both. An SNR beyond the float range reads inf and a dark link's
     # -inf; their bounds are flagged downstream.
     with np.errstate(over="ignore", divide="ignore"):
-        snr = 10.0 * np.log10(gamma * beta**2 * t_ue[:, 0, 0].real * t_bs[:, 0, 0].real)
+        snr = 10.0 * np.log10(gamma * beta**2 * t_ue[0, 0].real * t_bs[0, 0].real)
 
-    angle = {}
-    delay = {}
+    angle, delay = {}, {}
     for link, (t_tx, r_rx, direction) in {
         "bs_to_ue": (t_bs, r_ue, "forward"),
         "ue_to_bs": (t_ue, r_bs, "backward"),
     }.items():
         jm = fim_from_forms(t_tx, r_rx, gamma, beta, scenario.signal.weff2, direction)
         angle[link] = angle_efim(jm)
-        delay[link] = jm[:, 6, 6].copy()
+        delay[link] = jm[6, 6].copy()
     del jm  # so that the factors' transients do not add to a channel FIM
     both = angle["bs_to_ue"] + angle["ue_to_bs"]
     factors = {key: efim_factors(grams, a) for key, a in (*angle.items(), ("clp", both))}
@@ -463,7 +461,7 @@ def protocol_bounds(
     scale = np.asarray(delay_scale, dtype=np.float64)[..., None]
     weight = delay_weight(protocol, tables.delay_info[fwd] * scale, tables.delay_info[bwd] * scale)
     factors = tables.factors["clp" if protocol == "clp" else bwd]
-    peb, oeb, ok = invert_efim(tables.jacobian, factors, weight)
+    peb, oeb, ok = invert_efim(weight, tables.jacobian, factors)
     return BoundSamples(peb=peb, oeb=oeb, identifiable=ok)
 
 
@@ -488,16 +486,17 @@ def run_cdf(scenario: Scenario) -> CdfResult:
     snr_p10 = percentile(snr, 0.1)
     rows = []
     for (protocol, initiator), samples in bounds.items():
-        flagged = ~samples.identifiable
-        for q in QUANTILES:
+        flagged = int((~samples.identifiable).sum())
+        pebs, oebs = percentile(samples.peb, QUANTILES), percentile(samples.oeb, QUANTILES)
+        for q, peb, oeb in zip(QUANTILES, pebs, oebs):
             rows.append({
                 "protocol": protocol,
                 "initiator": initiator,
                 "quantile": q,
-                "peb_m": percentile(samples.peb, q),
-                "oeb_deg": math.degrees(percentile(samples.oeb, q)),
+                "peb_m": peb,
+                "oeb_deg": math.degrees(oeb),
                 "snr_p10_db": snr_p10,
-                "n_unidentifiable": int(flagged.sum()),
+                "n_unidentifiable": flagged,
             })
     return CdfResult(bounds=bounds, quantile_rows=rows)
 

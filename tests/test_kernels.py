@@ -61,15 +61,15 @@ def test_steering_forms_match_per_pose_reference(geom, n_w):
     f = w.conj()
     u = orthonormal_basis(w)
     t, r = kernels.steering_forms(geom, tables, theta, phi)
-    assert t.shape == r.shape == (n, 3, 3)
-    np.testing.assert_array_equal(t, t.conj().transpose(0, 2, 1))
-    np.testing.assert_array_equal(r, r.conj().transpose(0, 2, 1))
+    assert t.shape == r.shape == (3, 3, n)
+    np.testing.assert_array_equal(t, t.conj().transpose(1, 0, 2))
+    np.testing.assert_array_equal(r, r.conj().transpose(1, 0, 2))
 
     for i in range(n):
         bundle = steering_bundle(geom, theta[i], phi[i])
         t_ref, r_ref = quadratic_forms(f, u, (bundle, bundle))
-        assert np.abs(t[i] - t_ref).max() <= 1e-12 * np.abs(t_ref).max(), i
-        assert np.abs(r[i] - r_ref).max() <= 1e-12 * np.abs(r_ref).max(), i
+        assert np.abs(t[..., i] - t_ref).max() <= 1e-12 * np.abs(t_ref).max(), i
+        assert np.abs(r[..., i] - r_ref).max() <= 1e-12 * np.abs(r_ref).max(), i
 
 
 @pytest.mark.parametrize("plane", ["xz", "xy", "yz"])
@@ -173,7 +173,7 @@ def test_forms_are_finite_at_extreme_wavelengths(wavelength):
             forms[lam] = kernels.steering_forms(geom, tables, theta, phi)
     for extreme, reference in zip(forms[wavelength], forms[LAMBDA]):
         assert np.all(np.isfinite(extreme))
-        scale = np.abs(reference).max(axis=(1, 2))[:, None, None]
+        scale = np.abs(reference).max(axis=(0, 1))
         assert np.all(np.abs(extreme - reference) <= 1e-12 * scale)
 
 
@@ -225,13 +225,13 @@ def test_batched_tables_match_single_pose_path(small_scenario):
         fims = _link_fims(scn, codebooks, p)
         for link, cf in fims.items():
             single = angle_efim(cf)
-            np.testing.assert_allclose(tables.angle_efim[link][i], single,
+            np.testing.assert_allclose(tables.angle_efim[link][..., i], single,
                                        rtol=1e-14, atol=1e-14 * np.abs(single).max())
         fwd, bwd = fims["bs_to_ue"], fims["ue_to_bs"]
         assert tables.delay_info["bs_to_ue"][i] == pytest.approx(delay_info(fwd), rel=1e-12)
         assert tables.delay_info["ue_to_bs"][i] == pytest.approx(delay_info(bwd), rel=1e-12)
         jac = location_jacobian(Pose(p, *scn.orientation), c=scn.signal.c)
-        np.testing.assert_array_equal(tables.jacobian[i], jac)
+        np.testing.assert_array_equal(tables.jacobian[..., i], jac)
 
 
 def test_one_position_table_is_channel_fim_bit_for_bit(small_scenario):
@@ -251,10 +251,10 @@ def test_one_position_table_is_channel_fim_bit_for_bit(small_scenario):
         tables = position_tables(scn, p[None])
         fims = _link_fims(scn, _single_pose_codebooks(scn), p)
         for link, jm in fims.items():
-            np.testing.assert_array_equal(tables.angle_efim[link][0], angle_efim(jm))
+            np.testing.assert_array_equal(tables.angle_efim[link][..., 0], angle_efim(jm))
             assert tables.delay_info[link][0] == delay_info(jm)
         jac = location_jacobian(Pose(p, *scn.orientation), c=scn.signal.c)
-        np.testing.assert_array_equal(tables.jacobian[0], jac)
+        np.testing.assert_array_equal(tables.jacobian[..., 0], jac)
         down, up = fims["bs_to_ue"], fims["ue_to_bs"]
         for initiator, fwd, bwd in (("bs", down, up), ("ue", up, down)):
             for protocol in PROTOCOLS:
@@ -266,7 +266,7 @@ def test_one_position_table_is_channel_fim_bit_for_bit(small_scenario):
 
 
 def _dark_forms(geom, tables, theta, phi):
-    zeros = np.zeros((len(theta), 3, 3), complex)
+    zeros = np.zeros((3, 3, len(theta)), complex)
     return zeros, zeros
 
 
@@ -313,13 +313,17 @@ def test_unusable_bound_reads_the_same_in_the_views_and_the_pipeline(
 
 
 def test_steering_forms_shapes(small_scenario):
+    """(3, 3, n) C-contiguous Hermitian forms, the directions on the last axis.
+
+    n = 1 is the single-pose views' call, and n one step and 3 more crosses
+    a step boundary of the kernel.
+    """
     scn = small_scenario
-    theta = np.array([1.9, 2.1])
-    phi = np.array([0.3, -0.5])
     dirs = [(1.8, 0.2), (2.0, -0.4), (2.2, 0.1), (1.9, 0.6)]
     tables = kernels.DeviceTables(*kernels.beam_factors(scn.bs_array, dirs), np.eye(4))
-    t, r = kernels.steering_forms(scn.bs_array, tables, theta, phi)
-    assert t.shape == (2, 3, 3) and r.shape == (2, 3, 3)
-    # Hermitian form tables
-    np.testing.assert_allclose(t, t.conj().transpose(0, 2, 1), atol=1e-15)
-    np.testing.assert_allclose(r, r.conj().transpose(0, 2, 1), atol=1e-15)
+    for n in (1, 2, kernels._CHUNK + 3):
+        theta = np.linspace(1.9, 2.1, n)
+        phi = np.linspace(0.3, -0.5, n)
+        for forms in kernels.steering_forms(scn.bs_array, tables, theta, phi):
+            assert forms.shape == (3, 3, n) and forms.flags.c_contiguous, n
+            np.testing.assert_allclose(forms, forms.conj().transpose(1, 0, 2), atol=1e-15)

@@ -182,7 +182,7 @@ def test_peb_tends_to_the_angle_limited_floor(orientation_deg, seed):
     for protocol in PROTOCOLS:
         for initiator in INITIATORS:
             bwd = LINKS[initiator][1]
-            floor = tables.factors["clp" if protocol == "clp" else bwd].pos[:, 0]
+            floor = tables.factors["clp" if protocol == "clp" else bwd].pos[0]
             base = protocol_bounds(tables, protocol, initiator)
             excess = base.peb**2 / floor - 1.0
             for scale in (1e6, 1e9):
@@ -208,12 +208,12 @@ def test_delay_enters_peb_only_as_c2_over_w_and_oeb_not_at_all(orientation_deg, 
     r2 = np.einsum("ij,ij->i", p, p)
     r2_sin2 = p[:, 0] ** 2 + p[:, 1] ** 2
     for key, f in tables.factors.items():
-        np.testing.assert_allclose(f.pos[:, 1], c2, rtol=1e-13, atol=0.0, err_msg=key)
-        assert np.all(np.abs(f.ori[:, 1]) <= 1e-20 * f.pos[:, 1]), key
-        np.testing.assert_allclose(f.trace[:, 1] * c2, 1.0, rtol=1e-13, atol=0.0, err_msg=key)
-        a_inv = np.linalg.inv(f.angle)
+        np.testing.assert_allclose(f.pos[1], c2, rtol=1e-13, atol=0.0, err_msg=key)
+        assert np.all(np.abs(f.ori[1]) <= 1e-20 * f.pos[1]), key
+        np.testing.assert_allclose(f.trace[1] * c2, 1.0, rtol=1e-13, atol=0.0, err_msg=key)
+        a_inv = np.linalg.inv(f.angle.transpose(2, 0, 1))
         angle_term = r2 * a_inv[:, 0, 0] + r2_sin2 * a_inv[:, 1, 1]
-        np.testing.assert_allclose(f.pos[:, 0], angle_term, rtol=1e-11, atol=0.0, err_msg=key)
+        np.testing.assert_allclose(f.pos[0], angle_term, rtol=1e-11, atol=0.0, err_msg=key)
 
 
 @pytest.mark.parametrize("orientation_deg", [(0.0, 0.0), (30.0, 30.0)], ids=["0", "30-30"])
@@ -222,10 +222,10 @@ def test_cholesky_contraction_matches_a_dense_inverse(orientation_deg):
     # LAPACK inverse of A, over one pipeline chunk of positions
     scn = _scenario(orientation_deg, 1, n_samples=twl.scenario._CHUNK)
     tables = position_tables(scn)
-    m = np.linalg.inv(tables.jacobian)
+    m = np.linalg.inv(tables.jacobian.transpose(2, 0, 1))
     for key, f in tables.factors.items():
-        a_inv = np.linalg.inv(f.angle)
-        for got, columns in ((f.pos[:, 0], slice(2, 5)), (f.ori[:, 0], slice(0, 2))):
+        a_inv = np.linalg.inv(f.angle.transpose(2, 0, 1))
+        for got, columns in ((f.pos[0], slice(2, 5)), (f.ori[0], slice(0, 2))):
             rows = m[:, :4, columns]
             dense = np.einsum("nab,nac,nbc->n", a_inv, rows, rows)
             np.testing.assert_allclose(got, dense, rtol=1e-12, atol=0.0, err_msg=key)

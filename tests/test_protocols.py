@@ -101,9 +101,9 @@ PERMUTATION_J = np.eye(5)[[2, 3, 0, 1, 4]]
 
 def test_identity_efim_bounds():
     # the permutation J, A = I4 and w = 1 give the identity EFIM
-    factors = efim_factors(pose_grams(PERMUTATION_J[None]), np.eye(4)[None])
-    np.testing.assert_array_equal(factors.angle[0], np.eye(4))
-    peb, oeb, ok = invert_efim(PERMUTATION_J[None], factors, np.ones(1))
+    factors = efim_factors(pose_grams(PERMUTATION_J[..., None]), np.eye(4)[..., None])
+    np.testing.assert_array_equal(factors.angle[..., 0], np.eye(4))
+    peb, oeb, ok = invert_efim(np.ones(1), PERMUTATION_J[..., None], factors)
     assert ok[0]
     assert peb[0] == pytest.approx(np.sqrt(3.0))
     assert oeb[0] == pytest.approx(np.sqrt(2.0))
@@ -112,15 +112,15 @@ def test_identity_efim_bounds():
     # J = I couples the orientation to the anchor angles and the delay,
     # which no pose's Jacobian does
     with pytest.raises(ValueError, match="orientation rows"):
-        pose_grams(np.eye(5)[None])
+        pose_grams(np.eye(5)[..., None])
 
 
 def test_singular_efim_reports_rank_not_crash():
     # an exactly singular angle EFIM gives inf bounds for its pose only
-    angle = np.stack([np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0])])
-    jacobian = np.stack([PERMUTATION_J] * 2)
+    angle = np.stack([np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0])], axis=-1)
+    jacobian = np.stack([PERMUTATION_J] * 2, axis=-1)
     factors = efim_factors(pose_grams(jacobian), angle)
-    peb, oeb, ok = invert_efim(jacobian, factors, np.ones(2))
+    peb, oeb, ok = invert_efim(np.ones(2), jacobian, factors)
     assert ok.tolist() == [True, False]
     assert np.isfinite(peb[0]) and np.isinf(peb[1]) and np.isinf(oeb[1])
     rank, _ = rank_and_condition(np.diag([1.0, 1.0, 1.0, 1.0, 0.0]))
@@ -146,11 +146,11 @@ def test_cholesky_factors_flag_each_bad_angle_efim_alone(monkeypatch):
     angle = np.stack([
         np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0]), np.diag([2.0, 1.0, -1.0, 3.0]),
         np.full((4, 4), np.nan), 1e-27 * spd, 1e-27 * spd,
-    ])
+    ], axis=-1)
     weight = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1e-27])
     jacobian = np.eye(5) + 0.1 * rng.standard_normal((5, 5))
     jacobian[:2, (0, 1, 4)] = 0.0
-    jacobian = np.broadcast_to(jacobian, (6, 5, 5))
+    jacobian = np.broadcast_to(jacobian[..., None], (5, 5, 6))
     grams = pose_grams(jacobian)
     for name in ("inv", "solve", "cholesky"):
         monkeypatch.setattr(np.linalg, name, None)  # any call on A would raise
@@ -160,8 +160,8 @@ def test_cholesky_factors_flag_each_bad_angle_efim_alone(monkeypatch):
     monkeypatch.undo()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        peb, oeb, ok = invert_efim(jacobian, factors, weight)
-    efim = localization_efim(jacobian, angle, weight)
+        peb, oeb, ok = invert_efim(weight, jacobian, factors)
+    efim = localization_efim(jacobian.transpose(2, 0, 1), angle.transpose(2, 0, 1), weight)
     rank, condition = rank_and_condition(efim)
     expected = (rank == 5) & (condition <= 1e12)
     assert expected.tolist() == [True, False, False, False, False, True]
@@ -171,6 +171,48 @@ def test_cholesky_factors_flag_each_bad_angle_efim_alone(monkeypatch):
         cov = np.diag(np.linalg.inv(efim[k]))
         assert peb[k] == pytest.approx(np.sqrt(cov[2:].sum()), rel=1e-12)
         assert oeb[k] == pytest.approx(np.sqrt(cov[:2].sum()), rel=1e-12)
+
+
+def test_doubt_poses_get_their_own_dense_test_at_every_delay_scale(monkeypatch):
+    """`invert_efim` at a (scales, n) weight, as `sweep_bandwidth` reads a chunk.
+
+    Over delay scales 1e-20..1e20 the trace certificate clears some poses
+    and not others, and of those it does not clear some are identifiable
+    and some not. The uncleared poses alone are gathered, with their matrix
+    axes moved last, for the eigenvalue test: the EFIMs it sees are theirs,
+    in order, and every flag equals the dense per-pose test of
+    J·blkdiag(A, w)·Jᵀ. A gather that moved the wrong axes would hand it
+    transposed or other poses' matrices.
+    """
+    import twl.protocols
+    from twl.protocols import _CERTIFIED_PRODUCT
+
+    scn = Scenario.reference_defaults(orientation=(0.5, 0.5))
+    n = 64
+    tables = position_tables(scn, sample_positions(scn.region, n, 21))
+    scales = np.logspace(-20.0, 20.0, 41)[:, None]
+    weight = delay_weight("rlp", tables.delay_info["bs_to_ue"] * scales,
+                          tables.delay_info["ue_to_bs"] * scales)
+    jac, factors = tables.jacobian, tables.factors["ue_to_bs"]
+    seen = []
+    monkeypatch.setattr(twl.protocols, "rank_and_condition",
+                        lambda efim: seen.append(efim) or rank_and_condition(efim))
+    peb, oeb, ok = invert_efim(weight, jac, factors)
+    monkeypatch.undo()
+
+    dense = np.array([[localization_efim(jac[..., i], factors.angle[..., i], weight[s, i])
+                       for i in range(n)] for s in range(len(scales))])
+    rank, condition = rank_and_condition(dense)
+    np.testing.assert_array_equal(ok, (rank == 5) & (condition <= 1e12))
+    assert ok.shape == peb.shape == oeb.shape == weight.shape
+    assert np.isinf(peb[~ok]).all() and np.isfinite(peb[ok]).all()
+    pos2 = factors.pos[0] + factors.pos[1] / weight
+    ori2 = factors.ori[0] + factors.ori[1] / weight
+    trace = factors.trace[0] + weight * factors.trace[1]
+    doubt = ~(trace * (pos2 + ori2) <= _CERTIFIED_PRODUCT)
+    assert (~doubt).any() and ok[doubt].any() and not ok[doubt].all()
+    (gathered,) = seen
+    np.testing.assert_allclose(gathered, dense[doubt], rtol=1e-14, atol=0.0)
 
 
 def test_block_inverse_isolates_a_singular_jacobian_without_lapack(monkeypatch):
@@ -193,12 +235,12 @@ def test_block_inverse_isolates_a_singular_jacobian_without_lapack(monkeypatch):
 
     def terms(grams, i):
         (block, delay), (f, g_pos, g_ori) = grams
-        return [block[i], delay[i], f[..., i], g_pos[i], g_ori[i]]
+        return [block[..., i], delay[i], f[..., i], g_pos[i], g_ori[i]]
 
     grams = pose_grams(jacobian)
     for i in range(len(positions)):
         batched = terms(grams, i)
-        for got, alone in zip(batched, terms(pose_grams(jacobian[i:i + 1]), 0)):
+        for got, alone in zip(batched, terms(pose_grams(jacobian[..., i:i + 1]), 0)):
             np.testing.assert_array_equal(got, alone)
         finite = all(np.isfinite(t).all() for t in batched)
         assert finite == (i != 3), i
@@ -231,13 +273,13 @@ def test_factored_bounds_match_exact_arithmetic():
     tables = position_tables(scn, positions=np.array([[21.126, 12.198, -10.0]]))
     for initiator, fwd, bwd in (("bs", "bs_to_ue", "ue_to_bs"), ("ue", "ue_to_bs", "bs_to_ue")):
         for protocol in PROTOCOLS:
-            angle = tables.angle_efim[bwd][0]
+            angle = tables.angle_efim[bwd][..., 0]
             if protocol == "clp":
-                angle = angle + tables.angle_efim[fwd][0]
+                angle = angle + tables.angle_efim[fwd][..., 0]
             weight = float(delay_weight(
                 protocol, tables.delay_info[fwd][0], tables.delay_info[bwd][0]
             ))
-            peb, oeb = _exact_bounds(tables.jacobian[0], angle, weight)
+            peb, oeb = _exact_bounds(tables.jacobian[..., 0], angle, weight)
             bound = protocol_bounds(tables, protocol, initiator)
             assert bound.peb[0] == pytest.approx(peb, rel=1e-13, abs=0.0)
             assert bound.oeb[0] == pytest.approx(oeb, rel=1e-13, abs=0.0)

@@ -99,6 +99,34 @@ def test_percentile_validation():
         percentile([], 0.5)
     with pytest.raises(ValueError):
         percentile([1.0], 1.5)
+    with pytest.raises(ValueError, match="1.5"):
+        percentile([1.0], [0.5, 1.5])
+
+
+def test_percentile_of_several_quantiles_sorts_once(monkeypatch):
+    """A sequence of quantiles gives each one's float, bit for bit, from one sort."""
+    rng = np.random.default_rng(4)
+    vals = rng.standard_normal(1001)
+    vals[rng.choice(1001, 150, replace=False)] = math.inf
+    qs = (0.0, 0.1, 0.5, 0.8, 0.9, 1.0)
+    single = [percentile(vals, q) for q in qs]
+    sorts = []
+    sort = np.sort
+    monkeypatch.setattr(np, "sort", lambda a: sorts.append(1) or sort(a))
+    assert percentile(vals, qs) == single
+    assert percentile(vals, list(qs)) == single
+    assert sorts == [1, 1]
+    assert percentile(vals, [0.5]) == single[2:3]
+    assert isinstance(percentile(vals, 0.5), float)
+
+
+def test_run_cdf_sorts_each_reported_array_once(quick_scenario, monkeypatch):
+    # the SNR, then each pair's PEB and OEB, each read at every quantile
+    sorts = []
+    sort = np.sort
+    monkeypatch.setattr(np, "sort", lambda a: sorts.append(a.shape) or sort(a))
+    run_cdf(quick_scenario)
+    assert sorts == [(quick_scenario.n_samples,)] * (1 + 2 * 6)
 
 
 def test_run_cdf_schema_and_monotone_quantiles(quick_result):
@@ -149,7 +177,7 @@ def test_run_cdf_snr_symmetry(quick_scenario):
             np.sum(np.abs(w.matrix.conj().T @ steering_bundle(geom, t, p).a) ** 2)
             for t, p in zip(th, ph)
         ])
-        gains[name] = (t_forms[:, 0, 0].real, rx_gain_sq)
+        gains[name] = (t_forms[0, 0].real, rx_gain_sq)
     downlink = gains["bs"][0] * gains["ue"][1]  # anchor transmits
     uplink = gains["ue"][0] * gains["bs"][1]  # terminal transmits
     np.testing.assert_allclose(uplink, downlink, rtol=1e-10)
@@ -157,10 +185,24 @@ def test_run_cdf_snr_symmetry(quick_scenario):
 
 
 def test_delay_info_owns_its_data(quick_scenario):
-    # a view into the (n, 7, 7) channel FIM would keep that whole FIM alive
+    # a view into the (7, 7, n) channel FIM would keep that whole FIM alive
     tables = position_tables(quick_scenario)
     for link, delay in tables.delay_info.items():
         assert delay.base is None, link
+
+
+def test_position_tables_carry_the_positions_last(quick_scenario):
+    # matrix and term axes first, so each stage reads contiguous rows of positions
+    n = 7
+    tables = position_tables(quick_scenario, sample_positions(quick_scenario.region, n, 3))
+    assert tables.positions.shape == (n, 3) and tables.snr_db.shape == (n,)
+    assert tables.jacobian.shape == (5, 5, n) and tables.jacobian.flags.c_contiguous
+    for link in ("bs_to_ue", "ue_to_bs"):
+        assert tables.angle_efim[link].shape == (4, 4, n)
+        assert tables.delay_info[link].shape == (n,)
+    for key, factors in tables.factors.items():
+        assert factors.angle.shape == (4, 4, n), key
+        assert factors.pos.shape == factors.ori.shape == factors.trace.shape == (2, n), key
 
 
 def test_angle_efim_is_a_view_of_the_link_factors(quick_scenario):
@@ -217,7 +259,7 @@ def test_chunked_tables_equal_one_chunk(monkeypatch, chunk):
     np.testing.assert_array_equal(snr, one_pass.snr_db)
     assert chunked.quantile_rows == whole.quantile_rows
     assert chunked_bw == whole_bw
-    singular = one_pass.factors["clp"].pos[chunk + 5]
+    singular = one_pass.factors["clp"].pos[:, chunk + 5]
     assert not np.isfinite(singular[0])
     assert singular[1] == pytest.approx(scn.signal.c**2, rel=1e-13)
     for pair, a in chunked.bounds.items():
@@ -303,7 +345,7 @@ def test_sweep_antennas_shares_the_pose_and_the_other_forms(monkeypatch):
 
     def counted_grams(jac):
         calls["grams"] += 1
-        shapes.add(jac.shape[-2:])
+        shapes.add(jac.shape[:2])
         return pose_grams(jac)
 
     def counted_forms(*args, theta, **kwargs):
