@@ -11,8 +11,9 @@ directions beside its matrix: the kernel (`twl.kernels`) builds its
 per-axis factors from them.
 
 The receive-space projector is U·Uᴴ = W·G⁻¹·Wᴴ with G = WᴴW;
-`gram_inv_sqrt` gives G^(-1/2); the kernel applies it to the real,
-centre-rotated Gram matrix (`kernels.codebook_tables`).
+`gram_inv_sqrt` gives G^(-1/2); the kernel takes it of the real stack of
+W's real and imaginary parts, whose Gram matrix is G for an array centred
+on its device (`kernels.codebook_tables`).
 """
 
 from dataclasses import dataclass

@@ -1,14 +1,16 @@
 """Channel-parameter Fisher information and equivalent FIMs.
 
 The channel FIM is 7x7 over (theta1, phi1, theta2, phi2, beta, psi, tau).
-Every nonzero entry is the real part of a product of two beam-space
-quadratic forms: one through the transmit matrix F of the transmitting
-device, one through the projector onto the receive beam space of the
-receiving device. `_FORMS` states that rule once: it names the two forms
-behind each parameter's derivative, and `fim_from_forms` fills the angle
-and gain block from it. By construction the psi and tau rows carry no
-cross-coupling, so the delay information is the bare (tau, tau) entry and
-the angle block decouples from everything except the gain amplitude beta.
+Every nonzero entry is a product of two real beam-space quadratic forms:
+one through the transmit matrix F of the transmitting device, one through
+the projector onto the receive beam space of the receiving device.
+`_FORMS` states that rule once: it names the two forms behind each
+parameter's derivative, and `fim_from_forms` fills the angle and gain
+block from it. The psi and tau rows carry no cross-coupling,
+because the forms are real: that holds for every array
+`geometry.ArrayGeometry` builds, each centred on its device. So the delay
+information is the bare (tau, tau) entry and the angle block decouples
+from everything except the gain amplitude beta.
 
 `fim_from_forms` and `angle_efim` are batched over trailing axes, matrix
 axes first and positions last, and are what the position pipeline runs;
@@ -45,7 +47,7 @@ def fim_from_forms(t_tx, r_rx, gamma, beta, weff2, direction):
 
     Broadcasts over trailing axes: ``t_tx``/``r_rx`` may be (3, 3, ...),
     ``beta`` (...,), and the result is (7, 7, ...). Entry (i, j) of the
-    angle and gain block is pre·Re(t_tx[tj, ti]·r_rx[ri, rj]), with (ti, ri)
+    angle and gain block is pre·t_tx[tj, ti]·r_rx[ri, rj], with (ti, ri)
     the `_FORMS` row of parameter i and pre gamma·beta², gamma·beta or gamma
     as zero, one or two of i, j are the gain. The transmitting device's angle pair occupies the
     pair-2 slots for a backward transmission and the pair-1 slots otherwise.
@@ -71,9 +73,9 @@ def fim_from_forms(t_tx, r_rx, gamma, beta, weff2, direction):
         for b in range(a, len(_FORMS)):
             tb, rb = _FORMS[b]
             value = jm[slots[a], slots[b], ...]
-            np.multiply(pre[(a == 4) + (b == 4)], (t_tx[tb, ta] * r_rx[ra, rb]).real, out=value)
+            np.multiply(pre[(a == 4) + (b == 4)], t_tx[tb, ta] * r_rx[ra, rb], out=value)
             jm[slots[b], slots[a]] = value
-    aa = (t_tx[_A, _A] * r_rx[_A, _A]).real
+    aa = t_tx[_A, _A] * r_rx[_A, _A]
     jm[5, 5] = ab * aa
     jm[6, 6] = 4.0 * np.pi**2 * weff2 * ab * aa
     return jm

@@ -1,9 +1,10 @@
 """Array manifolds: uniform rectangular arrays, wavenumbers, steering vectors.
 
 Every array is a uniform rectangular array (URA) on a coordinate plane,
-`ArrayGeometry(rows, cols, wavelength, spacing, plane, center)`. Its
-steering vector factors per plane axis, which is what the steering-form
-kernel (`twl.kernels`) uses.
+`ArrayGeometry(rows, cols, wavelength, spacing, plane)`, centred on its
+device's origin. Its element set is symmetric about that origin, so the
+steering vector factors per plane axis into conjugate-symmetric factors,
+which is what the steering-form kernel (`twl.kernels`) uses.
 
 Conventions: theta is the polar angle measured from +z, phi the azimuth
 measured from +x. Steering vectors are unit norm, with each element
@@ -31,16 +32,18 @@ class ArrayGeometry:
     """Uniform rectangular array on a coordinate plane.
 
     Element (i, j), i < rows along the plane's first axis and j < cols along
-    its second, sits at ``center`` plus the offsets ((i - (rows-1)/2)·spacing,
-    (j - (cols-1)/2)·spacing); element index i·cols + j. The steering vector
-    is a_row ⊗ a_col times one centre phase.
+    its second, sits at the offsets ((i - (rows-1)/2)·spacing,
+    (j - (cols-1)/2)·spacing) from the device's origin; element index
+    i·cols + j. The steering vector is a_row ⊗ a_col. The array is centred
+    on its device by construction: a moved array would only multiply each
+    response by a common phase, which the channel phase absorbs, and the
+    closed-form FIM (`twl.fim`) leaves that phase's coupling out.
 
     Attributes:
         rows, cols: grid size along the first and second plane axis (>= 1).
         wavelength: carrier wavelength in meters.
         spacing: element pitch in meters; None means half a wavelength.
         plane: one of "xy", "xz", "yz".
-        center: centroid (x, y, z) of the grid in meters.
         elements: 3 x (rows·cols) element coordinates, computed on creation.
     """
 
@@ -49,7 +52,6 @@ class ArrayGeometry:
     wavelength: float
     spacing: float | None = None
     plane: str = "xz"
-    center: tuple = (0.0, 0.0, 0.0)
     elements: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -62,19 +64,14 @@ class ArrayGeometry:
             raise ValueError(f"element spacing must be positive, got {spacing!r}")
         if self.plane not in _PLANE_AXES:
             raise ValueError(f"plane must be one of {sorted(_PLANE_AXES)}, got {self.plane!r}")
-        center = tuple(float(c) for c in np.ravel(self.center))
-        if len(center) != 3:
-            raise ValueError(f"center needs 3 coordinates, got {self.center!r}")
         object.__setattr__(self, "rows", int(self.rows))
         object.__setattr__(self, "cols", int(self.cols))
         object.__setattr__(self, "spacing", float(spacing))
-        object.__setattr__(self, "center", center)
         ax0, ax1 = self.axes
         x, y = self.offsets()
         elements = np.zeros((3, self.n_elements))
         elements[ax0] = np.repeat(x, self.cols)
         elements[ax1] = np.tile(y, self.rows)
-        elements += np.asarray(center).reshape(3, 1)
         if not np.all(np.isfinite(elements)):
             raise ValueError("element coordinates must be finite")
         elements.flags.writeable = False
@@ -90,7 +87,7 @@ class ArrayGeometry:
         return _PLANE_AXES[self.plane]
 
     def offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Element offsets from the centre along each plane axis, (rows,), (cols,)."""
+        """Element offsets from the origin along each plane axis, (rows,), (cols,)."""
         return ((np.arange(self.rows) - (self.rows - 1) / 2.0) * self.spacing,
                 (np.arange(self.cols) - (self.cols - 1) / 2.0) * self.spacing)
 

@@ -10,26 +10,23 @@ Fᵀ = Wᴴ, and U·Uᴴ = W·G⁻¹·Wᴴ with G = WᴴW. Both forms are theref
 matrices of the one projection Wᴴ·(a, da/dtheta, da/dphi): the transmit form
 as it stands, the receive form through G⁻¹.
 
-Every array is a uniform rectangular array (`geometry.ArrayGeometry`), and
-its element offsets from the centre are symmetric about 0 along each plane
-axis. Write k = k0·u, and let c(k) be the response's centre phase and
-Φ = diag(exp(j·k_b·centre)) the codebook's. Then
+Every array is a uniform rectangular array centred on its device
+(`geometry.ArrayGeometry`), so its element offsets are symmetric about 0
+along each plane axis. Write k = k0·u. Then
 
-    Wᴴa = c(k)·Φ·q0,   q0 = p_r∘p_c / (N·sqrt(n_beams)),
+    Wᴴa = q0,   q0 = p_r∘p_c / (N·sqrt(n_beams)),
 
 where p_r[b] = Σᵢ cos(ξᵢ·(u_b - u)[ax0]) sums over the row offsets in phase
 units, ξᵢ = k0·(row offset i), and p_c likewise over the columns: a real
 Dirichlet sum per beam and axis, because the sine terms cancel in mirrored
-pairs. Both angle partials rescale the response by k0·(element − centre)
-along du and by the centre term, so with d_r[b] = Σᵢ ξᵢ·sin(ξᵢ·(u_b - u)[ax0])
-and d_c likewise,
+pairs. Both angle partials rescale the response by k0·element along du, so
+with d_r[b] = Σᵢ ξᵢ·sin(ξᵢ·(u_b - u)[ax0]) and d_c likewise,
 
-    j·Wᴴ·da/dx = c(k)·Φ·[(k0·centre·du_x)·q0 + j·(du_x[ax0]·q_r + du_x[ax1]·q_c)],
+    Wᴴ·da/dx = du_x[ax0]·q_r + du_x[ax1]·q_c,
 
-with q_r = d_r∘p_c and q_c = p_r∘d_c, all real. c(k) cancels in every form
-and Φ in the transmit ones; in the receive forms Φᴴ·G⁻¹·Φ = Γ⁻¹ with
-Γ = Φᴴ·G·Φ real symmetric, so the whitening Γ^(-1/2) is a real
-n_beams x n_beams matrix (`codebook_tables`).
+with q_r = d_r∘p_c and q_c = p_r∘d_c. The whole projection is real, and so
+is G = WᴴW, whose whitening G^(-1/2) is a real symmetric n_beams x n_beams
+matrix (`codebook_tables`): every form is a real symmetric 3x3 matrix.
 
 Per step of m directions and per axis, the kernel takes one complex
 exponential per direction, exp(j·u·k0·spacing/2), and the other
@@ -37,12 +34,12 @@ ceil(n/2) cos/sin rows of the axis as its powers (`_half_phases`), then one
 real product (2·n_beams x 2·ceil(n/2))·(2·ceil(n/2) x m) that gives p and d
 at once: by cos(a - b) = cos a·cos b + sin a·sin b and the matching sine
 rule, the beam side of each product is a table built once (`beam_factors`).
-The three real planes (q0, q_r, q_c) go through Γ^(-1/2) in one broadcast
-product, and each Hermitian 3x3 form is filled in closed form from the 6
-real Grams of its planes and the per-direction coefficients k0·centre·du,
-du[ax0] and du[ax1] (`_fill_forms`). Everything is in phase units, so no
-metre-sized offset meets a wavenumber-sized partial: the forms stay finite
-at any wavelength the config accepts.
+The three real planes (q0, q_r, q_c) go through G^(-1/2) in one broadcast
+product, and each 3x3 form is filled in closed form from the 6 real Grams
+of its planes and the per-direction coefficients du[ax0] and du[ax1]
+(`_fill_forms`). Everything is in phase units, so no metre-sized offset
+meets a wavenumber-sized partial: the forms stay finite at any wavelength
+the config accepts.
 
 This is the one place that computes beam-space forms. The position
 pipeline (`twl.scenario`) runs it over chunks of positions, and
@@ -75,7 +72,7 @@ class DeviceTables:
     (n_beams, 2·ceil(rows/2)) with the cos/sin pairs of `_half_phases`
     interleaved and the 1/(N·sqrt(n_beams)) scale folded in; ``cols`` does
     the same for the columns, unscaled. ``whitening`` is the real symmetric
-    Γ^(-1/2) of the centred Gram matrix Γ = Φᴴ·WᴴW·Φ, (n_beams, n_beams).
+    G^(-1/2) of the Gram matrix G = WᴴW, (n_beams, n_beams).
     """
 
     rows: np.ndarray
@@ -83,10 +80,9 @@ class DeviceTables:
     whitening: np.ndarray
 
 
-def _phase_units(geometry: ArrayGeometry):
-    """(k0·spacing, k0·centre): the grid step and the centre in radians per unit of u."""
-    k0 = 2.0 * np.pi / geometry.wavelength
-    return k0 * geometry.spacing, k0 * np.asarray(geometry.center)
+def _phase_step(geometry: ArrayGeometry) -> float:
+    """k0·spacing: the grid step in radians per unit of u."""
+    return 2.0 * np.pi / geometry.wavelength * geometry.spacing
 
 
 def _half_phases(n: int, step: float, u: np.ndarray) -> np.ndarray:
@@ -128,7 +124,7 @@ def beam_factors(geometry: ArrayGeometry, directions) -> tuple[np.ndarray, np.nd
     """(rows, cols) of `DeviceTables` for a receive codebook over ``directions``."""
     theta, phi = np.asarray(directions, dtype=np.float64).reshape(-1, 2).T
     u = direction_with_partials(theta, phi)[0]  # (3, n_beams)
-    step, _ = _phase_units(geometry)
+    step = _phase_step(geometry)
     ax0, ax1 = geometry.axes
     scale = 1.0 / (geometry.n_elements * np.sqrt(theta.shape[0]))
     return (_axis_table(geometry.rows, step, u[ax0], scale),
@@ -138,21 +134,18 @@ def beam_factors(geometry: ArrayGeometry, directions) -> tuple[np.ndarray, np.nd
 def codebook_tables(geometry: ArrayGeometry, beams: Beamformer) -> DeviceTables:
     """`DeviceTables` of a `directional_beams` codebook, from its directions.
 
-    A receive codebook W gives Γ^(-1/2) of the centred Gram matrix
-    Γ = (W·Φ)ᴴ(W·Φ), real because each centred column is conjugate-symmetric
-    about the centre, so it is the Gram matrix of the real stack of W·Φ's
-    real and imaginary parts. `gram_inv_sqrt` raises `SingularBeamsError`
-    for a singular Γ, and its root is symmetrised exactly. A transmit
+    A receive codebook W gives G^(-1/2) of its Gram matrix G = WᴴW, real
+    because each column of a centred array is conjugate-symmetric about the
+    origin, so G is the Gram matrix of the real stack of W's real and
+    imaginary parts. `gram_inv_sqrt` raises `SingularBeamsError` for a
+    singular G, and its root is symmetrised exactly. A transmit
     codebook conj(W) is read through its t forms alone, which need no
     whitening: its tables carry the identity there, so a transmit set may
     repeat a direction.
     """
     whitening = np.eye(beams.n_beams)
     if beams.role == "receive":
-        theta, phi = np.asarray(beams.directions).T
-        _, center = _phase_units(geometry)
-        centred = beams.matrix * np.exp(1j * (center @ direction_with_partials(theta, phi)[0]))
-        root = gram_inv_sqrt(np.concatenate([centred.real, centred.imag]))
+        root = gram_inv_sqrt(np.concatenate([beams.matrix.real, beams.matrix.imag]))
         whitening = 0.5 * (root + root.T)
     return DeviceTables(*beam_factors(geometry, beams.directions), whitening=whitening)
 
@@ -164,36 +157,34 @@ def steering_forms(
 
     Args:
         geometry: the device's array.
-        tables: the device's codebook factors and Γ^(-1/2).
+        tables: the device's codebook factors and G^(-1/2).
         theta, phi: link angles at this device, shape (n,).
 
     Returns:
-        t_forms: (3, 3, n) complex and C-contiguous, t[x, y] = x^T F F^H y* per
-            direction; t[0, 0] is also the receive gain |W^H a|^2.
+        t_forms: (3, 3, n) float64, C-contiguous and exactly symmetric,
+            t[x, y] = x^T F F^H y* per direction; t[0, 0] is also the
+            receive gain |W^H a|^2.
         r_forms: (3, 3, n) likewise, r[x, y] = x^H U U^H y per direction.
     """
     theta = np.asarray(theta, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
-    _, center = _phase_units(geometry)
     ax0, ax1 = geometry.axes
     n = theta.shape[0]
-    t_forms = np.empty((3, 3, n), dtype=np.complex128)
-    r_forms = np.empty((3, 3, n), dtype=np.complex128)
+    t_forms = np.empty((3, 3, n))
+    r_forms = np.empty((3, 3, n))
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         u, *du = direction_with_partials(theta[lo:hi], phi[lo:hi])  # (3, m) each
         du = np.stack(du)  # (2, 3, m): the theta and the phi partial
-        coeffs = (center @ du, du[:, ax0], du[:, ax1])
         q = _planes(geometry, tables, u)
-        _fill_forms(t_forms[..., lo:hi], q, coeffs)
-        np.negative(t_forms[..., lo:hi].imag, out=t_forms[..., lo:hi].imag)
-        _fill_forms(r_forms[..., lo:hi], tables.whitening @ q, coeffs)
+        _fill_forms(t_forms[..., lo:hi], q, du[:, ax0], du[:, ax1])
+        _fill_forms(r_forms[..., lo:hi], tables.whitening @ q, du[:, ax0], du[:, ax1])
     return t_forms, r_forms
 
 
 def _planes(geometry: ArrayGeometry, tables: DeviceTables, u: np.ndarray) -> np.ndarray:
     """The real planes (q0, q_r, q_c), (3, n_beams, m), at unit directions ``u`` (3, m)."""
-    step, _ = _phase_units(geometry)
+    step = _phase_step(geometry)
     ax0, ax1 = geometry.axes
     n_beams = tables.whitening.shape[0]
     p_r, d_r = (tables.rows @ _half_phases(geometry.rows, step, u[ax0])
@@ -207,30 +198,20 @@ def _planes(geometry: ArrayGeometry, tables: DeviceTables, u: np.ndarray) -> np.
     return q
 
 
-def _fill_forms(out, q, coeffs):
-    """Fill ``out`` (3, 3, m) with g[x, y] = b_xᴴb_y over the bundle of the planes ``q``.
+def _fill_forms(out, q, a, b):
+    """Fill ``out`` (3, 3, m) with g[x, y] = v_x·v_y over the bundle of the planes ``q``.
 
-    ``q`` is (q0, q_r, q_c), (3, n_beams, m); ``coeffs`` is (α, a, b), each
-    (2, m) over the theta and phi partials, with v_x = α_x·q0 + j·β_x,
-    β_x = a_x·q_r + b_x·q_c the projection of j·da/dx. With h_x = q0·β_x,
-    g[0, x] = h_x − j·α_x·|q0|² and g[x, y] = α_x·α_y·|q0|² + β_x·β_y +
-    j·(α_x·h_y − α_y·h_x); each mirrored entry is the exact conjugate.
+    ``q`` is (q0, q_r, q_c), (3, n_beams, m); ``a`` and ``b`` are (2, m)
+    over the theta and phi partials, with v_0 = q0 and
+    v_x = a_x·q_r + b_x·q_c the projection of da/dx. With h_x = q0·v_x,
+    g[0, x] = h_x and g[x, y] = a_x·a_y·|q_r|² + (a_x·b_y + b_x·a_y)·q_r·q_c
+    + b_x·b_y·|q_c|²; each mirrored entry is the same float.
     """
     pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
     g00, g0r, g0c, grr, grc, gcc = (np.einsum("bm,bm->m", q[x], q[y]) for x, y in pairs)
-    alpha, a, b = coeffs
-    h = a * g0r + b * g0c
-    re, im = out.real, out.imag
-    re[0, 0] = g00
-    im[0, 0] = 0.0
-    re[0, 1:] = re[1:, 0] = h
-    im[1:, 0] = alpha * g00
-    im[0, 1:] = -im[1:, 0]
+    out[0, 0] = g00
+    out[0, 1:] = out[1:, 0] = a * g0r + b * g0c
     for x, y in ((0, 0), (0, 1), (1, 1)):
-        re[x + 1, y + 1] = re[y + 1, x + 1] = (
-            alpha[x] * alpha[y] * g00 + a[x] * a[y] * grr
-            + (a[x] * b[y] + b[x] * a[y]) * grc + b[x] * b[y] * gcc
+        out[x + 1, y + 1] = out[y + 1, x + 1] = (
+            a[x] * a[y] * grr + (a[x] * b[y] + b[x] * a[y]) * grc + b[x] * b[y] * gcc
         )
-    im[1, 1] = im[2, 2] = 0.0
-    im[1, 2] = alpha[0] * h[1] - alpha[1] * h[0]
-    im[2, 1] = -im[1, 2]

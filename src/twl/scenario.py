@@ -23,7 +23,7 @@ needs beyond its results does not grow with the number of positions.
 
 Variants differ only in their arrays. `sweep_antennas` has one per
 antenna count: it resizes the swept device's own array, keeping its
-wavelength, spacing, plane and centre, and per chunk only that device's
+wavelength, spacing and plane, and per chunk only that device's
 forms are recomputed per count. `sweep_bandwidth` has one variant, read at
 one delay scale per bandwidth, all scales in one `protocol_bounds` call.
 The codebook tables of each distinct array are built once per call.
@@ -424,7 +424,7 @@ def _link_tables(scenario: Scenario, positions, geo: dict, jac, grams, forms: di
     # is both. An SNR beyond the float range reads inf and a dark link's
     # -inf; their bounds are flagged downstream.
     with np.errstate(over="ignore", divide="ignore"):
-        snr = 10.0 * np.log10(gamma * beta**2 * t_ue[0, 0].real * t_bs[0, 0].real)
+        snr = 10.0 * np.log10(gamma * beta**2 * t_ue[0, 0] * t_bs[0, 0])
 
     angle, delay = {}, {}
     for link, (t_tx, r_rx, direction) in {
@@ -546,8 +546,8 @@ def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
     """PEB at the 0.9 quantile versus one side's antenna count.
 
     Each count must be a perfect square: the swept side's array is resized
-    to edge x edge, keeping its wavelength, spacing, plane and centre, and
-    the other side keeps the scenario's array. A square array swept at its
+    to edge x edge, keeping its wavelength, spacing and plane, and the
+    other side keeps the scenario's array. A square array swept at its
     own count thus gives `run_cdf`'s 0.9 quantiles bit for bit. Each count
     is a variant of the one position stream, so every count sees the same
     positions, and per chunk the pose stage and the other side's forms run

@@ -32,6 +32,9 @@ def test_summary_pairs_adjacent_calls():
     assert summary["ratios"] == [0.5, 0.5, 2.0, 0.25]
     assert summary["median_ratio"] == pytest.approx(0.5)
     assert summary["pairs_won_by_B"] == 3
+    # A ran first in pairs 1 and 3, B in pairs 2 and 4
+    assert summary["median_ratio_A_first"] == pytest.approx(1.25)
+    assert summary["median_ratio_B_first"] == pytest.approx(0.375)
     assert summary["seconds_A"]["median"] == pytest.approx(1.5)
     assert summary["seconds_B"] == pytest.approx({"median": 1.0, "q1": 0.875, "q3": 1.25})
 

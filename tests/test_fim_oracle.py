@@ -5,12 +5,14 @@ pulse whose squared effective bandwidth is known exactly, so the closed form
 is evaluated with that value rather than the production default.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from oracles import numerical_channel_fim, pulse_weff2
 from twl.beamforming import SignalConfig, directional_beams
-from twl.fim import channel_fim
+from twl.fim import angle_efim, channel_fim, efim
 from twl.geometry import ArrayGeometry
 from twl.pose import ChannelGeometry
 
@@ -21,11 +23,20 @@ TS = 1.0 / 125e6
 NS = 4
 ET = 1e-3 * TS
 N0 = 1e-20
+SIG = SignalConfig(et=ET, ts=TS, ns=NS, n0=N0, bandwidth=1.0 / TS,
+                   weff2=pulse_weff2(TS), carrier=CARRIER, c=C)
+# (rows, cols, plane): 2x2 arrays on every plane, 3x2 and 2x3 arrays whose
+# odd axis puts elements on the other axis, and a 3x3 with one at the origin
+ARRAYS = ((2, 2, "xz"), (2, 2, "xy"), (2, 2, "yz"), (3, 2, "xy"), (2, 3, "yz"), (3, 3, "xz"))
 
 
-def oracle_case(rng):
-    tx_geom = ArrayGeometry(2, 2, LAM)
-    rx_geom = ArrayGeometry(2, 2, LAM)
+def oracle_case(rng, arrays=None, beams=None):
+    """A random link. Unless given, its (tx, rx) arrays are drawn from ARRAYS
+    and its beam counts from 1 to 3."""
+    if arrays is None:
+        arrays = [ARRAYS[i] for i in rng.integers(len(ARRAYS), size=2)]
+    tx_geom, rx_geom = (ArrayGeometry(rows, cols, LAM, plane=plane)
+                        for rows, cols, plane in arrays)
     direction = "backward" if rng.integers(2) else "forward"
     d = rng.uniform(5.0, 30.0)
     cg = ChannelGeometry(
@@ -36,20 +47,15 @@ def oracle_case(rng):
     tx_angles = (cg.theta2, cg.phi2) if direction == "backward" else (cg.theta1, cg.phi1)
     rx_angles = (cg.theta1, cg.phi1) if direction == "backward" else (cg.theta2, cg.phi2)
     jitter = lambda a: (a[0] + rng.uniform(-0.3, 0.3), a[1] + rng.uniform(-0.3, 0.3))
-    f = directional_beams(
-        tx_geom, [jitter(tx_angles) for _ in range(rng.integers(1, 4))], "transmit"
-    )
-    w = directional_beams(
-        rx_geom, [jitter(rx_angles) for _ in range(rng.integers(1, 4))], "receive"
-    )
+    n_tx, n_rx = beams or rng.integers(1, 4, size=2)
+    f = directional_beams(tx_geom, [jitter(tx_angles) for _ in range(n_tx)], "transmit")
+    w = directional_beams(rx_geom, [jitter(rx_angles) for _ in range(n_rx)], "receive")
     return direction, tx_geom, rx_geom, f, w, cg
 
 
 def closed_and_oracle(case):
     direction, tx_geom, rx_geom, f, w, cg = case
-    sig = SignalConfig(et=ET, ts=TS, ns=NS, n0=N0, bandwidth=1.0 / TS,
-                       weff2=pulse_weff2(TS), carrier=CARRIER, c=C)
-    closed = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig)
+    closed = channel_fim(direction, tx_geom, rx_geom, f, w, cg, SIG)
     oracle = numerical_channel_fim(
         direction, tx_geom, rx_geom, f.matrix, w.matrix, cg, ET, TS, NS, N0
     )
@@ -76,14 +82,50 @@ def test_spatial_block_matches_oracle_tightly(rng):
 
 
 def test_oracle_confirms_decoupled_phase_and_delay(rng):
-    # centro-symmetric arrays make every beam-space form real, so the
-    # phase/delay rows decouple exactly in the true FIM as well
-    closed, oracle = closed_and_oracle(oracle_case(rng))
-    scale = np.linalg.norm(oracle[:5, :5])
-    assert np.abs(oracle[5, :5]).max() < 1e-9 * scale
-    assert np.abs(oracle[6, :6]).max() < 1e-6 * np.linalg.norm(oracle)
-    np.testing.assert_array_equal(closed[5, :5], 0.0)
-    np.testing.assert_array_equal(closed[6, :6], 0.0)
+    # arrays centred on their devices make every beam-space form real, so the
+    # phase/delay rows decouple exactly in the true FIM as well, on every
+    # plane and with odd axes
+    for array in ARRAYS:
+        closed, oracle = closed_and_oracle(oracle_case(rng, (array, array)))
+        scale = np.linalg.norm(oracle[:5, :5])
+        assert np.abs(oracle[5, :5]).max() < 1e-9 * scale, array
+        assert np.abs(oracle[6, :6]).max() < 1e-6 * np.linalg.norm(oracle), array
+        np.testing.assert_array_equal(closed[5, :5], 0.0)
+        np.testing.assert_array_equal(closed[6, :6], 0.0)
+
+
+def test_moved_arrays_keep_the_centred_angle_efim(rng):
+    """The oracle of moved arrays, (beta, psi) eliminated, gives the centred closed form.
+
+    Moving an array by c multiplies its response by exp(-j·k·c) and each
+    codebook column by a known phase. psi absorbs the common phase, so no
+    bound can depend on c, although the moved arrays' forms are complex and
+    couple psi to the angles. `ArrayGeometry` builds centred arrays only,
+    so the moved ones are stand-ins with what `steering` reads, and their
+    codebooks are built by `steering` on them. A closed form that read the
+    moved arrays' forms without psi's coupling gave these two links angle
+    EFIMs whose tr(A⁻¹) was 360 and 6500 times too small. Tolerance: the
+    spatial block's, 1e-6 of the norm.
+    """
+    shifts = (np.array([[0.013], [-0.021], [0.034]]), np.array([[-0.008], [0.005], [0.011]]))
+    for arrays in ((ARRAYS[0], ARRAYS[3]), (ARRAYS[4], ARRAYS[5])):
+        direction, tx_geom, rx_geom, f, w, cg = oracle_case(rng, arrays, beams=(4, 4))
+        centred = angle_efim(channel_fim(direction, tx_geom, rx_geom, f, w, cg, SIG))
+        tx_moved, rx_moved = (
+            SimpleNamespace(wavelength=g.wavelength, n_elements=g.n_elements,
+                            elements=g.elements + shift)
+            for g, shift in zip((tx_geom, rx_geom), shifts)
+        )
+        oracle = numerical_channel_fim(
+            direction, tx_moved, rx_moved,
+            directional_beams(tx_moved, f.directions, "transmit").matrix,
+            directional_beams(rx_moved, w.directions, "receive").matrix,
+            cg, ET, TS, NS, N0,
+        )
+        diag = np.diag(oracle)
+        assert np.abs(oracle[5, :4] / np.sqrt(diag[5] * diag[:4])).max() > 0.1, arrays
+        moved = efim(oracle, keep=(0, 1, 2, 3, 6))[:4, :4]
+        assert np.abs(moved - centred).max() < 1e-6 * np.linalg.norm(centred), arrays
 
 
 def test_oracle_delay_diagonal_tracks_pulse_bandwidth(rng):

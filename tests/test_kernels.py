@@ -14,7 +14,7 @@ import twl.scenario
 from oracles import orthonormal_basis, quadratic_forms, steering_bundle
 from twl.beamforming import directional_beams, gram_inv_sqrt
 from twl.fim import channel_fim
-from twl.geometry import ArrayGeometry, direction_with_partials, steering, wavenumber
+from twl.geometry import ArrayGeometry, direction_with_partials, steering
 from twl.pose import channel_geometry, Pose
 from twl.scenario import Scenario, position_tables, protocol_bounds, sample_positions
 
@@ -37,21 +37,23 @@ def _random_codebook(rng, geom, n_beams):
     "geom,n_w",
     [
         (ArrayGeometry(6, 6, LAMBDA), 7),
-        (ArrayGeometry(12, 12, LAMBDA, plane="yz", center=(0.01, -0.02, 0.03)), 9),
-        (ArrayGeometry(3, 5, LAMBDA, plane="xy", center=(-0.02, 0.01, 0.005)), 4),
+        (ArrayGeometry(12, 12, LAMBDA, plane="yz"), 9),
+        (ArrayGeometry(3, 5, LAMBDA, plane="xy"), 4),
         (ArrayGeometry(1, 1, LAMBDA), 1),  # one element at the origin: zero partials
     ],
-    ids=["6x6-xz", "12x12-offset", "3x5-xy", "1x1"],
+    ids=["6x6-xz", "12x12-yz", "3x5-xy", "1x1"],
 )
 def test_steering_forms_match_per_pose_reference(geom, n_w):
     """Chunked kernel == the per-pose reference of `oracles`, per direction.
 
     A codebook over random steering directions per case, with F = conj(W)
-    and U = orthonormal_basis(W) in the reference, so a centre phase folded
-    with the wrong sign, a swapped plane axis or offset, a misaligned row
-    block of the stacked tables or a mirrored pair counted once cannot go
-    unnoticed. n crosses two chunk boundaries. Tolerance: 1e-12 relative to
-    the largest entry of each form.
+    and U = orthonormal_basis(W) in the reference, so a swapped plane axis
+    or offset, a misaligned row block of the stacked tables or a mirrored
+    pair counted once cannot go unnoticed. n crosses two chunk boundaries.
+    The kernel's forms are float64 and exactly symmetric; the complex
+    reference of an array centred on its device is real to 1e-12 of its
+    largest entry, and the kernel equals its real part to 1e-12 of that
+    entry.
     """
     rng = np.random.default_rng(3)
     n = 2 * kernels._CHUNK + 37
@@ -62,44 +64,42 @@ def test_steering_forms_match_per_pose_reference(geom, n_w):
     u = orthonormal_basis(w)
     t, r = kernels.steering_forms(geom, tables, theta, phi)
     assert t.shape == r.shape == (3, 3, n)
-    np.testing.assert_array_equal(t, t.conj().transpose(1, 0, 2))
-    np.testing.assert_array_equal(r, r.conj().transpose(1, 0, 2))
+    assert t.dtype == r.dtype == np.float64
+    np.testing.assert_array_equal(t, t.transpose(1, 0, 2))
+    np.testing.assert_array_equal(r, r.transpose(1, 0, 2))
 
     for i in range(n):
         bundle = steering_bundle(geom, theta[i], phi[i])
-        t_ref, r_ref = quadratic_forms(f, u, (bundle, bundle))
-        assert np.abs(t[..., i] - t_ref).max() <= 1e-12 * np.abs(t_ref).max(), i
-        assert np.abs(r[..., i] - r_ref).max() <= 1e-12 * np.abs(r_ref).max(), i
+        for form, ref in zip((t[..., i], r[..., i]), quadratic_forms(f, u, (bundle, bundle))):
+            scale = np.abs(ref).max()
+            assert np.abs(ref.imag).max() <= 1e-12 * scale, i
+            assert np.abs(form - ref.real).max() <= 1e-12 * scale, i
 
 
 @pytest.mark.parametrize("plane", ["xz", "xy", "yz"])
 def test_beam_factors_rebuild_the_receive_codebook(plane):
-    """The real tables give the centre-rotated projections of the full codebook.
+    """The real tables give the projections of the full codebook.
 
-    The centre-rotated codebook W·Φ is the codebook of the same array moved
-    to the origin, and the response a·exp(j·k·centre) is that array's
-    response. Through them, the projection of a is the plane q0, and that of
-    a weighted by k0·(element - centre) along the first or second plane axis
-    is j·q_r or j·q_c. The tables do not depend on the centre. This pins the
-    element ravel order (row index slowest), the plane axes, the weights of
-    the mirrored pairs and the 1/(N·sqrt(n_beams)) scale. Tolerance: 1e-14
-    relative to the largest entry of each block.
+    Through the receive codebook W, the projection of a is the plane q0, and
+    that of a weighted by k0·element along the first or second plane axis is
+    j·q_r or j·q_c. This pins the element ravel order (row index slowest),
+    the plane axes, the weights of the mirrored pairs and the
+    1/(N·sqrt(n_beams)) scale. Tolerance: 1e-14 relative to the largest
+    entry of each block.
     """
-    geom = ArrayGeometry(4, 3, LAMBDA, plane=plane, center=(0.013, -0.021, 0.034))
-    centred = dataclasses.replace(geom, center=(0.0, 0.0, 0.0))
+    geom = ArrayGeometry(4, 3, LAMBDA, plane=plane)
     dirs = [(0.4, 0.2), (1.3, -2.0), (2.2, 1.1), (1.7, 2.9), (0.9, -0.6)]
     factors = kernels.beam_factors(geom, dirs)
-    for table, centred_table in zip(factors, kernels.beam_factors(centred, dirs)):
+    for table in factors:
         assert table.dtype == np.float64
-        np.testing.assert_array_equal(table, centred_table)
     tables = kernels.DeviceTables(*factors, np.eye(len(dirs)))
     theta, phi = np.random.default_rng(6).uniform((0.0, -np.pi), (np.pi, np.pi), (40, 2)).T
     q = kernels._planes(geom, tables, direction_with_partials(theta, phi)[0])
 
-    w = directional_beams(centred, dirs, "receive").matrix
-    weights = 2.0 * np.pi / LAMBDA * centred.elements
+    w = directional_beams(geom, dirs, "receive").matrix
+    weights = 2.0 * np.pi / LAMBDA * geom.elements
     for i, (th, ph) in enumerate(zip(theta, phi)):
-        a = steering(centred, th, ph)
+        a = steering(geom, th, ph)
         for plane_q, weight in ((q[0], 1.0), (1j * q[1], weights[geom.axes[0]]),
                                 (1j * q[2], weights[geom.axes[1]])):
             expected = w.conj().T @ (weight * a)
@@ -134,22 +134,22 @@ def test_mirrored_phases_equal_every_exponential(rows, spacing):
 
 @pytest.mark.parametrize("plane", ["xz", "xy", "yz"])
 def test_real_whitening_is_the_centre_rotated_root(plane):
-    """Γ^(-1/2) = Φᴴ·G^(-1/2)·Φ with G = WᴴW, real and exactly symmetric.
+    """The whitening is the real part of G^(-1/2), G = WᴴW, and exactly symmetric.
 
-    An offset centre makes Φ nontrivial on every plane: a whitening built
-    from W without the centre phases, or with them conjugated, is complex
-    and fails the comparison. Tolerance: 1e-12 of the largest entry.
+    An array centred on its device needs no centre rotation: `gram_inv_sqrt`
+    of the complex W itself is real to 1e-12 of its largest entry, and the
+    kernel's real root equals its real part to the same tolerance.
     """
-    geom = ArrayGeometry(5, 4, LAMBDA, plane=plane, center=(0.021, -0.013, 0.017))
+    geom = ArrayGeometry(5, 4, LAMBDA, plane=plane)
     dirs = [(0.4, 0.2), (1.3, -2.0), (2.2, 1.1), (1.7, 2.9), (0.9, -0.6), (1.1, 0.7)]
     beams = directional_beams(geom, dirs, "receive")
     whitening = kernels.codebook_tables(geom, beams).whitening
     assert whitening.dtype == np.float64
     np.testing.assert_array_equal(whitening, whitening.T)
-    theta, phi = np.asarray(dirs).T
-    phases = np.exp(1j * (np.asarray(geom.center) @ wavenumber(theta, phi, geom.wavelength)))
-    expected = phases.conj()[:, None] * gram_inv_sqrt(beams.matrix) * phases[None, :]
-    assert np.abs(whitening - expected).max() <= 1e-12 * np.abs(expected).max()
+    root = gram_inv_sqrt(beams.matrix)
+    scale = np.abs(root).max()
+    assert np.abs(root.imag).max() <= 1e-12 * scale
+    assert np.abs(whitening - root.real).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("wavelength", [1e300 / 38e9, 1e-300], ids=["huge", "tiny"])
@@ -266,7 +266,7 @@ def test_one_position_table_is_channel_fim_bit_for_bit(small_scenario):
 
 
 def _dark_forms(geom, tables, theta, phi):
-    zeros = np.zeros((3, 3, len(theta)), complex)
+    zeros = np.zeros((3, 3, len(theta)))
     return zeros, zeros
 
 
@@ -313,7 +313,7 @@ def test_unusable_bound_reads_the_same_in_the_views_and_the_pipeline(
 
 
 def test_steering_forms_shapes(small_scenario):
-    """(3, 3, n) C-contiguous Hermitian forms, the directions on the last axis.
+    """(3, 3, n) C-contiguous symmetric float64 forms, the directions on the last axis.
 
     n = 1 is the single-pose views' call, and n one step and 3 more crosses
     a step boundary of the kernel.
@@ -326,4 +326,5 @@ def test_steering_forms_shapes(small_scenario):
         phi = np.linspace(0.3, -0.5, n)
         for forms in kernels.steering_forms(scn.bs_array, tables, theta, phi):
             assert forms.shape == (3, 3, n) and forms.flags.c_contiguous, n
-            np.testing.assert_allclose(forms, forms.conj().transpose(1, 0, 2), atol=1e-15)
+            assert forms.dtype == np.float64, n
+            np.testing.assert_array_equal(forms, forms.transpose(1, 0, 2))

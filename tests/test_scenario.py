@@ -177,7 +177,7 @@ def test_run_cdf_snr_symmetry(quick_scenario):
             np.sum(np.abs(w.matrix.conj().T @ steering_bundle(geom, t, p).a) ** 2)
             for t, p in zip(th, ph)
         ])
-        gains[name] = (t_forms[0, 0].real, rx_gain_sq)
+        gains[name] = (t_forms[0, 0], rx_gain_sq)
     downlink = gains["bs"][0] * gains["ue"][1]  # anchor transmits
     uplink = gains["ue"][0] * gains["bs"][1]  # terminal transmits
     np.testing.assert_allclose(uplink, downlink, rtol=1e-10)
@@ -468,7 +468,7 @@ def _own_array_scenario(case):
 def test_sweep_antennas_keeps_custom_spacing(case, side):
     """A sweep resizes the scenario's own array and changes nothing else.
 
-    The swept array keeps its wavelength, spacing, plane and centre, so each
+    The swept array keeps its wavelength, spacing and plane, so each
     count's rows equal `run_cdf`'s 0.9 quantiles bit for bit, at the
     scenario's own 144 antennas and for an 8x8 array built with the same
     parameters: a 0.4-wavelength pitch, a 60 GHz carrier with the default
@@ -478,7 +478,7 @@ def test_sweep_antennas_keeps_custom_spacing(case, side):
 
     scn = _own_array_scenario(case)
     own = getattr(scn, f"{side}_array")
-    small = ArrayGeometry(8, 8, own.wavelength, own.spacing, own.plane, own.center)
+    small = ArrayGeometry(8, 8, own.wavelength, own.spacing, own.plane)
     rows = sweep_antennas(scn, [144, 64], side)
     assert len(rows) == 12
     for count, ref in ((144, scn), (64, replace(scn, **{f"{side}_array": small}))):

@@ -17,8 +17,9 @@ by ``workload.call_cli`` and checked by ``workload.Run.check_op``.
 
 The record goes to ``BENCH_<workload>.json`` at the root of the checkout
 (or ``--out``): the machine record, each tree's ``src`` digest, every
-call's time in order, the pairs, the median of the per-pair ratios B/A,
-the pairs B won, and each tree's median and quartiles. It exits 1, after
+call's time in order, the pairs, the median of the per-pair ratios B/A
+(over all pairs, and over those in which A or B ran first), the pairs B
+won, and each tree's median and quartiles. It exits 1, after
 writing the record, if tree B failed more operations than tree A or any
 check reported a problem, so that a record whose comparison does not count
 cannot pass unseen. (Every ``point`` round ends with a call at the anchor's
@@ -70,14 +71,20 @@ def schedule(pairs: int) -> list:
 
 
 def summarize(calls: list) -> dict:
-    """Pairs, ratios and per-tree quantiles of calls in `schedule` order."""
-    pairs = [{c["tree"]: c["seconds"] for c in calls[i:i + 2]}
-             for i in range(0, len(calls) - 1, 2)]
+    """Pairs, ratios and per-tree quantiles of calls in `schedule` order.
+
+    ``median_ratio_A_first`` and ``median_ratio_B_first`` are the medians
+    over the pairs in which that tree ran first, which shows an order effect.
+    """
+    starts = range(0, len(calls) - 1, 2)
+    pairs = [{c["tree"]: c["seconds"] for c in calls[i:i + 2]} for i in starts]
     ratios = [p["B"] / p["A"] for p in pairs]
     summary = {"pairs": pairs, "ratios": ratios,
                "median_ratio": statistics.median(ratios),
                "pairs_won_by_B": sum(r < 1.0 for r in ratios)}
     for tree in ("A", "B"):
+        summary[f"median_ratio_{tree}_first"] = statistics.median(
+            r for i, r in zip(starts, ratios) if calls[i]["tree"] == tree)
         seconds = [c["seconds"] for c in calls if c["tree"] == tree]
         q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
         summary[f"seconds_{tree}"] = {"median": median, "q1": q1, "q3": q3}
@@ -213,7 +220,9 @@ def main(argv=None) -> int:
     found = faults(calls)
     for line in found:
         print(line, file=sys.stderr)
-    print(f"median B/A {record['median_ratio']:.3f}, B faster in "
+    print(f"median B/A {record['median_ratio']:.3f} (A first "
+          f"{record['median_ratio_A_first']:.3f}, B first "
+          f"{record['median_ratio_B_first']:.3f}), B faster in "
           f"{record['pairs_won_by_B']} of {len(record['pairs'])} pairs, "
           f"{len(found)} fault(s) -> {out}")
     return 1 if found else 0
