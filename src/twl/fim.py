@@ -10,7 +10,8 @@ block from it. The psi and tau rows carry no cross-coupling,
 because the forms are real: that holds for every array
 `geometry.ArrayGeometry` builds, each centred on its device. So the delay
 information is the bare (tau, tau) entry and the angle block decouples
-from everything except the gain amplitude beta.
+from everything except the gain amplitude beta; once beta is eliminated,
+the anchor and terminal angle pairs decouple too (`angle_efim`).
 
 `fim_from_forms` and `angle_efim` are batched over trailing axes, matrix
 axes first and positions last, and are what the position pipeline runs;
@@ -134,18 +135,21 @@ def efim(jm: np.ndarray, keep) -> np.ndarray:
 
 
 def angle_efim(jm: np.ndarray) -> np.ndarray:
-    """Angle EFIMs after eliminating the gain amplitude, batched.
+    """Angle EFIMs after eliminating the gain amplitude, as 2x2 blocks, batched.
 
-    Maps channel FIMs (7, 7, ...) to (4, 4, ...). psi and tau are decoupled
-    by construction, so the only Schur correction is the rank-one beta term.
-    A zero or non-finite beta entry yields non-finite rows instead of a
-    warning.
+    Maps channel FIMs (7, 7, ...) as `fim_from_forms` builds them to
+    (2, 2, 2, ...): the anchor block over (theta1, phi1), then the terminal
+    one over (theta2, phi2). psi and tau are decoupled, so the only Schur
+    correction is the rank-one beta term, and it cancels the cross block:
+    with k a receiver and K a transmitter angle, gamma·beta²·t_K0·r_k0 =
+    (gamma·beta·t00·r_k0)·(gamma·beta·t_K0·r00) / (gamma·t00·r00). A zero or
+    non-finite beta entry yields non-finite rows instead of a warning.
     """
-    coupling = jm[:4, 4]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        outer = coupling[:, None] * coupling[None, :]
-        outer /= jm[4:5, 4:5]
-        return np.subtract(jm[:4, :4], outer, out=outer)
+        coupling = jm[:4, 4].reshape((2, 2) + jm.shape[2:])  # (block, angle, ...)
+        outer = coupling[:, :, None] * coupling[:, None, :]
+        outer /= jm[4, 4]
+        return np.subtract(np.stack([jm[:2, :2], jm[2:4, 2:4]]), outer, out=outer)
 
 
 def delay_info(jm: np.ndarray) -> float:

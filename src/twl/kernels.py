@@ -177,8 +177,11 @@ def steering_forms(
         u, *du = direction_with_partials(theta[lo:hi], phi[lo:hi])  # (3, m) each
         du = np.stack(du)  # (2, 3, m): the theta and the phi partial
         q = _planes(geometry, tables, u)
-        _fill_forms(t_forms[..., lo:hi], q, du[:, ax0], du[:, ax1])
-        _fill_forms(r_forms[..., lo:hi], tables.whitening @ q, du[:, ax0], du[:, ax1])
+        a, b = du[:, ax0], du[:, ax1]
+        x, y = [0, 0, 1], [0, 1, 1]  # `_fill_forms`' (x, y) pairs
+        products = a[x] * a[y], a[x] * b[y] + b[x] * a[y], b[x] * b[y]
+        _fill_forms(t_forms[..., lo:hi], q, a, b, products)
+        _fill_forms(r_forms[..., lo:hi], tables.whitening @ q, a, b, products)
     return t_forms, r_forms
 
 
@@ -198,20 +201,20 @@ def _planes(geometry: ArrayGeometry, tables: DeviceTables, u: np.ndarray) -> np.
     return q
 
 
-def _fill_forms(out, q, a, b):
+def _fill_forms(out, q, a, b, products):
     """Fill ``out`` (3, 3, m) with g[x, y] = v_x·v_y over the bundle of the planes ``q``.
 
     ``q`` is (q0, q_r, q_c), (3, n_beams, m); ``a`` and ``b`` are (2, m)
-    over the theta and phi partials, with v_0 = q0 and
-    v_x = a_x·q_r + b_x·q_c the projection of da/dx. With h_x = q0·v_x,
-    g[0, x] = h_x and g[x, y] = a_x·a_y·|q_r|² + (a_x·b_y + b_x·a_y)·q_r·q_c
-    + b_x·b_y·|q_c|²; each mirrored entry is the same float.
+    over the theta and phi partials, with v_0 = q0 and v_x = a_x·q_r + b_x·q_c
+    the projection of da/dx. With h_x = q0·v_x, g[0, x] = h_x and g[x, y] =
+    a_x·a_y·|q_r|² + (a_x·b_y + b_x·a_y)·q_r·q_c + b_x·b_y·|q_c|², with the
+    three ``products`` (3, m) at (x, y) = (0, 0), (0, 1), (1, 1); each
+    mirrored entry is the same float.
     """
+    aa, ab, bb = products
     pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
     g00, g0r, g0c, grr, grc, gcc = (np.einsum("bm,bm->m", q[x], q[y]) for x, y in pairs)
     out[0, 0] = g00
     out[0, 1:] = out[1:, 0] = a * g0r + b * g0c
-    for x, y in ((0, 0), (0, 1), (1, 1)):
-        out[x + 1, y + 1] = out[y + 1, x + 1] = (
-            a[x] * a[y] * grr + (a[x] * b[y] + b[x] * a[y]) * grc + b[x] * b[y] * gcc
-        )
+    for k, (x, y) in enumerate(((0, 0), (0, 1), (1, 1))):
+        out[x + 1, y + 1] = out[y + 1, x + 1] = aa[k] * grr + ab[k] * grc + bb[k] * gcc

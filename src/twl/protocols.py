@@ -1,8 +1,10 @@
 """Localization bounds for the one-way, round-trip, and collaborative protocols.
 
 The 5x5 localization EFIM over (zeta0, chi0, px, py, pz) is E = J·D·Jᵀ with
-J the square location-to-channel Jacobian and D = blkdiag(A, w): a 4x4 angle
-EFIM A and a delay weight w. The protocol decides A and w:
+J the square location-to-channel Jacobian and D = blkdiag(A₁, A₂, w): the
+anchor block A₁ over (theta1, phi1) and terminal block A₂ over (theta2,
+phi2) of an angle EFIM A (`fim.angle_efim`), and a delay weight w. The
+protocol decides A and w:
 
   * owl: one-way, perfectly synchronized; A is the backward angle EFIM and
     w the backward delay information alone.
@@ -15,27 +17,27 @@ EFIM A and a delay weight w. The protocol decides A and w:
     round-trip one.
 
 The bounds never need E itself. J is invertible wherever E is, so with
-M = J⁻¹ the covariance is E⁻¹ = Mᵀ·blkdiag(A⁻¹, 1/w)·M and
+M = J⁻¹, E⁻¹ = Mᵀ·blkdiag(A₁⁻¹, A₂⁻¹, 1/w)·M and
 
-    PEB² = ⟨A⁻¹, G_pos⟩ + g_pos/w,    OEB² = ⟨A⁻¹, G_ori⟩ + g_ori/w,
+    PEB² = ⟨A₁⁻¹, G_pos⟩ + g_pos/w,    OEB² = Σ_d ⟨A_d⁻¹, G_d⟩ + g_ori/w,
 
-an angle term and a delay term, where G = F·Fᵀ with F the angle rows M₄ of
-the position or orientation columns of M, and g = |M_τ|² over the same
-columns. As p = c·τ·u(θ₁, φ₁), G_pos = diag(r², r²·sin²θ₁, 0, 0), g_pos =
-c² and g_ori = 0: the delay enters PEB only as c²/w, and OEB not at all.
-G is never formed and A never inverted: with A = L·Lᵀ its Cholesky
-factor, ⟨A⁻¹, F·Fᵀ⟩ = |L⁻¹F|², and `efim_factors` computes L⁻¹F by an
-elimination elementwise over the poses, so a singular or indefinite A
-spoils only its own pose's terms. `pose_grams` computes M₄ and g, which
-depend only on the pose, from J's blocks, elementwise too: J is
-block-triangular, as the anchor-side angles and the delay depend on the
-position only. `efim_factors` contracts one A with them and keeps A with
-the result; the delay weight (`delay_weight`), which alone depends on the
-bandwidth, enters only in `invert_efim`. The position pipeline calls
-`pose_grams` once per chunk and `efim_factors` per variant and angle
-EFIM; `assemble` calls both for one pose. Batched arrays carry their matrix
-axes first and the poses last, so each elimination step runs on contiguous
-rows of poses; only LAPACK's `localization_efim` inputs take them last.
+with G = F·Fᵀ over the rows F of M for A_d's angles and its orientation
+(G_d) or position (G_pos) columns, and g = |M_τ|² over the same columns.
+J is block-triangular, as the anchor angles and the delay depend on the
+position only, so M's terminal-angle rows vanish over the position
+columns, and p = c·τ·u(θ₁, φ₁) makes g_ori = 0 and
+
+    PEB² = r²·[(A₁⁻¹)θθ + sin²θ₁·(A₁⁻¹)φφ] + c²/w.
+
+No G is formed and no block inverted: with A_d = L·Lᵀ, ⟨A_d⁻¹, F·Fᵀ⟩ =
+|L⁻¹F|², a closed 2x2 form that `efim_factors` takes elementwise over the
+poses, so a singular or indefinite block spoils only its own pose's terms.
+`pose_grams` builds F and g, which depend only on the pose, from J's
+blocks, elementwise too, once per chunk of the position pipeline;
+`efim_factors` runs per variant and angle EFIM, and `assemble` calls both
+for one pose. The delay weight (`delay_weight`), which alone depends on
+the bandwidth, enters only in `invert_efim`. Batched arrays carry their
+matrix axes first and the poses last, except `localization_efim`'s.
 """
 
 from dataclasses import dataclass
@@ -71,18 +73,18 @@ class LocalizationBound:
 
 @dataclass(frozen=True)
 class EfimFactors:
-    """Per-pose terms of E(w) = J·blkdiag(A, w)·Jᵀ for one angle EFIM A.
+    """Per-pose terms of E(w) = J·blkdiag(A₁, A₂, w)·Jᵀ for one angle EFIM.
 
-    ``angle`` is A itself, (4, 4, ...). Each other field is (2, ...): an
+    ``angle`` is A's blocks (2, 2, 2, ...). Each other field is (2, ...): an
     angle term and a delay term, so that PEB² = pos[0] + pos[1]/w,
     OEB² = ori[0] + ori[1]/w and tr(E) = trace[0] + w·trace[1] for every
     delay weight w.
     """
 
-    angle: np.ndarray  # A
-    pos: np.ndarray  # ⟨A⁻¹, G_pos⟩, g_pos
-    ori: np.ndarray  # ⟨A⁻¹, G_ori⟩, g_ori
-    trace: np.ndarray  # ⟨A, J₄ᵀJ₄⟩, |J_τ|²
+    angle: np.ndarray  # A₁, A₂
+    pos: np.ndarray  # ⟨A₁⁻¹, G_pos⟩, g_pos
+    ori: np.ndarray  # Σ_d ⟨A_d⁻¹, G_d⟩, g_ori
+    trace: np.ndarray  # Σ_d ⟨A_d, J_dᵀJ_d⟩, |J_τ|²
 
 
 def delay_weight(kind: str, j_tau_f, j_tau_b) -> np.ndarray:
@@ -101,15 +103,16 @@ def delay_weight(kind: str, j_tau_f, j_tau_b) -> np.ndarray:
 
 
 def localization_efim(jacobian, angle, weight):
-    """Explicit 5x5 localization EFIMs J·blkdiag(A, w)·Jᵀ, batched over leading axes.
+    """Explicit 5x5 EFIMs Σ_d J_d·A_d·J_dᵀ + w·J_τ·J_τᵀ, batched over leading axes.
 
     ``jacobian`` is (..., 5, 5) with the four link-angle columns first and
-    the delay column last, and ``angle`` (..., 4, 4), as `rank_and_condition`
-    reads them. A non-finite weight gives non-finite entries.
+    the delay column last, and ``angle`` the blocks (..., 2, 2, 2), as
+    `rank_and_condition` reads them. A non-finite weight gives non-finite
+    entries.
     """
-    js = jacobian[..., :4]
+    js = jacobian[..., :4].reshape(jacobian.shape[:-1] + (2, 2))  # J_d as (..., 5, d, 2)
     jd = jacobian[..., 4]
-    spatial = np.einsum("...ia,...ab,...jb->...ij", js, angle, js)
+    spatial = np.einsum("...ida,...dab,...jdb->...ij", js, angle, js)
     weight = np.asarray(weight, dtype=np.float64)
     with np.errstate(invalid="ignore"):
         return spatial + weight[..., None, None] * jd[..., :, None] * jd[..., None, :]
@@ -125,7 +128,7 @@ def _two_products(x, y):
 
 
 def _block_inverse(v: np.ndarray) -> tuple:
-    """(F, g_pos, g_ori) of M = J⁻¹ for J as (5, 5, ...), batch axes last.
+    """(F₁, F₂, g_pos, g_ori) of M = J⁻¹ for J as (5, 5, ...), batch axes last.
 
     M[2:4] = [B⁻¹ | 0] and M[(0, 1, 4)] = [−C⁻¹·P·B⁻¹ | C⁻¹], with B =
     J[0:2, 2:4], P = J[2:5, 2:4] and C = J[2:5, (0, 1, 4)]: adjugates over
@@ -146,21 +149,19 @@ def _block_inverse(v: np.ndarray) -> tuple:
         cinv = np.swapaxes(k, 0, 1)
         cp = cinv[:, 0, None] * p[0] + cinv[:, 1, None] * p[1] + cinv[:, 2, None] * p[2]
         cpb = cp[:, 0, None] * binv[0] + cp[:, 1, None] * binv[1]  # C⁻¹·P·B⁻¹
-        f = np.zeros((4, 5) + binv.shape[2:])
-        np.negative(cpb[:2], out=f[:2, :2])
-        f[:2, 2:], f[2:, :2] = cinv[:2], binv
-        return f, np.square(cinv[2]).sum(axis=0), np.square(cpb[2]).sum(axis=0)
+        f1 = np.concatenate([-cpb[:2], cinv[:2]], axis=1)
+        return f1, binv, np.square(cinv[2]).sum(axis=0), np.square(cpb[2]).sum(axis=0)
 
 
 def pose_grams(jacobian: np.ndarray) -> tuple:
-    """The pose's part of `efim_factors`: Jᵀ's Gram pair and M = J⁻¹'s factors.
+    """The pose's part of `efim_factors`: Jᵀ's Gram terms and M = J⁻¹'s factors.
 
     ``jacobian`` is (5, 5, ...), rows (zeta0, chi0, px, py, pz) and columns
-    (theta1, phi1, theta2, phi2, tau). Returns (trace, (f, g_pos, g_ori)):
-    ``trace`` is the Gram pair of Jᵀ, angle block (4, 4, ...) and delay
-    entry (...); ``f`` is (4, 5, ...), the angle rows of M over its
-    orientation columns then its position columns, and g_pos and g_ori the
-    squared norms of M's delay row over the same columns.
+    (theta1, phi1, theta2, phi2, tau). Returns ((blocks, delay), (f1, f2,
+    g_pos, g_ori)): J₄ᵀJ₄'s diagonal blocks (2, 2, 2, ...) and |J_τ|² for
+    tr(E); M's anchor-angle rows f1 (2, 5, ...) over its orientation then
+    position columns, its terminal-angle rows f2 = B⁻¹ (2, 2, ...) over the
+    orientation columns, and the squared norms of its delay row over each.
 
     J's orientation rows must vanish in the anchor-angle and delay columns,
     or ``ValueError`` is raised. `_block_inverse` then runs elementwise over
@@ -169,45 +170,36 @@ def pose_grams(jacobian: np.ndarray) -> tuple:
     if jacobian[:2, :2].any() or jacobian[:2, 4].any():
         raise ValueError("J's orientation rows must vanish in the anchor-angle and delay columns")
     m = _block_inverse(jacobian)  # first, so that its transients are gone before the trace's
-    block = np.einsum("ia...,ib...->ab...", jacobian[:, :4], jacobian[:, :4])
-    return (block, np.einsum("i...,i...->...", jacobian[:, 4], jacobian[:, 4])), m
+    js = jacobian[:, :4].reshape((5, 2, 2) + jacobian.shape[2:])  # J_d as (5, d, 2, ...)
+    blocks = np.einsum("ida...,idb...->dab...", js, js)
+    return (blocks, np.einsum("i...,i...->...", jacobian[:, 4], jacobian[:, 4])), m
 
 
-def _whitened_squares(angle: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Squares of L⁻¹·F for A = L·Lᵀ, as (4, k, ...); a bad A gives NaN or inf.
+def _whitened_norms(block: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Squared column norms of L⁻¹·F for 2x2 blocks A = L·Lᵀ, (k, ...), F (2, k, ...).
 
-    F is (4, k, ...), batch axes last, as `pose_grams` gives it. Symmetric
-    elimination on [A | F], elementwise over the poses: after step j, row j
-    holds row j of [Lᵀ | L⁻¹F] from column j on. No LAPACK call sees A, so
-    one bad pose cannot fail a whole batch, and a non-positive or
-    non-finite pivot spoils only its own pose's terms.
+    Elementwise over the poses, so a non-positive or non-finite pivot
+    spoils only its own pose's terms (the adjugate form of ⟨A⁻¹, F·Fᵀ⟩
+    would cancel where A is ill conditioned).
     """
-    aug = np.empty((4, 4 + f.shape[1]) + angle.shape[2:])
-    aug[:, :4] = angle
-    aug[:, 4:] = f
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(4):
-            row = aug[j, j:]
-            row /= np.sqrt(row[0])
-            for i in range(j + 1, 4):
-                aug[i, j + 1:] -= row[i - j] * row[1:]
-        y = aug[:, 4:]
-        return np.square(y, out=y)
+        l00 = np.sqrt(block[0, 0])
+        s = block[0, 1] / l00
+        l11 = np.sqrt(block[1, 1] - s * s)
+        y0 = f[0] / l00
+        y1 = (f[1] - s * y0) / l11
+        return np.square(y0, out=y0) + np.square(y1, out=y1)
 
 
 def efim_factors(grams: tuple, angle: np.ndarray) -> EfimFactors:
-    """`EfimFactors` of angle EFIMs A (4, 4, ...) at poses' `pose_grams`.
-
-    ⟨A⁻¹, F·Fᵀ⟩ = |L⁻¹F|² with L the Cholesky factor of A, so A is never
-    inverted; a singular or indefinite A gives NaN or inf terms.
-    """
-    (block, delay), (f, g_pos, g_ori) = grams
-    y2 = _whitened_squares(angle, f)
+    """`EfimFactors` of angle EFIMs, blocks (2, 2, 2, ...), at poses' `pose_grams`."""
+    (blocks, delay), (f1, f2, g_pos, g_ori) = grams
+    anchor, terminal = _whitened_norms(angle[0], f1), _whitened_norms(angle[1], f2)
     with np.errstate(over="ignore", invalid="ignore"):
-        pos, ori = y2[:, 2:].sum(axis=(0, 1)), y2[:, :2].sum(axis=(0, 1))
+        pos, ori = anchor[2:].sum(axis=0), anchor[:2].sum(axis=0) + terminal.sum(axis=0)
     return EfimFactors(
         angle=angle, pos=np.stack([pos, g_pos]), ori=np.stack([ori, g_ori]),
-        trace=np.stack([np.einsum("ab...,ab...->...", angle, block), delay]),
+        trace=np.stack([np.einsum("dab...,dab...->...", angle, blocks), delay]),
     )
 
 
@@ -228,12 +220,12 @@ def rank_and_condition(efim: np.ndarray):
 
 
 def invert_efim(weight, jacobian, factors: EfimFactors):
-    """PEB and OEB of the EFIMs J·blkdiag(A, w)·Jᵀ at delay weights w, from factors.
+    """PEB and OEB of the EFIMs J·blkdiag(A₁, A₂, w)·Jᵀ at delay weights w, from factors.
 
     Batched over the trailing axes of ``weight`` (...) and ``jacobian``
     (5, 5, ...), which broadcast: a weight of shape (s, n) reads the n
-    poses at s delay weights each. ``factors`` are the `efim_factors` of A
-    at the `pose_grams` of ``jacobian``.
+    poses at s delay weights each. ``factors`` are the `efim_factors` of an
+    angle EFIM at the `pose_grams` of ``jacobian``.
 
     Returns (peb, oeb, identifiable). A pose is identifiable when its EFIM
     has full rank and condition at most 1e12. The bound cond(E) <=
@@ -257,7 +249,8 @@ def invert_efim(weight, jacobian, factors: EfimFactors):
             x = np.moveaxis(x, range(core), range(-core, 0))
             return np.broadcast_to(x, doubt.shape + x.shape[x.ndim - core:])[doubt]
 
-        efim = localization_efim(at_doubt(jacobian), at_doubt(factors.angle), at_doubt(weight, 0))
+        efim = localization_efim(at_doubt(jacobian), at_doubt(factors.angle, 3),
+                                 at_doubt(weight, 0))
         rank, condition = rank_and_condition(efim)
         ok[doubt] = (rank == 5) & (condition <= _MAX_CONDITION) & positive[doubt]
     peb = np.sqrt(np.where(ok, pos2, np.inf))

@@ -12,8 +12,8 @@ geometry and Jacobian (`twl.pose`), then J⁻¹'s factors by blocks
 (`twl.protocols.pose_grams`). Then, for each variant of the scenario, it
 runs each device's beam-space forms (`twl.kernels`), the channel FIM and its
 gain elimination (`twl.fim`), and the factored form of each distinct
-protocol EFIM from the pose's factors: one elementwise Cholesky elimination
-of a 4x4 angle EFIM per position for each link and for their sum
+protocol EFIM from the pose's factors: a closed-form Cholesky factor of
+each 2x2 angle-EFIM block per position, for each link and for their sum
 (`twl.protocols.efim_factors`). Every per-position array but the positions
 carries its matrix axes first and the positions last. The callers run
 `protocol_bounds` on each chunk's tables and keep only what they report:
@@ -323,7 +323,7 @@ class PositionTables:
 
     @property
     def angle_efim(self) -> dict:
-        """Each link's (4, 4, n) angle EFIM: its factors' ``angle``, not a copy."""
+        """Each link's angle EFIM blocks, (2, 2, 2, n): its factors' ``angle``, not a copy."""
         return {link: self.factors[link].angle for link in _LINKS}
 
 

@@ -14,6 +14,15 @@ def _benchpair():
     return module
 
 
+def _calls(bp, seconds):
+    """Calls in `schedule` order, each tree's seconds taken in turn."""
+    calls, taken = [], {"A": 0, "B": 0}
+    for tree in bp.schedule(len(seconds["A"])):
+        calls.append({"tree": tree, "seconds": seconds[tree][taken[tree]]})
+        taken[tree] += 1
+    return calls
+
+
 def test_schedule_alternates_which_tree_runs_first():
     order = _benchpair().schedule(5)
     assert order == list("ABBAABBAAB")
@@ -23,12 +32,7 @@ def test_schedule_alternates_which_tree_runs_first():
 
 def test_summary_pairs_adjacent_calls():
     bp = _benchpair()
-    seconds = {"A": [1.0, 2.0, 1.0, 4.0], "B": [0.5, 1.0, 2.0, 1.0]}
-    calls, taken = [], {"A": 0, "B": 0}
-    for tree in bp.schedule(4):
-        calls.append({"tree": tree, "seconds": seconds[tree][taken[tree]]})
-        taken[tree] += 1
-    summary = bp.summarize(calls)
+    summary = bp.summarize(_calls(bp, {"A": [1.0, 2.0, 1.0, 4.0], "B": [0.5, 1.0, 2.0, 1.0]}))
     assert summary["ratios"] == [0.5, 0.5, 2.0, 0.25]
     assert summary["median_ratio"] == pytest.approx(0.5)
     assert summary["pairs_won_by_B"] == 3
@@ -37,6 +41,25 @@ def test_summary_pairs_adjacent_calls():
     assert summary["median_ratio_B_first"] == pytest.approx(0.375)
     assert summary["seconds_A"]["median"] == pytest.approx(1.5)
     assert summary["seconds_B"] == pytest.approx({"median": 1.0, "q1": 0.875, "q3": 1.25})
+
+
+def test_summary_resolves_only_a_gain_wider_than_the_base_spread():
+    bp = _benchpair()
+    base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    faster = [0.85, 0.86, 0.84, 0.86, 0.85, 0.87, 0.83, 0.85, 0.86, 0.84]
+    summary = bp.summarize(_calls(bp, {"A": base, "B": faster}))
+    assert summary["pairs_won_by_B"] == 10 and summary["resolved"] is True
+    # the same gain, but A's runs spread wider than the gap between the medians
+    wide = [1.00, 1.40, 0.90, 1.30, 0.88, 1.35, 0.87, 1.00, 1.30, 0.89]
+    summary = bp.summarize(_calls(bp, {"A": wide, "B": faster}))
+    assert summary["pairs_won_by_B"] == 10
+    a = summary["seconds_A"]
+    assert a["median"] - summary["seconds_B"]["median"] < a["q3"] - a["q1"]
+    assert summary["resolved"] is False
+    # a clear gap, but B won only 8 of 10 pairs
+    slow_twice = faster[:8] + [1.50, 1.50]
+    summary = bp.summarize(_calls(bp, {"A": base, "B": slow_twice}))
+    assert summary["pairs_won_by_B"] == 8 and summary["resolved"] is False
 
 
 def test_faults_name_extra_failures_and_every_check_problem():

@@ -109,8 +109,9 @@ ON_THE_ANCHOR = [
                            [0.0, 2.0, 0.0]]},
 ]
 
-#: exactly singular angle EFIMs in every chunk (a zero pivot in
-#: `protocols.efim_factors`' elementwise Cholesky elimination), a link
+#: exactly singular angle EFIMs in every chunk (a zero pivot in the
+#: closed-form 2x2 Cholesky factor that `protocols.efim_factors` takes of
+#: each angle-EFIM block, elementwise over the positions), a link
 #: budget past the float range, and a subnormal smallest EFIM eigenvalue
 SINGULAR = [
     {"n_positions": 20, "n_beams": 1, "bs_rows": 1, "bs_cols": 1},

@@ -224,27 +224,34 @@ def test_efim_singular_nuisance(rng):
 
 
 def test_angle_efim_matches_generic_schur(rng):
-    direction, tx_geom, rx_geom, f, w, cg, sig = small_link(rng)
-    jm = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig)
-    fast = angle_efim(jm)
-    generic = efim(jm[:5, :5], keep=[0, 1, 2, 3])
-    assert fast.shape == (4, 4)
-    np.testing.assert_allclose(
-        fast, generic, rtol=1e-10, atol=1e-14 * np.linalg.norm(generic),
-    )
+    # on channel FIMs as `fim_from_forms` builds them, from any real
+    # symmetric PSD forms, the gain elimination decouples the anchor and
+    # terminal angle pairs: the two blocks are the whole Schur complement
+    from twl.fim import fim_from_forms
+
+    for direction in ("forward", "backward") * 5:
+        t, r = (g @ g.T for g in rng.standard_normal((2, 3, 4)))
+        jm = fim_from_forms(t, r, 3.0, rng.uniform(0.1, 2.0), 5.0, direction)
+        fast = angle_efim(jm)
+        generic = efim(jm[:5, :5], keep=[0, 1, 2, 3])
+        scale = np.linalg.norm(generic)
+        assert fast.shape == (2, 2, 2)
+        np.testing.assert_allclose(fast, np.stack([generic[:2, :2], generic[2:, 2:]]),
+                                   rtol=1e-10, atol=1e-14 * scale)
+        assert np.abs(generic[:2, 2:]).max() <= 1e-13 * scale
 
 
 def test_angle_efim_decoupled_case():
     jm = np.diag([4.0, 3.0, 2.0, 1.0, 5.0, 1.0, 7.0])
-    np.testing.assert_array_equal(angle_efim(jm), np.diag([4.0, 3.0, 2.0, 1.0]))
+    np.testing.assert_array_equal(angle_efim(jm), [np.diag([4.0, 3.0]), np.diag([2.0, 1.0])])
 
 
 def test_angle_efim_psd_sweep(rng):
     for _ in range(20):
         direction, tx_geom, rx_geom, f, w, cg, sig = small_link(rng)
         jm = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig)
-        evals = np.linalg.eigvalsh(angle_efim(jm))
-        assert evals[0] >= -1e-9 * np.linalg.norm(jm[:4, :4])
+        evals = np.linalg.eigvalsh(angle_efim(jm))  # per block
+        assert evals.min() >= -1e-9 * np.linalg.norm(jm[:4, :4])
 
 
 def test_delay_info_reads_tau_entry(rng):

@@ -4,8 +4,9 @@ Each property draws a terminal orientation and a position seed and samples a
 few hundred positions of the reference scenario. The examples are derandomized,
 so every run checks the same cases.
 
-Per pose, PEB² = ⟨A⁻¹, G_pos⟩ + g_pos/w with w the protocol's delay weight, so
-the laws in the delay information hold exactly, not only to a tolerance.
+Per pose, PEB² = ⟨A₁⁻¹, G_pos⟩ + g_pos/w with A₁ the anchor block of the
+angle EFIM and w the protocol's delay weight, so the laws in the delay
+information hold exactly, not only to a tolerance.
 """
 
 import dataclasses
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 
 import twl.scenario
 from twl.beamforming import directional_beams, reverse_direction
-from twl.fim import channel_fim
+from twl.fim import channel_fim, efim, fim_from_forms
 from twl.pose import Pose, channel_geometry, location_jacobian
-from twl.protocols import PROTOCOLS, assemble
+from twl.protocols import PROTOCOLS, assemble, efim_factors, pose_grams
 from twl.scenario import INITIATORS, Scenario, position_tables, protocol_bounds
 
 EPS = np.finfo(np.float64).eps
@@ -200,7 +201,7 @@ def test_delay_enters_peb_only_as_c2_over_w_and_oeb_not_at_all(orientation_deg, 
     # The channel parameters fix p = c·τ·u(θ₁, φ₁), so the position columns
     # of M = J⁻¹ are (r·e_θ, r·sinθ₁·e_φ, 0, 0, c·u) and its orientation
     # columns have no delay entry: g_pos = c², g_ori = 0, and the angle term
-    # of PEB² reads only the anchor-angle diagonal of A⁻¹.
+    # of PEB² reads only the diagonal of the anchor block's inverse A₁⁻¹.
     scn = _scenario(orientation_deg, seed)
     tables = position_tables(scn)
     c2 = scn.signal.c**2
@@ -211,21 +212,64 @@ def test_delay_enters_peb_only_as_c2_over_w_and_oeb_not_at_all(orientation_deg, 
         np.testing.assert_allclose(f.pos[1], c2, rtol=1e-13, atol=0.0, err_msg=key)
         assert np.all(np.abs(f.ori[1]) <= 1e-20 * f.pos[1]), key
         np.testing.assert_allclose(f.trace[1] * c2, 1.0, rtol=1e-13, atol=0.0, err_msg=key)
-        a_inv = np.linalg.inv(f.angle.transpose(2, 0, 1))
+        a_inv = np.linalg.inv(np.moveaxis(f.angle[0], -1, 0))
         angle_term = r2 * a_inv[:, 0, 0] + r2_sin2 * a_inv[:, 1, 1]
         np.testing.assert_allclose(f.pos[0], angle_term, rtol=1e-11, atol=0.0, err_msg=key)
 
 
 @pytest.mark.parametrize("orientation_deg", [(0.0, 0.0), (30.0, 30.0)], ids=["0", "30-30"])
 def test_cholesky_contraction_matches_a_dense_inverse(orientation_deg):
-    # ⟨A⁻¹, F·Fᵀ⟩ through A's Cholesky factor equals the contraction with a
-    # LAPACK inverse of A, over one pipeline chunk of positions
+    # ⟨A⁻¹, F·Fᵀ⟩ through each block's Cholesky factor equals the contraction
+    # of M's four angle rows with a LAPACK inverse of the block-diagonal A,
+    # over one pipeline chunk of positions
     scn = _scenario(orientation_deg, 1, n_samples=twl.scenario._CHUNK)
     tables = position_tables(scn)
     m = np.linalg.inv(tables.jacobian.transpose(2, 0, 1))
     for key, f in tables.factors.items():
-        a_inv = np.linalg.inv(f.angle.transpose(2, 0, 1))
+        a = np.zeros((f.angle.shape[-1], 4, 4))
+        a[:, :2, :2], a[:, 2:, 2:] = np.moveaxis(f.angle, -1, 1)
+        a_inv = np.linalg.inv(a)
         for got, columns in ((f.pos[0], slice(2, 5)), (f.ori[0], slice(0, 2))):
             rows = m[:, :4, columns]
             dense = np.einsum("nab,nac,nbc->n", a_inv, rows, rows)
             np.testing.assert_allclose(got, dense, rtol=1e-12, atol=0.0, err_msg=key)
+
+
+@property_check
+@given(orientations, seeds)
+def test_peb_reads_only_the_anchor_block(orientation_deg, seed):
+    # M's terminal-angle rows vanish over the position columns, so scaling
+    # every terminal block A₂ leaves PEB bit for bit and moves only OEB
+    tables = position_tables(_scenario(orientation_deg, seed))
+    grams = pose_grams(tables.jacobian)
+    scaled = {}
+    for key, f in tables.factors.items():
+        angle = f.angle.copy()
+        angle[1] *= 10.0
+        scaled[key] = efim_factors(grams, angle)
+    louder = dataclasses.replace(tables, factors=scaled)
+    for protocol in PROTOCOLS:
+        for initiator in INITIATORS:
+            base = protocol_bounds(tables, protocol, initiator)
+            b = protocol_bounds(louder, protocol, initiator)
+            np.testing.assert_array_equal(b.identifiable, base.identifiable)
+            np.testing.assert_array_equal(b.peb, base.peb)
+            ok = base.identifiable
+            assert ok.any() and np.all(b.oeb[ok] < base.oeb[ok]), (protocol, initiator)
+
+
+@pytest.mark.parametrize("orientation_deg", [(0.0, 0.0), (30.0, 30.0)], ids=["0", "30-30"])
+def test_gain_elimination_decouples_the_angle_pairs(monkeypatch, orientation_deg):
+    # the generic Schur complement of each channel FIM of a pipeline chunk
+    # has no (theta1, phi1) x (theta2, phi2) block: `fim.angle_efim` forms
+    # only the two diagonal blocks and drops nothing
+    seen = []
+    monkeypatch.setattr(twl.scenario, "fim_from_forms",
+                        lambda *args: seen.append(fim_from_forms(*args)) or seen[-1])
+    position_tables(_scenario(orientation_deg, 1, n_samples=twl.scenario._CHUNK))
+    assert len(seen) == 2
+    for jm in seen:
+        for i in range(jm.shape[-1]):
+            angle = efim(jm[:5, :5, i], keep=[0, 1, 2, 3])
+            d = np.sqrt(np.diag(angle))
+            assert np.abs(angle[:2, 2:] / np.outer(d[:2], d[2:])).max() <= 1e-13, i

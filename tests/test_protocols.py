@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -99,10 +100,22 @@ def test_combined_delay_unobservable(reference_link):
 PERMUTATION_J = np.eye(5)[[2, 3, 0, 1, 4]]
 
 
+def _blocks(a):
+    """The anchor and terminal 2x2 blocks of 4x4 angle EFIMs (4, 4, ...)."""
+    return np.stack([a[:2, :2], a[2:, 2:]])
+
+
+def _dense(blocks):
+    """The 4x4 block-diagonal angle EFIM of blocks (2, 2, 2)."""
+    a = np.zeros((4, 4))
+    a[:2, :2], a[2:, 2:] = blocks
+    return a
+
+
 def test_identity_efim_bounds():
     # the permutation J, A = I4 and w = 1 give the identity EFIM
-    factors = efim_factors(pose_grams(PERMUTATION_J[..., None]), np.eye(4)[..., None])
-    np.testing.assert_array_equal(factors.angle[..., 0], np.eye(4))
+    factors = efim_factors(pose_grams(PERMUTATION_J[..., None]), _blocks(np.eye(4)[..., None]))
+    np.testing.assert_array_equal(factors.angle[..., 0], [np.eye(2), np.eye(2)])
     peb, oeb, ok = invert_efim(np.ones(1), PERMUTATION_J[..., None], factors)
     assert ok[0]
     assert peb[0] == pytest.approx(np.sqrt(3.0))
@@ -117,7 +130,7 @@ def test_identity_efim_bounds():
 
 def test_singular_efim_reports_rank_not_crash():
     # an exactly singular angle EFIM gives inf bounds for its pose only
-    angle = np.stack([np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0])], axis=-1)
+    angle = _blocks(np.stack([np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0])], axis=-1))
     jacobian = np.stack([PERMUTATION_J] * 2, axis=-1)
     factors = efim_factors(pose_grams(jacobian), angle)
     peb, oeb, ok = invert_efim(np.ones(2), jacobian, factors)
@@ -133,20 +146,21 @@ def test_singular_efim_reports_rank_not_crash():
 def test_cholesky_factors_flag_each_bad_angle_efim_alone(monkeypatch):
     """One batch of good and bad angle EFIMs: each flag is that of its own dense E.
 
-    The factors contract A through an elementwise Cholesky elimination, not
-    a LAPACK call on the batch, which would raise for all poses when one A
-    is not positive definite. The batch holds I, diag(1, 1, 1, 0), an
-    indefinite A, an all-NaN A and an SPD A scaled by 1e-27, once with w = 1
-    (cond(E) ~ 1e27, unidentifiable) and once with w = 1e-27 (E is 1e-27
-    times a well-conditioned matrix, identifiable).
+    The factors contract each 2x2 block of A through its closed-form
+    Cholesky factor, elementwise, not a LAPACK call on the batch, which
+    would raise for all poses when one A is not positive definite. The
+    batch holds the blocks of I, diag(1, 1, 1, 0), an indefinite A, an
+    all-NaN A and an SPD A scaled by 1e-27, once with w = 1 (cond(E) ~
+    1e27, unidentifiable) and once with w = 1e-27 (E is 1e-27 times a
+    well-conditioned matrix, identifiable).
     """
     rng = np.random.default_rng(14)
     b = rng.standard_normal((4, 4))
     spd = b @ b.T + 4.0 * np.eye(4)
-    angle = np.stack([
+    angle = _blocks(np.stack([
         np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0]), np.diag([2.0, 1.0, -1.0, 3.0]),
         np.full((4, 4), np.nan), 1e-27 * spd, 1e-27 * spd,
-    ], axis=-1)
+    ], axis=-1))
     weight = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1e-27])
     jacobian = np.eye(5) + 0.1 * rng.standard_normal((5, 5))
     jacobian[:2, (0, 1, 4)] = 0.0
@@ -161,7 +175,7 @@ def test_cholesky_factors_flag_each_bad_angle_efim_alone(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         peb, oeb, ok = invert_efim(weight, jacobian, factors)
-    efim = localization_efim(jacobian.transpose(2, 0, 1), angle.transpose(2, 0, 1), weight)
+    efim = localization_efim(jacobian.transpose(2, 0, 1), angle.transpose(3, 0, 1, 2), weight)
     rank, condition = rank_and_condition(efim)
     expected = (rank == 5) & (condition <= 1e12)
     assert expected.tolist() == [True, False, False, False, False, True]
@@ -234,8 +248,8 @@ def test_block_inverse_isolates_a_singular_jacobian_without_lapack(monkeypatch):
     monkeypatch.undo()
 
     def terms(grams, i):
-        (block, delay), (f, g_pos, g_ori) = grams
-        return [block[..., i], delay[i], f[..., i], g_pos[i], g_ori[i]]
+        (blocks, delay), (f1, f2, g_pos, g_ori) = grams
+        return [blocks[..., i], delay[i], f1[..., i], f2[..., i], g_pos[i], g_ori[i]]
 
     grams = pose_grams(jacobian)
     for i in range(len(positions)):
@@ -247,11 +261,10 @@ def test_block_inverse_isolates_a_singular_jacobian_without_lapack(monkeypatch):
 
 
 def _exact_bounds(jacobian, angle, weight):
-    """PEB and OEB of J·blkdiag(A, w)·Jᵀ in exact rational arithmetic."""
+    """PEB and OEB of J·blkdiag(A₁, A₂, w)·Jᵀ in exact rational arithmetic."""
     d = [[Fraction(0)] * 5 for _ in range(5)]
-    for a in range(4):
-        for b in range(4):
-            d[a][b] = Fraction(angle[a, b])
+    for k, a, b in itertools.product(range(2), repeat=3):
+        d[2 * k + a][2 * k + b] = Fraction(angle[k, a, b])
     d[4][4] = Fraction(weight)
     j = [[Fraction(x) for x in row] for row in jacobian]
     jd = [[sum(j[i][k] * d[k][m] for k in range(5)) for m in range(5)] for i in range(5)]
@@ -318,7 +331,7 @@ def test_assemble_bound_consistency(reference_link):
 def test_clp_dominates_rlp_by_forward_spatial_term(reference_link):
     fwd, bwd, jac = reference_link
     gap = _dense_efim("clp", fwd, bwd, jac) - _dense_efim("rlp", fwd, bwd, jac)
-    expected = jac[:, :4] @ angle_efim(fwd) @ jac[:, :4].T
+    expected = jac[:, :4] @ _dense(angle_efim(fwd)) @ jac[:, :4].T
     np.testing.assert_allclose(gap, expected, rtol=1e-10)
     assert np.linalg.eigvalsh(gap)[0] >= -1e-9 * np.linalg.norm(gap)
 

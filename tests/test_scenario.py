@@ -198,10 +198,10 @@ def test_position_tables_carry_the_positions_last(quick_scenario):
     assert tables.positions.shape == (n, 3) and tables.snr_db.shape == (n,)
     assert tables.jacobian.shape == (5, 5, n) and tables.jacobian.flags.c_contiguous
     for link in ("bs_to_ue", "ue_to_bs"):
-        assert tables.angle_efim[link].shape == (4, 4, n)
+        assert tables.angle_efim[link].shape == (2, 2, 2, n)
         assert tables.delay_info[link].shape == (n,)
     for key, factors in tables.factors.items():
-        assert factors.angle.shape == (4, 4, n), key
+        assert factors.angle.shape == (2, 2, 2, n), key
         assert factors.pos.shape == factors.ori.shape == factors.trace.shape == (2, n), key
 
 

@@ -19,7 +19,9 @@ The record goes to ``BENCH_<workload>.json`` at the root of the checkout
 (or ``--out``): the machine record, each tree's ``src`` digest, every
 call's time in order, the pairs, the median of the per-pair ratios B/A
 (over all pairs, and over those in which A or B ran first), the pairs B
-won, and each tree's median and quartiles. It exits 1, after
+won, each tree's median and quartiles, and ``resolved``: whether B's gain
+meets the claim rule (B faster in at least nine tenths of the pairs, and
+the medians apart by more than A's interquartile distance). It exits 1, after
 writing the record, if tree B failed more operations than tree A or any
 check reported a problem, so that a record whose comparison does not count
 cannot pass unseen. (Every ``point`` round ends with a call at the anchor's
@@ -75,6 +77,9 @@ def summarize(calls: list) -> dict:
 
     ``median_ratio_A_first`` and ``median_ratio_B_first`` are the medians
     over the pairs in which that tree ran first, which shows an order effect.
+    ``resolved`` applies the claim rule to a gain of B: B won at least nine
+    tenths of the pairs, ties counting for neither, and A's median exceeds
+    B's by more than A's interquartile distance.
     """
     starts = range(0, len(calls) - 1, 2)
     pairs = [{c["tree"]: c["seconds"] for c in calls[i:i + 2]} for i in starts]
@@ -88,6 +93,9 @@ def summarize(calls: list) -> dict:
         seconds = [c["seconds"] for c in calls if c["tree"] == tree]
         q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
         summary[f"seconds_{tree}"] = {"median": median, "q1": q1, "q3": q3}
+    a, b = summary["seconds_A"], summary["seconds_B"]
+    summary["resolved"] = (10 * summary["pairs_won_by_B"] >= 9 * len(pairs)
+                           and a["median"] - b["median"] > a["q3"] - a["q1"])
     return summary
 
 
@@ -224,6 +232,7 @@ def main(argv=None) -> int:
           f"{record['median_ratio_A_first']:.3f}, B first "
           f"{record['median_ratio_B_first']:.3f}), B faster in "
           f"{record['pairs_won_by_B']} of {len(record['pairs'])} pairs, "
+          f"{'resolved' if record['resolved'] else 'unresolved'}, "
           f"{len(found)} fault(s) -> {out}")
     return 1 if found else 0
 
