@@ -19,7 +19,6 @@ from .fim import (
     angle_efim,
     channel_fim,
     delay_info,
-    efim,
 )
 from .geometry import (
     SPEED_OF_LIGHT,

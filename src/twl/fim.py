@@ -39,10 +39,6 @@ _A, _K, _P = 0, 1, 2
 _FORMS = ((_A, _K), (_A, _P), (_K, _A), (_P, _A), (_A, _A))
 
 
-class NuisanceSingularError(np.linalg.LinAlgError):
-    """Nuisance block of a FIM is singular: nuisance parameters unidentifiable."""
-
-
 def fim_from_forms(t_tx, r_rx, gamma, beta, weff2, direction):
     """Assemble the 7x7 channel FIM from quadratic-form tables.
 
@@ -112,26 +108,6 @@ def channel_fim(
                                 [rx_angles[0]], [rx_angles[1]])
     gamma = sig.gamma(tx_geom.n_elements, rx_geom.n_elements)
     return fim_from_forms(t_forms[..., 0], r_forms[..., 0], gamma, cg.beta, sig.weff2, direction)
-
-
-def efim(jm: np.ndarray, keep) -> np.ndarray:
-    """Equivalent FIM of the kept parameters via the Schur complement."""
-    jm = np.asarray(jm, dtype=np.float64)
-    n = jm.shape[0]
-    keep = sorted({int(i) for i in keep})
-    if not keep or keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"keep indices out of range for dimension {n}")
-    drop = [i for i in range(n) if i not in keep]
-    if not drop:
-        raise ValueError("must drop at least one nuisance parameter")
-    j11 = jm[np.ix_(keep, keep)]
-    j12 = jm[np.ix_(keep, drop)]
-    j22 = jm[np.ix_(drop, drop)]
-    cond = np.linalg.cond(j22)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NuisanceSingularError("nuisance parameters unidentifiable")
-    out = j11 - j12 @ np.linalg.solve(j22, j12.T)
-    return 0.5 * (out + out.T)
 
 
 def angle_efim(jm: np.ndarray) -> np.ndarray:

@@ -76,11 +76,12 @@ def rotation_matrix(zeta0: float, chi0: float) -> np.ndarray:
 def _spherical_batch(v: np.ndarray):
     """Polar/azimuth angles of unit vectors, batched over the leading axis.
 
-    Returns (theta, phi, sin_theta). Raises on polar singularities.
+    Returns (theta, phi, sin_theta). Raises on polar singularities. sinθ is
+    the norm of (v_x, v_y) and θ its arctan2 with v_z, so both keep their
+    relative accuracy near a pole, where arccos(v_z) and √(1 − v_z²) do not.
     """
-    vz = np.clip(v[..., 2], -1.0, 1.0)
-    theta = np.arccos(vz)
-    sin_theta = np.sqrt(np.maximum(1.0 - vz * vz, 0.0))
+    sin_theta = np.hypot(v[..., 0], v[..., 1])
+    theta = np.arctan2(sin_theta, v[..., 2])
     if np.any(sin_theta < _SIN_FLOOR):
         raise DegenerateGeometryError(
             "link direction aligned with a frame z-axis; azimuth undefined"

@@ -17,26 +17,31 @@ protocol decides A and w:
     round-trip one.
 
 The bounds never need E itself. J is invertible wherever E is, so with
-M = J⁻¹, E⁻¹ = Mᵀ·blkdiag(A₁⁻¹, A₂⁻¹, 1/w)·M and
+M = J⁻¹, E⁻¹ = Mᵀ·blkdiag(A₁⁻¹, A₂⁻¹, 1/w)·M. J's structure fixes M's rows
+at every pose. The anchor angles and the delay depend on the position
+only, so J's orientation rows vanish in their columns and M's
+terminal-angle rows vanish over the position columns. Over the position
+rows, J's anchor-angle and delay columns are e_θ/r, e_φ/(r·sinθ₁) and u/c:
+mutually orthogonal, so C = J[2:5, (θ₁, φ₁, τ)] inverts as Cᵀ with each
+row divided by its column's squared norm. A radial move leaves the
+terminal-local direction unchanged, so M's delay row vanishes over the
+orientation columns, and
 
-    PEB² = ⟨A₁⁻¹, G_pos⟩ + g_pos/w,    OEB² = Σ_d ⟨A_d⁻¹, G_d⟩ + g_ori/w,
+    PEB² = ⟨A₁⁻¹, G_pos⟩ + 1/(w·|J_τ|²),    OEB² = Σ_d ⟨A_d⁻¹, G_d⟩,
 
 with G = F·Fᵀ over the rows F of M for A_d's angles and its orientation
-(G_d) or position (G_pos) columns, and g = |M_τ|² over the same columns.
-J is block-triangular, as the anchor angles and the delay depend on the
-position only, so M's terminal-angle rows vanish over the position
-columns, and p = c·τ·u(θ₁, φ₁) makes g_ori = 0 and
-
-    PEB² = r²·[(A₁⁻¹)θθ + sin²θ₁·(A₁⁻¹)φφ] + c²/w.
+(G_d) or position (G_pos) columns, G_pos = diag(1/|J_θ₁|², 1/|J_φ₁|²) =
+diag(r², r²·sin²θ₁) and 1/|J_τ|² = c². The delay weight w enters OEB not
+at all.
 
 No G is formed and no block inverted: with A_d = L·Lᵀ, ⟨A_d⁻¹, F·Fᵀ⟩ =
 |L⁻¹F|², a closed 2x2 form that `efim_factors` takes elementwise over the
 poses, so a singular or indefinite block spoils only its own pose's terms.
-`pose_grams` builds F and g, which depend only on the pose, from J's
-blocks, elementwise too, once per chunk of the position pipeline;
-`efim_factors` runs per variant and angle EFIM, and `assemble` calls both
-for one pose. The delay weight (`delay_weight`), which alone depends on
-the bandwidth, enters only in `invert_efim`. Batched arrays carry their
+`pose_grams` builds F, which depends only on the pose, from J's blocks,
+elementwise too, once per chunk of the position pipeline; `efim_factors`
+runs per variant and angle EFIM, and `assemble` calls both for one pose.
+The delay weight (`delay_weight`), which alone depends on the bandwidth,
+enters only in `invert_efim`, with |J_τ|². Batched arrays carry their
 matrix axes first and the poses last, except `localization_efim`'s.
 """
 
@@ -53,7 +58,6 @@ _MAX_CONDITION = 1e12
 # and in the eigenvalues that define the identifiable flag.
 _CERTIFIED_PRODUCT = _MAX_CONDITION / 16.0
 _SPLIT = 2.0**27 + 1.0
-_CYCLIC_C = np.ix_((2, 3, 4, 2, 3), (0, 1, 4, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -73,18 +77,17 @@ class LocalizationBound:
 
 @dataclass(frozen=True)
 class EfimFactors:
-    """Per-pose terms of E(w) = J·blkdiag(A₁, A₂, w)·Jᵀ for one angle EFIM.
+    """Per-pose angle terms of E(w) = J·blkdiag(A₁, A₂, w)·Jᵀ for one angle EFIM.
 
-    ``angle`` is A's blocks (2, 2, 2, ...). Each other field is (2, ...): an
-    angle term and a delay term, so that PEB² = pos[0] + pos[1]/w,
-    OEB² = ori[0] + ori[1]/w and tr(E) = trace[0] + w·trace[1] for every
-    delay weight w.
+    ``angle`` is A's blocks (2, 2, 2, ...), each other field (...). For every
+    delay weight w, PEB² = pos + 1/(w·|J_τ|²), OEB² = ori and
+    tr(E) = trace + w·|J_τ|²; `invert_efim` adds the delay terms.
     """
 
     angle: np.ndarray  # A₁, A₂
-    pos: np.ndarray  # ⟨A₁⁻¹, G_pos⟩, g_pos
-    ori: np.ndarray  # Σ_d ⟨A_d⁻¹, G_d⟩, g_ori
-    trace: np.ndarray  # Σ_d ⟨A_d, J_dᵀJ_d⟩, |J_τ|²
+    pos: np.ndarray  # ⟨A₁⁻¹, G_pos⟩
+    ori: np.ndarray  # Σ_d ⟨A_d⁻¹, G_d⟩
+    trace: np.ndarray  # Σ_d ⟨A_d, J_dᵀJ_d⟩
 
 
 def delay_weight(kind: str, j_tau_f, j_tau_b) -> np.ndarray:
@@ -127,52 +130,43 @@ def _two_products(x, y):
     return p, xl * yl - (((p - xh * yh) - xl * yh) - xh * yl)
 
 
-def _block_inverse(v: np.ndarray) -> tuple:
-    """(F₁, F₂, g_pos, g_ori) of M = J⁻¹ for J as (5, 5, ...), batch axes last.
+def pose_grams(jacobian: np.ndarray) -> tuple:
+    """The pose's part of `efim_factors`: J₄ᵀJ₄'s blocks and J⁻¹'s angle factors.
 
-    M[2:4] = [B⁻¹ | 0] and M[(0, 1, 4)] = [−C⁻¹·P·B⁻¹ | C⁻¹], with B =
-    J[0:2, 2:4], P = J[2:5, 2:4] and C = J[2:5, (0, 1, 4)]: adjugates over
-    determinants. det B is compensated: B can be nearly singular (cond 3.5e4
-    at the exact test's pose), where b00·b11 − b01·b10 cancels.
+    ``jacobian`` is (5, 5, ...), rows (zeta0, chi0, px, py, pz) and columns
+    (theta1, phi1, theta2, phi2, tau), as `pose._jacobian_batch` builds it.
+    With B = J[0:2, 2:4], P = J[2:5, 2:4] and C = J[2:5, (0, 1, 4)], C has
+    orthogonal columns c_i, so that C⁻¹ = diag(1/|c_i|²)·Cᵀ, and P none
+    along the delay column c_2, so that M's delay row vanishes over the
+    orientation columns. Both are assumed, not checked: near a pole the
+    rounding of J's θ₁ column grows like eps/sinθ₁, where a tolerance would
+    reject valid poses. Returns (blocks, (f1, f2)): J₄ᵀJ₄'s diagonal blocks
+    (2, 2, 2, ...) for tr(E); M's anchor-angle rows f1 (2, 4, ...),
+    −C⁻¹·P·B⁻¹ over the orientation columns then √G_pos; and its
+    terminal-angle rows f2 = B⁻¹ (2, 2, ...) over the orientation columns.
+
+    J's orientation rows must vanish in the anchor-angle and delay columns,
+    or ``ValueError`` is raised. B⁻¹ is its adjugate over a determinant
+    compensated by Dekker's products: B can be nearly singular (cond 3.5e4
+    at the exact test's pose), where b00·b11 − b01·b10 cancels. Every step
+    runs elementwise over the poses, so a singular J gives inf or NaN terms
+    for its own pose only.
     """
-    b, p = v[:2, 2:4], v[2:5, 2:4]
-    c = v[_CYCLIC_C]  # rows (px, py, pz, px, py), columns (θ₁, φ₁, τ, θ₁, φ₁)
+    if jacobian[:2, :2].any() or jacobian[:2, 4].any():
+        raise ValueError("J's orientation rows must vanish in the anchor-angle and delay columns")
+    b, p, c = jacobian[:2, 2:4], jacobian[2:5, 2:4], jacobian[2:5, :2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         prod, err = _two_products(b[0], b[1, ::-1])  # b00·b11 and b01·b10
         binv = np.swapaxes(b[::-1, ::-1], 0, 1) / ((prod[0] - prod[1]) + (err[0] - err[1]))
         binv[0, 1] *= -1.0
         binv[1, 0] *= -1.0
-        # k[:, i] = c_(i+1) × c_(i+2) over C's columns c_i, so C⁻¹ = kᵀ / det C
-        k = c[1:4, 1:4] * c[2:5, 2:5] - c[2:5, 1:4] * c[1:4, 2:5]
-        k /= (c[:3, 0] * k[:, 0]).sum(axis=0)
-        del c  # before F is built, so that the copy does not set the peak
-        cinv = np.swapaxes(k, 0, 1)
-        cp = cinv[:, 0, None] * p[0] + cinv[:, 1, None] * p[1] + cinv[:, 2, None] * p[2]
-        cpb = cp[:, 0, None] * binv[0] + cp[:, 1, None] * binv[1]  # C⁻¹·P·B⁻¹
-        f1 = np.concatenate([-cpb[:2], cinv[:2]], axis=1)
-        return f1, binv, np.square(cinv[2]).sum(axis=0), np.square(cpb[2]).sum(axis=0)
-
-
-def pose_grams(jacobian: np.ndarray) -> tuple:
-    """The pose's part of `efim_factors`: Jᵀ's Gram terms and M = J⁻¹'s factors.
-
-    ``jacobian`` is (5, 5, ...), rows (zeta0, chi0, px, py, pz) and columns
-    (theta1, phi1, theta2, phi2, tau). Returns ((blocks, delay), (f1, f2,
-    g_pos, g_ori)): J₄ᵀJ₄'s diagonal blocks (2, 2, 2, ...) and |J_τ|² for
-    tr(E); M's anchor-angle rows f1 (2, 5, ...) over its orientation then
-    position columns, its terminal-angle rows f2 = B⁻¹ (2, 2, ...) over the
-    orientation columns, and the squared norms of its delay row over each.
-
-    J's orientation rows must vanish in the anchor-angle and delay columns,
-    or ``ValueError`` is raised. `_block_inverse` then runs elementwise over
-    the poses, so a singular J gives inf or NaN terms for its own pose only.
-    """
-    if jacobian[:2, :2].any() or jacobian[:2, 4].any():
-        raise ValueError("J's orientation rows must vanish in the anchor-angle and delay columns")
-    m = _block_inverse(jacobian)  # first, so that its transients are gone before the trace's
+        norms = np.einsum("ia...,ia...->a...", c, c)  # |J_θ₁|², |J_φ₁|²
+        cp = np.einsum("ia...,ib...->ab...", c, p) / norms[:, None]  # C⁻¹·P's anchor rows
+        f1 = np.zeros((2, 4) + jacobian.shape[2:])
+        f1[:, :2] = -(cp[:, 0, None] * binv[0] + cp[:, 1, None] * binv[1])
+        f1[0, 2], f1[1, 3] = np.sqrt(1.0 / norms)
     js = jacobian[:, :4].reshape((5, 2, 2) + jacobian.shape[2:])  # J_d as (5, d, 2, ...)
-    blocks = np.einsum("ida...,idb...->dab...", js, js)
-    return (blocks, np.einsum("i...,i...->...", jacobian[:, 4], jacobian[:, 4])), m
+    return np.einsum("ida...,idb...->dab...", js, js), (f1, binv)
 
 
 def _whitened_norms(block: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -193,14 +187,14 @@ def _whitened_norms(block: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def efim_factors(grams: tuple, angle: np.ndarray) -> EfimFactors:
     """`EfimFactors` of angle EFIMs, blocks (2, 2, 2, ...), at poses' `pose_grams`."""
-    (blocks, delay), (f1, f2, g_pos, g_ori) = grams
+    blocks, (f1, f2) = grams
     anchor, terminal = _whitened_norms(angle[0], f1), _whitened_norms(angle[1], f2)
     with np.errstate(over="ignore", invalid="ignore"):
-        pos, ori = anchor[2:].sum(axis=0), anchor[:2].sum(axis=0) + terminal.sum(axis=0)
-    return EfimFactors(
-        angle=angle, pos=np.stack([pos, g_pos]), ori=np.stack([ori, g_ori]),
-        trace=np.stack([np.einsum("dab...,dab...->...", angle, blocks), delay]),
-    )
+        return EfimFactors(
+            angle=angle, pos=anchor[2:].sum(axis=0),
+            ori=anchor[:2].sum(axis=0) + terminal.sum(axis=0),
+            trace=np.einsum("dab...,dab...->...", angle, blocks),
+        )
 
 
 def rank_and_condition(efim: np.ndarray):
@@ -225,7 +219,8 @@ def invert_efim(weight, jacobian, factors: EfimFactors):
     Batched over the trailing axes of ``weight`` (...) and ``jacobian``
     (5, 5, ...), which broadcast: a weight of shape (s, n) reads the n
     poses at s delay weights each. ``factors`` are the `efim_factors` of an
-    angle EFIM at the `pose_grams` of ``jacobian``.
+    angle EFIM at the `pose_grams` of ``jacobian``; the delay terms read
+    |J_τ|² from ``jacobian``, and OEB reads no delay term.
 
     Returns (peb, oeb, identifiable). A pose is identifiable when its EFIM
     has full rank and condition at most 1e12. The bound cond(E) <=
@@ -238,9 +233,11 @@ def invert_efim(weight, jacobian, factors: EfimFactors):
     # Non-finite factors give NaN or inf here; every such pose fails both
     # the certificate and the positivity test below.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pos2 = factors.pos[0] + factors.pos[1] / weight
-        ori2 = factors.ori[0] + factors.ori[1] / weight
-        trace = factors.trace[0] + weight * factors.trace[1]
+        # w·|J_τ|² = w/c²: the information on the range itself
+        range_info = weight * np.einsum("i...,i...->...", jacobian[2:, 4], jacobian[2:, 4])
+        pos2 = factors.pos + 1.0 / range_info
+        ori2 = factors.ori
+        trace = factors.trace + range_info
         positive = (pos2 > 0.0) & (pos2 < np.inf) & (ori2 > 0.0) & (ori2 < np.inf)
         ok = positive & (trace * (pos2 + ori2) <= _CERTIFIED_PRODUCT)
     doubt = ~ok

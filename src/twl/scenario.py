@@ -135,10 +135,6 @@ class Region:
         e2 = v[:, :2] - prv[:, :2]
         return e2[:, 0] * e1[:, 1] - e2[:, 1] * e1[:, 0]
 
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
     def triangles(self):
         v = self.vertices
         return (v[[0, 1, 2]], v[[0, 2, 3]])

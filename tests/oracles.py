@@ -13,6 +13,10 @@ response a and its two analytic angle partials) of one direction from the
 full element coordinates, projects it through F and through an orthonormal
 basis U of the receive beam space, and takes the 3x3 forms: no per-axis
 factors, no mirrored phases, no chunking.
+
+`efim` is the generic Schur complement of a dense FIM over any kept
+parameters, the reference that `twl.fim.angle_efim`'s closed form and the
+joint-FIM oracle are checked against.
 """
 
 from dataclasses import dataclass
@@ -196,3 +200,27 @@ def joint_efim_oracle(rng, dim_x, dim_z1, dim_z2):
     cross = joint[:dim_x, dim_x:]
     joint_efim = joint[:dim_x, :dim_x] - cross @ np.linalg.solve(nuis, cross.T)
     return j1, j2, joint_efim
+
+
+class NuisanceSingularError(np.linalg.LinAlgError):
+    """Nuisance block of a FIM is singular: nuisance parameters unidentifiable."""
+
+
+def efim(jm: np.ndarray, keep) -> np.ndarray:
+    """Equivalent FIM of the kept parameters via the Schur complement."""
+    jm = np.asarray(jm, dtype=np.float64)
+    n = jm.shape[0]
+    keep = sorted({int(i) for i in keep})
+    if not keep or keep[0] < 0 or keep[-1] >= n:
+        raise ValueError(f"keep indices out of range for dimension {n}")
+    drop = [i for i in range(n) if i not in keep]
+    if not drop:
+        raise ValueError("must drop at least one nuisance parameter")
+    j11 = jm[np.ix_(keep, keep)]
+    j12 = jm[np.ix_(keep, drop)]
+    j22 = jm[np.ix_(drop, drop)]
+    cond = np.linalg.cond(j22)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise NuisanceSingularError("nuisance parameters unidentifiable")
+    out = j11 - j12 @ np.linalg.solve(j22, j12.T)
+    return 0.5 * (out + out.T)

@@ -11,11 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from oracles import joint_efim_oracle
+from oracles import efim, joint_efim_oracle
 from test_fim_oracle import closed_and_oracle, oracle_case
 from test_pose import finite_difference_jacobian, random_region_pose
 from twl.cli import main
-from twl.fim import efim
 from twl.geometry import SPEED_OF_LIGHT
 from twl.pose import location_jacobian
 from twl.scenario import (

@@ -6,15 +6,16 @@ import pytest
 
 import twl
 import twl.fim
-from oracles import joint_efim_oracle, orthonormal_basis, quadratic_forms, steering_bundle
-from twl.beamforming import SignalConfig, directional_beams
-from twl.fim import (
+from oracles import (
     NuisanceSingularError,
-    angle_efim,
-    channel_fim,
-    delay_info,
     efim,
+    joint_efim_oracle,
+    orthonormal_basis,
+    quadratic_forms,
+    steering_bundle,
 )
+from twl.beamforming import SignalConfig, directional_beams
+from twl.fim import angle_efim, channel_fim, delay_info
 from twl.geometry import ArrayGeometry
 from twl.pose import ChannelGeometry
 

@@ -11,9 +11,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import numerical_channel_fim, pulse_weff2
+from oracles import efim, numerical_channel_fim, pulse_weff2
 from twl.beamforming import SignalConfig, directional_beams
-from twl.fim import angle_efim, channel_fim, efim
+from twl.fim import angle_efim, channel_fim
 from twl.geometry import ArrayGeometry
 from twl.pose import ChannelGeometry
 

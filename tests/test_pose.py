@@ -99,6 +99,15 @@ def test_degenerate_geometry_raises():
         location_jacobian(Pose(np.array([0.0, 0.0, -10.0])))
 
 
+def test_polar_angles_keep_their_accuracy_near_a_pole():
+    # 1e-7 m off the anchor's nadir the terminal sees the anchor 1e-8 rad off
+    # its own +z axis, where arccos(q_z) and √(1 − q_z²) round to 0
+    offset = 1e-7
+    cg = channel_geometry(Pose(np.array([0.0, offset, -10.0])), LAM38)
+    assert cg.theta2 == pytest.approx(np.arctan2(offset, 10.0), rel=1e-15, abs=0.0)
+    assert np.pi - cg.theta1 == pytest.approx(np.arctan2(offset, 10.0), rel=1e-7, abs=0.0)
+
+
 def test_jacobian_structural_zeros(rng):
     jac = location_jacobian(random_region_pose(rng))
     np.testing.assert_array_equal(jac[:2, 4], 0.0)

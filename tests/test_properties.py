@@ -4,9 +4,11 @@ Each property draws a terminal orientation and a position seed and samples a
 few hundred positions of the reference scenario. The examples are derandomized,
 so every run checks the same cases.
 
-Per pose, PEB² = ⟨A₁⁻¹, G_pos⟩ + g_pos/w with A₁ the anchor block of the
-angle EFIM and w the protocol's delay weight, so the laws in the delay
-information hold exactly, not only to a tolerance.
+Per pose, PEB² = ⟨A₁⁻¹, G_pos⟩ + 1/(w·|J_τ|²) and OEB² = Σ_d ⟨A_d⁻¹, G_d⟩,
+with A₁ the anchor block of the angle EFIM, w the protocol's delay weight
+and |J_τ|² = 1/c² the squared delay column of the Jacobian. The laws in the
+delay information therefore hold exactly, not only to a tolerance: OEB does
+not read w at all, and a region scaled by s scales G_pos by s² and OEB by s.
 """
 
 import dataclasses
@@ -19,11 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twl.scenario
+from oracles import efim
 from twl.beamforming import directional_beams, reverse_direction
-from twl.fim import channel_fim, efim, fim_from_forms
+from twl.fim import channel_fim, fim_from_forms
 from twl.pose import Pose, channel_geometry, location_jacobian
-from twl.protocols import PROTOCOLS, assemble, efim_factors, pose_grams
-from twl.scenario import INITIATORS, Scenario, position_tables, protocol_bounds
+from twl.protocols import PROTOCOLS, assemble, delay_weight, efim_factors, pose_grams
+from twl.scenario import INITIATORS, Region, Scenario, position_tables, protocol_bounds
 
 EPS = np.finfo(np.float64).eps
 REL_TOL = 1e-9  # slack of a bound inequality, as in the benchmark's checks
@@ -171,19 +174,32 @@ def test_oeb_ignores_delay_information(orientation_deg, seed):
             for scale in DELAY_SCALES:
                 b = protocol_bounds(tables, protocol, initiator, delay_scale=scale)
                 ok = b.identifiable & base.identifiable
-                np.testing.assert_allclose(b.oeb[ok], base.oeb[ok], rtol=1e-12, atol=0.0)
+                np.testing.assert_array_equal(b.oeb[ok], base.oeb[ok])
+
+
+@property_check
+@given(orientations, seeds)
+def test_owl_and_rlp_share_their_oeb(orientation_deg, seed):
+    # both read the backward angle EFIM, and OEB reads no delay weight
+    tables = position_tables(_scenario(orientation_deg, seed))
+    for initiator in INITIATORS:
+        owl = protocol_bounds(tables, "owl", initiator)
+        rlp = protocol_bounds(tables, "rlp", initiator)
+        both = owl.identifiable & rlp.identifiable
+        assert both.any()
+        np.testing.assert_array_equal(owl.oeb[both], rlp.oeb[both])
 
 
 @property_check
 @given(orientations, seeds)
 def test_peb_tends_to_the_angle_limited_floor(orientation_deg, seed):
-    # PEB² = ⟨A⁻¹, G_pos⟩ + g_pos/w: the delay term falls as 1/delay_scale
-    # toward the floor and, with g_pos >= 0, never takes PEB below it
+    # PEB² = ⟨A⁻¹, G_pos⟩ + c²/w: the delay term falls as 1/delay_scale
+    # toward the floor and, being positive, never takes PEB below it
     tables = position_tables(_scenario(orientation_deg, seed))
     for protocol in PROTOCOLS:
         for initiator in INITIATORS:
             bwd = LINKS[initiator][1]
-            floor = tables.factors["clp" if protocol == "clp" else bwd].pos[0]
+            floor = tables.factors["clp" if protocol == "clp" else bwd].pos
             base = protocol_bounds(tables, protocol, initiator)
             excess = base.peb**2 / floor - 1.0
             for scale in (1e6, 1e9):
@@ -200,21 +216,50 @@ def test_peb_tends_to_the_angle_limited_floor(orientation_deg, seed):
 def test_delay_enters_peb_only_as_c2_over_w_and_oeb_not_at_all(orientation_deg, seed):
     # The channel parameters fix p = c·τ·u(θ₁, φ₁), so the position columns
     # of M = J⁻¹ are (r·e_θ, r·sinθ₁·e_φ, 0, 0, c·u) and its orientation
-    # columns have no delay entry: g_pos = c², g_ori = 0, and the angle term
-    # of PEB² reads only the diagonal of the anchor block's inverse A₁⁻¹.
+    # columns have no delay entry: the delay term is 1/(w·|J_τ|²) = c²/w,
+    # OEB has none, and the angle term of PEB² reads only the diagonal of
+    # the anchor block's inverse A₁⁻¹.
     scn = _scenario(orientation_deg, seed)
     tables = position_tables(scn)
     c2 = scn.signal.c**2
+    j_tau = tables.jacobian[:, 4]
+    np.testing.assert_allclose(np.einsum("in,in->n", j_tau, j_tau) * c2, 1.0,
+                               rtol=1e-13, atol=0.0)
+    m_tau = np.linalg.inv(tables.jacobian.transpose(2, 0, 1))[:, 4]
+    assert np.all(np.square(m_tau[:, :2]).sum(axis=1) <= 1e-20 * c2)
     p = tables.positions
     r2 = np.einsum("ij,ij->i", p, p)
     r2_sin2 = p[:, 0] ** 2 + p[:, 1] ** 2
     for key, f in tables.factors.items():
-        np.testing.assert_allclose(f.pos[1], c2, rtol=1e-13, atol=0.0, err_msg=key)
-        assert np.all(np.abs(f.ori[1]) <= 1e-20 * f.pos[1]), key
-        np.testing.assert_allclose(f.trace[1] * c2, 1.0, rtol=1e-13, atol=0.0, err_msg=key)
         a_inv = np.linalg.inv(np.moveaxis(f.angle[0], -1, 0))
         angle_term = r2 * a_inv[:, 0, 0] + r2_sin2 * a_inv[:, 1, 1]
-        np.testing.assert_allclose(f.pos[0], angle_term, rtol=1e-11, atol=0.0, err_msg=key)
+        np.testing.assert_allclose(f.pos, angle_term, rtol=1e-11, atol=0.0, err_msg=key)
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.5])
+@pytest.mark.parametrize("orientation_deg", [(0.0, 0.0), (30.0, 30.0)], ids=["0", "30-30"])
+def test_scaling_the_range_scales_each_term_exactly(orientation_deg, scale):
+    # The path gain β ∝ 1/r scales A and w by 1/s² when the region and its
+    # positions scale by s, while G_pos = diag(r², r²·sin²θ₁) scales by s²
+    # and the orientation columns of M not at all: ⟨A₁⁻¹, G_pos⟩ scales by
+    # s⁴, c²/w by s² and OEB by s. A power of two scales each float exactly.
+    scn = _scenario(orientation_deg, 1)
+    far = dataclasses.replace(scn, region=Region(scale * scn.region.vertices))
+    base, scaled = position_tables(scn), position_tables(far)
+    np.testing.assert_array_equal(scaled.positions, scale * base.positions)
+    for key, f in base.factors.items():
+        np.testing.assert_array_equal(scaled.factors[key].pos, scale**4 * f.pos, err_msg=key)
+    c2 = scn.signal.c**2
+    for protocol in PROTOCOLS:
+        for initiator, (fwd, bwd) in LINKS.items():
+            w_base, w_scaled = (delay_weight(protocol, t.delay_info[fwd], t.delay_info[bwd])
+                                for t in (base, scaled))
+            np.testing.assert_array_equal(c2 / w_scaled, scale**2 * (c2 / w_base))
+            b = protocol_bounds(base, protocol, initiator)
+            s = protocol_bounds(scaled, protocol, initiator)
+            np.testing.assert_array_equal(s.identifiable, b.identifiable)
+            assert b.identifiable.any(), (protocol, initiator)
+            np.testing.assert_array_equal(s.oeb, scale * b.oeb)
 
 
 @pytest.mark.parametrize("orientation_deg", [(0.0, 0.0), (30.0, 30.0)], ids=["0", "30-30"])
@@ -229,7 +274,7 @@ def test_cholesky_contraction_matches_a_dense_inverse(orientation_deg):
         a = np.zeros((f.angle.shape[-1], 4, 4))
         a[:, :2, :2], a[:, 2:, 2:] = np.moveaxis(f.angle, -1, 1)
         a_inv = np.linalg.inv(a)
-        for got, columns in ((f.pos[0], slice(2, 5)), (f.ori[0], slice(0, 2))):
+        for got, columns in ((f.pos, slice(2, 5)), (f.ori, slice(0, 2))):
             rows = m[:, :4, columns]
             dense = np.einsum("nab,nac,nbc->n", a_inv, rows, rows)
             np.testing.assert_allclose(got, dense, rtol=1e-12, atol=0.0, err_msg=key)

@@ -164,6 +164,11 @@ def test_cholesky_factors_flag_each_bad_angle_efim_alone(monkeypatch):
     weight = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1e-27])
     jacobian = np.eye(5) + 0.1 * rng.standard_normal((5, 5))
     jacobian[:2, (0, 1, 4)] = 0.0
+    # as in every pose's J, C = J[2:5, (0, 1, 4)] has orthogonal columns
+    # and the terminal-angle columns P = J[2:5, 2:4] none along the delay's
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    jacobian[2:, (0, 1, 4)] = q * rng.uniform(0.8, 1.2, 3)
+    jacobian[2:, 2:4] -= np.outer(q[:, 2], q[:, 2] @ jacobian[2:, 2:4])
     jacobian = np.broadcast_to(jacobian[..., None], (5, 5, 6))
     grams = pose_grams(jacobian)
     for name in ("inv", "solve", "cholesky"):
@@ -220,9 +225,10 @@ def test_doubt_poses_get_their_own_dense_test_at_every_delay_scale(monkeypatch):
     np.testing.assert_array_equal(ok, (rank == 5) & (condition <= 1e12))
     assert ok.shape == peb.shape == oeb.shape == weight.shape
     assert np.isinf(peb[~ok]).all() and np.isfinite(peb[ok]).all()
-    pos2 = factors.pos[0] + factors.pos[1] / weight
-    ori2 = factors.ori[0] + factors.ori[1] / weight
-    trace = factors.trace[0] + weight * factors.trace[1]
+    range_info = weight * np.einsum("in,in->n", jac[2:, 4], jac[2:, 4])
+    pos2 = factors.pos + 1.0 / range_info
+    ori2 = factors.ori
+    trace = factors.trace + range_info
     doubt = ~(trace * (pos2 + ori2) <= _CERTIFIED_PRODUCT)
     assert (~doubt).any() and ok[doubt].any() and not ok[doubt].all()
     (gathered,) = seen
@@ -248,8 +254,8 @@ def test_block_inverse_isolates_a_singular_jacobian_without_lapack(monkeypatch):
     monkeypatch.undo()
 
     def terms(grams, i):
-        (blocks, delay), (f1, f2, g_pos, g_ori) = grams
-        return [blocks[..., i], delay[i], f1[..., i], f2[..., i], g_pos[i], g_ori[i]]
+        blocks, (f1, f2) = grams
+        return [blocks[..., i], f1[..., i], f2[..., i]]
 
     grams = pose_grams(jacobian)
     for i in range(len(positions)):

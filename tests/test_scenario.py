@@ -32,7 +32,7 @@ def quick_result(quick_scenario):
 
 def test_region_default_is_diamond():
     region = Region()
-    np.testing.assert_allclose(region.centroid, [0.0, 25.0, -10.0], atol=1e-12)
+    np.testing.assert_allclose(region.vertices.mean(axis=0), [0.0, 25.0, -10.0], atol=1e-12)
     assert region.contains(np.array([[0.0, 25.0, -10.0]]))[0]
     assert not region.contains(np.array([[40.0, 45.0, -10.0]]))[0]
     assert not region.contains(np.array([[0.0, 25.0, -9.0]]))[0]
@@ -202,7 +202,7 @@ def test_position_tables_carry_the_positions_last(quick_scenario):
         assert tables.delay_info[link].shape == (n,)
     for key, factors in tables.factors.items():
         assert factors.angle.shape == (2, 2, 2, n), key
-        assert factors.pos.shape == factors.ori.shape == factors.trace.shape == (2, n), key
+        assert factors.pos.shape == factors.ori.shape == factors.trace.shape == (n,), key
 
 
 def test_angle_efim_is_a_view_of_the_link_factors(quick_scenario):
@@ -236,8 +236,8 @@ def test_chunked_tables_equal_one_chunk(monkeypatch, chunk):
     exactly singular Jacobian (a horizontal link along the terminal's x
     axis), so its block inverse divides by det B = 0 for that position
     alone, and its angle EFIMs are singular too: its angle term is not
-    finite, while its delay term, which reads only C⁻¹, is c². It must be
-    the only unidentifiable position.
+    finite, while its delay term, which reads only J's delay column, is
+    c²/w. It must be the only unidentifiable position.
     """
     scn = Scenario.reference_defaults()
     chunk = _chunk_width(monkeypatch, chunk)
@@ -259,15 +259,27 @@ def test_chunked_tables_equal_one_chunk(monkeypatch, chunk):
     np.testing.assert_array_equal(snr, one_pass.snr_db)
     assert chunked.quantile_rows == whole.quantile_rows
     assert chunked_bw == whole_bw
-    singular = one_pass.factors["clp"].pos[:, chunk + 5]
-    assert not np.isfinite(singular[0])
-    assert singular[1] == pytest.approx(scn.signal.c**2, rel=1e-13)
+    assert not np.isfinite(one_pass.factors["clp"].pos[chunk + 5])
+    j_tau = one_pass.jacobian[:, 4, chunk + 5]
+    assert (j_tau @ j_tau) * scn.signal.c**2 == pytest.approx(1.0, rel=1e-13)
     for pair, a in chunked.bounds.items():
         b = whole.bounds[pair]
         np.testing.assert_array_equal(a.identifiable, b.identifiable)
         np.testing.assert_array_equal(a.peb, b.peb)
         np.testing.assert_array_equal(a.oeb, b.oeb)
         assert np.flatnonzero(~a.identifiable).tolist() == [chunk + 5], pair
+
+
+def test_positions_near_the_nadir_read_unidentifiable():
+    # 1e-7 m off the anchor's nadir, sinθ₁ = 1e-8: the angles are defined,
+    # but the azimuths are all but unobservable, so every pair reads inf
+    # rows where the link geometry used to raise `DegenerateGeometryError`
+    tables = position_tables(Scenario.reference_defaults(), np.array([[0.0, 1e-7, -10.0]]))
+    for protocol in ("owl", "rlp", "clp"):
+        for initiator in ("bs", "ue"):
+            b = protocol_bounds(tables, protocol, initiator)
+            assert b.identifiable.tolist() == [False], (protocol, initiator)
+            assert b.peb[0] == b.oeb[0] == math.inf, (protocol, initiator)
 
 
 @pytest.mark.parametrize("chunk", [37, None], ids=["odd", "module"])
