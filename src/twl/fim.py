@@ -1,25 +1,20 @@
-"""Channel-parameter Fisher information and equivalent FIMs.
+"""Channel-parameter Fisher information and its gain elimination.
 
 The channel FIM is 7x7 over (theta1, phi1, theta2, phi2, beta, psi, tau).
-Every nonzero entry is a product of two real beam-space quadratic forms:
-one through the transmit matrix F of the transmitting device, one through
-the projector onto the receive beam space of the receiving device.
-`_FORMS` states that rule once: it names the two forms behind each
-parameter's derivative, and `fim_from_forms` fills the angle and gain
-block from it. The psi and tau rows carry no cross-coupling,
-because the forms are real: that holds for every array
-`geometry.ArrayGeometry` builds, each centred on its device. So the delay
-information is the bare (tau, tau) entry and the angle block decouples
-from everything except the gain amplitude beta; once beta is eliminated,
-the anchor and terminal angle pairs decouple too (`angle_efim`).
-
-`fim_from_forms` and `angle_efim` are batched over trailing axes, matrix
-axes first and positions last, and are what the position pipeline runs;
-`channel_fim` is the n = 1 view of the first. It returns the (7, 7) array,
-which `angle_efim` and `delay_info` read, and takes its beam-space forms
-from the pipeline's kernel (`kernels.steering_forms`) at one direction per
-device. A link without illumination gives the all-zero FIM and non-finite
-angle EFIMs, which `protocols.invert_efim` flags as unidentifiable.
+Each nonzero entry is a product t·r of two real beam-space forms over
+(a, da/dtheta, da/dphi), t through the transmitting device's transmit
+matrix and r through the receiving device's receive projector, scaled by
+gamma·beta², gamma·beta or gamma as zero, one or two of its parameters are
+the gain beta. Centred arrays (`geometry.ArrayGeometry`) have real forms,
+so psi and tau couple to nothing. Eliminating beta cancels the cross entry
+gamma·beta²·t_K0·r_k0 of a transmitter angle K and a receiver angle k: a
+link's angle EFIM is two 2x2 blocks, the anchor's over (theta1, phi1) and
+the terminal's over (theta2, phi2). `fim_from_forms`, the pipeline's
+per-link stage, computes only the entries those blocks and the delay
+information read, batched with positions last. `channel_fim`, the paper's
+7x7 at one pose, holds the same floats, and `angle_efim` eliminates beta
+with the same helper, so views and pipeline agree bit for bit. A dark link
+gives non-finite angle EFIMs, which `protocols.invert_efim` flags.
 """
 
 import numpy as np
@@ -31,50 +26,63 @@ from .pose import ChannelGeometry
 
 DIRECTIONS = ("forward", "backward")
 
-# Indices of (a, da/dtheta, da/dphi) inside the 3x3 form tables.
-_A, _K, _P = 0, 1, 2
-# (transmit form, receive form) index of each parameter's derivative, in the
-# order receiver theta, phi, transmitter theta, phi, gain; `fim_from_forms`
-# places them by direction.
-_FORMS = ((_A, _K), (_A, _P), (_K, _A), (_P, _A), (_A, _A))
+
+def _link_entries(t_tx, r_rx, gamma, beta, weff2, direction):
+    """What the bounds read of one link's channel FIM, and ab = gamma·beta², batched.
+
+    Returns (blocks, coupling, gain, delay, ab) for forms (3, 3, ...) and
+    beta (...): the angle blocks ab·(t[1:, 1:]·r00) of the transmitter and
+    ab·(t00·r[1:, 1:]) of the receiver, anchor first; their couplings
+    gamma·beta·(t[1:, 0]·r00) and gamma·beta·(t00·r[1:, 0]); gamma·(t00·r00).
+    """
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    beta = np.asarray(beta, dtype=np.float64)
+    t00, r00 = t_tx[0, 0], r_rx[0, 0]
+    # A link budget beyond the float range gives inf prefactors here; the
+    # resulting non-finite EFIMs are flagged unidentifiable downstream.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ab, bb = gamma * beta**2, gamma * beta
+        tx = ab * (t_tx[1:, 1:] * r00), bb * (t_tx[1:, 0] * r00)
+        rx = ab * (t00 * r_rx[1:, 1:]), bb * (t00 * r_rx[1:, 0])
+        aa = t00 * r00
+        delay = 4.0 * np.pi**2 * weff2 * ab * aa
+    anchor, terminal = (rx, tx) if direction == "backward" else (tx, rx)
+    return (np.stack([anchor[0], terminal[0]]), np.stack([anchor[1], terminal[1]]),
+            gamma * aa, delay, ab)
+
+
+def _eliminate_gain(blocks, coupling, gain):
+    """Blocks (2, 2, 2, ...) less c·cᵀ/gain; a zero or non-finite gain gives non-finite rows."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        outer = coupling[:, :, None] * coupling[:, None, :]
+        outer /= gain
+        return np.subtract(blocks, outer, out=outer)
 
 
 def fim_from_forms(t_tx, r_rx, gamma, beta, weff2, direction):
-    """Assemble the 7x7 channel FIM from quadratic-form tables.
+    """One link's angle EFIM and delay information from its two devices' forms.
 
-    Broadcasts over trailing axes: ``t_tx``/``r_rx`` may be (3, 3, ...),
-    ``beta`` (...,), and the result is (7, 7, ...). Entry (i, j) of the
-    angle and gain block is pre·t_tx[tj, ti]·r_rx[ri, rj], with (ti, ri)
-    the `_FORMS` row of parameter i and pre gamma·beta², gamma·beta or gamma
-    as zero, one or two of i, j are the gain. The transmitting device's angle pair occupies the
-    pair-2 slots for a backward transmission and the pair-1 slots otherwise.
+    Forms (3, 3, ...) and beta (...) give (blocks, delay): the angle EFIM
+    (2, 2, 2, ...), anchor block first, and the delay information (...),
+    bit for bit as `angle_efim` and `delay_info` read `_channel_matrix`.
     """
-    t_tx, r_rx = np.asarray(t_tx), np.asarray(r_rx)
-    beta = np.asarray(beta, dtype=np.float64)
-    shape = np.broadcast_shapes(t_tx.shape[2:], beta.shape)
-    if direction == "backward":
-        slots = (0, 1, 2, 3, 4)
-    elif direction == "forward":
-        slots = (2, 3, 0, 1, 4)
-    else:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    blocks, coupling, gain, delay, _ = _link_entries(t_tx, r_rx, gamma, beta, weff2, direction)
+    return _eliminate_gain(blocks, coupling, gain), delay
 
-    # A link budget beyond the float range gives inf prefactors here; the
-    # resulting non-finite EFIMs are flagged unidentifiable downstream.
-    with np.errstate(over="ignore"):
-        ab = gamma * beta**2  # angle/phase/delay prefactor
-        bb = gamma * beta  # beta-coupling prefactor
-    pre = (ab, bb, gamma)
-    jm = np.zeros((7, 7) + shape)
-    for a, (ta, ra) in enumerate(_FORMS):
-        for b in range(a, len(_FORMS)):
-            tb, rb = _FORMS[b]
-            value = jm[slots[a], slots[b], ...]
-            np.multiply(pre[(a == 4) + (b == 4)], t_tx[tb, ta] * r_rx[ra, rb], out=value)
-            jm[slots[b], slots[a]] = value
-    aa = t_tx[_A, _A] * r_rx[_A, _A]
-    jm[5, 5] = ab * aa
-    jm[6, 6] = 4.0 * np.pi**2 * weff2 * ab * aa
+
+def _channel_matrix(t_tx, r_rx, gamma, beta, weff2, direction):
+    """The 7x7 channel FIM (7, 7, ...) of `fim_from_forms`' arguments."""
+    blocks, coupling, gain, delay, ab = _link_entries(t_tx, r_rx, gamma, beta, weff2, direction)
+    jm = np.zeros((7, 7) + blocks.shape[3:])
+    jm[:2, :2], jm[2:4, 2:4] = blocks
+    jm[:4, 4] = jm[4, :4] = coupling.reshape(jm[:4, 4].shape)
+    jm[4, 4], jm[6, 6] = gain, delay
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = ab * (t_tx[1:, 0, None] * r_rx[None, 1:, 0])  # (transmitter, receiver)
+        jm[5, 5] = ab * (t_tx[0, 0] * r_rx[0, 0])
+    jm[:2, 2:4] = cross if direction == "forward" else np.swapaxes(cross, 0, 1)
+    jm[2:4, :2] = np.swapaxes(jm[:2, 2:4], 0, 1)
     return jm
 
 
@@ -90,11 +98,10 @@ def channel_fim(
     """Closed-form 7x7 channel FIM of one transmission direction.
 
     The transmitter is the pair-1 device for "forward" and the pair-2 device
-    for "backward"; geometries and codebooks are passed for the actual
-    transmitter/receiver of that transmission. ``tx_beams`` must be a
-    transmit and ``rx_beams`` a receive `directional_beams` codebook: the
-    forms come from their directions through `kernels.steering_forms`, the
-    position pipeline's kernel, at one direction per device.
+    for "backward"; geometries and codebooks are those of the transmission's
+    transmitter and receiver, a transmit and a receive `directional_beams`
+    codebook. The forms come from `kernels.steering_forms` at one direction
+    per device.
     """
     if not cg.beta > 0:
         raise ValueError(f"beta must be positive, got {cg.beta!r}")
@@ -107,28 +114,20 @@ def channel_fim(
     _, r_forms = steering_forms(rx_geom, codebook_tables(rx_geom, rx_beams),
                                 [rx_angles[0]], [rx_angles[1]])
     gamma = sig.gamma(tx_geom.n_elements, rx_geom.n_elements)
-    return fim_from_forms(t_forms[..., 0], r_forms[..., 0], gamma, cg.beta, sig.weff2, direction)
+    return _channel_matrix(t_forms[..., 0], r_forms[..., 0], gamma, cg.beta, sig.weff2, direction)
 
 
 def angle_efim(jm: np.ndarray) -> np.ndarray:
-    """Angle EFIMs after eliminating the gain amplitude, as 2x2 blocks, batched.
+    """Angle EFIMs of channel FIMs (7, 7, ...) as 2x2 blocks (2, 2, 2, ...), batched.
 
-    Maps channel FIMs (7, 7, ...) as `fim_from_forms` builds them to
-    (2, 2, 2, ...): the anchor block over (theta1, phi1), then the terminal
-    one over (theta2, phi2). psi and tau are decoupled, so the only Schur
-    correction is the rank-one beta term, and it cancels the cross block:
-    with k a receiver and K a transmitter angle, gamma·beta²·t_K0·r_k0 =
-    (gamma·beta·t00·r_k0)·(gamma·beta·t_K0·r00) / (gamma·t00·r00). A zero or
-    non-finite beta entry yields non-finite rows instead of a warning.
+    The anchor block over (theta1, phi1), then the terminal one over
+    (theta2, phi2): the rank-one beta correction cancels the cross block,
+    which is therefore never read.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        coupling = jm[:4, 4].reshape((2, 2) + jm.shape[2:])  # (block, angle, ...)
-        outer = coupling[:, :, None] * coupling[:, None, :]
-        outer /= jm[4, 4]
-        return np.subtract(np.stack([jm[:2, :2], jm[2:4, 2:4]]), outer, out=outer)
+    coupling = jm[:4, 4].reshape((2, 2) + jm.shape[2:])  # (block, angle, ...)
+    return _eliminate_gain(np.stack([jm[:2, :2], jm[2:4, 2:4]]), coupling, jm[4, 4])
 
 
 def delay_info(jm: np.ndarray) -> float:
     """Delay information of a 7x7 channel FIM: its (tau, tau) entry, decoupled."""
     return float(jm[6, 6])
-

@@ -22,12 +22,12 @@ import numpy as np
 
 from .geometry import SPEED_OF_LIGHT
 
-# Smallest sin(theta) of a link direction with a defined azimuth.
+# Smallest sin(theta1) of an anchor-frame link direction with a defined azimuth.
 _SIN_FLOOR = 1e-12
 
 
 class DegenerateGeometryError(ValueError):
-    """Pose at an angle-coordinate singularity (link along a frame z-axis)."""
+    """Pose at an angle-coordinate singularity (link along the anchor's z-axis)."""
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,12 @@ def rotation_matrix(zeta0: float, chi0: float) -> np.ndarray:
 def _spherical_batch(v: np.ndarray):
     """Polar/azimuth angles of unit vectors, batched over the leading axis.
 
-    Returns (theta, phi, sin_theta). Raises on polar singularities. sinθ is
-    the norm of (v_x, v_y) and θ its arctan2 with v_z, so both keep their
-    relative accuracy near a pole, where arccos(v_z) and √(1 − v_z²) do not.
+    Returns (theta, phi, sin_theta). sinθ is the norm of (v_x, v_y) and θ
+    its arctan2 with v_z, so both keep their relative accuracy near a pole,
+    where arccos(v_z) and √(1 − v_z²) do not.
     """
     sin_theta = np.hypot(v[..., 0], v[..., 1])
     theta = np.arctan2(sin_theta, v[..., 2])
-    if np.any(sin_theta < _SIN_FLOOR):
-        raise DegenerateGeometryError(
-            "link direction aligned with a frame z-axis; azimuth undefined"
-        )
     phi = np.arctan2(v[..., 1], v[..., 0])
     return theta, phi, sin_theta
 
@@ -99,13 +95,16 @@ def _link_angles_batch(positions: np.ndarray, rot: np.ndarray):
 
     Returns:
         dict with r, u (unit anchor->terminal), q (unit terminal->anchor in
-        the local frame), rot, theta1/phi1/sin1, theta2/phi2/sin2.
+        the local frame), rot, theta1/phi1/sin1, theta2/phi2/sin2. Raises
+        `DegenerateGeometryError` for a link along the anchor's z-axis.
     """
     r = np.linalg.norm(positions, axis=-1)
     if np.any(r == 0.0):
         raise ValueError("position must not coincide with the anchor")
     u = positions / r[..., None]
     theta1, phi1, sin1 = _spherical_batch(u)
+    if np.any(sin1 < _SIN_FLOOR):
+        raise DegenerateGeometryError("link along the anchor's z-axis; azimuth undefined")
     q = -(u @ rot)  # rows are rot^T @ (-u)
     theta2, phi2, sin2 = _spherical_batch(q)
     return {
@@ -130,13 +129,14 @@ def channel_geometry(ue: Pose, wavelength: float, c: float = SPEED_OF_LIGHT) -> 
     )
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _jacobian_batch(g: dict, c: float) -> np.ndarray:
     """Location-to-channel Jacobians for a batch of positions, shape (5, 5, n).
 
     ``g`` is the `_link_angles_batch` geometry of the positions, whose
     ``rot`` fixes the orientation. Rows (zeta0, chi0, px, py, pz); columns
-    (theta1, phi1, theta2, phi2, tau). All partials are exact derivatives of
-    the channel-geometry map.
+    (theta1, phi1, theta2, phi2, tau): exact partials of the channel-geometry
+    map, not finite for theta2 and phi2 where sin2 = 0 (unidentifiable poses).
     """
     r, rot, sin1, sin2 = g["r"], g["rot"], g["sin1"], g["sin2"]
     u, q = g["u"].T, g["q"].T  # (3, n) views

@@ -3,8 +3,8 @@
 The 5x5 localization EFIM over (zeta0, chi0, px, py, pz) is E = J·D·Jᵀ with
 J the square location-to-channel Jacobian and D = blkdiag(A₁, A₂, w): the
 anchor block A₁ over (theta1, phi1) and terminal block A₂ over (theta2,
-phi2) of an angle EFIM A (`fim.angle_efim`), and a delay weight w. The
-protocol decides A and w:
+phi2) of an angle EFIM A (`fim.fim_from_forms`, or `fim.angle_efim` of a
+7x7), and a delay weight w. The protocol decides A and w:
 
   * owl: one-way, perfectly synchronized; A is the backward angle EFIM and
     w the backward delay information alone.
@@ -102,7 +102,9 @@ def delay_weight(kind: str, j_tau_f, j_tau_b) -> np.ndarray:
     if kind == "owl":
         return j_tau_b
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return 4.0 / (1.0 / j_tau_f + 1.0 / j_tau_b)
+        w = 1.0 / j_tau_f
+        w += 1.0 / j_tau_b
+        return 4.0 / w
 
 
 def localization_efim(jacobian, angle, weight):
@@ -230,16 +232,19 @@ def invert_efim(weight, jacobian, factors: EfimFactors):
     factors do not give as a positive number, carry infinite bounds.
     """
     weight = np.asarray(weight, dtype=np.float64)
-    # Non-finite factors give NaN or inf here; every such pose fails both
-    # the certificate and the positivity test below.
+    # Non-finite factors give NaN or inf; such poses fail both tests below.
+    # In place, a call holds at most four arrays of the weights' shape.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # w·|J_τ|² = w/c²: the information on the range itself
         range_info = weight * np.einsum("i...,i...->...", jacobian[2:, 4], jacobian[2:, 4])
-        pos2 = factors.pos + 1.0 / range_info
+        pos2 = np.divide(1.0, range_info)
+        pos2 += factors.pos
         ori2 = factors.ori
-        trace = factors.trace + range_info
+        trace = np.add(range_info, factors.trace, out=range_info)
         positive = (pos2 > 0.0) & (pos2 < np.inf) & (ori2 > 0.0) & (ori2 < np.inf)
-        ok = positive & (trace * (pos2 + ori2) <= _CERTIFIED_PRODUCT)
+        certificate = np.multiply(trace, pos2 + ori2, out=trace)
+        ok = positive & (certificate <= _CERTIFIED_PRODUCT)
+        del range_info, trace, certificate
     doubt = ~ok
     if doubt.any():
         def at_doubt(x, core=2):  # the doubt poses' entries, (k, ...), matrix axes last
@@ -250,9 +255,8 @@ def invert_efim(weight, jacobian, factors: EfimFactors):
                                  at_doubt(weight, 0))
         rank, condition = rank_and_condition(efim)
         ok[doubt] = (rank == 5) & (condition <= _MAX_CONDITION) & positive[doubt]
-    peb = np.sqrt(np.where(ok, pos2, np.inf))
-    oeb = np.sqrt(np.where(ok, ori2, np.inf))
-    return peb, oeb, ok
+    peb, oeb = np.where(ok, pos2, np.inf), np.where(ok, ori2, np.inf)
+    return np.sqrt(peb, out=peb), np.sqrt(oeb, out=oeb), ok
 
 
 def assemble(

@@ -10,16 +10,17 @@ Every subcommand streams its positions through one pipeline, `_stream`, in
 chunks of 4096 (`_CHUNK`). Each chunk runs the pose stage once: the link
 geometry and Jacobian (`twl.pose`), then J⁻¹'s factors by blocks
 (`twl.protocols.pose_grams`). Then, for each variant of the scenario, it
-runs each device's beam-space forms (`twl.kernels`), the channel FIM and its
-gain elimination (`twl.fim`), and the factored form of each distinct
-protocol EFIM from the pose's factors: a closed-form Cholesky factor of
-each 2x2 angle-EFIM block per position, for each link and for their sum
-(`twl.protocols.efim_factors`). Every per-position array but the positions
-carries its matrix axes first and the positions last. The callers run
-`protocol_bounds` on each chunk's tables and keep only what they report:
-`run_cdf` the SNR and each pair's bounds, the sweeps each cell's PEB. No
-Jacobian, angle EFIM or channel FIM outlives its chunk, so the memory a call
-needs beyond its results does not grow with the number of positions.
+runs each device's beam-space forms (`twl.kernels`), each link's angle
+EFIM and delay information from its two devices' forms, with no 7x7
+channel FIM (`twl.fim.fim_from_forms`), and the factored form of each
+distinct protocol EFIM from the pose's factors: a closed-form Cholesky
+factor of each 2x2 angle-EFIM block per position, for each link and for
+their sum (`twl.protocols.efim_factors`). Every per-position array but the
+positions carries its matrix axes first and the positions last. The
+callers run `protocol_bounds` on each chunk's tables and keep only what
+they report: `run_cdf` the SNR and each pair's bounds, the sweeps each
+cell's PEB. No Jacobian or angle EFIM outlives its chunk, so the memory a
+call needs beyond its results does not grow with the number of positions.
 
 Variants differ only in their arrays. `sweep_antennas` has one per
 antenna count: it resizes the swept device's own array, keeping its
@@ -55,7 +56,7 @@ from .beamforming import (
     reverse_direction,
     sector_beam_grid,
 )
-from .fim import angle_efim, fim_from_forms
+from .fim import fim_from_forms
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry
 from .kernels import DeviceTables, codebook_tables, steering_forms
 from .pose import _jacobian_batch, _link_angles_batch, rotation_matrix
@@ -406,9 +407,9 @@ def _link_tables(scenario: Scenario, positions, geo: dict, jac, grams, forms: di
     """`PositionTables` of one chunk of positions under one scenario.
 
     ``grams`` are the `pose_grams` of ``jac``; ``forms`` maps "bs" and "ue"
-    to that device's `steering_forms`. The delay information is keyed by
-    link, in `_LINKS` order, and copied out of the chunk's channel FIMs, so
-    that it does not keep them alive.
+    to that device's `steering_forms`. Each link's angle EFIM and delay
+    information come from its two devices' forms (`fim.fim_from_forms`),
+    keyed by link in `_LINKS` order.
     """
     (t_bs, r_bs), (t_ue, r_ue) = forms["bs"], forms["ue"]
     beta = scenario.signal.wavelength / (4.0 * np.pi * geo["r"])
@@ -422,19 +423,14 @@ def _link_tables(scenario: Scenario, positions, geo: dict, jac, grams, forms: di
     with np.errstate(over="ignore", divide="ignore"):
         snr = 10.0 * np.log10(gamma * beta**2 * t_ue[0, 0] * t_bs[0, 0])
 
-    angle, delay = {}, {}
-    for link, (t_tx, r_rx, direction) in {
-        "bs_to_ue": (t_bs, r_ue, "forward"),
-        "ue_to_bs": (t_ue, r_bs, "backward"),
-    }.items():
-        jm = fim_from_forms(t_tx, r_rx, gamma, beta, scenario.signal.weff2, direction)
-        angle[link] = angle_efim(jm)
-        delay[link] = jm[6, 6].copy()
-    del jm  # so that the factors' transients do not add to a channel FIM
-    both = angle["bs_to_ue"] + angle["ue_to_bs"]
-    factors = {key: efim_factors(grams, a) for key, a in (*angle.items(), ("clp", both))}
+    weff2 = scenario.signal.weff2
+    down, w_down = fim_from_forms(t_bs, r_ue, gamma, beta, weff2, "forward")
+    up, w_up = fim_from_forms(t_ue, r_bs, gamma, beta, weff2, "backward")
+    angle = {"bs_to_ue": down, "ue_to_bs": up, "clp": down + up}
     return PositionTables(
-        positions=positions, snr_db=snr, jacobian=jac, delay_info=delay, factors=factors,
+        positions=positions, snr_db=snr, jacobian=jac,
+        delay_info={"bs_to_ue": w_down, "ue_to_bs": w_up},
+        factors={key: efim_factors(grams, a) for key, a in angle.items()},
     )
 
 

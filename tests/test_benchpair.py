@@ -62,6 +62,19 @@ def test_summary_resolves_only_a_gain_wider_than_the_base_spread():
     assert summary["pairs_won_by_B"] == 8 and summary["resolved"] is False
 
 
+def test_summary_bootstraps_the_median_ratio_deterministically():
+    bp = _benchpair()
+    base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    steady = bp.summarize(_calls(bp, {"A": base, "B": [0.9 * a for a in base]}))
+    assert steady["median_ratio_ci95"] == pytest.approx([0.9, 0.9])
+    spread = [0.85, 0.95, 0.80, 1.10, 0.90, 0.86, 1.05, 0.88, 0.92, 0.83]
+    calls = _calls(bp, {"A": base, "B": spread})
+    summary = bp.summarize(calls)
+    low, high = summary["median_ratio_ci95"]
+    assert min(summary["ratios"]) <= low < summary["median_ratio"] < high <= max(summary["ratios"])
+    assert bp.summarize(calls)["median_ratio_ci95"] == [low, high]
+
+
 def test_faults_name_extra_failures_and_every_check_problem():
     bp = _benchpair()
     calls = [{"tree": "A", "failed": 1, "problems": []},

@@ -10,10 +10,14 @@ expected. The position pipeline's chunk is set to 7 positions, so most
 runs cross chunk boundaries, and the singular and overflowing cases meet
 them per chunk.
 `point_m` is drawn as the off-nadir default [0, 25, -10] alone: at the
-anchor's nadir, [0, 0, -10], the link angles are degenerate and `point`
-still ends in a traceback, which only a change of the angle coordinates
-can mend. One `@example` puts `point_m` on the anchor itself, a config
-error.
+anchor's nadir, [0, 0, -10], the anchor-frame link angles are degenerate
+and `point` still ends in a traceback, which only a change of the angle
+coordinates can mend. One `@example` puts `point_m` on the anchor itself,
+a config error. Two put the link on the terminal's own z-axis, where its
+angles are degenerate too but only its bounds are lost: the default point
+under a tilt that turns the terminal's z-axis to the anchor, which leaves
+sinθ₂ at 3e-17, and a point where it is exactly 0. Both end in `inf` rows
+and exit 3.
 """
 
 import math
@@ -122,6 +126,17 @@ SINGULAR = [
 ]
 
 
+#: the link along the terminal's z-axis: to rounding, and exactly
+_EXACT_POLE_Z = -6.123233995736766e-16  # -10·cos(90°): q = (0, 0, 1) at [0, 10, z]
+TERMINAL_POLE = [
+    {"n_positions": 20, "orientation_deg": [0.0, 68.19859051364818]},
+    {"n_positions": 20, "orientation_deg": [0.0, 90.0], "beam_grid": "sector",
+     "point_m": [0.0, 10.0, _EXACT_POLE_Z],
+     "region_vertices_m": [[-5.0, 5.0, _EXACT_POLE_Z], [5.0, 5.0, _EXACT_POLE_Z],
+                           [5.0, 15.0, _EXACT_POLE_Z], [-5.0, 15.0, _EXACT_POLE_Z]]},
+]
+
+
 def test_every_key_has_a_strategy():
     assert set(VALUES) == set(_CONFIG_SPEC)
 
@@ -153,6 +168,8 @@ def _run(tmp_path, subcommand, config):
 @example(config=SINGULAR[1])
 @example(config=SINGULAR[2])
 @example(config=SINGULAR[3])
+@example(config=TERMINAL_POLE[0])
+@example(config=TERMINAL_POLE[1])
 @example(config={"n_positions": True})
 @example(config={"n_beams": True})
 def test_batch_subcommands_end_in_rows_or_an_exit_code(tmp_path_factory, subcommand, config):

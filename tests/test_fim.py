@@ -68,17 +68,36 @@ def test_channel_fim_positive_semidefinite(rng):
 
 def test_backward_fim_is_the_forward_one_with_the_pairs_swapped(rng):
     """The direction only places the two angle pairs, bit for bit."""
-    from twl.fim import fim_from_forms
+    from twl.fim import _channel_matrix
 
     def symmetric(n):
         x = rng.standard_normal((3, 3, n))
         return x + np.swapaxes(x, 0, 1)
 
     t, r, beta = symmetric(16), symmetric(16), rng.uniform(0.1, 2.0, 16)
-    forward = fim_from_forms(t, r, 3.0, beta, 5.0, "forward")
-    backward = fim_from_forms(t, r, 3.0, beta, 5.0, "backward")
+    forward = _channel_matrix(t, r, 3.0, beta, 5.0, "forward")
+    backward = _channel_matrix(t, r, 3.0, beta, 5.0, "backward")
     swap = [2, 3, 0, 1, 4, 5, 6]
     np.testing.assert_array_equal(backward[swap][:, swap], forward)
+
+
+def test_link_reduction_is_the_channel_matrix_read_by_the_views(rng):
+    """`fim_from_forms` gives `angle_efim` and `delay_info` of the 7x7, bit for bit."""
+    from twl.fim import _channel_matrix, fim_from_forms
+
+    def symmetric(n):
+        x = rng.standard_normal((3, 3, n))
+        return x + np.swapaxes(x, 0, 1)
+
+    for direction in ("forward", "backward"):
+        t, r, beta = symmetric(16), symmetric(16), rng.uniform(0.1, 2.0, 16)
+        blocks, delay = fim_from_forms(t, r, 3.0, beta, 5.0, direction)
+        jm = _channel_matrix(t, r, 3.0, beta, 5.0, direction)
+        assert blocks.shape == (2, 2, 2, 16) and delay.shape == (16,)
+        np.testing.assert_array_equal(blocks, angle_efim(jm))
+        np.testing.assert_array_equal(delay, jm[6, 6])
+        for i in range(16):
+            assert delay[i] == delay_info(jm[..., i])
 
 
 def test_channel_fim_rejects_an_unknown_direction(rng):
@@ -89,12 +108,12 @@ def test_channel_fim_rejects_an_unknown_direction(rng):
 
 def test_delay_entry_plugin_value(ura12, rng):
     # unit gamma/beta/gains: delay entry is 4 pi^2 Weff^2 = 4 pi^2 W^2 / 3
-    from twl.fim import fim_from_forms
+    from twl.fim import _channel_matrix
 
     forms = np.zeros((3, 3))
     forms[0, 0] = 1.0
-    jm = fim_from_forms(forms, forms, gamma=1.0, beta=1.0,
-                        weff2=125e6**2 / 3.0, direction="backward")
+    jm = _channel_matrix(forms, forms, gamma=1.0, beta=1.0,
+                         weff2=125e6**2 / 3.0, direction="backward")
     assert abs(jm[6, 6] - 2.0562e17) < 1e13
     assert jm[6, 6] == pytest.approx(4 * np.pi**2 * 125e6**2 / 3.0, rel=1e-12)
 
@@ -181,7 +200,7 @@ def test_repeated_transmit_direction_is_valid(rng):
         (steering_bundle(tx_geom, *tx_angles), steering_bundle(rx_geom, *rx_angles)),
     )
     gamma = sig.gamma(tx_geom.n_elements, rx_geom.n_elements)
-    ref = twl.fim.fim_from_forms(t_ref.real, r_ref.real, gamma, cg.beta, sig.weff2, direction)
+    ref = twl.fim._channel_matrix(t_ref.real, r_ref.real, gamma, cg.beta, sig.weff2, direction)
     np.testing.assert_allclose(jm, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
@@ -225,14 +244,14 @@ def test_efim_singular_nuisance(rng):
 
 
 def test_angle_efim_matches_generic_schur(rng):
-    # on channel FIMs as `fim_from_forms` builds them, from any real
+    # on channel FIMs as `_channel_matrix` builds them, from any real
     # symmetric PSD forms, the gain elimination decouples the anchor and
     # terminal angle pairs: the two blocks are the whole Schur complement
-    from twl.fim import fim_from_forms
+    from twl.fim import _channel_matrix
 
     for direction in ("forward", "backward") * 5:
         t, r = (g @ g.T for g in rng.standard_normal((2, 3, 4)))
-        jm = fim_from_forms(t, r, 3.0, rng.uniform(0.1, 2.0), 5.0, direction)
+        jm = _channel_matrix(t, r, 3.0, rng.uniform(0.1, 2.0), 5.0, direction)
         fast = angle_efim(jm)
         generic = efim(jm[:5, :5], keep=[0, 1, 2, 3])
         scale = np.linalg.norm(generic)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import twl.scenario
 from oracles import efim
 from twl.beamforming import directional_beams, reverse_direction
-from twl.fim import channel_fim, fim_from_forms
+from twl.fim import _channel_matrix, channel_fim, fim_from_forms
 from twl.pose import Pose, channel_geometry, location_jacobian
 from twl.protocols import PROTOCOLS, assemble, delay_weight, efim_factors, pose_grams
 from twl.scenario import INITIATORS, Region, Scenario, position_tables, protocol_bounds
@@ -305,16 +305,41 @@ def test_peb_reads_only_the_anchor_block(orientation_deg, seed):
 
 @pytest.mark.parametrize("orientation_deg", [(0.0, 0.0), (30.0, 30.0)], ids=["0", "30-30"])
 def test_gain_elimination_decouples_the_angle_pairs(monkeypatch, orientation_deg):
-    # the generic Schur complement of each channel FIM of a pipeline chunk
-    # has no (theta1, phi1) x (theta2, phi2) block: `fim.angle_efim` forms
-    # only the two diagonal blocks and drops nothing
+    # the generic Schur complement of each channel FIM of a pipeline chunk,
+    # built from the forms the pipeline reduces, has no (theta1, phi1) x
+    # (theta2, phi2) block: the reduction forms only the two diagonal
+    # blocks and drops nothing
     seen = []
     monkeypatch.setattr(twl.scenario, "fim_from_forms",
-                        lambda *args: seen.append(fim_from_forms(*args)) or seen[-1])
+                        lambda *args: seen.append(args) or fim_from_forms(*args))
     position_tables(_scenario(orientation_deg, 1, n_samples=twl.scenario._CHUNK))
     assert len(seen) == 2
-    for jm in seen:
+    for args in seen:
+        jm = _channel_matrix(*args)
         for i in range(jm.shape[-1]):
             angle = efim(jm[:5, :5, i], keep=[0, 1, 2, 3])
             d = np.sqrt(np.diag(angle))
             assert np.abs(angle[:2, 2:] / np.outer(d[:2], d[2:])).max() <= 1e-13, i
+
+
+@pytest.mark.parametrize("orientation_deg", [(0.0, 0.0), (30.0, 30.0)], ids=["0", "30-30"])
+def test_each_angle_block_is_one_devices_schur_complement(monkeypatch, orientation_deg):
+    # per link, with ρ = γβ²·t₀₀·r₀₀ and S(q) = q[1:,1:] − q[1:,0]·q[0,1:]/q₀₀,
+    # the transmitter's block is ρ·S(t)/t₀₀, the receiver's ρ·S(r)/r₀₀ and
+    # the delay information 4π²·weff2·ρ. An off-diagonal entry can be 1e-6
+    # of its block's diagonal and carry the diagonal's rounding (2.5e-11
+    # relative to itself at 30°/30°), so entries are held to 1e-12 of
+    # themselves plus 1e-12 of their block's largest entry.
+    seen = []
+    monkeypatch.setattr(twl.scenario, "fim_from_forms",
+                        lambda *args: seen.append((args, fim_from_forms(*args))) or seen[-1][1])
+    position_tables(_scenario(orientation_deg, 1, n_samples=twl.scenario._CHUNK))
+    assert [args[-1] for args, _ in seen] == ["forward", "backward"]
+    for (t, r, gamma, beta, weff2, direction), (blocks, delay) in seen:
+        rho = gamma * beta**2 * t[0, 0] * r[0, 0]
+        tx, rx = (rho * (q[1:, 1:] - q[1:, 0, None] * q[None, 0, 1:] / q[0, 0]) / q[0, 0]
+                  for q in (t, r))
+        expected = np.stack([tx, rx] if direction == "forward" else [rx, tx])
+        scale = np.abs(expected).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(blocks - expected) <= 1e-12 * (np.abs(expected) + scale))
+        np.testing.assert_allclose(delay, 4.0 * np.pi**2 * weff2 * rho, rtol=1e-12)

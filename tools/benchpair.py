@@ -18,21 +18,23 @@ by ``workload.call_cli`` and checked by ``workload.Run.check_op``.
 The record goes to ``BENCH_<workload>.json`` at the root of the checkout
 (or ``--out``): the machine record, each tree's ``src`` digest, every
 call's time in order, the pairs, the median of the per-pair ratios B/A
-(over all pairs, and over those in which A or B ran first), the pairs B
-won, each tree's median and quartiles, and ``resolved``: whether B's gain
-meets the claim rule (B faster in at least nine tenths of the pairs, and
-the medians apart by more than A's interquartile distance). It exits 1, after
-writing the record, if tree B failed more operations than tree A or any
-check reported a problem, so that a record whose comparison does not count
-cannot pass unseen. (Every ``point`` round ends with a call at the anchor's
-nadir, which fails in both trees; equal counts are not a fault.) Running
-it with ``--base HEAD`` on a clean checkout times a tree against itself.
+(over all pairs, and over those in which A or B ran first) with a 95%
+percentile-bootstrap interval, the pairs B won, each tree's median and
+quartiles, and ``resolved``: whether B's gain meets the claim rule (B
+faster in at least nine tenths of the pairs, and the medians apart by more
+than A's interquartile distance). It exits 1, after writing the record,
+if tree B failed more operations than tree A or any check reported a
+problem, so that a record whose comparison does not count cannot pass
+unseen. (Every ``point`` round ends with a call at the anchor's nadir,
+which fails in both trees; equal counts are not a fault.) Running it with
+``--base HEAD`` on a clean checkout times a tree against itself.
 """
 
 import argparse
 import hashlib
 import json
 import os
+import random
 import shutil
 import statistics
 import subprocess
@@ -43,6 +45,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "twlbench")
 PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PAIRS = 10
+# Resamples of the bootstrap interval of the median ratio, drawn from a fixed
+# seed so that one record always gives the same interval.
+RESAMPLES = 2000
 
 
 def src_digest(tree: str) -> str:
@@ -77,6 +82,9 @@ def summarize(calls: list) -> dict:
 
     ``median_ratio_A_first`` and ``median_ratio_B_first`` are the medians
     over the pairs in which that tree ran first, which shows an order effect.
+    ``median_ratio_ci95`` is the 2.5% and 97.5% percentiles of the median
+    ratio over `RESAMPLES` resamples of the pairs with replacement, drawn
+    from ``random.Random(0)``.
     ``resolved`` applies the claim rule to a gain of B: B won at least nine
     tenths of the pairs, ties counting for neither, and A's median exceeds
     B's by more than A's interquartile distance.
@@ -84,8 +92,12 @@ def summarize(calls: list) -> dict:
     starts = range(0, len(calls) - 1, 2)
     pairs = [{c["tree"]: c["seconds"] for c in calls[i:i + 2]} for i in starts]
     ratios = [p["B"] / p["A"] for p in pairs]
+    rng = random.Random(0)
+    medians = [statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(RESAMPLES)]
+    cuts = statistics.quantiles(medians, n=40, method="inclusive")
     summary = {"pairs": pairs, "ratios": ratios,
                "median_ratio": statistics.median(ratios),
+               "median_ratio_ci95": [cuts[0], cuts[-1]],
                "pairs_won_by_B": sum(r < 1.0 for r in ratios)}
     for tree in ("A", "B"):
         summary[f"median_ratio_{tree}_first"] = statistics.median(
@@ -228,7 +240,8 @@ def main(argv=None) -> int:
     found = faults(calls)
     for line in found:
         print(line, file=sys.stderr)
-    print(f"median B/A {record['median_ratio']:.3f} (A first "
+    low, high = record["median_ratio_ci95"]
+    print(f"median B/A {record['median_ratio']:.3f} [{low:.3f}, {high:.3f}] (A first "
           f"{record['median_ratio_A_first']:.3f}, B first "
           f"{record['median_ratio_B_first']:.3f}), B faster in "
           f"{record['pairs_won_by_B']} of {len(record['pairs'])} pairs, "
