@@ -353,8 +353,12 @@ def main(argv=None) -> int:
         config = parse_config(args.config, seed=args.seed)
         return run(args.subcommand, config, args.out, args.format)
     except (ConfigError, SingularBeamsError) as exc:
-        print(f"twl: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        message = exc
+    except MemoryError:
+        # The results are the only arrays that grow with a run: n_positions sizes them.
+        message = "not enough memory for the results of n_positions positions; lower n_positions"
+    print(f"twl: error: {message}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -7,8 +7,11 @@ independently (position/orientation error bounds per protocol and initiator,
 plus link SNR), and results are summarized as empirical quantiles.
 
 Every subcommand streams its positions through one pipeline, `_stream`, in
-chunks of 4096 (`_CHUNK`). Each chunk runs the pose stage once: the link
-geometry and Jacobian (`twl.pose`), then J⁻¹'s factors by blocks
+chunks of 4096 (`_CHUNK`). The batch calls sample each chunk's positions
+as it starts, from one generator seeded once per call, so they hold no
+array of all n positions, yet see those of one `sample_positions` call bit
+for bit. Each chunk runs the pose stage once: the link geometry and
+Jacobian (`twl.pose`), then J⁻¹'s factors by blocks
 (`twl.protocols.pose_grams`). Then, for each variant of the scenario, it
 runs each device's beam-space forms (`twl.kernels`), each link's angle
 EFIM and delay information from its two devices' forms, with no 7x7
@@ -19,8 +22,10 @@ their sum (`twl.protocols.efim_factors`). Every per-position array but the
 positions carries its matrix axes first and the positions last. The
 callers run `protocol_bounds` on each chunk's tables and keep only what
 they report: `run_cdf` the SNR and each pair's bounds, the sweeps each
-cell's PEB. No Jacobian or angle EFIM outlives its chunk, so the memory a
-call needs beyond its results does not grow with the number of positions.
+cell's PEB. clp's bounds are the same under both initiators, bit for bit,
+so each caller computes and keeps them once (`_shared_pairs`). No
+position, Jacobian or angle EFIM outlives its chunk, so the memory a call
+needs beyond its results does not grow with the number of positions.
 
 Variants differ only in their arrays. `sweep_antennas` has one per
 antenna count: it resizes the swept device's own array, keeping its
@@ -245,18 +250,21 @@ class Scenario:
         return replace(cls.from_config(REFERENCE_CONFIG), **overrides)
 
 
-def sample_positions(region: Region, n: int, seed: int) -> np.ndarray:
+def sample_positions(region: Region, n: int, seed) -> np.ndarray:
     """Uniform positions over the region; deterministic for a fixed seed.
 
     The quadrilateral is split into two triangles sampled with area weights
-    and square-root barycentric coordinates.
+    and square-root barycentric coordinates. ``seed`` may also be a
+    `numpy.random.Generator`, which the call continues: k rows, then n - k
+    rows from one generator equal the n rows of one call, bit for bit.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 positions, got {n!r}")
     tri_a, tri_b = region.triangles()
 
-    def area(t):
-        return 0.5 * np.linalg.norm(np.cross(t[1] - t[0], t[2] - t[0]))
+    def area(t):  # the vertices share one height, so a planar cross product
+        (x0, y0), (x1, y1), (x2, y2) = t[:, :2]
+        return 0.5 * abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
 
     w_a = area(tri_a) / (area(tri_a) + area(tri_b))
     rng = np.random.default_rng(seed)
@@ -366,28 +374,39 @@ def position_tables(
     return tables
 
 
-def _stream(variants, positions, chunk=None):
+def _stream(variants, positions=None, chunk=None):
     """Yield (rows, k, `PositionTables` of those rows) per chunk and variant k.
 
-    Variants are scenarios that differ only in their arrays. Each chunk of
-    positions runs the pose stage once, then for each variant recomputes a
-    device's forms only when its array differs from the previous variant's.
-    Each distinct array's codebook tables are built once per call. Callers
-    drop a chunk's tables before asking for the next ones, so that one
-    chunk is alive at a time.
+    Variants are scenarios that differ only in their arrays. Without
+    ``positions``, each chunk's positions are sampled as the chunk starts,
+    from one generator seeded with the first variant's seed, so the n
+    positions equal `sample_positions` of all n and no array of them is
+    built. Each chunk runs the pose stage once, then for each variant
+    recomputes a device's forms only when its array differs from the
+    previous variant's. Each distinct array's codebook tables are built once
+    per call. Callers drop a chunk's tables before asking for the next ones,
+    so that one chunk is alive at a time.
     """
-    dirs = _beam_directions(variants[0])
+    first = variants[0]
+    dirs = _beam_directions(first)
     distinct = dict.fromkeys((d, getattr(v, f"{d}_array")) for v in variants for d in dirs)
     codebooks = {(d, array): _device_tables(array, dirs[d]) for d, array in distinct}
-    rot = rotation_matrix(*variants[0].orientation)
-    n = positions.shape[0]
+    rot = rotation_matrix(*first.orientation)
+    if positions is None:
+        n, rng = first.n_samples, np.random.default_rng(first.seed)
+    else:
+        n = positions.shape[0]
     chunk = chunk or _CHUNK
     forms = {}
     for lo in range(0, n, chunk):
         rows = slice(lo, min(lo + chunk, n))
         grams = None  # the last chunk's, released before this chunk is built
-        geo = _link_angles_batch(positions[rows], rot)
-        jac = _jacobian_batch(geo, variants[0].signal.c)
+        if positions is None:
+            points = sample_positions(first.region, rows.stop - lo, rng)
+        else:
+            points = positions[rows]
+        geo = _link_angles_batch(points, rot)
+        jac = _jacobian_batch(geo, first.signal.c)
         for k, variant in enumerate(variants):
             for device, end in (("bs", "1"), ("ue", "2")):
                 array = getattr(variant, f"{device}_array")
@@ -400,7 +419,7 @@ def _stream(variants, positions, chunk=None):
                 )
             if grams is None:  # after the first forms: the kernel's peak lacks them
                 grams = pose_grams(jac)
-            yield rows, k, _link_tables(variant, positions[rows], geo, jac, grams, forms)
+            yield rows, k, _link_tables(variant, points, geo, jac, grams, forms)
 
 
 def _link_tables(scenario: Scenario, positions, geo: dict, jac, grams, forms: dict):
@@ -457,29 +476,45 @@ def protocol_bounds(
     return BoundSamples(peb=peb, oeb=oeb, identifiable=ok)
 
 
+def _shared_pairs(scenario: Scenario) -> dict:
+    """Each requested (protocol, initiator) pair, keyed to the pair whose bounds it reads.
+
+    clp's delay weight 4/(1/J_f + 1/J_b) is symmetric in its two links, and
+    its angle factors are keyed "clp" for either initiator, so
+    `protocol_bounds` gives clp the same bounds, bit for bit, under both
+    initiators: every clp pair reads the first initiator's.
+    """
+    return {(p, i): ("clp", scenario.initiators[0]) if p == "clp" else (p, i)
+            for p in scenario.protocols for i in scenario.initiators}
+
+
 def run_cdf(scenario: Scenario) -> CdfResult:
     """Sample the region and evaluate every requested protocol/initiator.
 
-    Streams the positions: only the SNR and each pair's bounds are kept.
+    Streams the positions: only the SNR and each distinct pair's bounds are
+    kept, and both clp pairs hold one `BoundSamples`.
     """
-    positions = sample_positions(scenario.region, scenario.n_samples, scenario.seed)
-    n = positions.shape[0]
+    n = scenario.n_samples
     snr = np.empty(n)
-    bounds = {
-        (protocol, initiator): BoundSamples(np.empty(n), np.empty(n), np.empty(n, bool))
-        for protocol in scenario.protocols for initiator in scenario.initiators
-    }
-    for rows, _, tables in _stream([scenario], positions):
+    shared = _shared_pairs(scenario)
+    kept = {pair: BoundSamples(np.empty(n), np.empty(n), np.empty(n, bool))
+            for pair in dict.fromkeys(shared.values())}
+    for rows, _, tables in _stream([scenario]):
         snr[rows] = tables.snr_db
-        for pair, kept in bounds.items():
+        for pair, samples in kept.items():
             b = protocol_bounds(tables, *pair)
-            kept.peb[rows], kept.oeb[rows], kept.identifiable[rows] = b.peb, b.oeb, b.identifiable
+            samples.peb[rows], samples.oeb[rows] = b.peb, b.oeb
+            samples.identifiable[rows] = b.identifiable
         del tables  # so that the next chunk's tables are the only ones alive
     snr_p10 = percentile(snr, 0.1)
+    summaries = {
+        pair: (int((~s.identifiable).sum()), percentile(s.peb, QUANTILES),
+               percentile(s.oeb, QUANTILES))
+        for pair, s in kept.items()
+    }
     rows = []
-    for (protocol, initiator), samples in bounds.items():
-        flagged = int((~samples.identifiable).sum())
-        pebs, oebs = percentile(samples.peb, QUANTILES), percentile(samples.oeb, QUANTILES)
+    for (protocol, initiator), source in shared.items():
+        flagged, pebs, oebs = summaries[source]
         for q, peb, oeb in zip(QUANTILES, pebs, oebs):
             rows.append({
                 "protocol": protocol,
@@ -490,6 +525,7 @@ def run_cdf(scenario: Scenario) -> CdfResult:
                 "snr_p10_db": snr_p10,
                 "n_unidentifiable": flagged,
             })
+    bounds = {pair: kept[source] for pair, source in shared.items()}
     return CdfResult(bounds=bounds, quantile_rows=rows)
 
 
@@ -497,21 +533,24 @@ def _peb90(scenario: Scenario, variants, scales) -> dict:
     """PEB at the 0.9 quantile per (variant, scale, protocol, initiator) index.
 
     Streams the scenario's positions under each variant and reads each
-    chunk at all delay scales in one `protocol_bounds` call per pair; only
-    each cell's PEB is kept, which `invert_efim` sets to inf wherever a
-    position is unidentifiable.
+    chunk at all delay scales in one `protocol_bounds` call per distinct
+    pair (both clp pairs read one); only each cell's PEB is kept, which
+    `invert_efim` sets to inf wherever a position is unidentifiable.
     """
-    positions = sample_positions(scenario.region, scenario.n_samples, scenario.seed)
     scales = np.asarray(scales, dtype=np.float64)
-    pairs = [(p, i) for p in scenario.protocols for i in scenario.initiators]
-    pebs = {(k, *pair): np.empty((scales.size, positions.shape[0]))
-            for k in range(len(variants)) for pair in pairs}
-    for rows, k, tables in _stream(variants, positions):
-        for pair in pairs:
+    shared = _shared_pairs(scenario)
+    distinct = list(dict.fromkeys(shared.values()))
+    pebs = {(k, *pair): np.empty((scales.size, scenario.n_samples))
+            for k in range(len(variants)) for pair in distinct}
+    for rows, k, tables in _stream(variants):
+        for pair in distinct:
             pebs[(k, *pair)][:, rows] = protocol_bounds(tables, *pair, delay_scale=scales).peb
         del tables  # so that the next chunk's tables are the only ones alive
-    return {(k, j, *pair): percentile(peb[j], 0.9)
-            for (k, *pair), peb in pebs.items() for j in range(scales.size)}
+    peb90 = {(k, j, *pair): percentile(peb[j], 0.9)
+             for (k, *pair), peb in pebs.items() for j in range(scales.size)}
+    return {(k, j, *pair): peb90[(k, j, *source)]
+            for k in range(len(variants)) for j in range(scales.size)
+            for pair, source in shared.items()}
 
 
 def sweep_bandwidth(scenario: Scenario, bandwidths) -> list:

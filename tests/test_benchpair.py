@@ -14,11 +14,17 @@ def _benchpair():
     return module
 
 
-def _calls(bp, seconds):
-    """Calls in `schedule` order, each tree's seconds taken in turn."""
+def _calls(bp, seconds, faults=None, rss=None):
+    """Calls in `schedule` order, each tree's seconds, faults and RSS taken in turn.
+
+    Without ``faults`` or ``rss``, every call reads 0 faults and 50 MB.
+    """
     calls, taken = [], {"A": 0, "B": 0}
     for tree in bp.schedule(len(seconds["A"])):
-        calls.append({"tree": tree, "seconds": seconds[tree][taken[tree]]})
+        i = taken[tree]
+        calls.append({"tree": tree, "seconds": seconds[tree][i],
+                      "minor_faults": faults[tree][i] if faults else 0,
+                      "max_rss_mb": rss[tree][i] if rss else 50.0})
         taken[tree] += 1
     return calls
 
@@ -73,6 +79,18 @@ def test_summary_bootstraps_the_median_ratio_deterministically():
     low, high = summary["median_ratio_ci95"]
     assert min(summary["ratios"]) <= low < summary["median_ratio"] < high <= max(summary["ratios"])
     assert bp.summarize(calls)["median_ratio_ci95"] == [low, high]
+
+
+def test_summary_reports_median_faults_and_peak_rss_per_tree():
+    # a worker's peak RSS only rises, so the tree's is its largest; the
+    # faults are per call, so the tree's is their median
+    bp = _benchpair()
+    seconds = {"A": [1.0, 1.0, 1.0, 1.0], "B": [1.0, 1.0, 1.0, 1.0]}
+    faults = {"A": [1900, 2100, 1800, 60000], "B": [9000, 8800, 9100, 9300]}
+    rss = {"A": [58.5, 58.6, 58.6, 58.6], "B": [54.4, 54.5, 54.5, 54.5]}
+    summary = bp.summarize(_calls(bp, seconds, faults, rss))
+    assert summary["minor_faults_A"] == 2000 and summary["minor_faults_B"] == 9050
+    assert summary["max_rss_mb_A"] == 58.6 and summary["max_rss_mb_B"] == 54.5
 
 
 def test_faults_name_extra_failures_and_every_check_problem():

@@ -221,6 +221,17 @@ def test_singular_beam_set_exits_2(tmp_path, capsys, subcommand, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["cdf", "sweep-bw", "sweep-ant"])
+def test_results_beyond_the_address_space_exit_2(tmp_path, capsys, subcommand):
+    # 10^15 positions need petabytes of results, beyond any address space, so
+    # the allocation fails before a page is touched, whatever the overcommit
+    cfg = write_config(tmp_path, QUICK.replace("= 150", "= 1000000000000000"))
+    out = tmp_path / "x.csv"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("twl: error: not enough memory") and "n_positions" in err, err
+    assert "Traceback" not in err and not out.exists()
+
 @pytest.mark.parametrize("text, message", [
     ("noise_dbm_hz = -5000\n", "n0 must be positive"),  # underflows to 0 W/Hz
     ("power_dbm = 5000\n", "out of range"),  # overflows the float range

@@ -121,12 +121,21 @@ def test_percentile_of_several_quantiles_sorts_once(monkeypatch):
 
 
 def test_run_cdf_sorts_each_reported_array_once(quick_scenario, monkeypatch):
-    # the SNR, then each pair's PEB and OEB, each read at every quantile
+    # the SNR, then each distinct pair's PEB and OEB, each read at every
+    # quantile: the two clp pairs share one array of each
     sorts = []
     sort = np.sort
     monkeypatch.setattr(np, "sort", lambda a: sorts.append(a.shape) or sort(a))
     run_cdf(quick_scenario)
-    assert sorts == [(quick_scenario.n_samples,)] * (1 + 2 * 6)
+    assert sorts == [(quick_scenario.n_samples,)] * (1 + 2 * 5)
+
+
+def test_run_cdf_computes_clp_once(quick_scenario):
+    # 4/(1/J_f + 1/J_b) is symmetric and both initiators read the "clp"
+    # factors, so the two clp pairs are one result
+    bounds = run_cdf(quick_scenario).bounds
+    assert bounds[("clp", "bs")] is bounds[("clp", "ue")]
+    assert len({id(b) for b in bounds.values()}) == 5
 
 
 def test_run_cdf_schema_and_monotone_quantiles(quick_result):
@@ -239,12 +248,20 @@ def test_chunked_tables_equal_one_chunk(monkeypatch, chunk):
     finite, while its delay term, which reads only J's delay column, is
     c²/w. It must be the only unidentifiable position.
     """
-    scn = Scenario.reference_defaults()
     chunk = _chunk_width(monkeypatch, chunk)
     n = chunk + 1100
+    scn = Scenario.reference_defaults(n_samples=n)
     positions = sample_positions(scn.region, n, 5)
     positions[chunk + 5] = [10.0, 0.0, 0.0]
-    monkeypatch.setattr(twl.scenario, "sample_positions", lambda *args: positions)
+    handed_out = {}
+
+    def successive_rows(region, k, rng):
+        # each stream's generator continues where its last chunk ended
+        lo = handed_out.get(rng, 0)
+        handed_out[rng] = lo + k
+        return positions[lo:lo + k]
+
+    monkeypatch.setattr(twl.scenario, "sample_positions", successive_rows)
     bandwidths = [20e6, 125e6, 1e9]
 
     def run():
@@ -291,6 +308,50 @@ def test_chunked_sweep_equals_one_chunk(monkeypatch, chunk):
     assert chunked == sweep_antennas(scn, [36, 144], "bs")
 
 
+@pytest.mark.parametrize("chunk", [37, None], ids=["odd", "module"])
+def test_streamed_positions_are_one_generators_draws(monkeypatch, chunk):
+    # each chunk continues one generator, so the streamed positions are
+    # those of one `sample_positions` call over all n, bit for bit
+    n = 2 * twl.scenario._CHUNK + 100  # a multiple of neither 37 nor 4096
+    chunk = _chunk_width(monkeypatch, chunk)
+    scn = Scenario.reference_defaults(n_samples=n, seed=14)
+    streamed = [tables.positions for _, _, tables in twl.scenario._stream([scn])]
+    assert {len(p) for p in streamed[:-1]} == {chunk}
+    np.testing.assert_array_equal(np.concatenate(streamed),
+                                  sample_positions(scn.region, n, scn.seed))
+
+
+def test_batch_calls_sample_one_chunk_at_a_time(monkeypatch):
+    # no batch entry point builds all n positions at once, and each samples
+    # its n positions exactly once
+    monkeypatch.setattr(twl.scenario, "_CHUNK", 256)
+    sampled = []
+    sample = twl.scenario.sample_positions
+    monkeypatch.setattr(twl.scenario, "sample_positions",
+                        lambda region, k, rng: sampled.append(k) or sample(region, k, rng))
+    scn = Scenario.reference_defaults(n_samples=600, seed=9)
+    for call in (lambda: run_cdf(scn), lambda: sweep_bandwidth(scn, [20e6, 1e9]),
+                 lambda: sweep_antennas(scn, [36, 144], "ue")):
+        sampled.clear()
+        call()
+        assert sampled == [256, 256, 88]
+
+
+def test_sweeps_read_clp_once_for_both_initiators(quick_scenario):
+    def clp_cells(rows, key):
+        by = {}
+        for r in rows:
+            if r["protocol"] == "clp":
+                by.setdefault(r[key], {})[r["initiator"]] = r["peb90_m"]
+        return by
+
+    bw = clp_cells(sweep_bandwidth(quick_scenario, [20e6, 125e6, 1e9]), "w_hz")
+    ant = clp_cells(sweep_antennas(quick_scenario, [36, 144], "bs"), "n_antennas")
+    assert len(bw) == 3 and len(ant) == 2
+    for cells in (*bw.values(), *ant.values()):
+        assert cells["bs"] == cells["ue"], cells
+
+
 def _traced_run_cdf(n_chunks):
     """(bytes of the bounds, bytes held after, peak bytes) of one `run_cdf` call.
 
@@ -305,36 +366,39 @@ def _traced_run_cdf(n_chunks):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    bounds = sum(a.nbytes for b in result.bounds.values() for a in vars(b).values())
+    distinct = {id(b): b for b in result.bounds.values()}.values()
+    bounds = sum(a.nbytes for b in distinct for a in vars(b).values())
     return bounds, held, peak
 
 
 def test_run_cdf_transient_memory_does_not_grow_with_n():
     """The peak above what `run_cdf` keeps is one chunk's, whatever n.
 
-    While it streams, `run_cdf` keeps the positions, the SNR and each
-    pair's bounds. Measured with `tracemalloc` at 2 and 8 chunks of
-    positions: the peak minus those bytes may grow by at most 5% of what
-    they grow by. Keeping the Jacobian (200 B per position) or the three
-    angle EFIMs (384 B) would grow it by more than that.
+    While it streams, `run_cdf` keeps the SNR and each distinct pair's
+    bounds; it samples each chunk's positions as it goes, so it keeps no
+    positions. Measured with `tracemalloc` at 2 and 8 chunks of positions:
+    the peak minus those bytes may grow by at most 5% of what they grow by.
+    Keeping the positions (24 B per position), the Jacobian (200 B) or the
+    three angle EFIMs (384 B) would grow it by more than that.
     """
     retained, extra = [], []
     for n_chunks in (2, 8):
         bounds, _, peak = _traced_run_cdf(n_chunks)
-        retained.append(bounds + n_chunks * twl.scenario._CHUNK * 8 * (3 + 1))
+        retained.append(bounds + n_chunks * twl.scenario._CHUNK * 8)
         extra.append(peak - retained[-1])
     assert extra[1] - extra[0] <= 0.05 * (retained[1] - retained[0]), (retained, extra)
 
 
 def test_run_cdf_retains_only_its_bounds():
-    """What `run_cdf` returns holds each pair's bounds and no per-position table.
+    """What `run_cdf` returns holds each distinct pair's bounds and no per-position table.
 
-    Measured with `tracemalloc` at 2 and 8 chunks of positions: the memory
-    the result holds grows as its bounds' bytes do, within 4 kB, not by a
-    Jacobian or an angle EFIM per position.
+    The six pairs hold five distinct `BoundSamples`: clp's two initiators
+    share one. Measured with `tracemalloc` at 2 and 8 chunks of positions:
+    the memory the result holds grows as those bounds' bytes do, within
+    4 kB, not by a sixth pair, a Jacobian or an angle EFIM per position.
     """
     (b2, held2, _), (b8, held8, _) = _traced_run_cdf(2), _traced_run_cdf(8)
-    assert b8 - b2 == 6 * 6 * twl.scenario._CHUNK * (8 + 8 + 1)
+    assert b8 - b2 == 5 * 6 * twl.scenario._CHUNK * (8 + 8 + 1)
     assert abs((held8 - held2) - (b8 - b2)) <= 4096, (held2, held8, b2, b8)
 
 

@@ -22,10 +22,14 @@ call's time in order, the pairs, the median of the per-pair ratios B/A
 percentile-bootstrap interval, the pairs B won, each tree's median and
 quartiles, and ``resolved``: whether B's gain meets the claim rule (B
 faster in at least nine tenths of the pairs, and the medians apart by more
-than A's interquartile distance). It exits 1, after writing the record,
-if tree B failed more operations than tree A or any check reported a
-problem, so that a record whose comparison does not count cannot pass
-unseen. (Every ``point`` round ends with a call at the anchor's nadir,
+than A's interquartile distance). Each call also records the minor page
+faults its worker made during the call and the worker's peak RSS after it
+(``getrusage``), and the record gives each tree's median faults per call
+and its largest peak RSS. The workers are persistent, so these are steady
+state figures: a fresh ``twl`` process also pays its imports' faults. It
+exits 1, after writing the record, if tree B failed more operations than
+tree A or any check reported a problem, so that a record whose comparison
+does not count cannot pass unseen. (Every ``point`` round ends with a call at the anchor's nadir,
 which fails in both trees; equal counts are not a fault.) Running it with
 ``--base HEAD`` on a clean checkout times a tree against itself.
 """
@@ -35,6 +39,7 @@ import hashlib
 import json
 import os
 import random
+import resource
 import shutil
 import statistics
 import subprocess
@@ -87,7 +92,9 @@ def summarize(calls: list) -> dict:
     from ``random.Random(0)``.
     ``resolved`` applies the claim rule to a gain of B: B won at least nine
     tenths of the pairs, ties counting for neither, and A's median exceeds
-    B's by more than A's interquartile distance.
+    B's by more than A's interquartile distance. ``minor_faults_<tree>`` is
+    the tree's median minor faults per call, ``max_rss_mb_<tree>`` the
+    largest peak RSS its worker reported.
     """
     starts = range(0, len(calls) - 1, 2)
     pairs = [{c["tree"]: c["seconds"] for c in calls[i:i + 2]} for i in starts]
@@ -102,9 +109,12 @@ def summarize(calls: list) -> dict:
     for tree in ("A", "B"):
         summary[f"median_ratio_{tree}_first"] = statistics.median(
             r for i, r in zip(starts, ratios) if calls[i]["tree"] == tree)
-        seconds = [c["seconds"] for c in calls if c["tree"] == tree]
+        own = [c for c in calls if c["tree"] == tree]
+        seconds = [c["seconds"] for c in own]
         q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
         summary[f"seconds_{tree}"] = {"median": median, "q1": q1, "q3": q3}
+        summary[f"minor_faults_{tree}"] = statistics.median(c["minor_faults"] for c in own)
+        summary[f"max_rss_mb_{tree}"] = max(c["max_rss_mb"] for c in own)
     a, b = summary["seconds_A"], summary["seconds_B"]
     summary["resolved"] = (10 * summary["pairs_won_by_B"] >= 9 * len(pairs)
                            and a["median"] - b["median"] > a["q3"] - a["q1"])
@@ -142,6 +152,7 @@ def worker(tree: str, workload_name: str, seed: int) -> int:
             if line.strip() != "next":
                 break
             seconds, failed = 0.0, 0
+            faults_before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for config_text, is_nadir in next(rounds):
                 code, took, _ = workload.call_cli(run.argv(config_text))
                 seconds += took
@@ -149,8 +160,11 @@ def worker(tree: str, workload_name: str, seed: int) -> int:
                     failed += 1
                 else:
                     run.check_op(config_text, code, is_nadir)
+            usage = resource.getrusage(resource.RUSAGE_SELF)  # ru_maxrss in kB on Linux
             print(json.dumps({"seconds": seconds, "failed": failed,
-                              "problems": list(run.problems)}), flush=True)
+                              "problems": list(run.problems),
+                              "minor_faults": usage.ru_minflt - faults_before,
+                              "max_rss_mb": usage.ru_maxrss / 1024.0}), flush=True)
             run.problems.clear()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -245,7 +259,9 @@ def main(argv=None) -> int:
           f"{record['median_ratio_A_first']:.3f}, B first "
           f"{record['median_ratio_B_first']:.3f}), B faster in "
           f"{record['pairs_won_by_B']} of {len(record['pairs'])} pairs, "
-          f"{'resolved' if record['resolved'] else 'unresolved'}, "
+          f"{'resolved' if record['resolved'] else 'unresolved'}; minor faults per call "
+          f"A {record['minor_faults_A']:g} B {record['minor_faults_B']:g}, peak RSS "
+          f"A {record['max_rss_mb_A']:.1f} B {record['max_rss_mb_B']:.1f} MB, "
           f"{len(found)} fault(s) -> {out}")
     return 1 if found else 0
 
