@@ -14,7 +14,7 @@ per-link stage, computes only the entries those blocks and the delay
 information read, batched with positions last. `channel_fim`, the paper's
 7x7 at one pose, holds the same floats, and `angle_efim` eliminates beta
 with the same helper, so views and pipeline agree bit for bit. A dark link
-gives non-finite angle EFIMs, which `protocols.invert_efim` flags.
+gives non-finite angle EFIMs, whose bounds `protocols.invert_efim` sets to inf.
 """
 
 import numpy as np
@@ -40,7 +40,7 @@ def _link_entries(t_tx, r_rx, gamma, beta, weff2, direction):
     beta = np.asarray(beta, dtype=np.float64)
     t00, r00 = t_tx[0, 0], r_rx[0, 0]
     # A link budget beyond the float range gives inf prefactors here; the
-    # resulting non-finite EFIMs are flagged unidentifiable downstream.
+    # resulting non-finite EFIMs give infinite bounds downstream.
     with np.errstate(over="ignore", invalid="ignore"):
         ab, bb = gamma * beta**2, gamma * beta
         tx = ab * (t_tx[1:, 1:] * r00), bb * (t_tx[1:, 0] * r00)

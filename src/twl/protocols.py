@@ -55,7 +55,7 @@ PROTOCOLS = ("owl", "rlp", "clp")
 
 _MAX_CONDITION = 1e12
 # cond(E) <= tr(E)·tr(E⁻¹); the factor leaves room for rounding in both traces
-# and in the eigenvalues that define the identifiable flag.
+# and in the eigenvalues of the explicit test.
 _CERTIFIED_PRODUCT = _MAX_CONDITION / 16.0
 _SPLIT = 2.0**27 + 1.0
 
@@ -65,13 +65,13 @@ class LocalizationBound:
     """Scalar bounds of one protocol at one pose.
 
     ``peb`` is the position error bound in meters, ``oeb`` the orientation
-    error bound in radians. Unidentifiable poses carry infinite bounds;
-    ``condition`` is the 2-norm condition of the 5x5 localization EFIM.
+    error bound in radians, both infinite exactly where the pose is
+    unidentifiable; ``condition`` is the 2-norm condition of the 5x5
+    localization EFIM.
     """
 
     peb: float
     oeb: float
-    identifiable: bool
     condition: float
 
 
@@ -95,7 +95,8 @@ def delay_weight(kind: str, j_tau_f, j_tau_b) -> np.ndarray:
 
     ``j_tau_f``/``j_tau_b`` are the delay information of the forward and
     backward links; owl reads only the backward one. w is 0 wherever a link
-    it reads carries no delay information; `invert_efim` flags those poses.
+    it reads carries no delay information; `invert_efim` gives those poses
+    infinite bounds.
     """
     j_tau_f = np.asarray(j_tau_f, dtype=np.float64)
     j_tau_b = np.asarray(j_tau_b, dtype=np.float64)
@@ -112,7 +113,7 @@ def localization_efim(jacobian, angle, weight):
 
     ``jacobian`` is (..., 5, 5) with the four link-angle columns first and
     the delay column last, and ``angle`` the blocks (..., 2, 2, 2), as
-    `rank_and_condition` reads them. A non-finite weight gives non-finite
+    `efim_condition` reads them. A non-finite weight gives non-finite
     entries.
     """
     js = jacobian[..., :4].reshape(jacobian.shape[:-1] + (2, 2))  # J_d as (..., 5, d, 2)
@@ -199,20 +200,19 @@ def efim_factors(grams: tuple, angle: np.ndarray) -> EfimFactors:
         )
 
 
-def rank_and_condition(efim: np.ndarray):
-    """Numerical rank and 2-norm condition of symmetric EFIMs, batched.
+def efim_condition(efim: np.ndarray) -> np.ndarray:
+    """2-norm condition of symmetric EFIMs, batched: inf unless positive definite.
 
-    Eigenvalues below 1e-13 of the largest do not count toward the rank. A
-    matrix with non-finite entries has rank 0 and infinite condition.
+    A matrix with non-finite entries has infinite condition. No rank is
+    needed beside it: an eigenvalue at or below 1e-13·λmax, which a rank
+    test would drop, already makes the condition at least 1e13.
     """
     efim = np.where(np.isfinite(efim).all(axis=(-2, -1))[..., None, None], efim, 0.0)
     evals = np.linalg.eigvalsh(efim)
     emax = np.maximum(evals[..., -1], 0.0)
-    rank = np.count_nonzero(evals > emax[..., None] * 1e-13, axis=-1)
     # a subnormal smallest eigenvalue overflows the ratio to inf, as it should
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        condition = np.where(evals[..., 0] > 0, emax / evals[..., 0], np.inf)
-    return rank, condition
+        return np.where(evals[..., 0] > 0, emax / evals[..., 0], np.inf)
 
 
 def invert_efim(weight, jacobian, factors: EfimFactors):
@@ -224,12 +224,12 @@ def invert_efim(weight, jacobian, factors: EfimFactors):
     angle EFIM at the `pose_grams` of ``jacobian``; the delay terms read
     |J_τ|² from ``jacobian``, and OEB reads no delay term.
 
-    Returns (peb, oeb, identifiable). A pose is identifiable when its EFIM
-    has full rank and condition at most 1e12. The bound cond(E) <=
-    tr(E)·tr(E⁻¹) certifies that cheaply; the poses it does not certify
-    alone are gathered with their matrix axes last for the eigenvalue test
-    of their explicit EFIM. Unidentifiable poses, and any whose bound the
-    factors do not give as a positive number, carry infinite bounds.
+    Returns (peb, oeb). A pose is identifiable when cond(E) <= 1e12 and
+    both bounds are positive and finite; every other pose carries infinite
+    bounds, so ``np.isfinite(peb)`` is the identifiable mask. The bound
+    cond(E) <= tr(E)·tr(E⁻¹) certifies the condition cheaply; the poses it
+    does not certify alone are gathered with their matrix axes last for
+    the eigenvalue test of their explicit EFIM.
     """
     weight = np.asarray(weight, dtype=np.float64)
     # Non-finite factors give NaN or inf; such poses fail both tests below.
@@ -253,10 +253,9 @@ def invert_efim(weight, jacobian, factors: EfimFactors):
 
         efim = localization_efim(at_doubt(jacobian), at_doubt(factors.angle, 3),
                                  at_doubt(weight, 0))
-        rank, condition = rank_and_condition(efim)
-        ok[doubt] = (rank == 5) & (condition <= _MAX_CONDITION) & positive[doubt]
+        ok[doubt] = (efim_condition(efim) <= _MAX_CONDITION) & positive[doubt]
     peb, oeb = np.where(ok, pos2, np.inf), np.where(ok, ori2, np.inf)
-    return np.sqrt(peb, out=peb), np.sqrt(oeb, out=oeb), ok
+    return np.sqrt(peb, out=peb), np.sqrt(oeb, out=oeb)
 
 
 def assemble(
@@ -271,8 +270,8 @@ def assemble(
     backward links and ``jac`` the 5x5 `location_jacobian`. ``fwd`` may be
     omitted for owl; rlp and clp need both directions. A pose whose 5x5
     EFIM is singular, as with a dark link or a two-way protocol with no
-    delay information in one direction, is reported as unidentifiable with
-    infinite bounds, as the pipeline reports it.
+    delay information in one direction, has infinite bounds, as the
+    pipeline reports it.
     """
     if kind not in PROTOCOLS:
         raise ValueError(f"kind must be one of {PROTOCOLS}, got {kind!r}")
@@ -289,9 +288,6 @@ def assemble(
         angle = angle + angle_efim(fwd)
     jac1 = jac[..., None]
     factors = efim_factors(pose_grams(jac1), angle[..., None])
-    peb, oeb, ok = invert_efim(weight[None], jac1, factors)
-    _, condition = rank_and_condition(localization_efim(jac, angle, weight))
-    return LocalizationBound(
-        peb=float(peb[0]), oeb=float(oeb[0]), identifiable=bool(ok[0]),
-        condition=float(condition),
-    )
+    peb, oeb = invert_efim(weight[None], jac1, factors)
+    condition = efim_condition(localization_efim(jac, angle, weight))
+    return LocalizationBound(peb=float(peb[0]), oeb=float(oeb[0]), condition=float(condition))

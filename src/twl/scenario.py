@@ -334,11 +334,10 @@ class PositionTables:
 
 @dataclass(frozen=True)
 class BoundSamples:
-    """Per-position bounds of one (protocol, initiator) combination."""
+    """Per-position bounds of one (protocol, initiator) pair, inf where unidentifiable."""
 
     peb: np.ndarray  # meters
     oeb: np.ndarray  # radians
-    identifiable: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -438,7 +437,7 @@ def _link_tables(scenario: Scenario, positions, geo: dict, jac, grams, forms: di
     # Uplink and downlink SNR coincide: the conjugated transmit codebook makes
     # each device's transmit and receive gain patterns identical, so t[0, 0]
     # is both. An SNR beyond the float range reads inf and a dark link's
-    # -inf; their bounds are flagged downstream.
+    # -inf; their bounds read inf downstream.
     with np.errstate(over="ignore", divide="ignore"):
         snr = 10.0 * np.log10(gamma * beta**2 * t_ue[0, 0] * t_bs[0, 0])
 
@@ -472,8 +471,7 @@ def protocol_bounds(
     scale = np.asarray(delay_scale, dtype=np.float64)[..., None]
     weight = delay_weight(protocol, tables.delay_info[fwd] * scale, tables.delay_info[bwd] * scale)
     factors = tables.factors["clp" if protocol == "clp" else bwd]
-    peb, oeb, ok = invert_efim(weight, tables.jacobian, factors)
-    return BoundSamples(peb=peb, oeb=oeb, identifiable=ok)
+    return BoundSamples(*invert_efim(weight, tables.jacobian, factors))
 
 
 def _shared_pairs(scenario: Scenario) -> dict:
@@ -492,26 +490,25 @@ def run_cdf(scenario: Scenario) -> CdfResult:
     """Sample the region and evaluate every requested protocol/initiator.
 
     Streams the positions: only the SNR and each distinct pair's bounds are
-    kept, and both clp pairs hold one `BoundSamples`.
+    kept, and both clp pairs hold one `BoundSamples`. A pair's
+    unidentifiable positions are counted per chunk as its infinite PEBs.
     """
     n = scenario.n_samples
     snr = np.empty(n)
     shared = _shared_pairs(scenario)
-    kept = {pair: BoundSamples(np.empty(n), np.empty(n), np.empty(n, bool))
+    kept = {pair: BoundSamples(np.empty(n), np.empty(n))
             for pair in dict.fromkeys(shared.values())}
+    flagged = dict.fromkeys(kept, 0)
     for rows, _, tables in _stream([scenario]):
         snr[rows] = tables.snr_db
         for pair, samples in kept.items():
             b = protocol_bounds(tables, *pair)
             samples.peb[rows], samples.oeb[rows] = b.peb, b.oeb
-            samples.identifiable[rows] = b.identifiable
+            flagged[pair] += int(np.count_nonzero(np.isinf(b.peb)))
         del tables  # so that the next chunk's tables are the only ones alive
     snr_p10 = percentile(snr, 0.1)
-    summaries = {
-        pair: (int((~s.identifiable).sum()), percentile(s.peb, QUANTILES),
-               percentile(s.oeb, QUANTILES))
-        for pair, s in kept.items()
-    }
+    summaries = {pair: (flagged[pair], percentile(s.peb, QUANTILES), percentile(s.oeb, QUANTILES))
+                 for pair, s in kept.items()}
     rows = []
     for (protocol, initiator), source in shared.items():
         flagged, pebs, oebs = summaries[source]

@@ -317,8 +317,7 @@ def test_cdf_without_a_finite_quantile_exits_3(tmp_path, monkeypatch):
     def first_position_only(tables, *args, **kwargs):
         b = bounds(tables, *args, **kwargs)
         keep = np.arange(b.peb.shape[-1]) == 0
-        return BoundSamples(np.where(keep, b.peb, np.inf), np.where(keep, b.oeb, np.inf),
-                            keep & b.identifiable)
+        return BoundSamples(np.where(keep, b.peb, np.inf), np.where(keep, b.oeb, np.inf))
 
     monkeypatch.setattr(twl.scenario, "protocol_bounds", first_position_only)
     cfg = write_config(tmp_path, "n_positions = 20\n")

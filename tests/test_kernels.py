@@ -260,7 +260,6 @@ def test_one_position_table_is_channel_fim_bit_for_bit(small_scenario):
             for protocol in PROTOCOLS:
                 single = assemble(protocol, fwd, bwd, jac)
                 batched = protocol_bounds(tables, protocol, initiator)
-                assert single.identifiable == batched.identifiable[0]
                 assert single.peb == batched.peb[0], (protocol, initiator)
                 assert single.oeb == batched.oeb[0], (protocol, initiator)
 
@@ -277,7 +276,7 @@ def test_unusable_bound_reads_the_same_in_the_views_and_the_pipeline(
     """A dark link, or a downlink without delay information, at n = 1.
 
     The single-pose views report an unusable bound as the pipeline does:
-    `invert_efim`'s flag and inf, with no exception and no warning. "dark"
+    `invert_efim`'s inf, with no exception and no warning. "dark"
     zeroes every beam-space form; "no-delay" zeroes the downlink's delay
     information, which leaves only owl with the uplink as its backward link.
     """
@@ -298,18 +297,18 @@ def test_unusable_bound_reads_the_same_in_the_views_and_the_pipeline(
             fims["bs_to_ue"][6, 6] = 0.0
         jac = location_jacobian(Pose(p, *scn.orientation), c=scn.signal.c)
         down, up = fims["bs_to_ue"], fims["ue_to_bs"]
-        flags = []
+        finite = []
         for initiator, fwd, bwd in (("bs", down, up), ("ue", up, down)):
             for protocol in PROTOCOLS:
                 single = assemble(protocol, fwd, bwd, jac)
                 batched = protocol_bounds(tables, protocol, initiator)
-                assert single.identifiable == batched.identifiable[0], (protocol, initiator)
                 assert single.peb == batched.peb[0], (protocol, initiator)
                 assert single.oeb == batched.oeb[0], (protocol, initiator)
-                if not single.identifiable:
+                if not math.isfinite(single.peb):
                     assert single.peb == single.oeb == math.inf
-                flags.append(single.identifiable)
-    assert flags == [case == "no-delay"] + [False] * 5
+                    assert single.condition > 1e12, (protocol, initiator)
+                finite.append(math.isfinite(single.peb))
+    assert finite == [case == "no-delay"] + [False] * 5
 
 
 def test_steering_forms_shapes(small_scenario):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twl.beamforming import SignalConfig, directional_beams, region_spot_grid, reverse_direction
 from twl.fim import angle_efim, channel_fim, delay_info
@@ -14,11 +16,11 @@ from twl.protocols import (
     PROTOCOLS,
     assemble,
     delay_weight,
+    efim_condition,
     efim_factors,
     invert_efim,
     localization_efim,
     pose_grams,
-    rank_and_condition,
 )
 from twl.scenario import Scenario, position_tables, protocol_bounds, sample_positions
 
@@ -83,7 +85,7 @@ def _without_delay(jm):
 
 def test_combined_delay_unobservable(reference_link):
     # a two-way protocol without delay information in one direction has
-    # delay weight 0, and `assemble` flags its pose with infinite bounds
+    # delay weight 0, a singular EFIM, and infinite bounds from `assemble`
     fwd, bwd, jac = reference_link
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -91,7 +93,7 @@ def test_combined_delay_unobservable(reference_link):
         assert delay_weight("clp", 1.0, 0.0) == 0.0
         for kind, f, b in (("rlp", _without_delay(fwd), bwd), ("clp", fwd, _without_delay(bwd))):
             bound = assemble(kind, f, b, jac)
-            assert not bound.identifiable
+            assert bound.condition > 1e12
             assert bound.peb == bound.oeb == math.inf
 
 
@@ -116,35 +118,31 @@ def test_identity_efim_bounds():
     # the permutation J, A = I4 and w = 1 give the identity EFIM
     factors = efim_factors(pose_grams(PERMUTATION_J[..., None]), _blocks(np.eye(4)[..., None]))
     np.testing.assert_array_equal(factors.angle[..., 0], [np.eye(2), np.eye(2)])
-    peb, oeb, ok = invert_efim(np.ones(1), PERMUTATION_J[..., None], factors)
-    assert ok[0]
+    peb, oeb = invert_efim(np.ones(1), PERMUTATION_J[..., None], factors)
     assert peb[0] == pytest.approx(np.sqrt(3.0))
     assert oeb[0] == pytest.approx(np.sqrt(2.0))
-    rank, cond = rank_and_condition(np.eye(5))
-    assert rank == 5 and cond == 1.0
+    assert efim_condition(np.eye(5)) == 1.0
     # J = I couples the orientation to the anchor angles and the delay,
     # which no pose's Jacobian does
     with pytest.raises(ValueError, match="orientation rows"):
         pose_grams(np.eye(5)[..., None])
 
 
-def test_singular_efim_reports_rank_not_crash():
+def test_singular_efim_gives_inf_not_crash():
     # an exactly singular angle EFIM gives inf bounds for its pose only
     angle = _blocks(np.stack([np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0])], axis=-1))
     jacobian = np.stack([PERMUTATION_J] * 2, axis=-1)
     factors = efim_factors(pose_grams(jacobian), angle)
-    peb, oeb, ok = invert_efim(np.ones(2), jacobian, factors)
-    assert ok.tolist() == [True, False]
-    assert np.isfinite(peb[0]) and np.isinf(peb[1]) and np.isinf(oeb[1])
-    rank, _ = rank_and_condition(np.diag([1.0, 1.0, 1.0, 1.0, 0.0]))
-    assert rank == 4
+    peb, oeb = invert_efim(np.ones(2), jacobian, factors)
+    assert np.isfinite(peb).tolist() == np.isfinite(oeb).tolist() == [True, False]
+    assert np.isinf(peb[1]) and np.isinf(oeb[1])
+    assert efim_condition(np.diag([1.0, 1.0, 1.0, 1.0, 0.0])) == np.inf
     # a subnormal smallest eigenvalue overflows the condition number to inf
-    rank, condition = rank_and_condition(np.diag([1.0, 1.0, 1.0, 1.0, 1e-310]))
-    assert rank == 4 and condition == np.inf
+    assert efim_condition(np.diag([1.0, 1.0, 1.0, 1.0, 1e-310])) == np.inf
 
 
 def test_cholesky_factors_flag_each_bad_angle_efim_alone(monkeypatch):
-    """One batch of good and bad angle EFIMs: each flag is that of its own dense E.
+    """One batch of good and bad angle EFIMs: each finite bound is its own dense E's.
 
     The factors contract each 2x2 block of A through its closed-form
     Cholesky factor, elementwise, not a LAPACK call on the batch, which
@@ -179,14 +177,14 @@ def test_cholesky_factors_flag_each_bad_angle_efim_alone(monkeypatch):
     monkeypatch.undo()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        peb, oeb, ok = invert_efim(weight, jacobian, factors)
+        peb, oeb = invert_efim(weight, jacobian, factors)
     efim = localization_efim(jacobian.transpose(2, 0, 1), angle.transpose(3, 0, 1, 2), weight)
-    rank, condition = rank_and_condition(efim)
-    expected = (rank == 5) & (condition <= 1e12)
+    expected = efim_condition(efim) <= 1e12
     assert expected.tolist() == [True, False, False, False, False, True]
-    np.testing.assert_array_equal(ok, expected)
-    assert np.isinf(peb[~ok]).all() and np.isinf(oeb[~ok]).all()
-    for k in np.flatnonzero(ok):
+    np.testing.assert_array_equal(np.isfinite(peb), expected)
+    np.testing.assert_array_equal(np.isfinite(oeb), expected)
+    assert np.isinf(peb[~expected]).all() and np.isinf(oeb[~expected]).all()
+    for k in np.flatnonzero(expected):
         cov = np.diag(np.linalg.inv(efim[k]))
         assert peb[k] == pytest.approx(np.sqrt(cov[2:].sum()), rel=1e-12)
         assert oeb[k] == pytest.approx(np.sqrt(cov[:2].sum()), rel=1e-12)
@@ -199,8 +197,8 @@ def test_doubt_poses_get_their_own_dense_test_at_every_delay_scale(monkeypatch):
     and not others, and of those it does not clear some are identifiable
     and some not. The uncleared poses alone are gathered, with their matrix
     axes moved last, for the eigenvalue test: the EFIMs it sees are theirs,
-    in order, and every flag equals the dense per-pose test of
-    J·blkdiag(A, w)·Jᵀ. A gather that moved the wrong axes would hand it
+    in order, and the finite bounds are exactly those of the poses that
+    pass the dense per-pose test of J·blkdiag(A, w)·Jᵀ. A gather that moved the wrong axes would hand it
     transposed or other poses' matrices.
     """
     import twl.protocols
@@ -214,17 +212,18 @@ def test_doubt_poses_get_their_own_dense_test_at_every_delay_scale(monkeypatch):
                           tables.delay_info["ue_to_bs"] * scales)
     jac, factors = tables.jacobian, tables.factors["ue_to_bs"]
     seen = []
-    monkeypatch.setattr(twl.protocols, "rank_and_condition",
-                        lambda efim: seen.append(efim) or rank_and_condition(efim))
-    peb, oeb, ok = invert_efim(weight, jac, factors)
+    monkeypatch.setattr(twl.protocols, "efim_condition",
+                        lambda efim: seen.append(efim) or efim_condition(efim))
+    peb, oeb = invert_efim(weight, jac, factors)
     monkeypatch.undo()
 
     dense = np.array([[localization_efim(jac[..., i], factors.angle[..., i], weight[s, i])
                        for i in range(n)] for s in range(len(scales))])
-    rank, condition = rank_and_condition(dense)
-    np.testing.assert_array_equal(ok, (rank == 5) & (condition <= 1e12))
+    ok = np.isfinite(peb)
+    np.testing.assert_array_equal(ok, efim_condition(dense) <= 1e12)
+    np.testing.assert_array_equal(np.isfinite(oeb), ok)
     assert ok.shape == peb.shape == oeb.shape == weight.shape
-    assert np.isinf(peb[~ok]).all() and np.isfinite(peb[ok]).all()
+    assert np.isinf(peb[~ok]).all() and np.isinf(oeb[~ok]).all()
     range_info = weight * np.einsum("in,in->n", jac[2:, 4], jac[2:, 4])
     pos2 = factors.pos + 1.0 / range_info
     ori2 = factors.ori
@@ -233,6 +232,47 @@ def test_doubt_poses_get_their_own_dense_test_at_every_delay_scale(monkeypatch):
     assert (~doubt).any() and ok[doubt].any() and not ok[doubt].all()
     (gathered,) = seen
     np.testing.assert_allclose(gathered, dense[doubt], rtol=1e-14, atol=0.0)
+
+
+# Smallest eigenvalues of the EFIMs below, as a fraction of the largest
+# (``None``: non-finite) or absolute (``abs``): zero, subnormal, negative,
+# non-finite, and a sweep across the 1e-13 rank threshold and 1e12 condition.
+_SMALLEST = ([(0.0, "abs"), (5e-324, "abs"), (1e-310, "abs"), (-1e-300, "abs"),
+              (-1e-3, "rel"), (-1e-14, "rel"), (np.nan, None), (np.inf, None),
+              (-np.inf, None)]
+             + [(r, "rel") for r in np.logspace(-14.0, -11.0, 61)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.floats(-30.0, 30.0))
+def test_condition_alone_decides_what_rank_and_condition_did(seed, log_scale):
+    """cond(E) <= 1e12 accepts exactly the EFIMs that also had numerical rank 5.
+
+    The rank counted the eigenvalues above 1e-13 of the largest, so a rank
+    below 5 leaves an eigenvalue at or below 1e-13·λmax and the condition
+    at 1e13 or more: the rank term of the former test decided nothing. Each
+    example rotates eigenvalues of random scale by a random orthogonal
+    matrix, and also takes them as a diagonal, so that subnormal and
+    negative ones reach the eigensolver exactly.
+    """
+    rng = np.random.default_rng(seed)
+    top = 10.0**log_scale * rng.uniform(1.0, 10.0, 4)
+    evals = np.empty((len(_SMALLEST), 5))
+    evals[:, 1:] = top
+    for k, (value, kind) in enumerate(_SMALLEST):
+        evals[k, 0] = value * top.max() if kind == "rel" else value
+    q, _ = np.linalg.qr(rng.standard_normal((len(_SMALLEST), 5, 5)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        rotated = np.einsum("kij,kj,klj->kil", q, evals, q)
+        diagonal = evals[:, :, None] * np.eye(5)
+    for efim in (rotated, diagonal):
+        finite = np.isfinite(efim).all(axis=(-2, -1))
+        eig = np.linalg.eigvalsh(np.where(finite[:, None, None], efim, 0.0))
+        emax = np.maximum(eig[:, -1], 0.0)
+        rank = np.count_nonzero(eig > emax[:, None] * 1e-13, axis=-1)
+        condition = efim_condition(efim)
+        np.testing.assert_array_equal(condition <= 1e12, (rank == 5) & (condition <= 1e12))
+        assert (condition <= 1e12).any() and (rank < 5).any()
 
 
 def test_block_inverse_isolates_a_singular_jacobian_without_lapack(monkeypatch):
@@ -309,7 +349,7 @@ def test_assemble_reference_ordering(reference_link):
     owl = assemble("owl", None, bwd, jac)
     rlp = assemble("rlp", fwd, bwd, jac)
     clp = assemble("clp", fwd, bwd, jac)
-    assert clp.identifiable and rlp.identifiable and owl.identifiable
+    assert np.isfinite([clp.peb, rlp.peb, owl.peb]).all()
     assert clp.peb <= rlp.peb <= owl.peb * (1 + 1e-9)
     assert clp.oeb <= rlp.oeb * (1 + 1e-9)
 

@@ -238,7 +238,7 @@ def _chunk_width(monkeypatch, chunk):
 
 @pytest.mark.parametrize("chunk", [37, None], ids=["odd", "module"])
 def test_chunked_tables_equal_one_chunk(monkeypatch, chunk):
-    """Chunking the positions changes no SNR, bound, flag or row.
+    """Chunking the positions changes no SNR, bound or row.
 
     `run_cdf` and `sweep_bandwidth` stream n positions, no multiple of the
     chunk, in chunks and then as one chunk. The position [10, 0, 0] has an
@@ -281,10 +281,10 @@ def test_chunked_tables_equal_one_chunk(monkeypatch, chunk):
     assert (j_tau @ j_tau) * scn.signal.c**2 == pytest.approx(1.0, rel=1e-13)
     for pair, a in chunked.bounds.items():
         b = whole.bounds[pair]
-        np.testing.assert_array_equal(a.identifiable, b.identifiable)
         np.testing.assert_array_equal(a.peb, b.peb)
         np.testing.assert_array_equal(a.oeb, b.oeb)
-        assert np.flatnonzero(~a.identifiable).tolist() == [chunk + 5], pair
+        assert np.flatnonzero(~np.isfinite(a.peb)).tolist() == [chunk + 5], pair
+        assert np.flatnonzero(~np.isfinite(a.oeb)).tolist() == [chunk + 5], pair
 
 
 def test_positions_near_the_nadir_read_unidentifiable():
@@ -295,8 +295,7 @@ def test_positions_near_the_nadir_read_unidentifiable():
     for protocol in ("owl", "rlp", "clp"):
         for initiator in ("bs", "ue"):
             b = protocol_bounds(tables, protocol, initiator)
-            assert b.identifiable.tolist() == [False], (protocol, initiator)
-            assert b.peb[0] == b.oeb[0] == math.inf, (protocol, initiator)
+            assert b.peb.tolist() == b.oeb.tolist() == [math.inf], (protocol, initiator)
 
 
 @pytest.mark.parametrize("chunk", [37, None], ids=["odd", "module"])
@@ -393,12 +392,13 @@ def test_run_cdf_retains_only_its_bounds():
     """What `run_cdf` returns holds each distinct pair's bounds and no per-position table.
 
     The six pairs hold five distinct `BoundSamples`: clp's two initiators
-    share one. Measured with `tracemalloc` at 2 and 8 chunks of positions:
-    the memory the result holds grows as those bounds' bytes do, within
-    4 kB, not by a sixth pair, a Jacobian or an angle EFIM per position.
+    share one, and each holds its PEB and OEB, with no flag array beside
+    them. Measured with `tracemalloc` at 2 and 8 chunks of positions: the
+    memory the result holds grows as those bounds' bytes do, within 4 kB,
+    not by a sixth pair, a Jacobian or an angle EFIM per position.
     """
     (b2, held2, _), (b8, held8, _) = _traced_run_cdf(2), _traced_run_cdf(8)
-    assert b8 - b2 == 5 * 6 * twl.scenario._CHUNK * (8 + 8 + 1)
+    assert b8 - b2 == 5 * 6 * twl.scenario._CHUNK * (8 + 8)
     assert abs((held8 - held2) - (b8 - b2)) <= 4096, (held2, held8, b2, b8)
 
 
