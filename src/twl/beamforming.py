@@ -68,7 +68,6 @@ class SignalConfig:
 
     Attributes:
         et: energy per pilot symbol in joules.
-        ts: symbol duration in seconds.
         ns: number of pilot symbols.
         n0: noise power spectral density in W/Hz.
         bandwidth: occupied bandwidth in Hz.
@@ -78,7 +77,6 @@ class SignalConfig:
     """
 
     et: float
-    ts: float
     ns: int
     n0: float
     bandwidth: float
@@ -87,7 +85,7 @@ class SignalConfig:
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
-        for name in ("et", "ts", "n0", "bandwidth", "weff2", "carrier", "c"):
+        for name in ("et", "n0", "bandwidth", "weff2", "carrier", "c"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if not self.ns >= 1:
@@ -112,10 +110,10 @@ class SignalConfig:
         weff_factor: float = 1.0 / 3.0,
         c: float = SPEED_OF_LIGHT,
     ) -> "SignalConfig":
-        """Build from transmit power with ts = 1/bandwidth, et = power * ts."""
+        """Build from transmit power with symbol time ts = 1/bandwidth, et = power * ts."""
         ts = 1.0 / bandwidth
         return cls(
-            et=power_w * ts, ts=ts, ns=ns, n0=n0, bandwidth=bandwidth,
+            et=power_w * ts, ns=ns, n0=n0, bandwidth=bandwidth,
             weff2=weff_factor * bandwidth**2, carrier=carrier, c=c,
         )
 

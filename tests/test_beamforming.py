@@ -194,7 +194,6 @@ def test_projection_singular_gram_names_beams(ura12):
 
 
 def test_signal_config_defaults(default_signal):
-    assert default_signal.ts == 1.0 / 125e6
     assert abs(default_signal.et - 8e-12) < 1e-24
     assert abs(default_signal.weff2 - 125e6**2 / 3.0) < 1.0
     assert abs(default_signal.wavelength - 7.8893e-3) < 1e-6
@@ -211,6 +210,6 @@ def test_signal_config_flat_pulse_alternative():
 
 def test_signal_config_validation():
     with pytest.raises(ValueError):
-        SignalConfig(et=-1, ts=1e-8, ns=4, n0=1e-20, bandwidth=1e8, weff2=1e15, carrier=38e9)
+        SignalConfig(et=-1, ns=4, n0=1e-20, bandwidth=1e8, weff2=1e15, carrier=38e9)
     with pytest.raises(ValueError):
-        SignalConfig(et=1e-12, ts=1e-8, ns=0, n0=1e-20, bandwidth=1e8, weff2=1e15, carrier=38e9)
+        SignalConfig(et=1e-12, ns=0, n0=1e-20, bandwidth=1e8, weff2=1e15, carrier=38e9)

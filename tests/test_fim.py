@@ -122,7 +122,7 @@ def test_channel_fim_scaling_in_pilots_energy_and_beta(rng):
     direction, tx_geom, rx_geom, f, w, cg, sig = small_link(rng)
     base = channel_fim(direction, tx_geom, rx_geom, f, w, cg, sig)
 
-    doubled_ns = SignalConfig(et=sig.et, ts=sig.ts, ns=2 * sig.ns, n0=sig.n0,
+    doubled_ns = SignalConfig(et=sig.et, ns=2 * sig.ns, n0=sig.n0,
                               bandwidth=sig.bandwidth, weff2=sig.weff2,
                               carrier=sig.carrier, c=sig.c)
     np.testing.assert_allclose(
@@ -130,7 +130,7 @@ def test_channel_fim_scaling_in_pilots_energy_and_beta(rng):
         2.0 * base, rtol=1e-12,
     )
 
-    doubled_et = SignalConfig(et=2 * sig.et, ts=sig.ts, ns=sig.ns, n0=sig.n0,
+    doubled_et = SignalConfig(et=2 * sig.et, ns=sig.ns, n0=sig.n0,
                               bandwidth=sig.bandwidth, weff2=sig.weff2,
                               carrier=sig.carrier, c=sig.c)
     np.testing.assert_allclose(

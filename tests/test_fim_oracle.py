@@ -24,7 +24,7 @@ TS = 1.0 / 125e6
 NS = 4
 ET = 1e-3 * TS
 N0 = 1e-20
-SIG = SignalConfig(et=ET, ts=TS, ns=NS, n0=N0, bandwidth=1.0 / TS,
+SIG = SignalConfig(et=ET, ns=NS, n0=N0, bandwidth=1.0 / TS,
                    weff2=pulse_weff2(TS), carrier=CARRIER, c=C)
 # (rows, cols, plane): 2x2 arrays on every plane, 3x2 and 2x3 arrays whose
 # odd axis puts elements on the other axis, and a 3x3 with one at the origin
