@@ -101,3 +101,43 @@ def test_faults_name_extra_failures_and_every_check_problem():
     calls[1] = {"tree": "B", "failed": 2, "problems": ["exit code 3, expected 0"]}
     assert bp.faults(calls) == ["B failed 2 operations, A 1",
                                 "B: check failed: exit code 3, expected 0"]
+
+
+def test_no_worse_reads_the_benchmark_bounds():
+    bp = _benchpair()
+    assert bp.BOUNDS["op_s.p50"] == 0.25 and bp.BOUNDS["peak_rss_mb"] == 0.1
+
+
+def test_summary_says_whether_b_is_no_worse_within_the_bounds():
+    bp = _benchpair()
+    base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    rss = {"A": [50.0] * 10}
+    # 20% slower and 5% more memory: within the 0.25 and 0.1 bounds
+    summary = bp.summarize(_calls(bp, {"A": base, "B": [1.2 * a for a in base]},
+                                  rss={**rss, "B": [52.5] * 10}))
+    assert summary["no_worse_seconds"] is True and summary["no_worse_max_rss"] is True
+    assert summary["resolved"] is False
+    # 30% slower and 15% more memory: beyond them
+    summary = bp.summarize(_calls(bp, {"A": base, "B": [1.3 * a for a in base]},
+                                  rss={**rss, "B": [57.5] * 10}))
+    assert summary["no_worse_seconds"] is False and summary["no_worse_max_rss"] is False
+    # a peak RSS that rises call by call is judged by each tree's largest
+    summary = bp.summarize(_calls(bp, {"A": base, "B": base},
+                                  rss={"A": [40.0] + [50.0] * 9, "B": [40.0] + [54.0] * 9}))
+    assert summary["no_worse_max_rss"] is True
+
+
+def test_no_worse_is_unresolved_when_the_base_spreads_wider_than_the_bound():
+    bp = _benchpair()
+    # A's quartiles 0.9 and 1.3 lie further apart than 0.25 of its median 1.0
+    wide = [1.0, 1.3, 0.9, 1.3, 0.9, 1.3, 0.9, 1.0, 1.0, 1.0]
+    summary = bp.summarize(_calls(bp, {"A": wide, "B": [1.1] * 10}))
+    a = summary["seconds_A"]
+    assert a["q3"] - a["q1"] > 0.25 * a["median"]
+    assert summary["no_worse_seconds"] == "unresolved"
+    # unless every B call beats every A call
+    summary = bp.summarize(_calls(bp, {"A": wide, "B": [0.8] * 10}))
+    assert summary["no_worse_seconds"] is True
+    # the same rule for the peak RSS, at its bound of 0.1
+    assert bp.no_worse([40.0, 40.0, 60.0, 60.0], [52.0] * 4, 0.1, stat=max) == "unresolved"
+    assert bp.no_worse([40.0, 40.0, 60.0, 60.0], [39.0] * 4, 0.1, stat=max) is True

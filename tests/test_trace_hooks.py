@@ -17,7 +17,7 @@ import pytest
 from twl.cli import EXIT_OK, main
 
 #: Hooks known to miss: `orthonormal_basis` was removed from `twl.scenario`;
-#: ROADMAP item 1 points its hook at `gram_inv_sqrt`.
+#: ROADMAP item 8a points its hook at `gram_inv_sqrt`.
 KNOWN_MISSING = {("twl.scenario", "orthonormal_basis")}
 #: The hooks of the pipeline's stages, which every subcommand runs.
 STAGE_HOOKS = {

@@ -22,7 +22,10 @@ call's time in order, the pairs, the median of the per-pair ratios B/A
 percentile-bootstrap interval, the pairs B won, each tree's median and
 quartiles, and ``resolved``: whether B's gain meets the claim rule (B
 faster in at least nine tenths of the pairs, and the medians apart by more
-than A's interquartile distance). Each call also records the minor page
+than A's interquartile distance). ``no_worse_seconds`` and
+``no_worse_max_rss`` say whether B lost nothing instead: whether B's
+median time and peak RSS are within A's times (1 + the bound that
+``BENCHMARK.json`` gives ``op_s.p50`` and ``peak_rss_mb``). Each call also records the minor page
 faults its worker made during the call and the worker's peak RSS after it
 (``getrusage``), and the record gives each tree's median faults per call
 and its largest peak RSS. The workers are persistent, so these are steady
@@ -55,6 +58,15 @@ PAIRS = 10
 RESAMPLES = 2000
 
 
+def _bounds() -> dict:
+    """The benchmark's bound on each end-to-end metric, by name, from ``BENCHMARK.json``."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {metric["name"]: metric["bound"] for metric in json.load(fh)["end_to_end"]}
+
+
+BOUNDS = _bounds()
+
+
 def src_digest(tree: str) -> str:
     """sha256 of ``src/twl/*.py`` in name order, as twlbench's machine record takes it."""
     digest = hashlib.sha256()
@@ -82,6 +94,19 @@ def schedule(pairs: int) -> list:
     return [("A", "B", "B", "A")[i % 4] for i in range(2 * pairs)]
 
 
+def no_worse(a: list, b: list, bound: float, stat=statistics.median):
+    """Whether ``stat`` of B's per-call values is within A's times (1 + ``bound``).
+
+    "unresolved" when A's interquartile distance is wider than ``bound``
+    times A's ``stat`` and not every B value is below every A value: A's
+    own spread then hides a loss of the bound's size.
+    """
+    q1, _, q3 = statistics.quantiles(a, n=4, method="inclusive")
+    if q3 - q1 > bound * stat(a) and max(b) >= min(a):
+        return "unresolved"
+    return stat(b) <= stat(a) * (1.0 + bound)
+
+
 def summarize(calls: list) -> dict:
     """Pairs, ratios and per-tree quantiles of calls in `schedule` order.
 
@@ -94,7 +119,10 @@ def summarize(calls: list) -> dict:
     tenths of the pairs, ties counting for neither, and A's median exceeds
     B's by more than A's interquartile distance. ``minor_faults_<tree>`` is
     the tree's median minor faults per call, ``max_rss_mb_<tree>`` the
-    largest peak RSS its worker reported.
+    largest peak RSS its worker reported. ``no_worse_seconds`` and
+    ``no_worse_max_rss`` are `no_worse` of the call times (medians, at the
+    ``op_s.p50`` bound) and of the peak RSS values (largest, at the
+    ``peak_rss_mb`` bound).
     """
     starts = range(0, len(calls) - 1, 2)
     pairs = [{c["tree"]: c["seconds"] for c in calls[i:i + 2]} for i in starts]
@@ -106,6 +134,7 @@ def summarize(calls: list) -> dict:
                "median_ratio": statistics.median(ratios),
                "median_ratio_ci95": [cuts[0], cuts[-1]],
                "pairs_won_by_B": sum(r < 1.0 for r in ratios)}
+    rss = {}
     for tree in ("A", "B"):
         summary[f"median_ratio_{tree}_first"] = statistics.median(
             r for i, r in zip(starts, ratios) if calls[i]["tree"] == tree)
@@ -114,10 +143,14 @@ def summarize(calls: list) -> dict:
         q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
         summary[f"seconds_{tree}"] = {"median": median, "q1": q1, "q3": q3}
         summary[f"minor_faults_{tree}"] = statistics.median(c["minor_faults"] for c in own)
-        summary[f"max_rss_mb_{tree}"] = max(c["max_rss_mb"] for c in own)
+        rss[tree] = [c["max_rss_mb"] for c in own]
+        summary[f"max_rss_mb_{tree}"] = max(rss[tree])
     a, b = summary["seconds_A"], summary["seconds_B"]
     summary["resolved"] = (10 * summary["pairs_won_by_B"] >= 9 * len(pairs)
                            and a["median"] - b["median"] > a["q3"] - a["q1"])
+    seconds = {tree: [c["seconds"] for c in calls if c["tree"] == tree] for tree in ("A", "B")}
+    summary["no_worse_seconds"] = no_worse(seconds["A"], seconds["B"], BOUNDS["op_s.p50"])
+    summary["no_worse_max_rss"] = no_worse(rss["A"], rss["B"], BOUNDS["peak_rss_mb"], stat=max)
     return summary
 
 
@@ -259,7 +292,9 @@ def main(argv=None) -> int:
           f"{record['median_ratio_A_first']:.3f}, B first "
           f"{record['median_ratio_B_first']:.3f}), B faster in "
           f"{record['pairs_won_by_B']} of {len(record['pairs'])} pairs, "
-          f"{'resolved' if record['resolved'] else 'unresolved'}; minor faults per call "
+          f"{'resolved' if record['resolved'] else 'unresolved'}; no worse: time "
+          f"{record['no_worse_seconds']}, peak RSS {record['no_worse_max_rss']}; "
+          f"minor faults per call "
           f"A {record['minor_faults_A']:g} B {record['minor_faults_B']:g}, peak RSS "
           f"A {record['max_rss_mb_A']:.1f} B {record['max_rss_mb_B']:.1f} MB, "
           f"{len(found)} fault(s) -> {out}")
