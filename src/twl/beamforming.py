@@ -11,9 +11,10 @@ directions beside its matrix: the kernel (`twl.kernels`) builds its
 per-axis factors from them.
 
 The receive-space projector is U·Uᴴ = W·G⁻¹·Wᴴ with G = WᴴW;
-`gram_inv_sqrt` gives G^(-1/2); the kernel takes it of the real stack of
-W's real and imaginary parts, whose Gram matrix is G for an array centred
-on its device (`kernels.codebook_tables`).
+`gram_inv_sqrt` gives G^(-1/2) from W's singular values, without forming
+G. The kernel takes it of the real stack of W's real and imaginary parts,
+whose Gram matrix is G for an array centred on its device
+(`kernels.codebook_tables`).
 """
 
 from dataclasses import dataclass
@@ -198,16 +199,18 @@ def region_spot_grid(vertices: np.ndarray, n_beams: int) -> list[tuple[float, fl
 
 
 def gram_inv_sqrt(w: np.ndarray) -> np.ndarray:
-    """G^(-1/2) of the Gram matrix G = w^H w, via its eigenbasis.
+    """G^(-1/2) of the Gram matrix G = w^H w, from the singular values of w.
 
-    Raises SingularBeamsError when the Gram matrix is numerically singular.
+    G itself is never formed, since that would square w's condition. With
+    w = Q·R and R = U·Σ·Vᴴ, G = V·Σ²·Vᴴ and G^(-1/2) = V·Σ⁻¹·Vᴴ. Raises
+    SingularBeamsError when σ_min <= 1e-6·σ_max, that is when G's eigenvalue
+    ratio is at most 1e-12, or when w has fewer rows than columns.
     """
-    gram = w.conj().T @ w
-    evals, evecs = np.linalg.eigh(gram)
-    if evals[0] <= evals[-1] * 1e-12 or evals[-1] <= 0.0:
-        bad = [int(i) for i in np.where(evals <= evals[-1] * 1e-12)[0]]
+    _, sigma, vh = np.linalg.svd(np.linalg.qr(w, mode="r"))
+    independent = np.count_nonzero(sigma > sigma[0] * 1e-6)
+    if independent < w.shape[1]:
         raise SingularBeamsError(
             f"beam set of {w.shape[1]} beams has a singular Gram matrix "
-            f"({len(bad)} dependent combinations); drop redundant beams"
+            f"({w.shape[1] - independent} dependent combinations); drop redundant beams"
         )
-    return (evecs * evals**-0.5) @ evecs.conj().T
+    return (vh.conj().T / sigma) @ vh

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from twl.beamforming import gram_inv_sqrt
 from twl.geometry import direction_with_partials, steering
 
 CHANNEL_PARAMS = ("theta1", "phi1", "theta2", "phi2", "beta", "psi", "tau")
@@ -148,8 +147,47 @@ def steering_bundle(geom, theta, phi) -> SteeringBundle:
 
 
 def orthonormal_basis(w):
-    """Orthonormal basis U = w·G^(-1/2) of the column space of w."""
-    return w @ gram_inv_sqrt(w)
+    """Orthonormal basis U of the column space of w: numpy's QR, not the program's whitening."""
+    return np.linalg.qr(w)[0]
+
+
+def receive_forms_mp(geom, beam_directions, theta, phi, digits=40):
+    """Receive forms r[x, y] = Re(xᴴ·W·G⁻¹·Wᴴ·y), (3, 3, n), at ``digits`` digits.
+
+    W holds the steering vector of each beam direction, G = WᴴW, and x, y
+    run over the steering bundle (a, da/dtheta, da/dphi) at each (theta,
+    phi). Every float input is taken as exact, so the float64 result
+    carries only its final rounding.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        elements = [[mpmath.mpf(float(v)) for v in axis] for axis in geom.elements]
+        k0 = 2 * mpmath.pi / mpmath.mpf(geom.wavelength)
+        norm = mpmath.sqrt(geom.n_elements)
+
+        def bundle(th, ph):
+            st, ct = mpmath.sin(th), mpmath.cos(th)
+            sp, cp = mpmath.sin(ph), mpmath.cos(ph)
+            u, du_th = (cp * st, sp * st, ct), (cp * ct, sp * ct, -st)
+            du_ph = (-sp * st, cp * st, 0)
+            out = []
+            for e in zip(*elements):
+                a = mpmath.expj(-k0 * mpmath.fdot(e, u)) / norm
+                out.append((a, -1j * k0 * mpmath.fdot(e, du_th) * a,
+                            -1j * k0 * mpmath.fdot(e, du_ph) * a))
+            return mpmath.matrix(out)  # (N, 3)
+
+        w = mpmath.matrix([[row[0] for row in bundle(th, ph).tolist()]
+                           for th, ph in beam_directions]).T  # (N, n_beams)
+        w_h = w.H
+        g_inv = mpmath.inverse(w_h * w)
+        forms = np.empty((3, 3, len(theta)))
+        for m, (th, ph) in enumerate(zip(theta, phi)):
+            proj = w_h * bundle(mpmath.mpf(float(th)), mpmath.mpf(float(ph)))  # (n_beams, 3)
+            r = proj.H * (g_inv * proj)
+            forms[..., m] = [[float(mpmath.re(r[x, y])) for y in range(3)] for x in range(3)]
+    return forms
 
 
 def quadratic_forms(tx_matrix, rx_basis, bundles):

@@ -11,7 +11,7 @@ import pytest
 import twl.fim
 import twl.kernels as kernels
 import twl.scenario
-from oracles import orthonormal_basis, quadratic_forms, steering_bundle
+from oracles import orthonormal_basis, quadratic_forms, receive_forms_mp, steering_bundle
 from twl.beamforming import directional_beams, gram_inv_sqrt
 from twl.fim import channel_fim
 from twl.geometry import ArrayGeometry, direction_with_partials, steering
@@ -150,6 +150,32 @@ def test_real_whitening_is_the_centre_rotated_root(plane):
     scale = np.abs(root).max()
     assert np.abs(root.imag).max() <= 1e-12 * scale
     assert np.abs(whitening - root.real).max() <= 1e-12 * scale
+
+
+def test_ill_conditioned_codebook_keeps_its_receive_forms_accurate():
+    """A 6x6 anchor with the 25 region beams: cond(WᴴW) = 2.1e9.
+
+    The whitening comes from the singular values of W's real stack, not
+    from WᴴW, whose eigenvalues would carry only ~7 correct digits. The
+    receive forms at 12 positions 10 m below the anchor, over ±100 m, agree
+    with a 40-digit reference to 1e-11 of each form's largest entry; a root
+    taken through WᴴW's eigenbasis misses by 9.5e-10.
+    """
+    pytest.importorskip("mpmath")
+    scn = Scenario.reference_defaults()
+    geom = dataclasses.replace(scn.bs_array, rows=6, cols=6)
+    directions = scn.anchor_beam_directions()
+    beams = directional_beams(geom, directions, "receive")
+    stack = np.concatenate([beams.matrix.real, beams.matrix.imag])
+    assert np.linalg.cond(stack) ** 2 == pytest.approx(2.1e9, rel=0.01)
+    rng = np.random.default_rng(0)
+    points = np.column_stack([rng.uniform(-100.0, 100.0, (12, 2)), np.full(12, -10.0)])
+    u = points / np.linalg.norm(points, axis=1)[:, None]
+    theta, phi = np.arccos(u[:, 2]), np.arctan2(u[:, 1], u[:, 0])
+    _, r = kernels.steering_forms(geom, kernels.codebook_tables(geom, beams), theta, phi)
+    reference = receive_forms_mp(geom, directions, theta, phi)
+    error = np.abs(r - reference).max(axis=(0, 1)) / np.abs(reference).max(axis=(0, 1))
+    assert error.max() <= 1e-11, error
 
 
 @pytest.mark.parametrize("wavelength", [1e300 / 38e9, 1e-300], ids=["huge", "tiny"])

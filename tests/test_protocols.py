@@ -198,8 +198,8 @@ def test_doubt_poses_get_their_own_dense_test_at_every_delay_scale(monkeypatch):
     and some not. The uncleared poses alone are gathered, with their matrix
     axes moved last, for the eigenvalue test: the EFIMs it sees are theirs,
     in order, and the finite bounds are exactly those of the poses that
-    pass the dense per-pose test of J·blkdiag(A, w)·Jᵀ. A gather that moved the wrong axes would hand it
-    transposed or other poses' matrices.
+    pass the dense per-pose test of J·blkdiag(A, w)·Jᵀ. A gather that moved
+    the wrong axes would hand it transposed or other poses' matrices.
     """
     import twl.protocols
     from twl.protocols import _CERTIFIED_PRODUCT
