@@ -24,7 +24,7 @@ import twl.scenario
 from oracles import efim
 from twl.beamforming import directional_beams, reverse_direction
 from twl.fim import _channel_matrix, channel_fim, fim_from_forms
-from twl.pose import Pose, channel_geometry, location_jacobian
+from twl.pose import Pose, _link_angles_batch, channel_geometry, location_jacobian, rotation_matrix
 from twl.protocols import PROTOCOLS, assemble, delay_weight, efim_factors, pose_grams
 from twl.scenario import INITIATORS, Region, Scenario, position_tables, protocol_bounds
 
@@ -340,3 +340,69 @@ def test_each_angle_block_is_one_devices_schur_complement(monkeypatch, orientati
         scale = np.abs(expected).max(axis=(1, 2), keepdims=True)
         assert np.all(np.abs(blocks - expected) <= 1e-12 * (np.abs(expected) + scale))
         np.testing.assert_allclose(delay, 4.0 * np.pi**2 * weff2 * rho, rtol=1e-12)
+
+
+@pytest.mark.parametrize("orientation_deg", [(0.0, 0.0), (30.0, 30.0)], ids=["0", "30-30"])
+def test_peb_reads_the_terminal_forms_only_through_their_gain_entries(
+    monkeypatch, orientation_deg
+):
+    # A link's anchor block and delay information read the terminal's forms
+    # only through t_ue[0, 0] (uplink) or r_ue[0, 0] (downlink), and PEB
+    # reads nothing else of the terminal: scaling every other entry of both
+    # terminal forms, symmetrically, moves OEB but leaves each PEB bit for
+    # bit wherever both runs give one
+    scn = _scenario(orientation_deg, 1)
+    positions = twl.scenario.sample_positions(scn.region, scn.n_samples, scn.seed)
+    geo = _link_angles_batch(positions, rotation_matrix(*scn.orientation))
+    base = _all_bounds(position_tables(scn, positions), scn)
+    forms = twl.scenario.steering_forms
+    factor = np.array([[1.0, 0.9, 1.1], [0.9, 1.2, 1.05], [1.1, 1.05, 1.3]])[..., None]
+
+    def perturbed(geometry, tables, theta, phi):
+        t, r = forms(geometry, tables, theta=theta, phi=phi)
+        if np.array_equal(theta, geo["theta2"]):  # the terminal's call
+            return t * factor, r * factor
+        return t, r
+
+    monkeypatch.setattr(twl.scenario, "steering_forms", perturbed)
+    moved = _all_bounds(position_tables(scn, positions), scn)
+    for pair, b in base.items():
+        both = np.isfinite(b.peb) & np.isfinite(moved[pair].peb)
+        assert both.sum() >= 0.9 * both.size, pair
+        np.testing.assert_array_equal(moved[pair].peb[both], b.peb[both], err_msg=str(pair))
+        assert np.all(moved[pair].oeb[both] != b.oeb[both]), pair
+
+
+def test_identical_arrays_at_zero_orientation_give_equal_link_gains(monkeypatch):
+    # The terminal's codebook is the anchor's reversed, and a centred array
+    # answers the reversed direction with the conjugate response, so with
+    # identical arrays facing each other t_ue00 = t_bs00 and r_ue00 =
+    # r_bs00: ρ_f = γβ²·t_bs00·r_ue00 equals ρ_b = γβ²·t_ue00·r_bs00
+    seen = []
+    monkeypatch.setattr(twl.scenario, "fim_from_forms",
+                        lambda *args: seen.append(args) or fim_from_forms(*args))
+    scn = _scenario((0.0, 0.0), 1, n_samples=twl.scenario._CHUNK)
+    assert scn.bs_array == scn.ue_array
+    position_tables(scn)
+    (t_bs, r_ue, gamma, beta, _, forward), (t_ue, r_bs, *_, backward) = seen
+    assert (forward, backward) == ("forward", "backward")
+    rho_f = gamma * beta**2 * t_bs[0, 0] * r_ue[0, 0]
+    rho_b = gamma * beta**2 * t_ue[0, 0] * r_bs[0, 0]
+    np.testing.assert_allclose(rho_f, rho_b, rtol=1e-13, atol=0.0)
+
+
+def test_bounds_are_mirror_symmetric_in_x_at_zero_orientation():
+    # The reference region, its beam grid and both arrays (on the xz plane,
+    # centred) are symmetric under x -> -x, so at zero orientation the
+    # bounds at (x, y, z) and (-x, y, z) agree, with the same inf pattern
+    scn = _scenario((0.0, 0.0), 1)
+    positions = twl.scenario.sample_positions(scn.region, scn.n_samples, scn.seed)
+    base = _all_bounds(position_tables(scn, positions), scn)
+    mirror = _all_bounds(position_tables(scn, positions * [-1.0, 1.0, 1.0]), scn)
+    for pair, b in base.items():
+        for got, want in ((mirror[pair].peb, b.peb), (mirror[pair].oeb, b.oeb)):
+            finite = np.isfinite(want)
+            assert finite.any(), pair
+            np.testing.assert_array_equal(np.isfinite(got), finite, err_msg=str(pair))
+            np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0.0,
+                                       err_msg=str(pair))
