@@ -498,17 +498,17 @@ def run_cdf(scenario: Scenario) -> CdfResult:
     shared = _shared_pairs(scenario)
     kept = {pair: BoundSamples(np.empty(n), np.empty(n))
             for pair in dict.fromkeys(shared.values())}
-    flagged = dict.fromkeys(kept, 0)
+    unidentifiable = dict.fromkeys(kept, 0)
     for rows, _, tables in _stream([scenario]):
         snr[rows] = tables.snr_db
         for pair, samples in kept.items():
             b = protocol_bounds(tables, *pair)
             samples.peb[rows], samples.oeb[rows] = b.peb, b.oeb
-            flagged[pair] += int(np.count_nonzero(np.isinf(b.peb)))
+            unidentifiable[pair] += int(np.count_nonzero(np.isinf(b.peb)))
         del tables  # so that the next chunk's tables are the only ones alive
     snr_p10 = percentile(snr, 0.1)
-    summaries = {pair: (flagged[pair], percentile(s.peb, QUANTILES), percentile(s.oeb, QUANTILES))
-                 for pair, s in kept.items()}
+    summaries = {pair: (unidentifiable[pair], percentile(s.peb, QUANTILES),
+                        percentile(s.oeb, QUANTILES)) for pair, s in kept.items()}
     rows = []
     for (protocol, initiator), source in shared.items():
         flagged, pebs, oebs = summaries[source]

@@ -25,11 +25,12 @@ faster in at least nine tenths of the pairs, and the medians apart by more
 than A's interquartile distance). ``no_worse_seconds`` and
 ``no_worse_max_rss`` say whether B lost nothing instead: whether B's
 median time and peak RSS are within A's times (1 + the bound that
-``BENCHMARK.json`` gives ``op_s.p50`` and ``peak_rss_mb``). Each call also records the minor page
-faults its worker made during the call and the worker's peak RSS after it
-(``getrusage``), and the record gives each tree's median faults per call
-and its largest peak RSS. The workers are persistent, so these are steady
-state figures: a fresh ``twl`` process also pays its imports' faults. It
+``BENCHMARK.json`` gives ``op_s.p50`` and ``peak_rss_mb``). Each call
+also records the minor page faults its worker made during the call and
+the worker's peak RSS after it (``getrusage``), and the record gives each
+tree's median faults per call and its largest peak RSS. The workers are
+persistent, so these are steady state figures: a fresh ``twl`` process
+also pays its imports' faults. It
 exits 1, after writing the record, if tree B failed more operations than
 tree A or any check reported a problem, so that a record whose comparison
 does not count cannot pass unseen. (Every ``point`` round ends with a call at the anchor's nadir,
@@ -134,13 +135,13 @@ def summarize(calls: list) -> dict:
                "median_ratio": statistics.median(ratios),
                "median_ratio_ci95": [cuts[0], cuts[-1]],
                "pairs_won_by_B": sum(r < 1.0 for r in ratios)}
-    rss = {}
+    seconds, rss = {}, {}
     for tree in ("A", "B"):
         summary[f"median_ratio_{tree}_first"] = statistics.median(
             r for i, r in zip(starts, ratios) if calls[i]["tree"] == tree)
         own = [c for c in calls if c["tree"] == tree]
-        seconds = [c["seconds"] for c in own]
-        q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+        seconds[tree] = [c["seconds"] for c in own]
+        q1, median, q3 = statistics.quantiles(seconds[tree], n=4, method="inclusive")
         summary[f"seconds_{tree}"] = {"median": median, "q1": q1, "q3": q3}
         summary[f"minor_faults_{tree}"] = statistics.median(c["minor_faults"] for c in own)
         rss[tree] = [c["max_rss_mb"] for c in own]
@@ -148,7 +149,6 @@ def summarize(calls: list) -> dict:
     a, b = summary["seconds_A"], summary["seconds_B"]
     summary["resolved"] = (10 * summary["pairs_won_by_B"] >= 9 * len(pairs)
                            and a["median"] - b["median"] > a["q3"] - a["q1"])
-    seconds = {tree: [c["seconds"] for c in calls if c["tree"] == tree] for tree in ("A", "B")}
     summary["no_worse_seconds"] = no_worse(seconds["A"], seconds["B"], BOUNDS["op_s.p50"])
     summary["no_worse_max_rss"] = no_worse(rss["A"], rss["B"], BOUNDS["peak_rss_mb"], stat=max)
     return summary
