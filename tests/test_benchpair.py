@@ -105,7 +105,8 @@ def test_faults_name_extra_failures_and_every_check_problem():
 
 def test_no_worse_reads_the_benchmark_bounds():
     bp = _benchpair()
-    assert bp.BOUNDS["op_s.p50"] == 0.25 and bp.BOUNDS["peak_rss_mb"] == 0.1
+    bounds = bp.bounds()
+    assert bounds["op_s.p50"] == 0.25 and bounds["peak_rss_mb"] == 0.1
 
 
 def test_summary_says_whether_b_is_no_worse_within_the_bounds():
