@@ -17,11 +17,12 @@ whose Gram matrix is G for an array centred on its device
 (`kernels.codebook_tables`).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT, ArrayGeometry, steering
+from .geometry import ArrayGeometry, steering
 
 
 class SingularBeamsError(ValueError):
@@ -83,7 +84,7 @@ class SignalConfig:
     bandwidth: float
     weff2: float
     carrier: float
-    c: float = SPEED_OF_LIGHT
+    c: float
 
     def __post_init__(self):
         for name in ("et", "n0", "bandwidth", "weff2", "carrier", "c"):
@@ -108,8 +109,8 @@ class SignalConfig:
         ns: int,
         n0: float,
         carrier: float,
-        weff_factor: float = 1.0 / 3.0,
-        c: float = SPEED_OF_LIGHT,
+        weff_factor: float,
+        c: float,
     ) -> "SignalConfig":
         """Build from transmit power with symbol time ts = 1/bandwidth, et = power * ts."""
         ts = 1.0 / bandwidth
@@ -147,6 +148,13 @@ def reverse_direction(theta: float, phi: float) -> tuple[float, float]:
     return np.pi - theta, phi_r
 
 
+def _grid_side(n_beams: int) -> int:
+    """The side of a square grid of ``n_beams`` beams."""
+    if n_beams < 1 or round(math.sqrt(n_beams)) ** 2 != n_beams:
+        raise ValueError(f"n_beams must be a perfect square, got {n_beams!r}")
+    return round(math.sqrt(n_beams))
+
+
 def sector_beam_grid(
     n_beams: int,
     sector_azimuth: tuple[float, float],
@@ -157,19 +165,12 @@ def sector_beam_grid(
     ``n_beams`` must be a perfect square. The terminal's codebook is the
     reversed grid (`scenario._beam_directions`).
     """
-    side = round(np.sqrt(n_beams))
-    if side * side != n_beams or n_beams < 1:
-        raise ValueError(f"n_beams must be a perfect square, got {n_beams!r}")
-    az_lo, az_hi = sector_azimuth
-    pol_lo, pol_hi = sector_polar
-    if az_hi < az_lo or pol_hi < pol_lo:
-        raise ValueError("sector bounds must be ordered (low, high)")
-    if side == 1:
-        az = np.array([(az_lo + az_hi) / 2.0])
-        pol = np.array([(pol_lo + pol_hi) / 2.0])
-    else:
-        az = np.linspace(az_lo, az_hi, side)
-        pol = np.linspace(pol_lo, pol_hi, side)
+    side = _grid_side(n_beams)
+    for name, (lo, hi) in (("sector_azimuth", sector_azimuth), ("sector_polar", sector_polar)):
+        if hi < lo:
+            raise ValueError(f"{name} bounds must be ordered (low, high)")
+    az, pol = (np.array([(lo + hi) / 2.0]) if side == 1 else np.linspace(lo, hi, side)
+               for lo, hi in (sector_azimuth, sector_polar))
     return [(th, ph) for th in pol for ph in az]
 
 
@@ -181,9 +182,7 @@ def region_spot_grid(vertices: np.ndarray, n_beams: int) -> list[tuple[float, fl
     follows the served area instead of a fixed angular rectangle.
     ``n_beams`` must be a perfect square.
     """
-    side = round(np.sqrt(n_beams))
-    if side * side != n_beams or n_beams < 1:
-        raise ValueError(f"n_beams must be a perfect square, got {n_beams!r}")
+    side = _grid_side(n_beams)
     v = np.asarray(vertices, dtype=np.float64)
     if v.shape != (4, 3):
         raise ValueError(f"need 4 region vertices of 3 coordinates, got {v.shape}")

@@ -12,7 +12,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,9 +21,11 @@ from .beamforming import SingularBeamsError
 from .scenario import (
     REFERENCE_CONFIG,
     Scenario,
+    delay_scales,
     position_tables,
     protocol_bounds,
     run_cdf,
+    square_edges,
     sweep_antennas,
     sweep_bandwidth,
 )
@@ -61,14 +63,12 @@ def _vec3(x) -> bool:
     return isinstance(x, (list, tuple)) and len(x) == 3 and all(_number(v) for v in x)
 
 
-def _choices(*known):
-    def check(x) -> bool:
-        return (isinstance(x, (list, tuple)) and x and all(v in known for v in x)
-                and len(set(x)) == len(x))
-    return check
+def _list_of(check):
+    return lambda x: isinstance(x, (list, tuple)) and len(x) > 0 and all(check(v) for v in x)
 
 
-# key -> (validator, description)
+# key -> (validator, description). Each validator checks a type and sign; the
+# library checks each value's other rules where it reads the value.
 _CONFIG_SPEC = {
     "carrier_hz": (_positive, "carrier frequency"),
     "bandwidth_hz": (_positive, "occupied bandwidth"),
@@ -82,8 +82,8 @@ _CONFIG_SPEC = {
     "ue_rows": (_count, "terminal array rows"),
     "ue_cols": (_count, "terminal array columns"),
     "spacing_wavelengths": (_positive, "element pitch in wavelengths"),
-    "n_beams": (_count, "beams per device (perfect square)"),
-    "beam_grid": (lambda x: x in ("region", "sector"), "codebook layout"),
+    "n_beams": (_count, "beams per device"),
+    "beam_grid": (lambda x: isinstance(x, str), "codebook layout"),
     "sector_azimuth_deg": (_pair, "served azimuth sector"),
     "sector_polar_deg": (_pair, "served polar sector"),
     "orientation_deg": (_pair, "terminal orientation angles"),
@@ -93,27 +93,12 @@ _CONFIG_SPEC = {
     ),
     "n_positions": (_count, "sampled positions"),
     "seed": (lambda x: _integer(x) and 0 <= x < 2**64, "RNG seed"),
-    "protocols": (_choices("owl", "rlp", "clp"), "distinct protocols to evaluate"),
-    "initiators": (_choices("bs", "ue"), "distinct exchange initiators"),
+    "protocols": (_list_of(lambda x: isinstance(x, str)), "protocols to evaluate"),
+    "initiators": (_list_of(lambda x: isinstance(x, str)), "exchange initiators"),
     "point_m": (_vec3, "single evaluation position"),
-    "bandwidths_hz": (
-        lambda x: isinstance(x, (list, tuple)) and x and all(_positive(v) for v in x),
-        "bandwidth sweep values",
-    ),
-    "antenna_counts": (
-        lambda x: isinstance(x, (list, tuple)) and x and all(_count(v) for v in x),
-        "antenna sweep values",
-    ),
+    "bandwidths_hz": (_list_of(_positive), "bandwidth sweep values"),
+    "antenna_counts": (_list_of(_count), "antenna sweep values"),
     "sweep_side": (lambda x: x in ("bs", "ue"), "swept device side"),
-}
-
-# The scenario keys default to the reference setup; the rest are run keys.
-_DEFAULTS = {
-    **REFERENCE_CONFIG,
-    "point_m": [0.0, 25.0, -10.0],
-    "bandwidths_hz": [10e6, 20e6, 40e6, 60e6, 80e6, 100e6, 125e6, 250e6, 500e6, 1e9],
-    "antenna_counts": [36, 64, 100, 144, 196],
-    "sweep_side": "bs",
 }
 
 _SCHEMAS = {
@@ -128,26 +113,37 @@ _SCHEMAS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration: defaults overlaid with file entries."""
+    """Validated configuration, defaults overlaid with file entries, and its scenario."""
 
     values: dict
+    _scenario: Scenario = field(repr=False)
 
     def __getitem__(self, key):
         return self.values[key]
 
     def scenario(self) -> Scenario:
-        try:
-            return Scenario.from_config(self.values)
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return self._scenario
+
+
+def _checked(key: str | None, rule, *args):
+    """``rule(*args)``, its ValueError or OverflowError a `ConfigError` led by ``key``.
+
+    The sweeps run their rules here before their positions stream, so that no
+    pipeline error passes for a config error.
+    """
+    try:
+        return rule(*args)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: {exc}" if key else str(exc)) from exc
 
 
 def parse_config(path: str | None, seed: int | None = None) -> RunConfig:
     """Read, validate, and default-fill a key-value config file.
 
-    A ``seed`` other than None overrides the file's.
+    A ``seed`` other than None overrides the file's. The scenario is built
+    here, once, so that each of its rules fails here for every subcommand.
     """
-    values = {key: _DEFAULTS[key] for key in _CONFIG_SPEC}
+    values = dict(REFERENCE_CONFIG)
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -159,7 +155,7 @@ def parse_config(path: str | None, seed: int | None = None) -> RunConfig:
     if seed is not None:
         values["seed"] = seed
     _validate(values)
-    return RunConfig(values=values)
+    return RunConfig(values, _checked(None, Scenario.from_config, values))
 
 
 def _parse_lines(text: str):
@@ -189,18 +185,6 @@ def _validate(values: dict):
             raise ConfigError(
                 f"invalid value for {key} ({description}): {values[key]!r}"
             )
-    for key, counts in (("n_beams", [values["n_beams"]]),
-                        ("antenna_counts", values["antenna_counts"])):
-        for count in counts:
-            if round(math.sqrt(count)) ** 2 != count:
-                raise ConfigError(f"invalid value for {key}: {count!r} is not a square")
-    for key in ("sector_azimuth_deg", "sector_polar_deg"):
-        lo, hi = values[key]
-        if hi < lo:
-            raise ConfigError(f"invalid value for {key}: bounds reversed")
-    bw = list(values["bandwidths_hz"])
-    if bw != sorted(bw):
-        raise ConfigError("invalid value for bandwidths_hz: must be ascending")
 
 
 def _echo_lines(config: RunConfig):
@@ -248,13 +232,13 @@ def _rows_cdf(config: RunConfig):
 
 
 def _rows_sweep_bw(config: RunConfig):
+    _checked("bandwidths_hz", delay_scales, config.scenario(), config["bandwidths_hz"])
     return sweep_bandwidth(config.scenario(), config["bandwidths_hz"])
 
 
 def _rows_sweep_ant(config: RunConfig):
-    raw = sweep_antennas(
-        config.scenario(), config["antenna_counts"], config["sweep_side"]
-    )
+    _checked("antenna_counts", square_edges, config["antenna_counts"])
+    raw = sweep_antennas(config.scenario(), config["antenna_counts"], config["sweep_side"])
     rows = []
     seen = set()
     for r in raw:

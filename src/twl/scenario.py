@@ -81,8 +81,8 @@ _CHUNK = 4096
 _CONTAINS_TOL = 1e-9
 
 
-#: The reference desk-scale setup in config units, keyed by config name.
-#: `Scenario.reference_defaults`, `Region()` and the CLI's defaults read it.
+#: The only table of defaults: the reference desk-scale setup and the CLI's run
+#: keys, in config units. `Scenario.reference_defaults`, `Region()` and the CLI read it.
 REFERENCE_CONFIG = {
     "carrier_hz": 38e9,
     "bandwidth_hz": 125e6,
@@ -111,6 +111,10 @@ REFERENCE_CONFIG = {
     "seed": 123456789,
     "protocols": list(PROTOCOLS),
     "initiators": list(INITIATORS),
+    "point_m": [0.0, 25.0, -10.0],
+    "bandwidths_hz": [10e6, 20e6, 40e6, 60e6, 80e6, 100e6, 125e6, 250e6, 500e6, 1e9],
+    "antenna_counts": [36, 64, 100, 144, 196],
+    "sweep_side": "bs",
 }
 
 
@@ -550,6 +554,13 @@ def _peb90(scenario: Scenario, variants, scales) -> dict:
             for pair, source in shared.items()}
 
 
+def delay_scales(scenario: Scenario, bandwidths) -> list:
+    """The delay scale (w / W)² of each of the positive, ascending bandwidths w."""
+    if any(w <= 0 for w in bandwidths) or list(bandwidths) != sorted(bandwidths):
+        raise ValueError("bandwidths must be positive and ascending")
+    return [(w / scenario.signal.bandwidth) ** 2 for w in bandwidths]
+
+
 def sweep_bandwidth(scenario: Scenario, bandwidths) -> list:
     """PEB at the 0.9 quantile versus bandwidth, fixed positions and energy.
 
@@ -557,17 +568,21 @@ def sweep_bandwidth(scenario: Scenario, bandwidths) -> list:
     across rows; transmit energy, beams, and sampled positions stay fixed.
     Each bandwidth is a delay scale of the one position stream.
     """
-    bandwidths = [float(w) for w in bandwidths]
-    if any(w <= 0 for w in bandwidths) or bandwidths != sorted(bandwidths):
-        raise ValueError("bandwidths must be positive and ascending")
-    scales = [(w / scenario.signal.bandwidth) ** 2 for w in bandwidths]
-    peb90 = _peb90(scenario, [scenario], scales)
+    peb90 = _peb90(scenario, [scenario], delay_scales(scenario, bandwidths))
     return [
         {"w_hz": w, "protocol": protocol, "initiator": initiator,
          "peb90_m": peb90[0, j, protocol, initiator]}
-        for j, w in enumerate(bandwidths)
+        for j, w in enumerate(map(float, bandwidths))
         for protocol in scenario.protocols for initiator in scenario.initiators
     ]
+
+
+def square_edges(counts) -> list:
+    """The edge of each antenna count, which must be a perfect square."""
+    for count in counts:
+        if count < 1 or round(math.sqrt(count)) ** 2 != count:
+            raise ValueError(f"antenna counts must be perfect squares, got {count!r}")
+    return [round(math.sqrt(count)) for count in counts]
 
 
 def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
@@ -583,14 +598,10 @@ def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
     """
     if side not in ("bs", "ue"):
         raise ValueError(f"side must be 'bs' or 'ue', got {side!r}")
-    for count in counts:
-        if count < 1 or round(math.sqrt(count)) ** 2 != count:
-            raise ValueError(f"antenna counts must be perfect squares, got {count!r}")
-    edges = [round(math.sqrt(count)) for count in counts]
     own = getattr(scenario, f"{side}_array")
     variants = [
         replace(scenario, **{f"{side}_array": replace(own, rows=edge, cols=edge)})
-        for edge in edges
+        for edge in square_edges(counts)
     ]
     peb90 = _peb90(scenario, variants, [1.0])
     return [

@@ -11,7 +11,7 @@ from twl.beamforming import (
     reverse_direction,
     sector_beam_grid,
 )
-from twl.geometry import steering
+from twl.geometry import SPEED_OF_LIGHT, steering
 from twl.scenario import Scenario, _beam_directions
 
 DEG = np.pi / 180.0
@@ -202,13 +202,15 @@ def test_signal_config_defaults(default_signal):
 def test_signal_config_flat_pulse_alternative():
     sig = SignalConfig.from_link_budget(
         power_w=1e-3, bandwidth=125e6, ns=64, n0=1e-20, carrier=38e9,
-        weff_factor=1.0 / 12.0,
+        weff_factor=1.0 / 12.0, c=SPEED_OF_LIGHT,
     )
     assert abs(sig.weff2 - 125e6**2 / 12.0) < 1.0
 
 
 def test_signal_config_validation():
     with pytest.raises(ValueError):
-        SignalConfig(et=-1, ns=4, n0=1e-20, bandwidth=1e8, weff2=1e15, carrier=38e9)
+        SignalConfig(et=-1, ns=4, n0=1e-20, bandwidth=1e8, weff2=1e15, carrier=38e9,
+                     c=SPEED_OF_LIGHT)
     with pytest.raises(ValueError):
-        SignalConfig(et=1e-12, ns=0, n0=1e-20, bandwidth=1e8, weff2=1e15, carrier=38e9)
+        SignalConfig(et=1e-12, ns=0, n0=1e-20, bandwidth=1e8, weff2=1e15, carrier=38e9,
+                     c=SPEED_OF_LIGHT)

@@ -142,3 +142,41 @@ def test_no_worse_is_unresolved_when_the_base_spreads_wider_than_the_bound():
     # the same rule for the peak RSS, at its bound of 0.1
     assert bp.no_worse([40.0, 40.0, 60.0, 60.0], [52.0] * 4, 0.1, stat=max) == "unresolved"
     assert bp.no_worse([40.0, 40.0, 60.0, 60.0], [39.0] * 4, 0.1, stat=max) is True
+
+
+def test_calls_per_round_fill_about_a_second():
+    bp = _benchpair()
+    assert bp.ROUND_SECONDS == 1.0
+    assert bp.calls_per_round(0.3) == 3  # round(3.33)
+    assert bp.calls_per_round(0.04) == 25
+    assert bp.calls_per_round(0.9) == 1
+    # a call slower than the round gets a round of its own
+    assert bp.calls_per_round(2.5) == 1
+
+
+def test_a_round_reads_its_calls_medians():
+    bp = _benchpair()
+    replies = [{"seconds": s, "failed": f, "problems": p, "minor_faults": m, "max_rss_mb": r}
+               for s, f, p, m, r in ((0.10, 0, [], 900, 50.0),
+                                     (0.90, 1, ["exit code 3, expected 0"], 5000, 51.0),
+                                     (0.12, 0, [], 1100, 50.5))]
+    r = bp.round_of("B", replies)
+    # one slow call does not move the round's time
+    assert r["tree"] == "B" and r["seconds"] == 0.12
+    assert r["call_seconds"] == [0.10, 0.90, 0.12]
+    assert r["minor_faults"] == 1100 and r["max_rss_mb"] == 51.0
+    assert r["failed"] == 1 and r["problems"] == ["exit code 3, expected 0"]
+
+
+def test_summary_pairs_the_rounds_by_their_median_calls():
+    bp = _benchpair()
+    reply = {"failed": 0, "problems": [], "minor_faults": 0, "max_rss_mb": 50.0}
+    rounds = []
+    for tree in bp.schedule(2):
+        calls = [1.0, 5.0, 1.1] if tree == "A" else [0.5, 0.6, 9.0]
+        rounds.append(bp.round_of(tree, [{**reply, "seconds": s} for s in calls]))
+    summary = bp.summarize(rounds)
+    # the medians 1.1 and 0.6: each round's outlier counts for nothing
+    assert summary["ratios"] == pytest.approx([0.6 / 1.1, 0.6 / 1.1])
+    assert summary["pairs_won_by_B"] == 2
+    assert bp.faults(rounds) == []

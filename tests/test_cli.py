@@ -342,6 +342,65 @@ def test_repeated_protocols_or_initiators_exit_2(tmp_path, capsys, subcommand, t
     assert "distinct" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand, text, key", [
+    *[(sub, "n_beams = 24\n", "n_beams") for sub in ("cdf", "sweep-bw", "sweep-ant", "point")],
+    ("cdf", "beam_grid = \"grid\"\n", "beam_grid"),
+    ("point", "beam_grid = \"sector\"\nsector_polar_deg = [170, 100]\n", "sector_polar"),
+    ("sweep-ant", "antenna_counts = [5]\n", "antenna_counts"),
+    ("sweep-bw", "bandwidths_hz = [125e6, 50e6]\n", "bandwidths_hz"),
+], ids=["n_beams-cdf", "n_beams-sweep-bw", "n_beams-sweep-ant", "n_beams-point",
+        "beam_grid", "sector_polar", "antenna_counts", "bandwidths_hz"])
+def test_library_rules_exit_2_and_name_the_key(tmp_path, capsys, subcommand, text, key):
+    # the library states these rules; the CLI names the key they read
+    cfg = write_config(tmp_path, QUICK + text)
+    out = tmp_path / "x.csv"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("twl: error: ") and key in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, text", [
+    ("cdf", "sector_polar_deg = [170, 100]\nsector_azimuth_deg = [150, 30]\n"),
+    ("cdf", "antenna_counts = [5]\n"),
+    ("sweep-ant", "bandwidths_hz = [125e6, 50e6]\n"),
+    ("sweep-bw", "antenna_counts = [36, 50]\n"),
+], ids=["sector-under-region-grid", "antenna_counts-cdf", "bandwidths_hz-sweep-ant",
+        "antenna_counts-sweep-bw"])
+def test_a_value_is_checked_where_the_library_reads_it(tmp_path, subcommand, text):
+    # the region grid reads no sector bounds, and only a sweep reads its values
+    cfg = write_config(tmp_path, QUICK + text)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+
+
+@pytest.mark.parametrize("subcommand", ["sweep-bw", "sweep-ant"])
+def test_a_pipeline_value_error_in_a_sweep_is_not_a_config_error(tmp_path, monkeypatch,
+                                                                  subcommand):
+    # only the sweep's own rule maps to exit 2; a fault past it stays a traceback
+    def broken(*args, **kwargs):
+        raise ValueError("pipeline fault")
+
+    monkeypatch.setattr(twl.scenario, "protocol_bounds", broken)
+    with pytest.raises(ValueError, match="pipeline fault") as raised:
+        main([subcommand, "--config", write_config(tmp_path)])
+    assert not isinstance(raised.value, ConfigError)
+
+
+def test_parse_config_builds_the_scenario_once(tmp_path, monkeypatch):
+    built = []
+    from_config = Scenario.from_config.__func__
+
+    def counted(cls, values):
+        built.append(values)
+        return from_config(cls, values)
+
+    monkeypatch.setattr(Scenario, "from_config", classmethod(counted))
+    config = parse_config(write_config(tmp_path))
+    assert config.scenario() is config.scenario()
+    assert main(["point", "--config", write_config(tmp_path)]) == 0
+    assert len(built) == 2  # one per parse_config call
+
+
 def test_exactly_singular_jacobian_exits_3(tmp_path):
     # a horizontal link along the terminal's x axis: its location Jacobian
     # has an all-zero chi0 row

@@ -137,6 +137,16 @@ TERMINAL_POLE = [
 ]
 
 
+#: values whose rules the library applies where it reads them: reversed
+#: sector bounds, read only by the sector grid, a non-square antenna count,
+#: read only by sweep-ant, and descending bandwidths, read only by sweep-bw
+READ_WHERE_USED = [
+    {"n_positions": 20, "sector_polar_deg": [170.0, 100.0]},
+    {"n_positions": 20, "beam_grid": "sector", "sector_azimuth_deg": [150.0, 30.0]},
+    {"n_positions": 20, "antenna_counts": [5], "bandwidths_hz": [2e8, 1e8]},
+]
+
+
 def test_every_key_has_a_strategy():
     assert set(VALUES) == set(_CONFIG_SPEC)
 
@@ -170,6 +180,9 @@ def _run(tmp_path, subcommand, config):
 @example(config=SINGULAR[3])
 @example(config=TERMINAL_POLE[0])
 @example(config=TERMINAL_POLE[1])
+@example(config=READ_WHERE_USED[0])
+@example(config=READ_WHERE_USED[1])
+@example(config=READ_WHERE_USED[2])
 @example(config={"n_positions": True})
 @example(config={"n_beams": True})
 def test_batch_subcommands_end_in_rows_or_an_exit_code(tmp_path_factory, subcommand, config):

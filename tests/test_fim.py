@@ -16,7 +16,7 @@ from oracles import (
 )
 from twl.beamforming import SignalConfig, directional_beams
 from twl.fim import angle_efim, channel_fim, delay_info
-from twl.geometry import ArrayGeometry
+from twl.geometry import SPEED_OF_LIGHT, ArrayGeometry
 from twl.pose import ChannelGeometry
 
 LAM = 299792458.0 / 38e9
@@ -39,7 +39,8 @@ def small_link(rng, n_tx_beams=2, n_rx_beams=2, ns=4):
     f = directional_beams(tx_geom, [jitter(tx_angles) for _ in range(n_tx_beams)], "transmit")
     w = directional_beams(rx_geom, [jitter(rx_angles) for _ in range(n_rx_beams)], "receive")
     sig = SignalConfig.from_link_budget(
-        power_w=1e-3, bandwidth=125e6, ns=ns, n0=1e-20, carrier=38e9
+        power_w=1e-3, bandwidth=125e6, ns=ns, n0=1e-20, carrier=38e9,
+        weff_factor=1.0 / 3.0, c=SPEED_OF_LIGHT,
     )
     return direction, tx_geom, rx_geom, f, w, cg, sig
 

@@ -406,3 +406,65 @@ def test_bounds_are_mirror_symmetric_in_x_at_zero_orientation():
             np.testing.assert_array_equal(np.isfinite(got), finite, err_msg=str(pair))
             np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0.0,
                                        err_msg=str(pair))
+
+
+def test_owl_peb_reads_the_terminal_only_through_its_uplink_gain(monkeypatch):
+    # owl with initiator bs reads the uplink alone: its anchor block is
+    # ρ_b·S(r_bs)/r_bs00 and its delay information 4π²·weff2·ρ_b, with
+    # ρ_b = γβ²·t_ue00·r_bs00, so PEB²·γβ²·t_ue00 reads only the anchor's
+    # forms and the pose. It is the same for every terminal array and
+    # orientation, γ's terminal element count included.
+    seen = []
+    monkeypatch.setattr(twl.scenario, "fim_from_forms",
+                        lambda *args: seen.append(args) or fim_from_forms(*args))
+    base = _scenario((0.0, 0.0), 5)
+    positions = twl.scenario.sample_positions(base.region, base.n_samples, base.seed)
+    products = []
+    for edge in (6, 8, 10, 12, 14):
+        for orientation_deg in ((0.0, 0.0), (30.0, 30.0), (-20.0, 45.0)):
+            scn = dataclasses.replace(
+                _scenario(orientation_deg, 5),
+                ue_array=dataclasses.replace(base.ue_array, rows=edge, cols=edge),
+            )
+            seen.clear()
+            peb = protocol_bounds(position_tables(scn, positions), "owl", "bs").peb
+            t_ue, _, gamma, beta, _, direction = seen[1]
+            assert direction == "backward"
+            products.append(peb**2 * gamma * beta**2 * t_ue[0, 0])
+    first = products[0]
+    for k, product in enumerate(products[1:], start=1):
+        both = np.isfinite(first) & np.isfinite(product)
+        assert both.sum() >= 0.9 * both.size, k
+        np.testing.assert_allclose(product[both], first[both], rtol=1e-12, atol=0.0,
+                                   err_msg=str(k))
+
+
+@pytest.mark.parametrize("orientation_deg", [(0.0, 0.0), (30.0, 30.0)], ids=["0", "30-30"])
+def test_clp_position_term_sums_the_anchors_two_normalised_schur_complements(
+    monkeypatch, orientation_deg
+):
+    # clp's anchor block is the sum of the uplink's receive block and the
+    # downlink's transmit block, ρ_b·Ŝ(r_bs) + ρ_f·Ŝ(t_bs), with
+    # Ŝ(q) = S(q)/q00, ρ_b = γβ²·t_ue00·r_bs00 and ρ_f = γβ²·t_bs00·r_ue00,
+    # so its position term is ⟨(ρ_b·Ŝ(r_bs) + ρ_f·Ŝ(t_bs))⁻¹, G_pos⟩ with
+    # G_pos = diag(r², r²·sin²θ₁)
+    seen = []
+    monkeypatch.setattr(twl.scenario, "fim_from_forms",
+                        lambda *args: seen.append(args) or fim_from_forms(*args))
+    tables = position_tables(_scenario(orientation_deg, 1, n_samples=300))
+    (t_bs, r_ue, gamma, beta, _, forward), (t_ue, r_bs, *_, backward) = seen
+    assert (forward, backward) == ("forward", "backward")
+
+    def normalised_schur(q):
+        return (q[1:, 1:] - q[1:, 0, None] * q[None, 0, 1:] / q[0, 0]) / q[0, 0]
+
+    rho_b = gamma * beta**2 * t_ue[0, 0] * r_bs[0, 0]
+    rho_f = gamma * beta**2 * t_bs[0, 0] * r_ue[0, 0]
+    anchor = rho_b * normalised_schur(r_bs) + rho_f * normalised_schur(t_bs)
+    a_inv = np.linalg.inv(np.moveaxis(anchor, -1, 0))
+    p = tables.positions
+    r2 = np.einsum("ij,ij->i", p, p)
+    r2_sin2 = p[:, 0] ** 2 + p[:, 1] ** 2
+    np.testing.assert_allclose(tables.factors["clp"].pos,
+                               r2 * a_inv[:, 0, 0] + r2_sin2 * a_inv[:, 1, 1],
+                               rtol=1e-12, atol=0.0)

@@ -34,7 +34,8 @@ DIAMOND = np.array(
 def reference_link():
     """Default-scale link at p = (0, 25, -10) with region-covering codebooks."""
     sig = SignalConfig.from_link_budget(
-        power_w=1e-3, bandwidth=125e6, ns=64, n0=1e-20, carrier=38e9
+        power_w=1e-3, bandwidth=125e6, ns=64, n0=1e-20, carrier=38e9,
+        weff_factor=1.0 / 3.0, c=SPEED_OF_LIGHT,
     )
     bs = ArrayGeometry(12, 12, sig.wavelength)
     ue = ArrayGeometry(12, 12, sig.wavelength)

@@ -8,16 +8,20 @@ worker process, started with ``PYTHONPATH`` naming that tree's ``src`` and
 this checkout's ``twlbench``, and with the OpenBLAS, OpenMP and MKL pools
 pinned to one thread. Both workers import ``twlbench/workload.py`` and take
 their configs from its ``rounds`` with the same seed, so the k-th call of
-each tree runs the same config. After one untimed warm-up call per tree, the
-calls alternate A B B A, A B B A, ... for ``PAIRS`` = 10 pairs: every
-adjacent (A, B) or (B, A) is a pair, so each tree runs first in half of
-them. A call is one round of the
-workload (one ``twl.cli.main`` call, or a round of ``point`` calls), timed
-by ``workload.call_cli`` and checked by ``workload.Run.check_op``.
+each tree runs the same config. A call is one item of those ``rounds``
+(one ``twl.cli.main`` call, or a batch of ``point`` calls), timed by
+``workload.call_cli`` and checked by ``workload.Run.check_op``. After one
+untimed warm-up call per tree, the timed unit is a round of k calls of one
+tree, k = max(1, round(1 s / the slower warm-up call's time)), fixed once
+per run and the same for both trees (`calls_per_round`); a round's time is
+the median of its calls' times (`round_of`), so one slow call moves no
+round. The rounds alternate A B B A, A B B A, ... for ``PAIRS`` = 10
+pairs: every adjacent (A, B) or (B, A) is a pair, so each tree runs first
+in half of them.
 
 The record goes to ``BENCH_<workload>.json`` at the root of the checkout
-(or ``--out``): the machine record, each tree's ``src`` digest, every
-call's time in order, the pairs, the median of the per-pair ratios B/A
+(or ``--out``): the machine record, each tree's ``src`` digest, k, every
+round's call times in order, the pairs, the median of the per-pair ratios B/A
 (over all pairs, and over those in which A or B ran first) with a 95%
 percentile-bootstrap interval, the pairs B won, each tree's median and
 quartiles, and ``resolved``: whether B's gain meets the claim rule (B
@@ -27,13 +31,14 @@ than A's interquartile distance). ``no_worse_seconds`` and
 median time and peak RSS are within A's times (1 + the bound that
 ``BENCHMARK.json`` gives ``op_s.p50`` and ``peak_rss_mb``). Each call
 also records the minor page faults its worker made during the call and
-the worker's peak RSS after it (``getrusage``), and the record gives each
+the worker's peak RSS after it (``getrusage``); a round keeps the median
+faults and the largest peak RSS of its calls, and the record gives each
 tree's median faults per call and its largest peak RSS. The workers are
 persistent, so these are steady state figures: a fresh ``twl`` process
 also pays its imports' faults. It
 exits 1, after writing the record, if tree B failed more operations than
 tree A or any check reported a problem, so that a record whose comparison
-does not count cannot pass unseen. (Every ``point`` round ends with a call at the anchor's nadir,
+does not count cannot pass unseen. (Every ``point`` batch ends with a call at the anchor's nadir,
 which fails in both trees; equal counts are not a fault.) Running it with
 ``--base HEAD`` on a clean checkout times a tree against itself.
 """
@@ -54,6 +59,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "twlbench")
 PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PAIRS = 10
+# Seconds of calls that one round aims at; a faster call gets more calls per round.
+ROUND_SECONDS = 1.0
 # Resamples of the bootstrap interval of the median ratio, drawn from a fixed
 # seed so that one record always gives the same interval.
 RESAMPLES = 2000
@@ -88,8 +95,28 @@ def host() -> dict:
 
 
 def schedule(pairs: int) -> list:
-    """Tree labels of the timed calls: A B B A repeated, 2·pairs calls."""
+    """Tree labels of the timed rounds: A B B A repeated, 2·pairs rounds."""
     return [("A", "B", "B", "A")[i % 4] for i in range(2 * pairs)]
+
+
+def calls_per_round(warmup_seconds: float) -> int:
+    """k = max(1, round(`ROUND_SECONDS` / the warm-up call's time))."""
+    return max(1, round(ROUND_SECONDS / warmup_seconds))
+
+
+def round_of(tree: str, replies: list) -> dict:
+    """One round of a tree from its calls' worker replies.
+
+    Its ``seconds`` and ``minor_faults`` are its calls' medians, its
+    ``max_rss_mb`` their largest, its ``failed`` their sum and its
+    ``problems`` all of theirs; ``call_seconds`` keeps each call's time.
+    """
+    seconds = [r["seconds"] for r in replies]
+    return {"tree": tree, "seconds": statistics.median(seconds), "call_seconds": seconds,
+            "failed": sum(r["failed"] for r in replies),
+            "problems": [p for r in replies for p in r["problems"]],
+            "minor_faults": statistics.median(r["minor_faults"] for r in replies),
+            "max_rss_mb": max(r["max_rss_mb"] for r in replies)}
 
 
 def no_worse(a: list, b: list, bound: float, stat=statistics.median):
@@ -105,8 +132,8 @@ def no_worse(a: list, b: list, bound: float, stat=statistics.median):
     return stat(b) <= stat(a) * (1.0 + bound)
 
 
-def summarize(calls: list) -> dict:
-    """Pairs, ratios and per-tree quantiles of calls in `schedule` order.
+def summarize(rounds: list) -> dict:
+    """Pairs, ratios and per-tree quantiles of `round_of` rounds in `schedule` order.
 
     ``median_ratio_A_first`` and ``median_ratio_B_first`` are the medians
     over the pairs in which that tree ran first, which shows an order effect.
@@ -122,8 +149,8 @@ def summarize(calls: list) -> dict:
     ``op_s.p50`` bound) and of the peak RSS values (largest, at the
     ``peak_rss_mb`` bound).
     """
-    starts = range(0, len(calls) - 1, 2)
-    pairs = [{c["tree"]: c["seconds"] for c in calls[i:i + 2]} for i in starts]
+    starts = range(0, len(rounds) - 1, 2)
+    pairs = [{c["tree"]: c["seconds"] for c in rounds[i:i + 2]} for i in starts]
     ratios = [p["B"] / p["A"] for p in pairs]
     rng = random.Random(0)
     medians = [statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(RESAMPLES)]
@@ -135,8 +162,8 @@ def summarize(calls: list) -> dict:
     seconds, rss = {}, {}
     for tree in ("A", "B"):
         summary[f"median_ratio_{tree}_first"] = statistics.median(
-            r for i, r in zip(starts, ratios) if calls[i]["tree"] == tree)
-        own = [c for c in calls if c["tree"] == tree]
+            r for i, r in zip(starts, ratios) if rounds[i]["tree"] == tree)
+        own = [c for c in rounds if c["tree"] == tree]
         seconds[tree] = [c["seconds"] for c in own]
         q1, median, q3 = statistics.quantiles(seconds[tree], n=4, method="inclusive")
         summary[f"seconds_{tree}"] = {"median": median, "q1": q1, "q3": q3}
@@ -152,24 +179,24 @@ def summarize(calls: list) -> dict:
     return summary
 
 
-def faults(calls: list) -> list:
+def faults(rounds: list) -> list:
     """Why the comparison does not count, one line each; empty when it does.
 
     B failing more operations than A is one line (both trees run the same
     operations, so their totals compare their shares); every problem a
     check reported is another.
     """
-    failed = {tree: sum(c["failed"] for c in calls if c["tree"] == tree) for tree in "AB"}
+    failed = {tree: sum(c["failed"] for c in rounds if c["tree"] == tree) for tree in "AB"}
     lines = []
     if failed["B"] > failed["A"]:
         lines.append(f"B failed {failed['B']} operations, A {failed['A']}")
-    for call in calls:
-        lines += [f"{call['tree']}: check failed: {problem}" for problem in call["problems"]]
+    for r in rounds:
+        lines += [f"{r['tree']}: check failed: {problem}" for problem in r["problems"]]
     return lines
 
 
 def worker(tree: str, workload_name: str, seed: int) -> int:
-    """Serve timed rounds on stdin/stdout: one JSON line per ``next`` line."""
+    """Serve timed calls on stdin/stdout: one JSON line per ``next`` line."""
     sys.path[:0] = [os.path.join(tree, "src"), BENCH]
     import workload  # noqa: E402 (needs the paths above)
 
@@ -240,7 +267,7 @@ def main(argv=None) -> int:
         return worker(args.worker, args.workload, args.seed)
 
     base = tempfile.mkdtemp(prefix="benchpair-base-")
-    workers = {}
+    workers, warmups = {}, {}
     try:
         commit = subprocess.run(["git", "-C", ROOT, "rev-parse", args.base], check=True,
                                 capture_output=True, text=True).stdout.strip()
@@ -253,25 +280,26 @@ def main(argv=None) -> int:
             imported = os.path.realpath(workers[tree].hello["twl"])
             if not imported.startswith(os.path.realpath(trees[tree]) + os.sep):
                 raise RuntimeError(f"tree {tree} imported twl from {imported}")
-            workers[tree].call()  # warm-up, untimed
+            warmups[tree] = workers[tree].call()["seconds"]  # untimed
+        k = calls_per_round(max(warmups.values()))
         before = host()
-        calls = []
+        rounds = []
         for tree in schedule(PAIRS):
-            reply = workers[tree].call()
-            calls.append({"tree": tree, **reply})
-            print(f"{tree} {reply['seconds']:.3f} s", file=sys.stderr)
+            rounds.append(round_of(tree, [workers[tree].call() for _ in range(k)]))
+            print(f"{tree} {rounds[-1]['seconds']:.3f} s, median of {k}", file=sys.stderr)
         record = {
             "workload": args.workload,
             "seed": args.seed,
             "order": "A B B A",
+            "calls_per_round": k,
             "machine": {**{key: value for key, value in workers["A"].hello["machine"].items()
                            if key != "src_sha256"},
                         "cpu_model": before["cpu_model"],
                         "loadavg_before": before["loadavg"], "loadavg_after": host()["loadavg"]},
             "trees": {"A": {"revision": commit, "src_sha256": src_digest(base)},
                       "B": {"revision": "working tree", "src_sha256": src_digest(ROOT)}},
-            "calls": calls,
-            **summarize(calls),
+            "rounds": rounds,
+            **summarize(rounds),
         }
     finally:
         for w in workers.values():
@@ -282,14 +310,15 @@ def main(argv=None) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
-    found = faults(calls)
+    found = faults(rounds)
     for line in found:
         print(line, file=sys.stderr)
     low, high = record["median_ratio_ci95"]
     print(f"median B/A {record['median_ratio']:.3f} [{low:.3f}, {high:.3f}] (A first "
           f"{record['median_ratio_A_first']:.3f}, B first "
           f"{record['median_ratio_B_first']:.3f}), B faster in "
-          f"{record['pairs_won_by_B']} of {len(record['pairs'])} pairs, "
+          f"{record['pairs_won_by_B']} of {len(record['pairs'])} pairs of "
+          f"{k}-call rounds, "
           f"{'resolved' if record['resolved'] else 'unresolved'}; no worse: time "
           f"{record['no_worse_seconds']}, peak RSS {record['no_worse_max_rss']}; "
           f"minor faults per call "
