@@ -101,24 +101,6 @@ class SignalConfig:
         """Integrated SNR scale n_tx * n_rx * ns * et / n0."""
         return n_tx * n_rx * self.ns * self.et / self.n0
 
-    @classmethod
-    def from_link_budget(
-        cls,
-        power_w: float,
-        bandwidth: float,
-        ns: int,
-        n0: float,
-        carrier: float,
-        weff_factor: float,
-        c: float,
-    ) -> "SignalConfig":
-        """Build from transmit power with symbol time ts = 1/bandwidth, et = power * ts."""
-        ts = 1.0 / bandwidth
-        return cls(
-            et=power_w * ts, ns=ns, n0=n0, bandwidth=bandwidth,
-            weff2=weff_factor * bandwidth**2, carrier=carrier, c=c,
-        )
-
 
 def directional_beams(
     geom: ArrayGeometry, directions, role: str
@@ -148,11 +130,11 @@ def reverse_direction(theta: float, phi: float) -> tuple[float, float]:
     return np.pi - theta, phi_r
 
 
-def _grid_side(n_beams: int) -> int:
-    """The side of a square grid of ``n_beams`` beams."""
-    if n_beams < 1 or round(math.sqrt(n_beams)) ** 2 != n_beams:
-        raise ValueError(f"n_beams must be a perfect square, got {n_beams!r}")
-    return round(math.sqrt(n_beams))
+def square_side(n: int, rule: str) -> int:
+    """The side of a square grid of ``n`` entries; else a ValueError led by ``rule``."""
+    if n < 1 or math.isqrt(n) ** 2 != n:
+        raise ValueError(f"{rule}, got {n!r}")
+    return math.isqrt(n)
 
 
 def sector_beam_grid(
@@ -165,7 +147,7 @@ def sector_beam_grid(
     ``n_beams`` must be a perfect square. The terminal's codebook is the
     reversed grid (`scenario._beam_directions`).
     """
-    side = _grid_side(n_beams)
+    side = square_side(n_beams, "n_beams must be a perfect square")
     for name, (lo, hi) in (("sector_azimuth", sector_azimuth), ("sector_polar", sector_polar)):
         if hi < lo:
             raise ValueError(f"{name} bounds must be ordered (low, high)")
@@ -182,7 +164,7 @@ def region_spot_grid(vertices: np.ndarray, n_beams: int) -> list[tuple[float, fl
     follows the served area instead of a fixed angular rectangle.
     ``n_beams`` must be a perfect square.
     """
-    side = _grid_side(n_beams)
+    side = square_side(n_beams, "n_beams must be a perfect square")
     v = np.asarray(vertices, dtype=np.float64)
     if v.shape != (4, 3):
         raise ValueError(f"need 4 region vertices of 3 coordinates, got {v.shape}")

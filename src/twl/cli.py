@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .beamforming import SingularBeamsError
+from .beamforming import SingularBeamsError, square_side
 from .scenario import (
     REFERENCE_CONFIG,
     Scenario,
@@ -25,7 +25,6 @@ from .scenario import (
     position_tables,
     protocol_bounds,
     run_cdf,
-    square_edges,
     sweep_antennas,
     sweep_bandwidth,
 )
@@ -237,7 +236,8 @@ def _rows_sweep_bw(config: RunConfig):
 
 
 def _rows_sweep_ant(config: RunConfig):
-    _checked("antenna_counts", square_edges, config["antenna_counts"])
+    for count in config["antenna_counts"]:
+        _checked("antenna_counts", square_side, count, "antenna counts must be perfect squares")
     raw = sweep_antennas(config.scenario(), config["antenna_counts"], config["sweep_side"])
     rows = []
     seen = set()
@@ -339,8 +339,8 @@ def main(argv=None) -> int:
     except (ConfigError, SingularBeamsError) as exc:
         message = exc
     except MemoryError:
-        # The results are the only arrays that grow with a run: n_positions sizes them.
-        message = "not enough memory for the results of n_positions positions; lower n_positions"
+        # The results grow with n_positions, the arrays' elements with their sizes.
+        message = "not enough memory; lower n_positions or bs_rows, bs_cols, ue_rows, ue_cols"
     print(f"twl: error: {message}", file=sys.stderr)
     return EXIT_CONFIG
 

@@ -42,7 +42,7 @@ class ArrayGeometry:
     Attributes:
         rows, cols: grid size along the first and second plane axis (>= 1).
         wavelength: carrier wavelength in meters.
-        spacing: element pitch in meters; None means half a wavelength.
+        spacing: element pitch in meters.
         plane: one of "xy", "xz", "yz".
         elements: 3 x (rows·cols) element coordinates, computed on creation.
     """
@@ -50,7 +50,7 @@ class ArrayGeometry:
     rows: int
     cols: int
     wavelength: float
-    spacing: float | None = None
+    spacing: float
     plane: str = "xz"
     elements: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -59,14 +59,13 @@ class ArrayGeometry:
             raise ValueError("rows and cols must be >= 1")
         if not self.wavelength > 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength!r}")
-        spacing = self.wavelength / 2.0 if self.spacing is None else self.spacing
-        if not spacing > 0:
-            raise ValueError(f"element spacing must be positive, got {spacing!r}")
+        if not self.spacing > 0:
+            raise ValueError(f"element spacing must be positive, got {self.spacing!r}")
         if self.plane not in _PLANE_AXES:
             raise ValueError(f"plane must be one of {sorted(_PLANE_AXES)}, got {self.plane!r}")
         object.__setattr__(self, "rows", int(self.rows))
         object.__setattr__(self, "cols", int(self.cols))
-        object.__setattr__(self, "spacing", float(spacing))
+        object.__setattr__(self, "spacing", float(self.spacing))
         ax0, ax1 = self.axes
         x, y = self.offsets()
         elements = np.zeros((3, self.n_elements))

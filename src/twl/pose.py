@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT
-
 # Smallest sin(theta1) of an anchor-frame link direction with a defined azimuth.
 _SIN_FLOOR = 1e-12
 
@@ -35,8 +33,8 @@ class Pose:
     """Terminal position (meters, global frame) and orientation angles (rad)."""
 
     position: np.ndarray
-    zeta0: float = 0.0
-    chi0: float = 0.0
+    zeta0: float
+    chi0: float
 
     def __post_init__(self):
         p = np.asarray(self.position, dtype=np.float64).reshape(3)
@@ -114,7 +112,7 @@ def _link_angles_batch(positions: np.ndarray, rot: np.ndarray):
     }
 
 
-def channel_geometry(ue: Pose, wavelength: float, c: float = SPEED_OF_LIGHT) -> ChannelGeometry:
+def channel_geometry(ue: Pose, wavelength: float, c: float) -> ChannelGeometry:
     """Channel parameters implied by a terminal pose.
 
     Pair-1 angles are the anchor-frame direction of the terminal, pair-2 the
@@ -170,7 +168,7 @@ def _jacobian_batch(g: dict, c: float) -> np.ndarray:
     return jac
 
 
-def location_jacobian(ue: Pose, c: float = SPEED_OF_LIGHT) -> np.ndarray:
+def location_jacobian(ue: Pose, c: float) -> np.ndarray:
     """Exact 5x5 Jacobian of the channel-geometry map at a pose.
 
     Rows (zeta0, chi0, px, py, pz); columns (theta1, phi1, theta2, phi2,

@@ -56,10 +56,12 @@ import numpy as np
 
 from .beamforming import (
     SignalConfig,
+    SingularBeamsError,
     directional_beams,
     region_spot_grid,
     reverse_direction,
     sector_beam_grid,
+    square_side,
 )
 from .fim import fim_from_forms
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry
@@ -192,9 +194,13 @@ class Scenario:
             if not set(chosen) <= set(known) or len(set(chosen)) != len(chosen):
                 raise ValueError(f"{name} must be distinct entries of {known}, got {chosen!r}")
         lam = self.signal.wavelength
-        for side in ("bs", "ue"):
-            if abs(getattr(self, f"{side}_array").wavelength - lam) > 1e-12 * lam:
+        for side, array in (("bs", self.bs_array), ("ue", self.ue_array)):
+            if abs(array.wavelength - lam) > 1e-12 * lam:
                 raise ValueError(f"{side}_array wavelength differs from the signal's {lam!r} m")
+            if self.n_beams > 2 * array.n_elements:  # W's real stack has 2N rows (`gram_inv_sqrt`)
+                raise SingularBeamsError(
+                    f"n_beams: {self.n_beams} beams exceed twice the {array.n_elements} elements "
+                    f"of {side}_array: a singular Gram matrix")
         # Built here, so that a grid that cannot be built, such as a region
         # spot on the anchor, fails with the scenario, not in a run.
         if self.beam_grid == "region":
@@ -217,15 +223,21 @@ class Scenario:
     def from_config(cls, values: dict) -> "Scenario":
         """Scenario from config values in config units (see REFERENCE_CONFIG)."""
         v = values
-        signal = SignalConfig.from_link_budget(
-            power_w=10.0 ** (v["power_dbm"] / 10.0) * 1e-3,
-            bandwidth=float(v["bandwidth_hz"]),
-            ns=v["n_symbols"],
-            n0=10.0 ** (v["noise_dbm_hz"] / 10.0) * 1e-3,
-            carrier=float(v["carrier_hz"]),
-            weff_factor=float(v["weff2_over_w2"]),
-            c=float(v["c_m_s"]),
-        )
+        # SignalConfig's fields in SI units, each of the link budget converted under its key
+        si = {"carrier": float(v["carrier_hz"]), "c": float(v["c_m_s"])}
+        for field, key, convert in (
+            ("bandwidth", "bandwidth_hz", float),
+            ("et", "power_dbm", lambda p: 10.0 ** (p / 10.0) * 1e-3 * (1.0 / si["bandwidth"])),
+            ("n0", "noise_dbm_hz", lambda n: 10.0 ** (n / 10.0) * 1e-3),
+            ("weff2", "bandwidth_hz", lambda w: float(v["weff2_over_w2"]) * float(w) ** 2),
+        ):
+            try:
+                si[field] = convert(v[key])
+            except OverflowError as exc:
+                raise ValueError(f"{key}: {exc}") from exc
+            if not si[field] > 0:  # such as a level in dB whose watts underflow to 0
+                raise ValueError(f"{key}: {field} must be positive, got {si[field]!r}")
+        signal = SignalConfig(ns=v["n_symbols"], **si)
         lam = signal.wavelength
         spacing = v["spacing_wavelengths"] * lam
         return cls(
@@ -577,14 +589,6 @@ def sweep_bandwidth(scenario: Scenario, bandwidths) -> list:
     ]
 
 
-def square_edges(counts) -> list:
-    """The edge of each antenna count, which must be a perfect square."""
-    for count in counts:
-        if count < 1 or round(math.sqrt(count)) ** 2 != count:
-            raise ValueError(f"antenna counts must be perfect squares, got {count!r}")
-    return [round(math.sqrt(count)) for count in counts]
-
-
 def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
     """PEB at the 0.9 quantile versus one side's antenna count.
 
@@ -599,10 +603,9 @@ def sweep_antennas(scenario: Scenario, counts, side: str) -> list:
     if side not in ("bs", "ue"):
         raise ValueError(f"side must be 'bs' or 'ue', got {side!r}")
     own = getattr(scenario, f"{side}_array")
-    variants = [
-        replace(scenario, **{f"{side}_array": replace(own, rows=edge, cols=edge)})
-        for edge in square_edges(counts)
-    ]
+    edges = [square_side(count, "antenna counts must be perfect squares") for count in counts]
+    variants = [replace(scenario, **{f"{side}_array": replace(own, rows=edge, cols=edge)})
+                for edge in edges]
     peb90 = _peb90(scenario, variants, [1.0])
     return [
         {"side": side, "n_antennas": int(count), "protocol": protocol,

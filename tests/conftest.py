@@ -1,22 +1,24 @@
 import numpy as np
 import pytest
 
-from twl.beamforming import SignalConfig
-from twl.geometry import SPEED_OF_LIGHT, ArrayGeometry
+from twl.scenario import Scenario
 
 
 @pytest.fixture(scope="session")
-def default_signal() -> SignalConfig:
+def reference_scenario() -> Scenario:
+    return Scenario.reference_defaults()
+
+
+@pytest.fixture(scope="session")
+def default_signal(reference_scenario):
     """38 GHz carrier, 125 MHz bandwidth, 64 pilots, 0 dBm, -170 dBm/Hz."""
-    return SignalConfig.from_link_budget(
-        power_w=1e-3, bandwidth=125e6, ns=64, n0=1e-20, carrier=38e9,
-        weff_factor=1.0 / 3.0, c=SPEED_OF_LIGHT,
-    )
+    return reference_scenario.signal
 
 
 @pytest.fixture(scope="session")
-def ura12(default_signal):
-    return ArrayGeometry(12, 12, default_signal.wavelength)
+def ura12(reference_scenario):
+    """The reference 12x12 half-wavelength array."""
+    return reference_scenario.bs_array
 
 
 @pytest.fixture()

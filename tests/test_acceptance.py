@@ -98,7 +98,7 @@ def test_criterion_3_jacobian_matches_finite_differences(rng):
     worst = 0.0
     for _ in range(1000):
         pose = random_region_pose(rng)
-        analytic = location_jacobian(pose)
+        analytic = location_jacobian(pose, SPEED_OF_LIGHT)
         reference = finite_difference_jacobian(pose, lam)
         worst = max(worst, np.abs(analytic - reference).max() / np.abs(reference).max())
     elapsed = time.monotonic() - start

@@ -10,9 +10,10 @@ from twl.beamforming import (
     region_spot_grid,
     reverse_direction,
     sector_beam_grid,
+    square_side,
 )
 from twl.geometry import SPEED_OF_LIGHT, steering
-from twl.scenario import Scenario, _beam_directions
+from twl.scenario import REFERENCE_CONFIG, Scenario, _beam_directions
 
 DEG = np.pi / 180.0
 
@@ -78,6 +79,17 @@ def test_sector_grid_single_beam_is_center():
 def test_sector_grid_rejects_non_square():
     with pytest.raises(ValueError):
         sector_beam_grid(24, (0.0, 1.0), (1.0, 2.0))
+
+
+def test_square_side_is_exact_beyond_the_float_range():
+    # math.isqrt reads the int itself: no float conversion to overflow or round
+    assert square_side(10**400, "rule") == 10**200
+    assert square_side((2**53 + 1) ** 2, "rule") == 2**53 + 1
+    with pytest.raises(ValueError, match="n_beams must be a perfect square"):
+        sector_beam_grid(10**400 + 1, (0.0, 1.0), (1.0, 2.0))
+    for n in (0, -4, (2**53 + 1) ** 2 + 1):
+        with pytest.raises(ValueError, match="rule, got"):
+            square_side(n, "rule")
 
 
 def test_terminal_grid_is_reversed_anchor_grid():
@@ -200,10 +212,7 @@ def test_signal_config_defaults(default_signal):
 
 
 def test_signal_config_flat_pulse_alternative():
-    sig = SignalConfig.from_link_budget(
-        power_w=1e-3, bandwidth=125e6, ns=64, n0=1e-20, carrier=38e9,
-        weff_factor=1.0 / 12.0, c=SPEED_OF_LIGHT,
-    )
+    sig = Scenario.from_config({**REFERENCE_CONFIG, "weff2_over_w2": 1.0 / 12.0}).signal
     assert abs(sig.weff2 - 125e6**2 / 12.0) < 1.0
 
 

@@ -154,6 +154,22 @@ def test_calls_per_round_fill_about_a_second():
     assert bp.calls_per_round(2.5) == 1
 
 
+def test_k_comes_from_the_second_warm_up_call():
+    # the first call pays first-call costs; k from it would be 1, not 3
+    class Worker:
+        def __init__(self):
+            self.replies = iter([{"seconds": 2.0}, {"seconds": 0.3}, {"seconds": 0.3}])
+            self.calls = 0
+
+        def call(self):
+            self.calls += 1
+            return next(self.replies)
+
+    bp, worker = _benchpair(), Worker()
+    assert bp.warm_up(worker) == 0.3 and worker.calls == 2
+    assert bp.calls_per_round(0.3) == 3
+
+
 def test_a_round_reads_its_calls_medians():
     bp = _benchpair()
     replies = [{"seconds": s, "failed": f, "problems": p, "minor_faults": m, "max_rss_mb": r}

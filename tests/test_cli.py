@@ -221,6 +221,20 @@ def test_singular_beam_set_exits_2(tmp_path, capsys, subcommand, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    "n_beams = 1000000000000\n",
+    "n_beams = 1000000000000\nbeam_grid = \"sector\"\n",
+    "n_beams = 400\n",  # 20 x 20 beams, above the 288 real dimensions of a 12x12 array
+    f"n_beams = {10**400 + 1}\n",  # beyond the float range, and not a square
+], ids=["region-1e12", "sector-1e12", "400-on-12x12", "beyond-float"])
+def test_too_many_beams_exit_2_before_the_grid_is_built(tmp_path, capsys, text):
+    # a grid of 10^12 beams would need terabytes; the beam count alone refuses it
+    cfg = write_config(tmp_path, "n_positions = 20\n" + text)
+    assert main(["point", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("twl: error: n_beams") and "singular Gram matrix" in err, err
+
+
 @pytest.mark.parametrize("subcommand", ["cdf", "sweep-bw", "sweep-ant"])
 def test_results_beyond_the_address_space_exit_2(tmp_path, capsys, subcommand):
     # 10^15 positions need petabytes of results, beyond any address space, so
@@ -232,14 +246,19 @@ def test_results_beyond_the_address_space_exit_2(tmp_path, capsys, subcommand):
     assert err.startswith("twl: error: not enough memory") and "n_positions" in err, err
     assert "Traceback" not in err and not out.exists()
 
-@pytest.mark.parametrize("text, message", [
-    ("noise_dbm_hz = -5000\n", "n0 must be positive"),  # underflows to 0 W/Hz
-    ("power_dbm = 5000\n", "out of range"),  # overflows the float range
-], ids=["noise", "power"])
-def test_link_budget_out_of_float_range_exits_2(tmp_path, capsys, text, message):
+@pytest.mark.parametrize("text, message, key", [
+    ("noise_dbm_hz = -5000\n", "n0 must be positive", "noise_dbm_hz"),  # underflows to 0 W/Hz
+    ("power_dbm = 5000\n", "out of range", "power_dbm"),  # overflows the float range
+    ("power_dbm = -4000\n", "et must be positive", "power_dbm"),
+    ("noise_dbm_hz = 4000\n", "out of range", "noise_dbm_hz"),
+    ("bandwidth_hz = 1e300\n", "out of range", "bandwidth_hz"),  # its square overflows
+], ids=["noise", "power", "power-low", "noise-high", "bandwidth"])
+def test_link_budget_out_of_float_range_exits_2(tmp_path, capsys, text, message, key):
     cfg = write_config(tmp_path, text)
     assert main(["point", "--config", cfg]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert f"error: {key}: " in err, err
 
 
 def test_point_outside_region_is_validation_error(tmp_path, capsys):

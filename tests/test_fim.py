@@ -24,8 +24,8 @@ LAM = 299792458.0 / 38e9
 
 def small_link(rng, n_tx_beams=2, n_rx_beams=2, ns=4):
     """Random 2x2-array link with beams near the true angles."""
-    tx_geom = ArrayGeometry(2, 2, LAM)
-    rx_geom = ArrayGeometry(2, 2, LAM)
+    tx_geom = ArrayGeometry(2, 2, LAM, LAM / 2)
+    rx_geom = ArrayGeometry(2, 2, LAM, LAM / 2)
     d = rng.uniform(5.0, 30.0)
     cg = ChannelGeometry(
         theta1=rng.uniform(0.5, 2.6), phi1=rng.uniform(-3.0, 3.0),
@@ -38,10 +38,8 @@ def small_link(rng, n_tx_beams=2, n_rx_beams=2, ns=4):
     jitter = lambda a: (a[0] + rng.uniform(-0.3, 0.3), a[1] + rng.uniform(-0.3, 0.3))
     f = directional_beams(tx_geom, [jitter(tx_angles) for _ in range(n_tx_beams)], "transmit")
     w = directional_beams(rx_geom, [jitter(rx_angles) for _ in range(n_rx_beams)], "receive")
-    sig = SignalConfig.from_link_budget(
-        power_w=1e-3, bandwidth=125e6, ns=ns, n0=1e-20, carrier=38e9,
-        weff_factor=1.0 / 3.0, c=SPEED_OF_LIGHT,
-    )
+    sig = SignalConfig(et=1e-3 * (1.0 / 125e6), ns=ns, n0=1e-20, bandwidth=125e6,
+                       weff2=1.0 / 3.0 * 125e6**2, carrier=38e9, c=SPEED_OF_LIGHT)
     return direction, tx_geom, rx_geom, f, w, cg, sig
 
 

@@ -36,7 +36,7 @@ def oracle_case(rng, arrays=None, beams=None):
     and its beam counts from 1 to 3."""
     if arrays is None:
         arrays = [ARRAYS[i] for i in rng.integers(len(ARRAYS), size=2)]
-    tx_geom, rx_geom = (ArrayGeometry(rows, cols, LAM, plane=plane)
+    tx_geom, rx_geom = (ArrayGeometry(rows, cols, LAM, LAM / 2, plane=plane)
                         for rows, cols, plane in arrays)
     direction = "backward" if rng.integers(2) else "forward"
     d = rng.uniform(5.0, 30.0)

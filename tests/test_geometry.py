@@ -9,7 +9,7 @@ from twl.geometry import ArrayGeometry, direction_with_partials, steering, waven
 
 
 def test_make_ura_single_element_at_origin():
-    geom = ArrayGeometry(1, 1, wavelength=0.008)
+    geom = ArrayGeometry(1, 1, wavelength=0.008, spacing=0.004)
     assert geom.n_elements == 1
     np.testing.assert_array_equal(geom.elements, np.zeros((3, 1)))
 
@@ -38,13 +38,13 @@ def test_make_ura_rejects_bad_spacing():
 
 
 def test_make_ura_planes():
-    xy = ArrayGeometry(2, 3, wavelength=0.01, plane="xy")
+    xy = ArrayGeometry(2, 3, wavelength=0.01, spacing=0.005, plane="xy")
     assert np.all(xy.elements[2] == 0.0) and np.ptp(xy.elements[0]) > 0
-    yz = ArrayGeometry(2, 3, wavelength=0.01, plane="yz")
+    yz = ArrayGeometry(2, 3, wavelength=0.01, spacing=0.005, plane="yz")
     assert np.all(yz.elements[0] == 0.0) and np.ptp(yz.elements[1]) > 0
     with pytest.raises(ValueError):
-        ArrayGeometry(2, 2, wavelength=0.01, plane="xw")
-    # The default pitch resolves to half a wavelength, and a resize keeps it.
+        ArrayGeometry(2, 2, wavelength=0.01, spacing=0.005, plane="xw")
+    # A resize keeps the pitch.
     assert yz == ArrayGeometry(2, 3, 0.01, spacing=0.005, plane="yz")
     assert replace(yz, rows=4, cols=4).spacing == 0.005
     assert yz.axes == (1, 2) and yz.n_elements == 6
@@ -57,12 +57,12 @@ def test_wavenumber_rejects_bad_wavelength():
 
 def test_array_geometry_validation():
     with pytest.raises(ValueError):
-        ArrayGeometry(0, 4, wavelength=0.01)
+        ArrayGeometry(0, 4, wavelength=0.01, spacing=0.005)
     with pytest.raises(ValueError):
-        ArrayGeometry(2, 2, wavelength=-1.0)
+        ArrayGeometry(2, 2, wavelength=-1.0, spacing=0.005)
     with pytest.raises(ValueError, match="finite"):
         ArrayGeometry(2, 2, wavelength=0.01, spacing=np.inf)
-    ura = ArrayGeometry(2, 2, wavelength=0.01)
+    ura = ArrayGeometry(2, 2, wavelength=0.01, spacing=0.005)
     with pytest.raises(ValueError):
         ura.elements[0, 0] = 1.0
 
@@ -83,7 +83,7 @@ def test_wavenumber_axes(theta, phi, expected):
 
 
 def test_steering_single_element_is_trivial():
-    geom = ArrayGeometry(1, 1, wavelength=0.008)
+    geom = ArrayGeometry(1, 1, wavelength=0.008, spacing=0.004)
     np.testing.assert_allclose(steering(geom, 0.7, -1.2), [1.0])
     b = steering_bundle(geom, 0.7, -1.2)
     np.testing.assert_allclose(b.a, [1.0])

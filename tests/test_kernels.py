@@ -36,10 +36,10 @@ def _random_codebook(rng, geom, n_beams):
 @pytest.mark.parametrize(
     "geom,n_w",
     [
-        (ArrayGeometry(6, 6, LAMBDA), 7),
-        (ArrayGeometry(12, 12, LAMBDA, plane="yz"), 9),
-        (ArrayGeometry(3, 5, LAMBDA, plane="xy"), 4),
-        (ArrayGeometry(1, 1, LAMBDA), 1),  # one element at the origin: zero partials
+        (ArrayGeometry(6, 6, LAMBDA, LAMBDA / 2), 7),
+        (ArrayGeometry(12, 12, LAMBDA, LAMBDA / 2, plane="yz"), 9),
+        (ArrayGeometry(3, 5, LAMBDA, LAMBDA / 2, plane="xy"), 4),
+        (ArrayGeometry(1, 1, LAMBDA, LAMBDA / 2), 1),  # one element at the origin: zero partials
     ],
     ids=["6x6-xz", "12x12-yz", "3x5-xy", "1x1"],
 )
@@ -87,7 +87,7 @@ def test_beam_factors_rebuild_the_receive_codebook(plane):
     1/(N·sqrt(n_beams)) scale. Tolerance: 1e-14 relative to the largest
     entry of each block.
     """
-    geom = ArrayGeometry(4, 3, LAMBDA, plane=plane)
+    geom = ArrayGeometry(4, 3, LAMBDA, LAMBDA / 2, plane=plane)
     dirs = [(0.4, 0.2), (1.3, -2.0), (2.2, 1.1), (1.7, 2.9), (0.9, -0.6)]
     factors = kernels.beam_factors(geom, dirs)
     for table in factors:
@@ -107,7 +107,7 @@ def test_beam_factors_rebuild_the_receive_codebook(plane):
 
 
 @pytest.mark.parametrize("rows", [1, 2, 7, 12], ids=["1", "2", "odd", "even"])
-@pytest.mark.parametrize("spacing", [None, 0.0031], ids=["half-wave", "other"])
+@pytest.mark.parametrize("spacing", [LAMBDA / 2, 0.0031], ids=["half-wave", "other"])
 def test_mirrored_phases_equal_every_exponential(rows, spacing):
     """The powers of one exponential give exp(-j·x·k) along the whole axis.
 
@@ -140,7 +140,7 @@ def test_real_whitening_is_the_centre_rotated_root(plane):
     of the complex W itself is real to 1e-12 of its largest entry, and the
     kernel's real root equals its real part to the same tolerance.
     """
-    geom = ArrayGeometry(5, 4, LAMBDA, plane=plane)
+    geom = ArrayGeometry(5, 4, LAMBDA, LAMBDA / 2, plane=plane)
     dirs = [(0.4, 0.2), (1.3, -2.0), (2.2, 1.1), (1.7, 2.9), (0.9, -0.6), (1.1, 0.7)]
     beams = directional_beams(geom, dirs, "receive")
     whitening = kernels.codebook_tables(geom, beams).whitening
@@ -192,7 +192,7 @@ def test_forms_are_finite_at_extreme_wavelengths(wavelength):
     theta, phi = rng.uniform(0.0, np.pi, 300), rng.uniform(-np.pi, np.pi, 300)
     forms = {}
     for lam in (wavelength, LAMBDA):
-        geom = ArrayGeometry(12, 12, lam)
+        geom = ArrayGeometry(12, 12, lam, lam / 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tables = kernels.codebook_tables(geom, directional_beams(geom, dirs, "receive"))

@@ -57,11 +57,11 @@ def test_rotation_orthonormal():
 
 def test_pose_rejects_origin():
     with pytest.raises(ValueError):
-        Pose(np.zeros(3))
+        Pose(np.zeros(3), 0.0, 0.0)
 
 
 def test_channel_geometry_antipodal_angles():
-    cg = channel_geometry(Pose(np.array([0.0, 10.0, 0.0])), LAM38)
+    cg = channel_geometry(Pose(np.array([0.0, 10.0, 0.0]), 0.0, 0.0), LAM38, SPEED_OF_LIGHT)
     assert abs(cg.theta1 - np.pi / 2) < 1e-12
     assert abs(cg.phi1 - np.pi / 2) < 1e-12
     assert abs(cg.theta2 - np.pi / 2) < 1e-12
@@ -69,7 +69,7 @@ def test_channel_geometry_antipodal_angles():
 
 
 def test_channel_geometry_delay():
-    cg = channel_geometry(Pose(np.array([0.0, 10.0, 0.0])), LAM38)
+    cg = channel_geometry(Pose(np.array([0.0, 10.0, 0.0]), 0.0, 0.0), LAM38, SPEED_OF_LIGHT)
     assert abs(cg.tau - 3.3356e-8) < 1e-12
     assert cg.tau == 10.0 / SPEED_OF_LIGHT
 
@@ -77,7 +77,7 @@ def test_channel_geometry_delay():
 def test_channel_geometry_gain_amplitude():
     # with c fixed to 3e8: lambda = 7.8947e-3 m, beta = 6.2823e-5 at 10 m
     lam = 3e8 / 38e9
-    cg = channel_geometry(Pose(np.array([0.0, 10.0, 0.0])), lam, c=3e8)
+    cg = channel_geometry(Pose(np.array([0.0, 10.0, 0.0]), 0.0, 0.0), lam, c=3e8)
     assert abs(lam - 7.8947e-3) < 1e-7
     assert cg.beta == pytest.approx(6.2823e-5, rel=5e-5)
     assert cg.beta == lam / (4 * np.pi * 10.0)
@@ -85,8 +85,8 @@ def test_channel_geometry_gain_amplitude():
 
 def test_channel_geometry_zero_orientation_frames_coincide(rng):
     for _ in range(10):
-        pose = Pose(np.array([rng.uniform(-30, 30), rng.uniform(5, 50), -10.0]))
-        cg = channel_geometry(pose, LAM38)
+        pose = Pose(np.array([rng.uniform(-30, 30), rng.uniform(5, 50), -10.0]), 0.0, 0.0)
+        cg = channel_geometry(pose, LAM38, SPEED_OF_LIGHT)
         u = -pose.position / np.linalg.norm(pose.position)
         assert abs(cg.theta2 - np.arccos(u[2])) < 1e-12
         assert abs(cg.phi2 - np.arctan2(u[1], u[0])) < 1e-12
@@ -94,29 +94,29 @@ def test_channel_geometry_zero_orientation_frames_coincide(rng):
 
 def test_degenerate_geometry_raises():
     with pytest.raises(DegenerateGeometryError):
-        channel_geometry(Pose(np.array([0.0, 0.0, -10.0])), LAM38)
+        channel_geometry(Pose(np.array([0.0, 0.0, -10.0]), 0.0, 0.0), LAM38, SPEED_OF_LIGHT)
     with pytest.raises(DegenerateGeometryError):
-        location_jacobian(Pose(np.array([0.0, 0.0, -10.0])))
+        location_jacobian(Pose(np.array([0.0, 0.0, -10.0]), 0.0, 0.0), SPEED_OF_LIGHT)
 
 
 def test_polar_angles_keep_their_accuracy_near_a_pole():
     # 1e-7 m off the anchor's nadir the terminal sees the anchor 1e-8 rad off
     # its own +z axis, where arccos(q_z) and √(1 − q_z²) round to 0
     offset = 1e-7
-    cg = channel_geometry(Pose(np.array([0.0, offset, -10.0])), LAM38)
+    cg = channel_geometry(Pose(np.array([0.0, offset, -10.0]), 0.0, 0.0), LAM38, SPEED_OF_LIGHT)
     assert cg.theta2 == pytest.approx(np.arctan2(offset, 10.0), rel=1e-15, abs=0.0)
     assert np.pi - cg.theta1 == pytest.approx(np.arctan2(offset, 10.0), rel=1e-7, abs=0.0)
 
 
 def test_jacobian_structural_zeros(rng):
-    jac = location_jacobian(random_region_pose(rng))
+    jac = location_jacobian(random_region_pose(rng), SPEED_OF_LIGHT)
     np.testing.assert_array_equal(jac[:2, 4], 0.0)
     np.testing.assert_array_equal(jac[:2, :2], 0.0)
 
 
 def test_jacobian_delay_column():
     pose = Pose(np.array([3.0, 17.0, -10.0]), 0.2, 0.1)
-    jac = location_jacobian(pose)
+    jac = location_jacobian(pose, SPEED_OF_LIGHT)
     expected = pose.position / (np.linalg.norm(pose.position) * SPEED_OF_LIGHT)
     np.testing.assert_allclose(jac[2:, 4], expected, rtol=1e-14)
 
@@ -124,13 +124,13 @@ def test_jacobian_delay_column():
 def test_jacobian_matches_finite_differences(rng):
     for _ in range(50):
         pose = random_region_pose(rng)
-        analytic = location_jacobian(pose)
+        analytic = location_jacobian(pose, SPEED_OF_LIGHT)
         reference = finite_difference_jacobian(pose, LAM38)
         scale = np.abs(reference).max()
         assert np.abs(analytic - reference).max() <= 1e-6 * scale
 
 
 def test_jacobian_is_a_square_array(rng):
-    jac = location_jacobian(random_region_pose(rng))
+    jac = location_jacobian(random_region_pose(rng), SPEED_OF_LIGHT)
     assert isinstance(jac, np.ndarray)
     assert jac.shape == (5, 5) and jac.dtype == np.float64

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twl.beamforming import SignalConfig, directional_beams, region_spot_grid, reverse_direction
+from twl.beamforming import directional_beams, region_spot_grid, reverse_direction
 from twl.fim import angle_efim, channel_fim, delay_info
-from twl.geometry import SPEED_OF_LIGHT, ArrayGeometry
+from twl.geometry import SPEED_OF_LIGHT
 from twl.pose import Pose, channel_geometry, location_jacobian
 from twl.protocols import (
     PROTOCOLS,
@@ -31,16 +31,11 @@ DIAMOND = np.array(
 
 
 @pytest.fixture(scope="module")
-def reference_link():
+def reference_link(default_signal, ura12):
     """Default-scale link at p = (0, 25, -10) with region-covering codebooks."""
-    sig = SignalConfig.from_link_budget(
-        power_w=1e-3, bandwidth=125e6, ns=64, n0=1e-20, carrier=38e9,
-        weff_factor=1.0 / 3.0, c=SPEED_OF_LIGHT,
-    )
-    bs = ArrayGeometry(12, 12, sig.wavelength)
-    ue = ArrayGeometry(12, 12, sig.wavelength)
-    pose = Pose(np.array([0.0, 25.0, -10.0]))
-    cg = channel_geometry(pose, sig.wavelength)
+    sig, bs, ue = default_signal, ura12, ura12
+    pose = Pose(np.array([0.0, 25.0, -10.0]), 0.0, 0.0)
+    cg = channel_geometry(pose, sig.wavelength, sig.c)
     bs_dirs = region_spot_grid(DIAMOND, 25)
     ue_dirs = [reverse_direction(th, ph) for th, ph in bs_dirs]
     f1 = directional_beams(bs, bs_dirs, "transmit")
@@ -49,7 +44,7 @@ def reference_link():
     w2 = directional_beams(ue, ue_dirs, "receive")
     fwd = channel_fim("forward", bs, ue, f1, w2, cg, sig)
     bwd = channel_fim("backward", ue, bs, f2, w1, cg, sig)
-    jac = location_jacobian(pose)
+    jac = location_jacobian(pose, sig.c)
     return fwd, bwd, jac
 
 

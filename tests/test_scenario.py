@@ -519,16 +519,12 @@ def test_sweep_antennas_validation(quick_scenario):
 
 def _own_array_scenario(case):
     """A 12x12 scenario whose arrays differ from the default pitch, carrier or plane."""
-    from twl.beamforming import SignalConfig
-    from twl.geometry import SPEED_OF_LIGHT, ArrayGeometry
+    from twl.geometry import ArrayGeometry
 
     carrier = 60e9 if case == "60ghz" else 38e9
-    sig = SignalConfig.from_link_budget(
-        power_w=1e-3, bandwidth=125e6, ns=64, n0=1e-20, carrier=carrier,
-        weff_factor=1.0 / 3.0, c=SPEED_OF_LIGHT,
-    )
+    sig = replace(Scenario.reference_defaults().signal, carrier=carrier)
     lam = sig.wavelength
-    spacing = 0.4 * lam if case == "spacing" else None
+    spacing = 0.4 * lam if case == "spacing" else 0.5 * lam
     return Scenario.reference_defaults(
         signal=sig,
         bs_array=ArrayGeometry(12, 12, lam, spacing=spacing),

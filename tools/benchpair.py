@@ -10,10 +10,12 @@ pinned to one thread. Both workers import ``twlbench/workload.py`` and take
 their configs from its ``rounds`` with the same seed, so the k-th call of
 each tree runs the same config. A call is one item of those ``rounds``
 (one ``twl.cli.main`` call, or a batch of ``point`` calls), timed by
-``workload.call_cli`` and checked by ``workload.Run.check_op``. After one
-untimed warm-up call per tree, the timed unit is a round of k calls of one
-tree, k = max(1, round(1 s / the slower warm-up call's time)), fixed once
-per run and the same for both trees (`calls_per_round`); a round's time is
+``workload.call_cli`` and checked by ``workload.Run.check_op``. Each tree
+first makes two untimed warm-up calls (`warm_up`): the first pays the
+imports and first-call costs, so only the second, steady one sets k. The
+timed unit is a round of k calls of one tree, k = max(1, round(1 s / the
+slower tree's second warm-up call's time)), fixed once per run and the same
+for both trees (`calls_per_round`); a round's time is
 the median of its calls' times (`round_of`), so one slow call moves no
 round. The rounds alternate A B B A, A B B A, ... for ``PAIRS`` = 10
 pairs: every adjacent (A, B) or (B, A) is a pair, so each tree runs first
@@ -97,6 +99,16 @@ def host() -> dict:
 def schedule(pairs: int) -> list:
     """Tree labels of the timed rounds: A B B A repeated, 2·pairs rounds."""
     return [("A", "B", "B", "A")[i % 4] for i in range(2 * pairs)]
+
+
+def warm_up(worker) -> float:
+    """Two untimed calls of a worker; the seconds of the second, steady one.
+
+    The first call pays the worker's first-call costs (imports, caches, the
+    allocator's first growth), so its time would set too small a k.
+    """
+    worker.call()
+    return worker.call()["seconds"]
 
 
 def calls_per_round(warmup_seconds: float) -> int:
@@ -280,7 +292,7 @@ def main(argv=None) -> int:
             imported = os.path.realpath(workers[tree].hello["twl"])
             if not imported.startswith(os.path.realpath(trees[tree]) + os.sep):
                 raise RuntimeError(f"tree {tree} imported twl from {imported}")
-            warmups[tree] = workers[tree].call()["seconds"]  # untimed
+            warmups[tree] = warm_up(workers[tree])
         k = calls_per_round(max(warmups.values()))
         before = host()
         rounds = []
@@ -292,6 +304,7 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "order": "A B B A",
             "calls_per_round": k,
+            "warmup_seconds": warmups,
             "machine": {**{key: value for key, value in workers["A"].hello["machine"].items()
                            if key != "src_sha256"},
                         "cpu_model": before["cpu_model"],
