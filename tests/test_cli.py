@@ -211,7 +211,9 @@ def test_validation_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("subcommand, text", [
     ("cdf", "n_positions = 20\nbs_rows = 2\nbs_cols = 2\n"),
     ("sweep-ant", "n_positions = 20\nantenna_counts = [4, 144]\n"),
-], ids=["cdf", "sweep-ant"])
+    # the swept side's own array is a scenario key too, though the sweep replaces it
+    ("sweep-ant", "n_positions = 20\nbs_rows = 2\nbs_cols = 2\n"),
+], ids=["cdf", "sweep-ant", "sweep-ant-own-array"])
 def test_singular_beam_set_exits_2(tmp_path, capsys, subcommand, text):
     # 25 beams on a 2x2 array span at most 4 dimensions
     cfg = write_config(tmp_path, text)
